@@ -627,6 +627,7 @@ def evaluate_with_state(dataset: RegressionDataset, trainer: TrainerOracle,
                      config.w_bar, config.w_under)
         target = 2.0 * rt
         tuned_rounds = []
+        unconverged = 0
         for k in range(config.K1, config.K):
             sub = subs[k]
             plus = tune_noise_scale(state, dataset, trainer, sub, target, "plus",
@@ -635,13 +636,20 @@ def evaluate_with_state(dataset: RegressionDataset, trainer: TrainerOracle,
             minus = tune_noise_scale(state, dataset, trainer, sub, target, "minus",
                                      config.tol_rho, config.tune_max_iter,
                                      derive_seed(config.seed, "tune", k))
+            unconverged += (not plus.converged) + (not minus.converged)
             tuned_rounds.append(_score_round(state, dataset, trainer, sub, k, plus.rho,
                                              minus.rho, plus.predictor, minus.predictor))
         rest = candidate_block(state, dataset, _refits(tuned_rounds) + truth_rows)
         block = CandidateBlock(np.vstack([warm_block.vals, rest.vals]),
                                np.concatenate([warm_block.dists, rest.dists]))
-        reports.append(_assemble_report(
-            "tuned", state, dataset, config, tuned_rounds, block, est.r, rt, tau, t, fstar))
+        report = _assemble_report(
+            "tuned", state, dataset, config, tuned_rounds, block, est.r, rt, tau, t, fstar)
+        if unconverged:
+            # An unconverged tune still enters the bound at its closest
+            # noise scale; say how many did.
+            report.pilot_flags.append(
+                f"tune-unconverged:{unconverged}/{2 * len(tuned_rounds)}")
+        reports.append(report)
     return reports, state
 
 

@@ -72,6 +72,22 @@ def full_data_counting(trainer, n):
     return dataclasses.replace(trainer, fit_fn=fit), handles
 
 
+def power_of_two_trainer():
+    """Interpolating trainer whose refits land at a power-of-2 distance.
+
+    A fit to responses y with root-mean-square a returns y scaled to
+    2**floor(log2 a), so when the warm-up fits zeros the achieved refit
+    norm doubles at every power of 2 and skips the targets in between.
+    """
+    def fit(ds, seed):
+        a = empirical_norm(ds.ys)
+        gain = 2.0 ** math.floor(math.log2(a)) / a if a > 0 else 0.0
+        table = dict(zip(ds.xs[:, 0].tolist(), (gain * ds.ys).tolist()))
+        return PredictorHandle(lambda xs: np.array([table.get(x, 0.0) for x in xs[:, 0]]))
+
+    return TrainerOracle(name="power_of_two", fit_fn=fit)
+
+
 def zero_residual_setup(n=24, seed=0):
     """Dataset whose exact-ERM fit interpolates, so residuals vanish."""
     rng = np.random.default_rng(seed)
@@ -461,6 +477,19 @@ class TestEvaluate:
         for rd in report.rounds:
             assert abs(rd.norm_tilde - target) <= 0.05 * target
             assert abs(rd.norm_check - target) <= 0.05 * target
+        assert not any(flag.startswith("tune-unconverged") for flag in report.pilot_flags)
+
+    def test_tuned_mode_flags_unconverged_tunes(self):
+        rng = np.random.default_rng(21)
+        ds = RegressionDataset(rng.uniform(0, 1, size=(120, 1)), np.zeros(120))
+        pilot = PredictorHandle(lambda xs: 0.5 + np.sin(6.0 * xs[:, 0]))
+        cfg = EvaluationConfig(K=4, K1=2, beta=0.7, rho_mode="tuned", rho_grid=(1.0,),
+                               seed=21, tune_max_iter=12)
+        report = evaluate(ds, power_of_two_trainer(), cfg, pilot=pilot)[0]
+        target = 2.0 * report.r_tilde
+        norms = [norm for rd in report.rounds for norm in (rd.norm_tilde, rd.norm_check)]
+        assert all(abs(norm - target) > 0.05 * target for norm in norms)
+        assert f"tune-unconverged:{len(norms)}/{len(norms)}" in report.pilot_flags
 
     def test_candidates_predicted_once_per_report_fixed_grid(self):
         ds, truth = generate(ExperimentSpec(id="exp1", n=300, seed=15))

@@ -1,7 +1,13 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wildriff.core import RegressionDataset
+import wildriff.trainers as trainers
+from wildriff.core import EvaluationConfig, RegressionDataset
+from wildriff.refit import evaluate
 from wildriff.synth import ExperimentSpec, generate
 from wildriff.trainers import (
     FourierRidgeSpec,
@@ -49,17 +55,24 @@ class TestFourierRidge:
             mses.append(float(np.mean((f.predict(ds.xs) - ds.ys) ** 2)))
         assert all(0.03 <= m <= 0.05 for m in mses)
 
-    def test_normal_equations_residual(self):
-        ds, _ = generate(ExperimentSpec(id="exp1", n=400, seed=3))
-        spec = FourierRidgeSpec(N=6, lam=1e-4)
-        f = fourier_ridge_fit(ds, spec)
+    @given(N=st.integers(1, 3), d=st.integers(1, 3), dual=st.booleans(),
+           extra=st.integers(0, 60), lam=st.floats(1e-4, 1.0), seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_normal_equations_residual(self, N, d, dual, extra, lam, seed):
+        # Whichever form the fit solves (dual when p > n), its coefficients
+        # satisfy the primal normal equations.  Rounding can reach about
+        # eps * p / lam = 2.2e-16 * 343 / 1e-4 < 1e-9; 1e-8 leaves a margin.
+        p = (2 * N + 1) ** d
+        n = 1 + extra % (p - 1) if dual else p + extra
+        assert (p > n) == dual
+        ds = uniform_dataset(n, d=d, seed=seed, fn=lambda xs: np.sin(7 * xs.sum(axis=1)),
+                             noise=0.3)
+        f = fourier_ridge_fit(ds, FourierRidgeSpec(N=N, lam=lam))
         coef = f.meta["coefficients"]
-        freqs = f.meta["frequencies"]
-        phi = _fourier_design(ds.xs, freqs)
-        gram = phi.T @ phi / ds.n + spec.lam * np.eye(phi.shape[1])
-        rhs = phi.T @ ds.ys / ds.n
-        rel = np.linalg.norm(gram @ coef - rhs) / np.linalg.norm(rhs)
-        assert rel <= 1e-10
+        phi = _fourier_design(ds.xs, f.meta["frequencies"])
+        lhs = phi.T @ (phi @ coef) / n + lam * coef
+        rhs = phi.T @ ds.ys / n
+        assert np.linalg.norm(lhs - rhs) <= 1e-8 * np.linalg.norm(rhs)
 
     def test_feature_cap(self):
         ds = uniform_dataset(10, d=5)
@@ -68,9 +81,52 @@ class TestFourierRidge:
 
     def test_half_space_frequency_count(self):
         for d in (1, 2):
-            for N in (1, 2, 3):
+            for N in (0, 1, 2, 3):
                 freqs = _half_space_frequencies(N, d)
                 assert 1 + 2 * len(freqs) == (2 * N + 1) ** d
+                assert _half_space_frequencies(N, d) is freqs
+                assert not freqs.flags.writeable
+
+    def test_design_memo_predictions_bit_identical(self):
+        ds, _ = generate(ExperimentSpec(id="exp3", n=200, seed=2))
+        f = fourier_ridge_fit(ds, FourierRidgeSpec(N=2, lam=1e-6))
+        hit = f.predict(ds.xs)
+        again = f.predict(ds.xs)
+        fresh = f.predict(np.array(ds.xs))
+        np.testing.assert_array_equal(hit, fresh)
+        np.testing.assert_array_equal(again, fresh)
+
+    def test_design_memo_is_read_only_and_released(self):
+        ds, _ = generate(ExperimentSpec(id="exp1", n=100, seed=0))
+        freqs = _half_space_frequencies(4, 1)
+        design = _fourier_design(ds.xs, freqs)
+        assert _fourier_design(ds.xs, freqs) is design
+        with pytest.raises(ValueError):
+            design[0, 0] = 1.0
+        copy = np.array(ds.xs)
+        assert _fourier_design(copy, freqs).flags.writeable
+        released = weakref.ref(design)
+        del ds, design
+        gc.collect()
+        assert released() is None
+
+    def test_full_data_design_built_once_per_report(self, monkeypatch):
+        ds, _ = generate(ExperimentSpec(id="exp1", n=300, seed=5))
+        builds = []
+        build = trainers._build_design
+
+        def counting(xs, freqs):
+            if xs.shape[0] == ds.n:
+                builds.append(xs.shape)
+            return build(xs, freqs)
+
+        monkeypatch.setattr(trainers, "_build_design", counting)
+        cfg = EvaluationConfig(K=30, rho_grid=(0.1, 0.5, 1.0, 2.0, 5.0), seed=5)
+        reports = evaluate(ds, make_trainer("fourier_ridge", {"N": 8, "lam": 1e-6}), cfg)
+        assert len(reports) == len(cfg.rho_grid)
+        # The warm-up fit and its prediction share one build; each scale's
+        # 2K candidates share another.
+        assert 1 <= len(builds) <= 1 + len(cfg.rho_grid)
 
     def test_prediction_totality(self):
         ds, _ = generate(ExperimentSpec(id="exp1", n=200, seed=0))
