@@ -81,6 +81,14 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return arr
 
 
+def _shared_or_frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr`` itself when it is a read-only float64 array that owns its data,
+    else a frozen copy.  A view is always copied: its base may be writeable."""
+    if arr.dtype == np.float64 and not arr.flags.writeable and arr.base is None:
+        return arr
+    return _frozen_array(arr)
+
+
 @dataclass(frozen=True)
 class RegressionDataset:
     """Covariates in the unit cube plus real responses.
@@ -91,6 +99,12 @@ class RegressionDataset:
         Covariates; every coordinate must lie in [0, 1].
     ys : array-like of shape (n,)
         Real responses.
+
+    Both are stored read-only.  An ``xs`` or ``ys`` that is already a
+    read-only float64 array owning its data (``base is None``) is kept by
+    identity, so datasets built on one frozen covariate block share it; its
+    owner must not make it writeable again.  Anything else is copied and
+    frozen, and the caller's array is left as it was.
     """
 
     xs: np.ndarray
@@ -98,7 +112,9 @@ class RegressionDataset:
 
     def __post_init__(self):
         xs = np.atleast_2d(np.asarray(self.xs, dtype=float))
-        ys = np.asarray(self.ys, dtype=float).ravel()
+        ys = np.asarray(self.ys, dtype=float)
+        if ys.ndim != 1:
+            ys = ys.ravel()
         if xs.shape[0] != ys.shape[0]:
             raise NonFiniteDataError(
                 f"covariates ({xs.shape[0]}) and responses ({ys.shape[0]}) disagree in length"
@@ -109,8 +125,8 @@ class RegressionDataset:
             raise NonFiniteDataError("dataset contains non-finite entries")
         if xs.min() < 0.0 or xs.max() > 1.0:
             raise NonFiniteDataError("covariate coordinates must lie in [0, 1]")
-        object.__setattr__(self, "xs", _frozen_array(xs))
-        object.__setattr__(self, "ys", _frozen_array(ys))
+        object.__setattr__(self, "xs", _shared_or_frozen(xs))
+        object.__setattr__(self, "ys", _shared_or_frozen(ys))
 
     @property
     def n(self) -> int:

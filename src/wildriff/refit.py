@@ -48,6 +48,8 @@ __all__ = [
     "RadiusEstimate",
     "RiskBoundReport",
     "TuneResult",
+    "SubsampleRows",
+    "subsample_rows",
     "run_round",
     "candidate_block",
     "deviation_term",
@@ -289,48 +291,66 @@ def process_sup_proxy(state: RefitState, block: CandidateBlock, radius: float,
 # Rounds
 # ---------------------------------------------------------------------------
 
+class SubsampleRows(NamedTuple):
+    """One subsample's rows: its covariate block and the warm-up slices."""
+
+    xs: np.ndarray
+    breve: np.ndarray
+    signs: np.ndarray
+    residuals: np.ndarray
+
+
+def subsample_rows(state: RefitState, dataset: RegressionDataset,
+                   sub: Subsample) -> SubsampleRows:
+    """Slice a subsample's rows once.
+
+    The covariate block is read-only and owns its data, so every refit
+    dataset built on it shares the array and every scoring pass predicts on
+    that same array; a trainer that memoizes work per input array does it
+    once per subsample.
+    """
+    idx = sub.indices
+    xs = dataset.xs[idx]
+    xs.setflags(write=False)
+    return SubsampleRows(xs, state.breve_vals[idx], state.signs[idx], state.residuals[idx])
+
+
 def run_round(state: RefitState, dataset: RegressionDataset, trainer: TrainerOracle,
-              sub: Subsample, rho1: float, rho2: float, seed: int, k: int = 0) -> WildRound:
+              sub: Subsample, rho1: float, rho2: float, seed: int, k: int = 0,
+              rows: Optional[SubsampleRows] = None) -> WildRound:
     """One resample-and-refit round at fixed noise scales.
 
     Builds the two perturbed pseudo-datasets on the subsample, refits the
     black box on each, and records optimisms and subsample-norm distances.
+    ``rows`` is ``subsample_rows(state, dataset, sub)``, sliced here when
+    not given; callers running several rounds on one subsample pass it so
+    all of them share one covariate block.
     """
-    idx = sub.indices
-    breve_sub = state.breve_vals[idx]
-    signs_sub = state.signs[idx]
-    res_sub = state.residuals[idx]
-    xs_sub = dataset.xs[idx]
-
-    y_tilde = wild_responses(breve_sub, signs_sub, res_sub, rho1, "plus")
-    y_check = wild_responses(breve_sub, signs_sub, res_sub, rho2, "minus")
+    if rows is None:
+        rows = subsample_rows(state, dataset, sub)
+    y_tilde = wild_responses(rows.breve, rows.signs, rows.residuals, rho1, "plus")
+    y_check = wild_responses(rows.breve, rows.signs, rows.residuals, rho2, "minus")
 
     try:
-        tilde_f = trainer.fit(RegressionDataset(xs_sub, y_tilde),
+        tilde_f = trainer.fit(RegressionDataset(rows.xs, y_tilde),
                               derive_seed(seed, "refit-tilde", k))
-        check_f = trainer.fit(RegressionDataset(xs_sub, y_check),
+        check_f = trainer.fit(RegressionDataset(rows.xs, y_check),
                               derive_seed(seed, "refit-check", k))
     except TrainerFailedError as exc:
         raise TrainerFailedError(f"round {k}: {exc}") from exc
-    return _score_round(state, dataset, trainer, sub, k, rho1, rho2, tilde_f, check_f)
+    return _score_round(trainer, rows, sub, k, rho1, rho2, tilde_f, check_f)
 
 
-def _score_round(state: RefitState, dataset: RegressionDataset, trainer: TrainerOracle,
-                 sub: Subsample, k: int, rho1: float, rho2: float,
+def _score_round(trainer: TrainerOracle, rows: SubsampleRows, sub: Subsample, k: int,
+                 rho1: float, rho2: float,
                  tilde_f: PredictorHandle, check_f: PredictorHandle) -> WildRound:
     """Optimisms and subsample-norm distances of a round's two refits."""
-    idx = sub.indices
-    breve_sub = state.breve_vals[idx]
-    signs_sub = state.signs[idx]
-    res_sub = state.residuals[idx]
-    xs_sub = dataset.xs[idx]
+    tilde_vals = tilde_f.predict(rows.xs)
+    check_vals = check_f.predict(rows.xs)
 
-    tilde_vals = tilde_f.predict(xs_sub)
-    check_vals = check_f.predict(xs_sub)
-
-    opt_tilde = wild_optimism(signs_sub, res_sub, tilde_vals, breve_sub)
+    opt_tilde = wild_optimism(rows.signs, rows.residuals, tilde_vals, rows.breve)
     # The minus-direction optimism carries the mirrored difference breve - f.
-    opt_check = wild_optimism(signs_sub, res_sub, breve_sub, check_vals)
+    opt_check = wild_optimism(rows.signs, rows.residuals, rows.breve, check_vals)
 
     return WildRound(
         k=k,
@@ -340,16 +360,27 @@ def _score_round(state: RefitState, dataset: RegressionDataset, trainer: Trainer
         tilde_f=tilde_f,
         check_f=check_f,
         optimism=OptimismPair(opt_tilde=opt_tilde, opt_check=opt_check),
-        norm_tilde=empirical_norm(tilde_vals - breve_sub),
-        norm_check=empirical_norm(check_vals - breve_sub),
+        norm_tilde=empirical_norm(tilde_vals - rows.breve),
+        norm_check=empirical_norm(check_vals - rows.breve),
         trainer_tol=trainer.optimization_tol,
     )
 
 
-def _run_rounds(state, dataset, trainer, subs, rho, seed) -> List[WildRound]:
-    """Round k on subsample k at noise scale rho in both directions, in k order."""
-    return [run_round(state, dataset, trainer, sub, rho, rho, seed, k)
-            for k, sub in enumerate(subs)]
+def _run_rounds(state, dataset, trainer, subs, grid, seed) -> List[List[WildRound]]:
+    """Round k on subsample k at each noise scale of ``grid``, both directions.
+
+    Subsample-major: all rounds of one subsample run back to back on one
+    covariate block.  Returns one list of rounds per scale, in k order.
+    """
+    by_scale: List[List[WildRound]] = [[] for _ in grid]
+    for k, sub in enumerate(subs):
+        rows = subsample_rows(state, dataset, sub)
+        for rounds, rho in zip(by_scale, grid):
+            rounds.append(run_round(state, dataset, trainer, sub, rho, rho, seed, k, rows))
+        # Release the block now: a trainer's memo of work on it lives as
+        # long as the block does.
+        del rows
+    return by_scale
 
 
 # ---------------------------------------------------------------------------
@@ -358,35 +389,34 @@ def _run_rounds(state, dataset, trainer, subs, rho, seed) -> List[WildRound]:
 
 def tune_noise_scale(state: RefitState, dataset: RegressionDataset, trainer: TrainerOracle,
                      sub: Subsample, target: float, direction: str = "plus",
-                     tol_rel: float = 0.05, max_iter: int = 40, seed: int = 0) -> TuneResult:
+                     tol_rel: float = 0.05, max_iter: int = 40, seed: int = 0,
+                     rows: Optional[SubsampleRows] = None) -> TuneResult:
     """Find rho so the refit lands at the target subsample-norm distance.
 
     Geometric bracketing (double/halve rho until the achieved norm brackets
     the target) followed by bisection.  Assumes the achieved norm is
     nondecreasing in rho; a decrease of more than 10x the tolerance across
     a doubling emits `NonMonotoneWarning` and continues best-effort.
+    ``rows`` is ``subsample_rows(state, dataset, sub)``, as in `run_round`.
     """
     if target <= 0:
         raise TuneError(f"target must be positive, got {target}")
-    idx = sub.indices
-    res_sub = state.residuals[idx]
-    if np.all(res_sub == 0.0):
+    if rows is None:
+        rows = subsample_rows(state, dataset, sub)
+    if np.all(rows.residuals == 0.0):
         raise TuneError("residuals on the subsample are all zero; nothing to scale")
-    breve_sub = state.breve_vals[idx]
-    signs_sub = state.signs[idx]
-    xs_sub = dataset.xs[idx]
     fit_seed = derive_seed(seed, "tune-fit", 0 if direction == "plus" else 1)
 
     evals = [0]
 
     def achieved(rho: float):
-        y = wild_responses(breve_sub, signs_sub, res_sub, rho, direction)
-        f = trainer.fit(RegressionDataset(xs_sub, y), fit_seed)
+        y = wild_responses(rows.breve, rows.signs, rows.residuals, rho, direction)
+        f = trainer.fit(RegressionDataset(rows.xs, y), fit_seed)
         evals[0] += 1
-        return empirical_norm(f.predict(xs_sub) - breve_sub), f
+        return empirical_norm(f.predict(rows.xs) - rows.breve), f
 
     tol_abs = tol_rel * target
-    rho = target / empirical_norm(res_sub)   # exact for interpolating solvers
+    rho = target / empirical_norm(rows.residuals)   # exact for interpolating solvers
     norm, pred = achieved(rho)
     best = (abs(norm - target), rho, pred, norm)
 
@@ -410,12 +440,8 @@ def tune_noise_scale(state: RefitState, dataset: RegressionDataset, trainer: Tra
         prev_norm = norm
         if norm >= target:
             hi = (rho, norm)
-            if not grow:
-                break
         else:
             lo = (rho, norm)
-            if grow:
-                break
     if lo is None or hi is None:
         if best[0] <= tol_abs:
             return TuneResult(best[1], best[2], best[3], evals[0], True)
@@ -609,18 +635,19 @@ def evaluate_with_state(dataset: RegressionDataset, trainer: TrainerOracle,
 
     reports: List[RiskBoundReport] = []
     if config.rho_mode == "fixed-grid":
-        for rho in config.rho_grid:
-            rounds = _run_rounds(state, dataset, trainer, subs, rho, config.seed)
+        by_scale = _run_rounds(state, dataset, trainer, subs, config.rho_grid, config.seed)
+        for rho, rounds in zip(config.rho_grid, by_scale):
             block = candidate_block(state, dataset, _refits(rounds) + truth_rows)
             est = estimate_radius(state, rounds, block, t, tau, C=config.radius_constant)
             rt = r_tilde(est.r, n, config.beta, dataset.d, config.v, config.M_v,
                          config.w_bar, config.w_under)
             reports.append(_assemble_report(
                 f"{rho:g}", state, dataset, config, rounds, block, est.r, rt, tau, t, fstar))
-            del block  # release it before the next scale's rounds run
+            del block  # release it before the next scale's block is built
     else:
         rho0 = config.rho_grid[0] if config.rho_grid else 1.0
-        warm_rounds = _run_rounds(state, dataset, trainer, subs[:config.K1], rho0, config.seed)
+        [warm_rounds] = _run_rounds(state, dataset, trainer, subs[:config.K1], (rho0,),
+                                    config.seed)
         warm_block = candidate_block(state, dataset, _refits(warm_rounds))
         est = estimate_radius(state, warm_rounds, warm_block, t, tau, C=config.radius_constant)
         rt = r_tilde(est.r, n, config.beta, dataset.d, config.v, config.M_v,
@@ -630,15 +657,17 @@ def evaluate_with_state(dataset: RegressionDataset, trainer: TrainerOracle,
         unconverged = 0
         for k in range(config.K1, config.K):
             sub = subs[k]
+            rows = subsample_rows(state, dataset, sub)
             plus = tune_noise_scale(state, dataset, trainer, sub, target, "plus",
                                     config.tol_rho, config.tune_max_iter,
-                                    derive_seed(config.seed, "tune", k))
+                                    derive_seed(config.seed, "tune", k), rows)
             minus = tune_noise_scale(state, dataset, trainer, sub, target, "minus",
                                      config.tol_rho, config.tune_max_iter,
-                                     derive_seed(config.seed, "tune", k))
+                                     derive_seed(config.seed, "tune", k), rows)
             unconverged += (not plus.converged) + (not minus.converged)
-            tuned_rounds.append(_score_round(state, dataset, trainer, sub, k, plus.rho,
-                                             minus.rho, plus.predictor, minus.predictor))
+            tuned_rounds.append(_score_round(trainer, rows, sub, k, plus.rho, minus.rho,
+                                             plus.predictor, minus.predictor))
+            del rows  # release the block before the next subsample's
         rest = candidate_block(state, dataset, _refits(tuned_rounds) + truth_rows)
         block = CandidateBlock(np.vstack([warm_block.vals, rest.vals]),
                                np.concatenate([warm_block.dists, rest.dists]))

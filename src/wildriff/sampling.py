@@ -87,8 +87,10 @@ def _as_rng(seed_or_rng: Union[int, np.random.Generator], strategy: str) -> np.r
 def _permutation_batch(n: int, m: int, count: int, rng: np.random.Generator) -> np.ndarray:
     arr = np.tile(np.arange(n, dtype=np.int64), (count, 1))
     rows = np.arange(count)
-    for t in range(m):
-        j = rng.integers(t, n, size=count)
+    # Row t holds step t's swap targets, uniform on [t, n); one call draws
+    # the same stream as one call per step.
+    targets = rng.integers(np.arange(m)[:, None], n, size=(m, count))
+    for t, j in enumerate(targets):
         picked = arr[rows, j].copy()
         arr[rows, j] = arr[:, t]
         arr[:, t] = picked

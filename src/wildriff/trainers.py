@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .core import PredictorHandle, RegressionDataset, TrainerOracle, derive_rng
 
@@ -280,6 +279,10 @@ def mlp_fit(dataset: RegressionDataset, spec: MlpSpec = MlpSpec(), seed: int = 0
     xs, y = dataset.xs, dataset.ys
 
     if spec.optimizer == "lbfgs":
+        # Imported here: scipy.optimize takes most of a cold `import wildriff`,
+        # and only this branch uses it.
+        from scipy.optimize import minimize
+
         result = minimize(
             _mlp_loss_grad, theta0, args=(shapes, xs, y), jac=True, method="L-BFGS-B",
             options={"maxiter": spec.max_iter, "ftol": 1e-14, "gtol": 1e-12},

@@ -72,20 +72,31 @@ def full_data_counting(trainer, n):
     return dataclasses.replace(trainer, fit_fn=fit), handles
 
 
-def power_of_two_trainer():
-    """Interpolating trainer whose refits land at a power-of-2 distance.
+def gain_trainer(gain):
+    """Trainer that fits training responses y by gain(y) * y, and 0 elsewhere.
 
-    A fit to responses y with root-mean-square a returns y scaled to
-    2**floor(log2 a), so when the warm-up fits zeros the achieved refit
-    norm doubles at every power of 2 and skips the targets in between.
+    When the warm-up fits zeros, the trained predictor is zero and a refit
+    lands at gain(y) * rho * ||v|| on its subsample.
     """
     def fit(ds, seed):
-        a = empirical_norm(ds.ys)
-        gain = 2.0 ** math.floor(math.log2(a)) / a if a > 0 else 0.0
-        table = dict(zip(ds.xs[:, 0].tolist(), (gain * ds.ys).tolist()))
+        table = dict(zip(ds.xs[:, 0].tolist(), (gain(ds.ys) * ds.ys).tolist()))
         return PredictorHandle(lambda xs: np.array([table.get(x, 0.0) for x in xs[:, 0]]))
 
-    return TrainerOracle(name="power_of_two", fit_fn=fit)
+    return TrainerOracle(name="gain", fit_fn=fit)
+
+
+def power_of_two_trainer():
+    """Refits land at a power-of-2 distance.
+
+    A fit to responses y with root-mean-square a returns y scaled to
+    2**floor(log2 a), so the achieved refit norm doubles at every power of
+    2 and skips the targets in between.
+    """
+    def gain(ys):
+        a = empirical_norm(ys)
+        return 2.0 ** math.floor(math.log2(a)) / a if a > 0 else 0.0
+
+    return gain_trainer(gain)
 
 
 def zero_residual_setup(n=24, seed=0):
@@ -239,6 +250,22 @@ class TestTuneNoiseScale:
                                   tol_rel=0.05, max_iter=40, seed=1)
         assert abs(result.achieved_norm - target) <= 0.05 * target
         assert result.converged
+
+    @pytest.mark.parametrize("gain", [0.2, 5.0])
+    def test_brackets_after_several_doublings_or_halvings(self, gain):
+        # The first rho lands at gain * target: 0.2 needs three doublings to
+        # pass the target, 5.0 three halvings to fall below it.
+        rng = np.random.default_rng(3)
+        ds = RegressionDataset(rng.uniform(0, 1, size=(60, 1)), np.zeros(60))
+        pilot = PredictorHandle(lambda xs: 0.5 + np.sin(6.0 * xs[:, 0]))
+        trainer = gain_trainer(lambda ys: gain)
+        state = warm_up(ds, trainer, pilot, seed=0)
+        sub = srswor(ds.n, 20, "permutation", seed=1)
+        result = tune_noise_scale(state, ds, trainer, sub, 1.0, "plus",
+                                  tol_rel=0.05, max_iter=40, seed=0)
+        assert result.converged
+        assert abs(result.achieved_norm - 1.0) <= 0.05
+        assert result.iterations >= 1 + 3
 
     def test_minus_direction(self):
         ds, _ = generate(ExperimentSpec(id="exp1", n=120, seed=6))
@@ -454,6 +481,30 @@ class TestEvaluate:
         backward_sorted = sorted(backward, key=lambda rd: rd.k)
         assert [rd.optimism for rd in forward] == [rd.optimism for rd in backward_sorted]
 
+    @pytest.mark.parametrize("name,params", [("fourier_ridge", {"N": 6, "lam": 1e-6}),
+                                             ("tree", {"max_depth": 4})])
+    def test_rounds_match_scale_major_loop(self, name, params):
+        # Subsample-major rounds on shared covariate blocks give the rounds a
+        # scale-major loop of independent run_round calls gives, bit for bit.
+        ds, _ = generate(ExperimentSpec(id="exp1", n=300, seed=16))
+        trainer = make_trainer(name, params)
+        cfg = EvaluationConfig(K=4, rho_grid=(0.5, 1.0, 2.0), seed=16)
+        reports = evaluate(ds, trainer, cfg)
+        state = warm_up(ds, trainer, seed=cfg.seed)
+        m = cfg.subsample_size(ds.n)
+        subs = [srswor(ds.n, m, "permutation", derive_seed(cfg.seed, "subsample", k))
+                for k in range(cfg.K)]
+
+        def numbers(rd):
+            return (rd.k, rd.rho1, rd.rho2, rd.optimism, rd.norm_tilde, rd.norm_check,
+                    rd.sub.indices.tolist(), rd.tilde_f.predict(ds.xs).tolist(),
+                    rd.check_f.predict(ds.xs).tolist())
+
+        for rho, report in zip(cfg.rho_grid, reports):
+            loop = [run_round(state, ds, trainer, sub, rho, rho, cfg.seed, k)
+                    for k, sub in enumerate(subs)]
+            assert [numbers(rd) for rd in report.rounds] == [numbers(rd) for rd in loop]
+
     def test_shared_subsamples_across_grid(self):
         ds, _ = generate(ExperimentSpec(id="exp1", n=300, seed=12))
         trainer = make_trainer("fourier_ridge", {"N": 6, "lam": 1e-6})
@@ -477,6 +528,19 @@ class TestEvaluate:
         for rd in report.rounds:
             assert abs(rd.norm_tilde - target) <= 0.05 * target
             assert abs(rd.norm_check - target) <= 0.05 * target
+        assert not any(flag.startswith("tune-unconverged") for flag in report.pilot_flags)
+
+    @pytest.mark.parametrize("name,params", [("fourier_ridge", {"N": 8, "lam": 1e-6}),
+                                             ("tree", {"max_depth": 4})])
+    def test_tuned_mode_builtin_trainer_at_defaults(self, name, params):
+        ds, _ = generate(ExperimentSpec(id="exp1", n=1000, seed=0))
+        cfg = EvaluationConfig(K=30, K1=5, rho_mode="tuned", seed=0)
+        report = evaluate(ds, make_trainer(name, params), cfg)[0]
+        assert report.k_rounds_used == cfg.K - cfg.K1
+        target = 2.0 * report.r_tilde
+        for rd in report.rounds:
+            assert abs(rd.norm_tilde - target) <= cfg.tol_rho * target
+            assert abs(rd.norm_check - target) <= cfg.tol_rho * target
         assert not any(flag.startswith("tune-unconverged") for flag in report.pilot_flags)
 
     def test_tuned_mode_flags_unconverged_tunes(self):

@@ -94,6 +94,28 @@ class TestScalarBatchConsistency:
         assert len(subs) > 20
 
 
+def per_step_permutation(n, m, count, rng):
+    """Partial Fisher-Yates with one target draw per step: the reference."""
+    arr = np.tile(np.arange(n, dtype=np.int64), (count, 1))
+    rows = np.arange(count)
+    for t in range(m):
+        j = rng.integers(t, n, size=count)
+        picked = arr[rows, j].copy()
+        arr[rows, j] = arr[:, t]
+        arr[:, t] = picked
+    return np.sort(arr[:, :m], axis=1)
+
+
+class TestPermutationKernel:
+    @pytest.mark.parametrize("n,m,count", [(8000, 220, 1), (7, 3, 1000), (10, 3, 5000),
+                                           (1, 1, 3)])
+    def test_matches_per_step_draws(self, n, m, count):
+        for seed in range(4):
+            got = srswor_batch(n, m, "permutation", np.random.default_rng(seed), count)
+            want = per_step_permutation(n, m, count, np.random.default_rng(seed))
+            np.testing.assert_array_equal(got, want)
+
+
 class TestReservoirStream:
     def test_single_pass_each_item_read_once(self):
         reads = []

@@ -116,17 +116,18 @@ class TestFourierRidge:
         build = trainers._build_design
 
         def counting(xs, freqs):
-            if xs.shape[0] == ds.n:
-                builds.append(xs.shape)
+            builds.append(xs.shape[0])
             return build(xs, freqs)
 
         monkeypatch.setattr(trainers, "_build_design", counting)
         cfg = EvaluationConfig(K=30, rho_grid=(0.1, 0.5, 1.0, 2.0, 5.0), seed=5)
         reports = evaluate(ds, make_trainer("fourier_ridge", {"N": 8, "lam": 1e-6}), cfg)
         assert len(reports) == len(cfg.rho_grid)
-        # The warm-up fit and its prediction share one build; each scale's
-        # 2K candidates share another.
-        assert 1 <= len(builds) <= 1 + len(cfg.rho_grid)
+        # One build per distinct covariate block: the warm-up fit and its
+        # prediction share one, each subsample's 2 * |grid| refits and
+        # their scoring share one, and every scale's candidates share one.
+        assert builds.count(ds.n) == 2
+        assert len(builds) == cfg.K + 2
 
     def test_prediction_totality(self):
         ds, _ = generate(ExperimentSpec(id="exp1", n=200, seed=0))
