@@ -9,7 +9,8 @@ sweep    : evaluate cells of (n, seed) over the noise-scale grid, reusing the
 verify   : run a named Monte-Carlo / exhaustive verification suite and write
            a pass/fail JSON.
 
-Exit codes: 0 ok, 1 verification failure, 2 config error, 3 runtime error.
+Exit codes: 0 ok, 1 verification failure, 2 config error (a `ConfigError`,
+wherever in the run it is raised), 3 runtime error (any other exception).
 All files are written atomically (temp file + rename).
 """
 
@@ -17,20 +18,22 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+import traceback
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import List, Optional
 
 import numpy as np
 
 from . import __version__
-from .core import BadConfigError, EvaluationConfig, RegressionDataset
+from .core import ConfigError, EvaluationConfig, RegressionDataset, TrainerOracle, WildriffError
 from .refit import RiskBoundReport, evaluate_with_state
 from .synth import (
     EXPERIMENT_IDS,
@@ -39,7 +42,7 @@ from .synth import (
     generate,
     population_excess_risk,
 )
-from .trainers import TrainerError, make_trainer
+from .trainers import make_trainer
 from .verify import SUITES
 
 __all__ = ["RunConfig", "ConfigError", "cmd_evaluate", "cmd_sweep", "cmd_verify", "main",
@@ -50,10 +53,6 @@ VERIFY_SUITES = tuple(SUITES)
 ROUNDS_COLUMNS = ["k", "m", "rho1", "rho2", "opt_tilde", "opt_check",
                   "norm_tilde", "norm_check", "trainer_tol"]
 SWEEP_COLUMNS = ["n", "rho", "seed", "bound", "oracle_excess_risk", "ratio"]
-
-
-class ConfigError(ValueError):
-    """The run configuration failed to parse or validate."""
 
 
 @dataclass
@@ -69,15 +68,21 @@ class RunConfig:
     evaluation: dict
     n_mc: int
     output_dir: Path
+    trainer: TrainerOracle
+    config: EvaluationConfig
     formats: List[str] = field(default_factory=lambda: ["csv", "json"])
 
     @staticmethod
     def from_file(path, out_override=None, seed_override=None, formats_override=None) -> "RunConfig":
+        """Read and parse a JSON config.  An unreadable file, or a value of the
+        wrong type or range anywhere in it, raises `ConfigError`."""
         try:
             raw = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        return RunConfig.from_dict(raw, out_override, seed_override, formats_override)
+            return RunConfig.from_dict(raw, out_override, seed_override, formats_override)
+        except ConfigError:
+            raise
+        except (OSError, TypeError, ValueError, AttributeError) as exc:
+            raise ConfigError(f"bad config {path}: {exc}") from exc
 
     @staticmethod
     def from_dict(raw: dict, out_override=None, seed_override=None, formats_override=None) -> "RunConfig":
@@ -96,6 +101,7 @@ class RunConfig:
         trainer = raw.get("trainer", {})
         if not isinstance(trainer, dict) or "name" not in trainer:
             raise ConfigError("config needs trainer: {name, params}")
+        trainer_params = dict(trainer.get("params", {}))
 
         seed = int(seed_override if seed_override is not None else raw.get("seed", 0))
         seeds = [int(s) for s in raw.get("seeds", [seed])]
@@ -116,22 +122,17 @@ class RunConfig:
             n=n_list,
             seeds=seeds,
             trainer_name=trainer["name"],
-            trainer_params=dict(trainer.get("params", {})),
+            trainer_params=trainer_params,
             evaluation=evaluation,
             n_mc=int(raw.get("oracle", {}).get("n_mc", 10000)),
             output_dir=Path(out_override if out_override is not None else raw.get("output_dir", ".")),
+            trainer=make_trainer(trainer["name"], trainer_params),
+            config=EvaluationConfig(**evaluation),
             formats=list(formats),
         )
 
     def eval_config(self, seed: int) -> EvaluationConfig:
-        params = dict(self.evaluation)
-        params["seed"] = seed
-        if "rho_grid" in params:
-            params["rho_grid"] = tuple(params["rho_grid"])
-        try:
-            return EvaluationConfig(**params)
-        except (BadConfigError, TypeError) as exc:
-            raise ConfigError(f"bad evaluation settings: {exc}") from exc
+        return replace(self.config, seed=seed)
 
     def load_data(self, n: int, seed: int):
         """Returns (dataset, truth-or-None)."""
@@ -146,12 +147,11 @@ def _read_dataset_csv(path) -> RegressionDataset:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader)
-            rows = [[float(cell) for cell in row] for row in reader if row]
+            data = np.asarray([[float(cell) for cell in row] for row in reader if row])
     except (OSError, StopIteration, ValueError) as exc:
         raise ConfigError(f"cannot read dataset file {path}: {exc}") from exc
     if "y" not in header:
         raise ConfigError("dataset file needs a 'y' column")
-    data = np.asarray(rows, dtype=float)
     ycol = header.index("y")
     xcols = [i for i in range(len(header)) if i != ycol]
     return RegressionDataset(data[:, xcols], data[:, ycol])
@@ -210,65 +210,69 @@ def _rounds_rows(reports) -> list:
 
 def _run_cell(run: RunConfig, n: int, seed: int):
     dataset, truth = run.load_data(n, seed)
-    try:
-        trainer = make_trainer(run.trainer_name, run.trainer_params)
-    except (TrainerError, TypeError) as exc:
-        raise ConfigError(f"bad trainer settings: {exc}") from exc
-    config = run.eval_config(seed)
     fstar = truth.fstar if truth is not None else None
-    reports, state = evaluate_with_state(dataset, trainer, config, fstar=fstar)
-    return dataset, truth, config, reports, state
+    reports, state = evaluate_with_state(dataset, run.trainer, run.eval_config(seed), fstar=fstar)
+    return dataset, truth, reports, state
 
 
+def _exit_codes(command):
+    """Run a command, mapping a `ConfigError` to exit 2 and any other exception
+    to 3; one from outside the package's error tree also prints its traceback."""
+    @functools.wraps(command)
+    def run(*args, **kwargs) -> int:
+        try:
+            return command(*args, **kwargs)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
+        except Exception as exc:
+            if not isinstance(exc, WildriffError):
+                traceback.print_exc()
+            print(f"evaluation error: {exc}", file=sys.stderr)
+            return 3
+    return run
+
+
+@_exit_codes
 def cmd_evaluate(config_path, out_dir=None, seed=None, formats=None) -> int:
     """Run one evaluation and write rounds.csv / summary.json / oracle.json."""
-    try:
-        run = RunConfig.from_file(config_path, out_dir, seed, formats)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        start = time.perf_counter()
-        n = run.n[0]
-        dataset, truth, config, reports, state = _run_cell(run, n, run.seeds[0])
-        wall = time.perf_counter() - start
+    run = RunConfig.from_file(config_path, out_dir, seed, formats)
+    start = time.perf_counter()
+    n = run.n[0]
+    dataset, truth, reports, state = _run_cell(run, n, run.seeds[0])
+    wall = time.perf_counter() - start
 
-        out = run.output_dir
-        if "csv" in run.formats:
-            _atomic_write_text(out / "rounds.csv", _csv_text(ROUNDS_COLUMNS, _rounds_rows(reports)))
-        if "json" in run.formats:
-            summary = {
-                "version": __version__,
-                "wall_clock_seconds": wall,
-                "config": {
-                    "experiment": run.experiment,
-                    "dataset_file": run.dataset_file,
-                    "n": n,
-                    "seed": run.seeds[0],
-                    "trainer": {"name": run.trainer_name, "params": run.trainer_params},
-                    "evaluation": run.evaluation,
-                },
-                "bounds": {report.label: _report_json(report) for report in reports},
+    out = run.output_dir
+    if "csv" in run.formats:
+        _atomic_write_text(out / "rounds.csv", _csv_text(ROUNDS_COLUMNS, _rounds_rows(reports)))
+    if "json" in run.formats:
+        summary = {
+            "version": __version__,
+            "wall_clock_seconds": wall,
+            "config": {
+                "experiment": run.experiment,
+                "dataset_file": run.dataset_file,
+                "n": n,
+                "seed": run.seeds[0],
+                "trainer": {"name": run.trainer_name, "params": run.trainer_params},
+                "evaluation": run.evaluation,
+            },
+            "bounds": {report.label: _report_json(report) for report in reports},
+        }
+        _atomic_write_text(out / "summary.json", json.dumps(summary, indent=2) + "\n")
+        if truth is not None:
+            oracle = {
+                "empirical_excess_risk": empirical_excess_risk(state.breve_f, truth, dataset.xs),
+                "population_excess_risk": population_excess_risk(
+                    state.breve_f, truth, run.n_mc, seed=run.seeds[0]),
+                "n_mc": run.n_mc,
+                "seed": run.seeds[0],
             }
-            _atomic_write_text(out / "summary.json", json.dumps(summary, indent=2) + "\n")
-            if truth is not None:
-                oracle = {
-                    "empirical_excess_risk": empirical_excess_risk(state.breve_f, truth, dataset.xs),
-                    "population_excess_risk": population_excess_risk(
-                        state.breve_f, truth, run.n_mc, seed=run.seeds[0]),
-                    "n_mc": run.n_mc,
-                    "seed": run.seeds[0],
-                }
-                _atomic_write_text(out / "oracle.json", json.dumps(oracle, indent=2) + "\n")
-        return 0
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:
-        print(f"evaluation error: {exc}", file=sys.stderr)
-        return 3
+            _atomic_write_text(out / "oracle.json", json.dumps(oracle, indent=2) + "\n")
+    return 0
 
 
+@_exit_codes
 def cmd_sweep(config_path, out_dir=None, seed=None) -> int:
     """Evaluate every (n, seed) cell over the noise-scale grid.
 
@@ -277,50 +281,33 @@ def cmd_sweep(config_path, out_dir=None, seed=None) -> int:
     bound is the wild-optimism sum, the quantity compared against the
     Monte-Carlo excess risk.
     """
-    try:
-        run = RunConfig.from_file(config_path, out_dir, seed)
-        if run.experiment is None:
-            raise ConfigError("sweep needs a synthetic experiment (oracle required)")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        rows = []
-        for n in run.n:
-            for cell_seed in run.seeds:
-                dataset, truth, config, reports, state = _run_cell(run, n, cell_seed)
-                oracle = population_excess_risk(state.breve_f, truth, run.n_mc, seed=cell_seed)
-                for report in reports:
-                    bound = report.wild_optimism_bound
-                    ratio = bound / oracle["estimate"] if oracle["estimate"] > 0 else math.inf
-                    rows.append([n, float(report.label) if report.label != "tuned" else report.label,
-                                 cell_seed, bound, oracle["estimate"], ratio])
-        _atomic_write_text(run.output_dir / "sweep.csv", _csv_text(SWEEP_COLUMNS, rows))
-        return 0
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:
-        print(f"evaluation error: {exc}", file=sys.stderr)
-        return 3
+    run = RunConfig.from_file(config_path, out_dir, seed)
+    if run.experiment is None:
+        raise ConfigError("sweep needs a synthetic experiment (oracle required)")
+    rows = []
+    for n in run.n:
+        for cell_seed in run.seeds:
+            dataset, truth, reports, state = _run_cell(run, n, cell_seed)
+            oracle = population_excess_risk(state.breve_f, truth, run.n_mc, seed=cell_seed)
+            for report in reports:
+                bound = report.wild_optimism_bound
+                ratio = bound / oracle["estimate"] if oracle["estimate"] > 0 else math.inf
+                rows.append([n, float(report.label) if report.label != "tuned" else report.label,
+                             cell_seed, bound, oracle["estimate"], ratio])
+    _atomic_write_text(run.output_dir / "sweep.csv", _csv_text(SWEEP_COLUMNS, rows))
+    return 0
 
 
+@_exit_codes
 def cmd_verify(suite: str, out_dir=".") -> int:
     """Run a named verification suite; writes verify_<suite>.json."""
     if suite not in SUITES:
-        print(f"config error: unknown suite {suite!r}; pick one of {VERIFY_SUITES}",
-              file=sys.stderr)
-        return 2
-    try:
-        result = SUITES[suite]()
-        _atomic_write_text(Path(out_dir) / f"verify_{suite}.json",
-                           json.dumps(result, indent=2) + "\n")
-        status = "pass" if result["pass"] else "FAIL"
-        print(f"{suite}: {status}")
-        return 0 if result["pass"] else 1
-    except Exception as exc:
-        print(f"verification error: {exc}", file=sys.stderr)
-        return 3
+        raise ConfigError(f"unknown suite {suite!r}; pick one of {VERIFY_SUITES}")
+    result = SUITES[suite]()
+    _atomic_write_text(Path(out_dir) / f"verify_{suite}.json",
+                       json.dumps(result, indent=2) + "\n")
+    print(f"{suite}: {'pass' if result['pass'] else 'FAIL'}")
+    return 0 if result["pass"] else 1
 
 
 def main(argv=None) -> int:

@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 __all__ = [
+    "WildriffError",
+    "ConfigError",
     "EvaluationError",
     "TrainerFailedError",
     "NonFiniteDataError",
@@ -31,8 +33,21 @@ __all__ = [
 ]
 
 
-class EvaluationError(Exception):
-    """Base class for evaluation-pipeline failures."""
+class WildriffError(Exception):
+    """Base class of every package error: either a `ConfigError` (the CLI
+    exits 2) or an `EvaluationError` (exit 3)."""
+
+
+class ConfigError(WildriffError, ValueError):
+    """A setting or input is at fault, wherever in a run that shows."""
+
+
+# The name under which callers catch a failed `EvaluationConfig` validation.
+BadConfigError = ConfigError
+
+
+class EvaluationError(WildriffError, RuntimeError):
+    """The evaluation failed on valid settings."""
 
 
 class TrainerFailedError(EvaluationError):
@@ -43,12 +58,8 @@ class NonFiniteDataError(EvaluationError):
     """A dataset, prediction, or residual contains NaN or infinity."""
 
 
-class EmptyInputError(EvaluationError):
+class EmptyInputError(ConfigError):
     """An operation received an empty vector."""
-
-
-class BadConfigError(EvaluationError):
-    """An evaluation configuration violates its invariants."""
 
 
 _SEED_MASK = (1 << 64) - 1
@@ -136,11 +147,6 @@ class RegressionDataset:
     def d(self) -> int:
         return self.xs.shape[1]
 
-    def restrict(self, indices: Sequence[int]) -> "RegressionDataset":
-        """Dataset restricted to the given row indices."""
-        idx = np.asarray(indices, dtype=int)
-        return RegressionDataset(self.xs[idx], self.ys[idx])
-
 
 class PredictorHandle:
     """Opaque evaluable map from points in [0, 1]^d to real predictions.
@@ -176,17 +182,18 @@ class TrainerOracle:
 
     ``optimization_tol`` declares how far the achieved empirical risk may sit
     above the class minimum; exact solvers declare a solver-precision value.
+    A `WildriffError` from ``fit_fn`` passes through as raised; any other
+    exception becomes a `TrainerFailedError`.
     """
 
     name: str
     fit_fn: Callable[[RegressionDataset, int], PredictorHandle] = field(repr=False)
-    deterministic: bool = True
     optimization_tol: float = 0.0
 
     def fit(self, dataset: RegressionDataset, seed: int) -> PredictorHandle:
         try:
             return self.fit_fn(dataset, int(seed))
-        except EvaluationError:
+        except WildriffError:
             raise
         except Exception as exc:
             raise TrainerFailedError(f"trainer {self.name!r} failed: {exc}") from exc
@@ -247,6 +254,10 @@ class EvaluationConfig:
     tune_max_iter: int = 40
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "rho_grid", tuple(float(r) for r in self.rho_grid))
+        except (TypeError, ValueError) as exc:
+            raise BadConfigError(f"rho_grid must be a list of numbers: {exc}") from exc
         if self.K < 1:
             raise BadConfigError("K must be a positive integer")
         if not (0 <= self.K1 < self.K):
@@ -270,7 +281,8 @@ class EvaluationConfig:
             raise BadConfigError("tau must be a positive number or 'estimate'")
         if self.tol_rho <= 0:
             raise BadConfigError("tol_rho must be positive")
-        object.__setattr__(self, "rho_grid", tuple(float(r) for r in self.rho_grid))
+        if self.tune_max_iter < 1:
+            raise BadConfigError("tune_max_iter must be a positive integer")
 
     def subsample_size(self, n: int) -> int:
         m = int(round(n ** self.beta))

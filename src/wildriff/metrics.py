@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import ConfigError, EmptyInputError, NonFiniteDataError
 from .sampling import Subsample
 
 __all__ = [
@@ -24,12 +25,8 @@ __all__ = [
 ]
 
 
-class MetricsError(ValueError):
+class MetricsError(ConfigError):
     """Base class for metric computation failures."""
-
-
-class EmptyInputError(MetricsError):
-    pass
 
 
 class ShapeMismatchError(MetricsError):
@@ -45,7 +42,7 @@ class OptimismPair:
 
     def __post_init__(self):
         if not (np.isfinite(self.opt_tilde) and np.isfinite(self.opt_check)):
-            raise MetricsError("optimism values must be finite")
+            raise NonFiniteDataError("optimism values must be finite")
 
     @property
     def total(self) -> float:

@@ -22,6 +22,8 @@ from typing import List, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .core import (
+    ConfigError,
+    EvaluationError,
     TrainerFailedError,
     EvaluationConfig,
     PredictorHandle,
@@ -63,7 +65,7 @@ __all__ = [
 ]
 
 
-class BoundError(ValueError):
+class BoundError(ConfigError):
     """Base class for bound-assembly failures."""
 
 
@@ -79,7 +81,7 @@ class NoCandidatesError(BoundError):
     """A candidate-set supremum was requested with no candidates."""
 
 
-class TuneError(RuntimeError):
+class TuneError(EvaluationError):
     """Base class for noise-scale tuning failures."""
 
 

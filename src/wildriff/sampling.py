@@ -19,7 +19,7 @@ from typing import Iterable, List, Union
 
 import numpy as np
 
-from .core import derive_rng
+from .core import ConfigError, derive_rng
 
 __all__ = [
     "SamplingError",
@@ -36,7 +36,7 @@ __all__ = [
 STRATEGIES = ("permutation", "hashset", "reservoir")
 
 
-class SamplingError(ValueError):
+class SamplingError(ConfigError):
     """Base class for sampling failures."""
 
 

@@ -13,7 +13,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .core import PredictorHandle, RegressionDataset, derive_rng
+from .core import ConfigError, PredictorHandle, RegressionDataset, derive_rng
 
 __all__ = [
     "ExperimentSpec",
@@ -38,9 +38,9 @@ class ExperimentSpec:
 
     def __post_init__(self):
         if self.id not in EXPERIMENT_IDS:
-            raise ValueError(f"unknown experiment {self.id!r}")
+            raise ConfigError(f"unknown experiment {self.id!r}")
         if self.n < 1:
-            raise ValueError("n must be >= 1")
+            raise ConfigError("n must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -158,7 +158,7 @@ def population_excess_risk(breve: PredictorHandle, truth: GroundTruth,
                            n_mc: int = 10000, seed: int = 0) -> dict:
     """Monte-Carlo excess risk over fresh covariate draws, with its stderr."""
     if n_mc < 2:
-        raise ValueError("n_mc must be >= 2")
+        raise ConfigError("n_mc must be >= 2")
     xs = truth.covariate_sampler(n_mc, seed)
     gap_sq = (breve.predict(xs) - truth.fstar.predict(xs)) ** 2
     estimate = float(np.mean(gap_sq))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PredictorHandle
+from .core import ConfigError, PredictorHandle
 from .sampling import Subsample
 
 __all__ = [
@@ -30,7 +30,7 @@ __all__ = [
 EPS_FLOOR = 1e-300
 
 
-class TheoryError(ValueError):
+class TheoryError(ConfigError):
     """Base class for theory-check failures."""
 
 

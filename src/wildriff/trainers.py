@@ -19,7 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import PredictorHandle, RegressionDataset, TrainerOracle, derive_rng
+from .core import (ConfigError, PredictorHandle, RegressionDataset, TrainerFailedError,
+                   TrainerOracle, derive_rng)
 
 __all__ = [
     "TrainerError",
@@ -41,15 +42,15 @@ __all__ = [
 TRAINER_NAMES = ("fourier_ridge", "mlp", "tree")
 
 
-class TrainerError(RuntimeError):
-    """Base class for trainer failures."""
+class TrainerError(ConfigError):
+    """Trainer settings that are invalid, or infeasible on the data."""
 
 
-class IllConditionedError(TrainerError):
+class IllConditionedError(TrainerFailedError):
     """Linear system too singular to solve reliably."""
 
 
-class DivergedError(TrainerError):
+class DivergedError(TrainerFailedError):
     """Iterative training produced a non-finite loss."""
 
 
@@ -102,9 +103,10 @@ def _half_space_frequencies(N: int, d: int) -> np.ndarray:
 
 
 # The last design built on a read-only array that owns its data:
-# (weak reference to xs, freqs, design).  Every candidate of a report is
-# predicted on the same frozen ``dataset.xs``, so all but the first reuse
-# it; the entry is dropped when xs is collected.
+# (weak reference to xs, freqs, copy of xs, design).  Every candidate of a
+# report is predicted on the same frozen ``dataset.xs``, so all but the
+# first reuse it; the entry is dropped when xs is collected.  The copy
+# catches an owner that made xs writeable, changed it and froze it again.
 _design_memo = None
 
 
@@ -124,17 +126,19 @@ def _fourier_design(xs: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     """The n x p feature matrix: constant, cosines, sines.
 
     A design on a read-only xs that owns its data is memoized and returned
-    read-only; a hit returns the array a rebuild would produce.
+    read-only; a hit needs the same array with the same contents, and
+    returns the array a rebuild would produce.
     """
     global _design_memo
     entry = _design_memo
     frozen = not xs.flags.writeable and xs.base is None
-    if frozen and entry is not None and entry[0]() is xs and entry[1] is freqs:
-        return entry[2]
+    if (frozen and entry is not None and entry[0]() is xs and entry[1] is freqs
+            and np.array_equal(entry[2], xs)):
+        return entry[3]
     design = _build_design(xs, freqs)
     if frozen:
         design.setflags(write=False)
-        _design_memo = (weakref.ref(xs, _forget_design), freqs, design)
+        _design_memo = (weakref.ref(xs, _forget_design), freqs, xs.copy(), design)
     return design
 
 
@@ -453,7 +457,6 @@ def fourier_ridge_trainer(spec: FourierRidgeSpec = FourierRidgeSpec()) -> Traine
     return TrainerOracle(
         name="fourier_ridge",
         fit_fn=lambda ds, seed: fourier_ridge_fit(ds, spec, seed),
-        deterministic=True,
         optimization_tol=1e-10,
     )
 
@@ -462,7 +465,6 @@ def mlp_trainer(spec: MlpSpec = MlpSpec()) -> TrainerOracle:
     return TrainerOracle(
         name="mlp",
         fit_fn=lambda ds, seed: mlp_fit(ds, spec, seed),
-        deterministic=True,
         optimization_tol=1e-2,
     )
 
@@ -471,7 +473,6 @@ def tree_trainer(spec: TreeSpec = TreeSpec()) -> TrainerOracle:
     return TrainerOracle(
         name="tree",
         fit_fn=lambda ds, seed: tree_fit(ds, spec, seed),
-        deterministic=True,
         optimization_tol=float("inf"),
     )
 

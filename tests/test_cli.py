@@ -115,11 +115,33 @@ class TestCmdEvaluate:
         tuned = write_config(tmp_path, evaluation={"K": 2, "K1": 0, "rho_mode": "tuned"})
         assert cmd_evaluate(tuned) == 2
 
-    def test_runtime_error_exit_3(self, tmp_path):
-        cfg = write_config(tmp_path,
-                           trainer={"name": "fourier_ridge",
-                                    "params": {"N": 100, "max_features": 10}})
+    @pytest.mark.parametrize("overrides", [
+        {"evaluation": {"K": 2, "rho_grid": [1.0], "srswor_strategy": "bogus"}},
+        {"evaluation": {"K": 2, "rho_grid": [1.0], "t": 1.0}},
+        {"evaluation": {"K": 2, "rho_grid": [1.0], "w_under": 0}},
+        {"evaluation": {"K": 2, "rho_grid": [1.0], "M_v": 1, "v": 0.4}},
+        {"evaluation": {"K": 3, "K1": 1, "rho_mode": "tuned", "tune_max_iter": 0}},
+        {"evaluation": {"K": 2, "rho_grid": 5}},
+        {"n": "abc"},
+        {"seeds": "x"},
+        {"oracle": {"n_mc": "many"}},
+        # (2N+1)^d features at the default N=8 exceed the default cap on 5-d data.
+        {"experiment": "exp3", "trainer": {"name": "fourier_ridge"}},
+        {"trainer": {"name": "fourier_ridge", "params": {"N": 100, "max_features": 10}}},
+    ], ids=["srswor_strategy", "t", "w_under", "M_v", "tune_max_iter", "rho_grid", "n",
+            "seeds", "n_mc", "exp3_default_ridge", "max_features"])
+    def test_config_mistake_exit_2(self, tmp_path, capsys, overrides):
+        # Raised before, during or after the run, a config error exits 2.
+        assert cmd_evaluate(write_config(tmp_path, **overrides)) == 2
+        assert "config error:" in capsys.readouterr().err
+
+    def test_runtime_error_exit_3(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, n=100,
+                           trainer={"name": "mlp",
+                                    "params": {"optimizer": "gd", "learning_rate": 1e6,
+                                               "max_iter": 50, "widths": [4]}})
         assert cmd_evaluate(cfg) == 3
+        assert "evaluation error:" in capsys.readouterr().err
 
     def test_dataset_file_source(self, tmp_path):
         rng = np.random.default_rng(0)

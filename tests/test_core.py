@@ -187,6 +187,12 @@ class TestEvaluationConfig:
     def test_bad_rho(self):
         with pytest.raises(BadConfigError):
             EvaluationConfig(rho_grid=(0.0, 1.0))
+        with pytest.raises(BadConfigError):
+            EvaluationConfig(rho_grid=5)
+
+    def test_bad_tune_max_iter(self):
+        with pytest.raises(BadConfigError):
+            EvaluationConfig(K=5, K1=1, rho_mode="tuned", tune_max_iter=0)
 
     def test_bad_k1(self):
         with pytest.raises(BadConfigError):

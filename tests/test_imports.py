@@ -1,7 +1,12 @@
 import ast
+import importlib
+import inspect
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
+
+from wildriff.core import ConfigError, EvaluationError, WildriffError
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "wildriff"
 
@@ -32,3 +37,25 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, cwd=PACKAGE.parent)
     assert out.stdout.strip() == "[]"
+
+
+def package_classes():
+    """Every class defined in a module of the package, once each."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"wildriff.{path.stem}".removesuffix(".__init__"))
+        found.update((obj, None) for obj in vars(module).values()
+                     if inspect.isclass(obj) and obj.__module__ == module.__name__)
+    return list(found)
+
+
+def test_one_exception_tree():
+    classes = package_classes()
+    # Warning categories are passed to warnings.warn, never raised.
+    errors = [c for c in classes if issubclass(c, Exception) and not issubclass(c, Warning)]
+    assert {c.__name__ for c in errors if not issubclass(c, WildriffError)} == set()
+    branches = {c.__name__: (issubclass(c, ConfigError), issubclass(c, EvaluationError))
+                for c in errors if c is not WildriffError}
+    assert {name for name, (config, runtime) in branches.items() if config == runtime} == set()
+    names = Counter(c.__name__ for c in classes)
+    assert {name for name, count in names.items() if count > 1} == set()

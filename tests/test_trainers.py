@@ -110,6 +110,19 @@ class TestFourierRidge:
         gc.collect()
         assert released() is None
 
+    def test_design_memo_sees_rewritten_frozen_array(self):
+        xs = np.random.default_rng(4).uniform(0, 1, size=(40, 1))
+        xs.setflags(write=False)
+        f = fourier_ridge_fit(RegressionDataset(xs, np.sin(6.0 * xs[:, 0])),
+                              FourierRidgeSpec(N=4, lam=1e-6))
+        before = f.predict(xs)
+        xs.setflags(write=True)
+        xs[:] = 1.0 - xs
+        xs.setflags(write=False)
+        after = f.predict(xs)
+        np.testing.assert_array_equal(after, f.predict(np.array(xs)))
+        assert not np.array_equal(after, before)
+
     def test_full_data_design_built_once_per_report(self, monkeypatch):
         ds, _ = generate(ExperimentSpec(id="exp1", n=300, seed=5))
         builds = []
