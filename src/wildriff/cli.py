@@ -94,24 +94,26 @@ class RunConfig:
             raise ConfigError(f"unknown experiment {experiment!r}; pick one of {EXPERIMENT_IDS}")
 
         n_raw = raw.get("n", 1000)
-        n_list = [int(x) for x in (n_raw if isinstance(n_raw, list) else [n_raw])]
+        n_list = _parse("n", lambda v: [int(x) for x in (v if isinstance(v, list) else [v])],
+                        n_raw)
         if any(x < 1 for x in n_list):
             raise ConfigError("sample sizes must be >= 1")
 
         trainer = raw.get("trainer", {})
         if not isinstance(trainer, dict) or "name" not in trainer:
             raise ConfigError("config needs trainer: {name, params}")
-        trainer_params = dict(trainer.get("params", {}))
+        trainer_params = _parse("trainer.params", dict, trainer.get("params", {}))
 
-        seed = int(seed_override if seed_override is not None else raw.get("seed", 0))
-        seeds = [int(s) for s in raw.get("seeds", [seed])]
+        seed = _parse("seed", int, seed_override if seed_override is not None
+                      else raw.get("seed", 0))
+        seeds = _parse("seeds", lambda v: [int(s) for s in v], raw.get("seeds", [seed]))
         if seed_override is not None:
             seeds = [seed]
 
-        evaluation = dict(raw.get("evaluation", {}))
+        evaluation = _parse("evaluation", dict, raw.get("evaluation", {}))
         evaluation["seed"] = seed
 
-        formats = formats_override or raw.get("formats", ["csv", "json"])
+        formats = _parse("formats", list, formats_override or raw.get("formats", ["csv", "json"]))
         bad = set(formats) - {"csv", "json"}
         if bad:
             raise ConfigError(f"unknown output formats: {sorted(bad)}")
@@ -124,11 +126,12 @@ class RunConfig:
             trainer_name=trainer["name"],
             trainer_params=trainer_params,
             evaluation=evaluation,
-            n_mc=int(raw.get("oracle", {}).get("n_mc", 10000)),
+            n_mc=_parse("oracle.n_mc", lambda o: int(o.get("n_mc", 10000)), raw.get("oracle", {})),
             output_dir=Path(out_override if out_override is not None else raw.get("output_dir", ".")),
-            trainer=make_trainer(trainer["name"], trainer_params),
-            config=EvaluationConfig(**evaluation),
-            formats=list(formats),
+            trainer=_parse("trainer.params", lambda p: make_trainer(trainer["name"], p),
+                           trainer_params),
+            config=_parse("evaluation", lambda e: EvaluationConfig(**e), evaluation),
+            formats=formats,
         )
 
     def eval_config(self, seed: int) -> EvaluationConfig:
@@ -140,6 +143,17 @@ class RunConfig:
             dataset, truth = generate(ExperimentSpec(id=self.experiment, n=n, seed=seed))
             return dataset, truth
         return _read_dataset_csv(self.dataset_file), None
+
+
+def _parse(key: str, convert, value):
+    """``convert(value)``; a wrongly typed value raises a `ConfigError` that
+    names its key."""
+    try:
+        return convert(value)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 def _read_dataset_csv(path) -> RegressionDataset:

@@ -20,6 +20,7 @@ __all__ = [
     "TrainerFailedError",
     "NonFiniteDataError",
     "EmptyInputError",
+    "InvalidDataError",
     "BadConfigError",
     "RegressionDataset",
     "PredictorHandle",
@@ -60,6 +61,10 @@ class NonFiniteDataError(EvaluationError):
 
 class EmptyInputError(ConfigError):
     """An operation received an empty vector."""
+
+
+class InvalidDataError(ConfigError):
+    """Input data of the wrong shape or outside the unit cube."""
 
 
 _SEED_MASK = (1 << 64) - 1
@@ -127,7 +132,7 @@ class RegressionDataset:
         if ys.ndim != 1:
             ys = ys.ravel()
         if xs.shape[0] != ys.shape[0]:
-            raise NonFiniteDataError(
+            raise InvalidDataError(
                 f"covariates ({xs.shape[0]}) and responses ({ys.shape[0]}) disagree in length"
             )
         if xs.shape[0] < 1 or xs.shape[1] < 1:
@@ -135,7 +140,7 @@ class RegressionDataset:
         if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
             raise NonFiniteDataError("dataset contains non-finite entries")
         if xs.min() < 0.0 or xs.max() > 1.0:
-            raise NonFiniteDataError("covariate coordinates must lie in [0, 1]")
+            raise InvalidDataError("covariate coordinates must lie in [0, 1]")
         object.__setattr__(self, "xs", _shared_or_frozen(xs))
         object.__setattr__(self, "ys", _shared_or_frozen(ys))
 
@@ -258,6 +263,10 @@ class EvaluationConfig:
             object.__setattr__(self, "rho_grid", tuple(float(r) for r in self.rho_grid))
         except (TypeError, ValueError) as exc:
             raise BadConfigError(f"rho_grid must be a list of numbers: {exc}") from exc
+        for name in ("K", "K1", "tune_max_iter"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise BadConfigError(f"{name} must be an integer, got {value!r}")
         if self.K < 1:
             raise BadConfigError("K must be a positive integer")
         if not (0 <= self.K1 < self.K):

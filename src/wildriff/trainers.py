@@ -62,10 +62,13 @@ class DivergedError(TrainerFailedError):
 class FourierRidgeSpec:
     """Trigonometric-polynomial ridge regression.
 
-    ``N`` is the maximum frequency per coordinate; the design has
-    (2N+1)^d real features (constant, cosines, sines).  ``lam`` is the
+    ``N`` is the maximum frequency per coordinate; the model has
+    p = (2N+1)^d real features (constant, cosines, sines).  ``lam`` is the
     ridge penalty on the coefficient vector; lam=0 uses the minimum-norm
-    least-squares solution.
+    least-squares solution.  With lam > 0 and p > n the fit runs through
+    the closed-form Dirichlet kernel and never builds the n x p design, so
+    ``max_features`` caps p only where that design is built: lam > 0 with
+    p <= n, and lam = 0.
     """
 
     N: int = 8
@@ -142,16 +145,70 @@ def _fourier_design(xs: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     return design
 
 
+def _dirichlet_features(xs: np.ndarray, N: int) -> np.ndarray:
+    """Per-coordinate features, shape (d, n, 2N+1).
+
+    Row i of slice j is [1, sqrt2 cos(2 pi k x_ij), sqrt2 sin(2 pi k x_ij)]
+    for k = 1..N, so slice j of two inputs multiplies out to the Dirichlet
+    kernel D_N(x_j - z_j) = 1 + 2 sum_k cos(2 pi k (x_j - z_j)).
+    """
+    phase = (2.0 * np.pi) * (xs.T[:, :, None] * np.arange(1, N + 1))
+    root2 = np.sqrt(2.0)
+    ones = np.ones(phase.shape[:2] + (1,))
+    return np.concatenate([ones, root2 * np.cos(phase), root2 * np.sin(phase)], axis=2)
+
+
+def _dirichlet_kernel(psi_a: np.ndarray, psi_b: np.ndarray) -> np.ndarray:
+    """The Gram matrix of the half-space features, phi(a) . phi(b) =
+    (1 + prod_j D_N(a_j - b_j)) / 2, one small GEMM per coordinate."""
+    gram = psi_a[0] @ psi_b[0].T
+    for j in range(1, psi_a.shape[0]):
+        gram *= psi_a[j] @ psi_b[j].T
+    gram += 1.0
+    gram *= 0.5
+    return gram
+
+
+def _fourier_kernel_fit(dataset: RegressionDataset, spec: FourierRidgeSpec) -> PredictorHandle:
+    """The ridge fit through its kernel: alpha = (K + n lam I)^-1 y and
+    predictions K(xs, X) alpha, by the representer theorem."""
+    n = dataset.n
+    psi = _dirichlet_features(dataset.xs, spec.N)
+    system = _dirichlet_kernel(psi, psi)
+    system[np.diag_indices(n)] += n * spec.lam
+    try:
+        alpha = np.linalg.solve(system, dataset.ys)
+    except np.linalg.LinAlgError as exc:
+        raise IllConditionedError(f"ridge system singular: {exc}") from exc
+    if not np.all(np.isfinite(alpha)):
+        raise IllConditionedError("non-finite ridge coefficients")
+
+    def predict(xs: np.ndarray) -> np.ndarray:
+        return _dirichlet_kernel(_dirichlet_features(xs, spec.N), psi) @ alpha
+
+    return PredictorHandle(
+        predict,
+        name=f"fourier_ridge(N={spec.N}, lam={spec.lam:g})",
+        meta={"kind": "fourier_ridge", "dual_coefficients": alpha, "lam": spec.lam,
+              "N": spec.N},
+    )
+
+
 def fourier_ridge_fit(dataset: RegressionDataset, spec: FourierRidgeSpec = FourierRidgeSpec(),
                       seed: int = 0) -> PredictorHandle:
     """Exact penalized least-squares fit over trigonometric polynomials.
 
     With lam > 0 it solves the p x p normal equations when the feature
-    count p is at most n, and the equal n x n dual system when p > n.  The
-    seed is accepted for interface uniformity; the solution is a pure
-    function of the dataset and spec.
+    count p is at most n, and the equal n x n kernel system when p > n;
+    that handle carries ``dual_coefficients`` in place of ``coefficients``
+    and ``frequencies``.  With lam = 0 it takes the minimum-norm
+    least-squares solution on the explicit design.  The seed is accepted
+    for interface uniformity; the solution is a pure function of the
+    dataset and spec.
     """
     p = spec.feature_count(dataset.d)
+    if spec.lam > 0 and p > dataset.n:
+        return _fourier_kernel_fit(dataset, spec)
     if p > spec.max_features:
         raise TrainerError(f"feature count {p} exceeds cap {spec.max_features}")
     freqs = _half_space_frequencies(spec.N, dataset.d)
@@ -161,14 +218,8 @@ def fourier_ridge_fit(dataset: RegressionDataset, spec: FourierRidgeSpec = Fouri
 
     if spec.lam > 0:
         try:
-            if phi.shape[1] > n:
-                # Push-through identity: the same minimizer from an n x n
-                # system, (Phi Phi^T + n lam I)^-1 y mapped back by Phi^T.
-                kernel = phi @ phi.T + (n * spec.lam) * np.eye(n)
-                coef = phi.T @ np.linalg.solve(kernel, y)
-            else:
-                gram = phi.T @ phi / n + spec.lam * np.eye(phi.shape[1])
-                coef = np.linalg.solve(gram, phi.T @ y / n)
+            gram = phi.T @ phi / n + spec.lam * np.eye(phi.shape[1])
+            coef = np.linalg.solve(gram, phi.T @ y / n)
         except np.linalg.LinAlgError as exc:
             raise IllConditionedError(f"ridge system singular: {exc}") from exc
     else:

@@ -125,15 +125,40 @@ class TestCmdEvaluate:
         {"n": "abc"},
         {"seeds": "x"},
         {"oracle": {"n_mc": "many"}},
-        # (2N+1)^d features at the default N=8 exceed the default cap on 5-d data.
-        {"experiment": "exp3", "trainer": {"name": "fourier_ridge"}},
-        {"trainer": {"name": "fourier_ridge", "params": {"N": 100, "max_features": 10}}},
+        {"evaluation": {"K": 2.5, "rho_grid": [1.0]}},
+        # lam = 0 still builds the explicit n x p design, which the cap guards.
+        {"trainer": {"name": "fourier_ridge",
+                     "params": {"N": 100, "lam": 0, "max_features": 10}}},
     ], ids=["srswor_strategy", "t", "w_under", "M_v", "tune_max_iter", "rho_grid", "n",
-            "seeds", "n_mc", "exp3_default_ridge", "max_features"])
+            "seeds", "n_mc", "K_float", "max_features"])
     def test_config_mistake_exit_2(self, tmp_path, capsys, overrides):
         # Raised before, during or after the run, a config error exits 2.
         assert cmd_evaluate(write_config(tmp_path, **overrides)) == 2
-        assert "config error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error:" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("overrides,key", [
+        ({"n": "abc"}, "n"),
+        ({"seeds": "x"}, "seeds"),
+        ({"oracle": {"n_mc": "many"}}, "oracle.n_mc"),
+        ({"evaluation": {"K": 2, "beta": "half"}}, "evaluation"),
+        ({"trainer": {"name": "tree", "params": {"max_depth": "deep"}}}, "trainer.params"),
+    ], ids=["n", "seeds", "n_mc", "evaluation", "trainer_params"])
+    def test_parse_error_names_key(self, tmp_path, capsys, overrides, key):
+        assert cmd_evaluate(write_config(tmp_path, **overrides)) == 2
+        assert f": {key}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment", ["exp3", "exp4"])
+    def test_default_ridge_on_5d_experiments(self, tmp_path, experiment):
+        # N=8 in 5-d is p = 17^5 features; the kernel path fits it in n x n.
+        cfg = write_config(tmp_path, experiment=experiment,
+                           trainer={"name": "fourier_ridge"})
+        assert cmd_evaluate(cfg) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        for bounds in summary["bounds"].values():
+            assert all(np.isfinite(bounds[name]) for name in
+                       ("wild_optimism_bound", "fixed_design_bound", "random_design_bound"))
 
     def test_runtime_error_exit_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path, n=100,
@@ -161,6 +186,17 @@ class TestCmdEvaluate:
         out = tmp_path / "out"
         assert (out / "summary.json").exists()
         assert not (out / "oracle.json").exists()  # no ground truth
+
+    def test_dataset_file_outside_unit_cube_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("x0,y\n0.5,1.0\n1.5,2.0\n")
+        cfg = write_config(tmp_path)
+        raw = json.loads(cfg.read_text())
+        del raw["experiment"]
+        raw["dataset_file"] = str(data)
+        cfg.write_text(json.dumps(raw))
+        assert cmd_evaluate(cfg) == 2
+        assert "[0, 1]" in capsys.readouterr().err
 
     def test_float_round_trip_precision(self, tmp_path):
         assert cmd_evaluate(write_config(tmp_path)) == 0

@@ -3,8 +3,10 @@ import pytest
 
 from wildriff.core import (
     EmptyInputError,
+    ConfigError,
     EvaluationConfig,
     BadConfigError,
+    InvalidDataError,
     NonFiniteDataError,
     PredictorHandle,
     RegressionDataset,
@@ -39,8 +41,14 @@ class TestRegressionDataset:
         assert ds.n == 2 and ds.d == 1
 
     def test_rejects_out_of_cube(self):
-        with pytest.raises(NonFiniteDataError):
+        # Bad input data is a config error (CLI exit 2), not a failed run.
+        with pytest.raises(InvalidDataError):
             RegressionDataset(np.array([[1.5]]), np.array([0.0]))
+        assert issubclass(InvalidDataError, ConfigError)
+
+    def test_rejects_length_mismatch(self):
+        with pytest.raises(InvalidDataError):
+            RegressionDataset(np.array([[0.5], [0.25]]), np.array([0.0]))
 
     def test_rejects_nan(self):
         with pytest.raises(NonFiniteDataError):
@@ -193,6 +201,13 @@ class TestEvaluationConfig:
     def test_bad_tune_max_iter(self):
         with pytest.raises(BadConfigError):
             EvaluationConfig(K=5, K1=1, rho_mode="tuned", tune_max_iter=0)
+
+    @pytest.mark.parametrize("field", ["K", "K1", "tune_max_iter"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3"])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(BadConfigError, match=field):
+            EvaluationConfig(**{"K": 5, field: value})
+        assert getattr(EvaluationConfig(**{"K": 5, field: np.int64(3)}), field) == 3
 
     def test_bad_k1(self):
         with pytest.raises(BadConfigError):

@@ -57,5 +57,8 @@ def test_one_exception_tree():
     branches = {c.__name__: (issubclass(c, ConfigError), issubclass(c, EvaluationError))
                 for c in errors if c is not WildriffError}
     assert {name for name, (config, runtime) in branches.items() if config == runtime} == set()
+    # Bad input data is the user's to fix; non-finite values are a failed run.
+    assert branches["InvalidDataError"] == (True, False)
+    assert branches["NonFiniteDataError"] == (False, True)
     names = Counter(c.__name__ for c in classes)
     assert {name for name, count in names.items() if count > 1} == set()

@@ -468,6 +468,21 @@ class TestEvaluate:
         assert report.confidence_fixed == pytest.approx(1 - 5 * cfg.delta)
         assert report.confidence_random == pytest.approx(1 - 6 * cfg.delta)
 
+    @pytest.mark.parametrize("experiment", ["exp3", "exp4"])
+    @pytest.mark.parametrize("name", ["fourier_ridge", "tree", "mlp"])
+    def test_five_dimensional_defaults(self, experiment, name):
+        # Every built-in trainer at its default settings runs end to end on
+        # the 5-d experiments; fourier_ridge's N=8 is p = 17^5 features.
+        ds, truth = generate(ExperimentSpec(id=experiment, n=200, seed=3))
+        cfg = EvaluationConfig(K=3, rho_grid=(1.0,), seed=3)
+        report = evaluate(ds, make_trainer(name, {}), cfg, fstar=truth.fstar)[0]
+        terms = (report.mean_opt_tilde, report.mean_opt_check, report.deviation,
+                 report.pilot_proxy)
+        assert np.all(np.isfinite(terms + (report.wild_optimism_bound,
+                                           report.fixed_design_bound,
+                                           report.random_design_bound)))
+        assert report.fixed_design_bound == terms[0] + terms[1] + terms[2] + terms[3]
+
     def test_round_order_independence(self):
         ds, _ = generate(ExperimentSpec(id="exp1", n=240, seed=11))
         trainer = make_trainer("fourier_ridge", {"N": 6, "lam": 1e-6})

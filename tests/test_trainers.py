@@ -14,6 +14,9 @@ from wildriff.trainers import (
     MlpSpec,
     TrainerError,
     TreeSpec,
+    _build_design,
+    _dirichlet_features,
+    _dirichlet_kernel,
     _fourier_design,
     _half_space_frequencies,
     fourier_ridge_fit,
@@ -59,25 +62,71 @@ class TestFourierRidge:
            extra=st.integers(0, 60), lam=st.floats(1e-4, 1.0), seed=st.integers(0, 2**16))
     @settings(max_examples=60, deadline=None)
     def test_normal_equations_residual(self, N, d, dual, extra, lam, seed):
-        # Whichever form the fit solves (dual when p > n), its coefficients
-        # satisfy the primal normal equations.  Rounding can reach about
-        # eps * p / lam = 2.2e-16 * 343 / 1e-4 < 1e-9; 1e-8 leaves a margin.
+        # Whichever form the fit solves (the kernel system when p > n), its
+        # coefficients satisfy the primal normal equations.  Rounding can
+        # reach about eps * p / lam = 2.2e-16 * 343 / 1e-4 < 1e-9; 1e-8
+        # leaves a margin.
         p = (2 * N + 1) ** d
         n = 1 + extra % (p - 1) if dual else p + extra
         assert (p > n) == dual
         ds = uniform_dataset(n, d=d, seed=seed, fn=lambda xs: np.sin(7 * xs.sum(axis=1)),
                              noise=0.3)
         f = fourier_ridge_fit(ds, FourierRidgeSpec(N=N, lam=lam))
-        coef = f.meta["coefficients"]
-        phi = _fourier_design(ds.xs, f.meta["frequencies"])
+        phi = _fourier_design(ds.xs, _half_space_frequencies(N, d))
+        if dual:
+            assert "coefficients" not in f.meta
+            coef = phi.T @ f.meta["dual_coefficients"]
+        else:
+            coef = f.meta["coefficients"]
         lhs = phi.T @ (phi @ coef) / n + lam * coef
         rhs = phi.T @ ds.ys / n
         assert np.linalg.norm(lhs - rhs) <= 1e-8 * np.linalg.norm(rhs)
 
+    @given(N=st.integers(1, 3), d=st.integers(1, 3), n=st.integers(1, 12),
+           m=st.integers(1, 12), near=st.floats(0.0, 1e-6), seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_dirichlet_kernel_is_feature_gram(self, N, d, n, m, near, seed):
+        # The product of per-coordinate Dirichlet kernels is Phi Phi^T, also
+        # for a pair of points a hair apart (x_j ~ z_j, where D_N peaks).
+        rng = np.random.default_rng(seed)
+        xs = rng.uniform(0, 1, size=(n, d))
+        zs = rng.uniform(0, 1, size=(m, d))
+        zs[0] = np.clip(xs[0] + near, 0.0, 1.0)
+        freqs = _half_space_frequencies(N, d)
+        gram = _build_design(xs, freqs) @ _build_design(zs, freqs).T
+        kernel = _dirichlet_kernel(_dirichlet_features(xs, N), _dirichlet_features(zs, N))
+        assert kernel.shape == (n, m)
+        assert np.max(np.abs(kernel - gram)) <= 1e-12 * np.max(np.abs(gram))
+
+    def test_kernel_path_builds_no_design(self, monkeypatch):
+        # lam > 0 with p > n never builds the n x p design, so the default
+        # N=8 fits 5-d data (p = 17^5) under the default feature cap.
+        def no_design(xs, freqs):
+            raise AssertionError("explicit design built on the kernel path")
+
+        monkeypatch.setattr(trainers, "_build_design", no_design)
+        ds, _ = generate(ExperimentSpec(id="exp3", n=150, seed=1))
+        f = fourier_ridge_fit(ds, FourierRidgeSpec())
+        assert set(f.meta) == {"kind", "dual_coefficients", "lam", "N"}
+        assert f.meta["dual_coefficients"].shape == (ds.n,)
+        probes = np.random.default_rng(0).uniform(0, 1, size=(500, 5))
+        assert np.all(np.isfinite(f.predict(probes)))
+
+    def test_interpolation_without_penalty_above_n(self):
+        # lam = 0 with p > n keeps the least-squares solve on the explicit
+        # design: a solve on K (condition number 2e10 here) would square the
+        # design's and lose about four digits of the interpolation.
+        ds = uniform_dataset(24, seed=0, fn=lambda xs: np.cos(9 * xs[:, 0]), noise=1.0)
+        f = fourier_ridge_fit(ds, FourierRidgeSpec(N=12, lam=0.0))  # 25 features
+        assert f.meta["coefficients"].shape == (25,)
+        residual = np.max(np.abs(f.predict(ds.xs) - ds.ys))
+        assert residual <= 1e-10 * np.max(np.abs(ds.ys))
+
     def test_feature_cap(self):
+        # The cap guards the explicit design, which lam = 0 still builds.
         ds = uniform_dataset(10, d=5)
         with pytest.raises(TrainerError):
-            fourier_ridge_fit(ds, FourierRidgeSpec(N=8, max_features=1000))
+            fourier_ridge_fit(ds, FourierRidgeSpec(N=8, lam=0.0, max_features=1000))
 
     def test_half_space_frequency_count(self):
         for d in (1, 2):
@@ -88,8 +137,9 @@ class TestFourierRidge:
                 assert not freqs.flags.writeable
 
     def test_design_memo_predictions_bit_identical(self):
-        ds, _ = generate(ExperimentSpec(id="exp3", n=200, seed=2))
-        f = fourier_ridge_fit(ds, FourierRidgeSpec(N=2, lam=1e-6))
+        ds, _ = generate(ExperimentSpec(id="exp1", n=200, seed=2))
+        f = fourier_ridge_fit(ds, FourierRidgeSpec(N=8, lam=1e-6))
+        assert "coefficients" in f.meta  # p = 17 <= n: the primal path and its memo
         hit = f.predict(ds.xs)
         again = f.predict(ds.xs)
         fresh = f.predict(np.array(ds.xs))
