@@ -166,6 +166,8 @@ def _read_dataset_csv(path) -> RegressionDataset:
         raise ConfigError(f"cannot read dataset file {path}: {exc}") from exc
     if "y" not in header:
         raise ConfigError("dataset file needs a 'y' column")
+    if data.size == 0:
+        raise ConfigError(f"dataset file {path} has no data rows")
     ycol = header.index("y")
     xcols = [i for i in range(len(header)) if i != ycol]
     return RegressionDataset(data[:, xcols], data[:, ycol])

@@ -97,14 +97,6 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return arr
 
 
-def _shared_or_frozen(arr: np.ndarray) -> np.ndarray:
-    """``arr`` itself when it is a read-only float64 array that owns its data,
-    else a frozen copy.  A view is always copied: its base may be writeable."""
-    if arr.dtype == np.float64 and not arr.flags.writeable and arr.base is None:
-        return arr
-    return _frozen_array(arr)
-
-
 @dataclass(frozen=True)
 class RegressionDataset:
     """Covariates in the unit cube plus real responses.
@@ -116,11 +108,8 @@ class RegressionDataset:
     ys : array-like of shape (n,)
         Real responses.
 
-    Both are stored read-only.  An ``xs`` or ``ys`` that is already a
-    read-only float64 array owning its data (``base is None``) is kept by
-    identity, so datasets built on one frozen covariate block share it; its
-    owner must not make it writeable again.  Anything else is copied and
-    frozen, and the caller's array is left as it was.
+    Both are stored as read-only float64 copies; the caller's arrays are
+    left as they were.
     """
 
     xs: np.ndarray
@@ -141,8 +130,8 @@ class RegressionDataset:
             raise NonFiniteDataError("dataset contains non-finite entries")
         if xs.min() < 0.0 or xs.max() > 1.0:
             raise InvalidDataError("covariate coordinates must lie in [0, 1]")
-        object.__setattr__(self, "xs", _shared_or_frozen(xs))
-        object.__setattr__(self, "ys", _shared_or_frozen(ys))
+        object.__setattr__(self, "xs", _frozen_array(xs))
+        object.__setattr__(self, "ys", _frozen_array(ys))
 
     @property
     def n(self) -> int:
@@ -236,7 +225,8 @@ class EvaluationConfig:
 
     ``tau`` may be a positive float or the string ``"estimate"``, in which
     case the residual-maximum estimate is used wherever the noise bound
-    appears.  ``t`` defaults to ``max(3, 4*tau) + 0.1`` when omitted.
+    appears.  ``t`` defaults to ``refit.default_t(tau)``, that is
+    ``max(3, 4*tau) + 0.1``, when omitted.
     """
 
     K: int = 30

@@ -50,13 +50,12 @@ __all__ = [
     "RadiusEstimate",
     "RiskBoundReport",
     "TuneResult",
-    "SubsampleRows",
-    "subsample_rows",
     "run_round",
     "candidate_block",
     "deviation_term",
     "r_tilde",
     "tune_noise_scale",
+    "default_t",
     "estimate_radius",
     "pilot_error_proxy",
     "process_sup_proxy",
@@ -293,8 +292,8 @@ def process_sup_proxy(state: RefitState, block: CandidateBlock, radius: float,
 # Rounds
 # ---------------------------------------------------------------------------
 
-class SubsampleRows(NamedTuple):
-    """One subsample's rows: its covariate block and the warm-up slices."""
+class _SubsampleRows(NamedTuple):
+    """One subsample's rows: its covariates and the warm-up slices."""
 
     xs: np.ndarray
     breve: np.ndarray
@@ -302,34 +301,21 @@ class SubsampleRows(NamedTuple):
     residuals: np.ndarray
 
 
-def subsample_rows(state: RefitState, dataset: RegressionDataset,
-                   sub: Subsample) -> SubsampleRows:
-    """Slice a subsample's rows once.
-
-    The covariate block is read-only and owns its data, so every refit
-    dataset built on it shares the array and every scoring pass predicts on
-    that same array; a trainer that memoizes work per input array does it
-    once per subsample.
-    """
+def _subsample_rows(state: RefitState, dataset: RegressionDataset,
+                    sub: Subsample) -> _SubsampleRows:
     idx = sub.indices
-    xs = dataset.xs[idx]
-    xs.setflags(write=False)
-    return SubsampleRows(xs, state.breve_vals[idx], state.signs[idx], state.residuals[idx])
+    return _SubsampleRows(dataset.xs[idx], state.breve_vals[idx], state.signs[idx],
+                          state.residuals[idx])
 
 
 def run_round(state: RefitState, dataset: RegressionDataset, trainer: TrainerOracle,
-              sub: Subsample, rho1: float, rho2: float, seed: int, k: int = 0,
-              rows: Optional[SubsampleRows] = None) -> WildRound:
+              sub: Subsample, rho1: float, rho2: float, seed: int, k: int = 0) -> WildRound:
     """One resample-and-refit round at fixed noise scales.
 
     Builds the two perturbed pseudo-datasets on the subsample, refits the
     black box on each, and records optimisms and subsample-norm distances.
-    ``rows`` is ``subsample_rows(state, dataset, sub)``, sliced here when
-    not given; callers running several rounds on one subsample pass it so
-    all of them share one covariate block.
     """
-    if rows is None:
-        rows = subsample_rows(state, dataset, sub)
+    rows = _subsample_rows(state, dataset, sub)
     y_tilde = wild_responses(rows.breve, rows.signs, rows.residuals, rho1, "plus")
     y_check = wild_responses(rows.breve, rows.signs, rows.residuals, rho2, "minus")
 
@@ -343,7 +329,7 @@ def run_round(state: RefitState, dataset: RegressionDataset, trainer: TrainerOra
     return _score_round(trainer, rows, sub, k, rho1, rho2, tilde_f, check_f)
 
 
-def _score_round(trainer: TrainerOracle, rows: SubsampleRows, sub: Subsample, k: int,
+def _score_round(trainer: TrainerOracle, rows: _SubsampleRows, sub: Subsample, k: int,
                  rho1: float, rho2: float,
                  tilde_f: PredictorHandle, check_f: PredictorHandle) -> WildRound:
     """Optimisms and subsample-norm distances of a round's two refits."""
@@ -371,17 +357,15 @@ def _score_round(trainer: TrainerOracle, rows: SubsampleRows, sub: Subsample, k:
 def _run_rounds(state, dataset, trainer, subs, grid, seed) -> List[List[WildRound]]:
     """Round k on subsample k at each noise scale of ``grid``, both directions.
 
-    Subsample-major: all rounds of one subsample run back to back on one
-    covariate block.  Returns one list of rounds per scale, in k order.
+    Subsample-major: all rounds of one subsample run back to back, so a
+    trainer that keeps its last piece of work on a covariate block (as
+    `fourier_ridge` keeps its last design) reuses it across them.  Returns
+    one list of rounds per scale, in k order.
     """
     by_scale: List[List[WildRound]] = [[] for _ in grid]
     for k, sub in enumerate(subs):
-        rows = subsample_rows(state, dataset, sub)
         for rounds, rho in zip(by_scale, grid):
-            rounds.append(run_round(state, dataset, trainer, sub, rho, rho, seed, k, rows))
-        # Release the block now: a trainer's memo of work on it lives as
-        # long as the block does.
-        del rows
+            rounds.append(run_round(state, dataset, trainer, sub, rho, rho, seed, k))
     return by_scale
 
 
@@ -391,20 +375,17 @@ def _run_rounds(state, dataset, trainer, subs, grid, seed) -> List[List[WildRoun
 
 def tune_noise_scale(state: RefitState, dataset: RegressionDataset, trainer: TrainerOracle,
                      sub: Subsample, target: float, direction: str = "plus",
-                     tol_rel: float = 0.05, max_iter: int = 40, seed: int = 0,
-                     rows: Optional[SubsampleRows] = None) -> TuneResult:
+                     tol_rel: float = 0.05, max_iter: int = 40, seed: int = 0) -> TuneResult:
     """Find rho so the refit lands at the target subsample-norm distance.
 
     Geometric bracketing (double/halve rho until the achieved norm brackets
     the target) followed by bisection.  Assumes the achieved norm is
     nondecreasing in rho; a decrease of more than 10x the tolerance across
     a doubling emits `NonMonotoneWarning` and continues best-effort.
-    ``rows`` is ``subsample_rows(state, dataset, sub)``, as in `run_round`.
     """
     if target <= 0:
         raise TuneError(f"target must be positive, got {target}")
-    if rows is None:
-        rows = subsample_rows(state, dataset, sub)
+    rows = _subsample_rows(state, dataset, sub)
     if np.all(rows.residuals == 0.0):
         raise TuneError("residuals on the subsample are all zero; nothing to scale")
     fit_seed = derive_seed(seed, "tune-fit", 0 if direction == "plus" else 1)
@@ -470,6 +451,12 @@ def tune_noise_scale(state: RefitState, dataset: RegressionDataset, trainer: Tra
 # ---------------------------------------------------------------------------
 # Radius estimation
 # ---------------------------------------------------------------------------
+
+def default_t(tau: float) -> float:
+    """The radius confidence parameter used when none is set: just above
+    the max(3, 4 tau) that `estimate_radius` requires."""
+    return max(3.0, 4.0 * tau) + 0.1
+
 
 def estimate_radius(state: RefitState, rounds: Sequence[WildRound], block: CandidateBlock,
                     t: float, tau: float, C: float = 1.0) -> RadiusEstimate:
@@ -627,7 +614,7 @@ def evaluate_with_state(dataset: RegressionDataset, trainer: TrainerOracle,
     n = dataset.n
     m = config.subsample_size(n)
     tau = _resolve_tau(config, state)
-    t = config.t if config.t is not None else max(3.0, 4.0 * tau) + 0.1
+    t = config.t if config.t is not None else default_t(tau)
 
     subs = [srswor(n, m, config.srswor_strategy, derive_seed(config.seed, "subsample", k))
             for k in range(config.K)]
@@ -659,17 +646,16 @@ def evaluate_with_state(dataset: RegressionDataset, trainer: TrainerOracle,
         unconverged = 0
         for k in range(config.K1, config.K):
             sub = subs[k]
-            rows = subsample_rows(state, dataset, sub)
             plus = tune_noise_scale(state, dataset, trainer, sub, target, "plus",
                                     config.tol_rho, config.tune_max_iter,
-                                    derive_seed(config.seed, "tune", k), rows)
+                                    derive_seed(config.seed, "tune", k))
             minus = tune_noise_scale(state, dataset, trainer, sub, target, "minus",
                                      config.tol_rho, config.tune_max_iter,
-                                     derive_seed(config.seed, "tune", k), rows)
+                                     derive_seed(config.seed, "tune", k))
             unconverged += (not plus.converged) + (not minus.converged)
-            tuned_rounds.append(_score_round(trainer, rows, sub, k, plus.rho, minus.rho,
+            tuned_rounds.append(_score_round(trainer, _subsample_rows(state, dataset, sub), sub,
+                                             k, plus.rho, minus.rho,
                                              plus.predictor, minus.predictor))
-            del rows  # release the block before the next subsample's
         rest = candidate_block(state, dataset, _refits(tuned_rounds) + truth_rows)
         block = CandidateBlock(np.vstack([warm_block.vals, rest.vals]),
                                np.concatenate([warm_block.dists, rest.dists]))

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -105,19 +104,10 @@ def _half_space_frequencies(N: int, d: int) -> np.ndarray:
     return freqs
 
 
-# The last design built on a read-only array that owns its data:
-# (weak reference to xs, freqs, copy of xs, design).  Every candidate of a
-# report is predicted on the same frozen ``dataset.xs``, so all but the
-# first reuse it; the entry is dropped when xs is collected.  The copy
-# catches an owner that made xs writeable, changed it and froze it again.
+# The last design built: (freqs, copy of xs, design).  Every candidate of a
+# report is predicted on the same full-data covariates, so all but the first
+# reuse it.  Keyed by values, so no caller needs to keep or freeze an array.
 _design_memo = None
-
-
-def _forget_design(xs_ref) -> None:
-    global _design_memo
-    entry = _design_memo
-    if entry is not None and entry[0] is xs_ref:
-        _design_memo = None
 
 
 def _build_design(xs: np.ndarray, freqs: np.ndarray) -> np.ndarray:
@@ -126,22 +116,18 @@ def _build_design(xs: np.ndarray, freqs: np.ndarray) -> np.ndarray:
 
 
 def _fourier_design(xs: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    """The n x p feature matrix: constant, cosines, sines.
+    """The n x p feature matrix: constant, cosines, sines, read-only.
 
-    A design on a read-only xs that owns its data is memoized and returned
-    read-only; a hit needs the same array with the same contents, and
-    returns the array a rebuild would produce.
+    The last design built is kept; a call with the same frequency table and
+    equal covariates returns it, and any other call replaces it.
     """
     global _design_memo
     entry = _design_memo
-    frozen = not xs.flags.writeable and xs.base is None
-    if (frozen and entry is not None and entry[0]() is xs and entry[1] is freqs
-            and np.array_equal(entry[2], xs)):
-        return entry[3]
+    if entry is not None and entry[0] is freqs and np.array_equal(entry[1], xs):
+        return entry[2]
     design = _build_design(xs, freqs)
-    if frozen:
-        design.setflags(write=False)
-        _design_memo = (weakref.ref(xs, _forget_design), freqs, xs.copy(), design)
+    design.setflags(write=False)
+    _design_memo = (freqs, xs.copy(), design)
     return design
 
 
@@ -169,6 +155,9 @@ def _dirichlet_kernel(psi_a: np.ndarray, psi_b: np.ndarray) -> np.ndarray:
     return gram
 
 
+_KERNEL_BLOCK_ENTRIES = 2 ** 22
+
+
 def _fourier_kernel_fit(dataset: RegressionDataset, spec: FourierRidgeSpec) -> PredictorHandle:
     """The ridge fit through its kernel: alpha = (K + n lam I)^-1 y and
     predictions K(xs, X) alpha, by the representer theorem."""
@@ -183,8 +172,17 @@ def _fourier_kernel_fit(dataset: RegressionDataset, spec: FourierRidgeSpec) -> P
     if not np.all(np.isfinite(alpha)):
         raise IllConditionedError("non-finite ridge coefficients")
 
+    # Predict in row blocks of at most _KERNEL_BLOCK_ENTRIES kernel entries,
+    # so memory stays bounded however many points are predicted.
+    block_rows = max(1, _KERNEL_BLOCK_ENTRIES // n)
+
     def predict(xs: np.ndarray) -> np.ndarray:
-        return _dirichlet_kernel(_dirichlet_features(xs, spec.N), psi) @ alpha
+        out = np.empty(xs.shape[0])
+        for start in range(0, xs.shape[0], block_rows):
+            block = xs[start:start + block_rows]
+            out[start:start + block_rows] = (
+                _dirichlet_kernel(_dirichlet_features(block, spec.N), psi) @ alpha)
+        return out
 
     return PredictorHandle(
         predict,

@@ -13,7 +13,7 @@ import numpy as np
 
 from .core import PredictorHandle, RegressionDataset, derive_rng, derive_seed, estimate_tau, warm_up
 from .metrics import empirical_norm, ht_average
-from .refit import candidate_block, estimate_radius, run_round
+from .refit import candidate_block, default_t, estimate_radius, run_round
 from .sampling import Subsample, srswor
 from .synth import ExperimentSpec, generate
 from .theory import decay_constant, fourier_coefficients, norm_equivalence_check, spectral_norm
@@ -117,7 +117,7 @@ def suite_radius(seeds: int = 20, n: int = 1000, k1: int = 5, seed0: int = 0) ->
         trainer = make_trainer("fourier_ridge", {"N": 8, "lam": 1e-6})
         state = warm_up(dataset, trainer, seed=seed0 + s)
         tau = estimate_tau(state.residuals)
-        t = max(3.0, 4.0 * tau) + 0.1
+        t = default_t(tau)
         m = int(round(n ** 0.6))
         rounds = [run_round(state, dataset, trainer,
                             srswor(n, m, "permutation", derive_seed(seed0 + s, "subsample", k)),

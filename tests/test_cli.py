@@ -129,10 +129,17 @@ class TestCmdEvaluate:
         # lam = 0 still builds the explicit n x p design, which the cap guards.
         {"trainer": {"name": "fourier_ridge",
                      "params": {"N": 100, "lam": 0, "max_features": 10}}},
+        # A dataset file with a header and no data rows.
+        {"dataset_csv": "x,y\n"},
     ], ids=["srswor_strategy", "t", "w_under", "M_v", "tune_max_iter", "rho_grid", "n",
-            "seeds", "n_mc", "K_float", "max_features"])
+            "seeds", "n_mc", "K_float", "max_features", "header_only_csv"])
     def test_config_mistake_exit_2(self, tmp_path, capsys, overrides):
         # Raised before, during or after the run, a config error exits 2.
+        overrides = dict(overrides)
+        if "dataset_csv" in overrides:
+            data = tmp_path / "data.csv"
+            data.write_text(overrides.pop("dataset_csv"))
+            overrides.update(experiment=None, dataset_file=str(data))
         assert cmd_evaluate(write_config(tmp_path, **overrides)) == 2
         err = capsys.readouterr().err
         assert "config error:" in err

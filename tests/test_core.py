@@ -59,28 +59,24 @@ class TestRegressionDataset:
         with pytest.raises(ValueError):
             ds.xs[0, 0] = 0.2
 
-    def test_keeps_frozen_owning_arrays(self):
-        xs = np.random.default_rng(0).uniform(0, 1, size=(6, 2))
-        ys = np.arange(6.0)
-        xs.setflags(write=False)
-        ys.setflags(write=False)
-        ds = RegressionDataset(xs, ys)
-        assert ds.xs is xs and ds.ys is ys
-        assert RegressionDataset(xs, ds.ys * 2.0).xs is xs
-
     def test_copies_writeable_views_and_other_dtypes(self):
         base = np.random.default_rng(1).uniform(0, 1, size=(6, 2))
         view = base[::2]
         view.setflags(write=False)
         halves = np.full((3, 2), 0.5, dtype=np.float32)
         halves.setflags(write=False)
-        for xs in (base, view, halves):
+        # A read-only float64 array that owns its data is copied too.
+        owning = np.random.default_rng(0).uniform(0, 1, size=(6, 2))
+        owning.setflags(write=False)
+        for xs in (base, view, halves, owning):
             ys = np.zeros(xs.shape[0])
+            ys.setflags(write=False)
             ds = RegressionDataset(xs, ys)
             assert ds.xs is not xs and ds.ys is not ys
             assert ds.xs.dtype == np.float64 and ds.xs.base is None
             assert not ds.xs.flags.writeable and not ds.ys.flags.writeable
             np.testing.assert_array_equal(ds.xs, xs)
+        assert RegressionDataset(ds.xs, ds.ys).xs is not ds.xs
         # The caller's writeable input stays writeable and detached.
         ds = RegressionDataset(base, np.zeros(6))
         assert base.flags.writeable

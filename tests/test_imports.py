@@ -39,11 +39,24 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def package_modules():
+    """The package and each of its modules."""
+    return [importlib.import_module(f"wildriff.{path.stem}".removesuffix(".__init__"))
+            for path in sorted(PACKAGE.glob("*.py"))]
+
+
+def test_every_exported_name_resolves():
+    # Each module (and the package) declares __all__, and every name in it exists.
+    unresolved = {module.__name__: [name for name in module.__all__
+                                    if not hasattr(module, name)]
+                  for module in package_modules()}
+    assert {name: missing for name, missing in unresolved.items() if missing} == {}
+
+
 def package_classes():
     """Every class defined in a module of the package, once each."""
     found = {}
-    for path in sorted(PACKAGE.glob("*.py")):
-        module = importlib.import_module(f"wildriff.{path.stem}".removesuffix(".__init__"))
+    for module in package_modules():
         found.update((obj, None) for obj in vars(module).values()
                      if inspect.isclass(obj) and obj.__module__ == module.__name__)
     return list(found)

@@ -20,6 +20,7 @@ from wildriff.refit import (
     NoBracketError,
     NoCandidatesError,
     candidate_block,
+    default_t,
     deviation_term,
     estimate_radius,
     evaluate,
@@ -361,7 +362,7 @@ class TestEstimateRadius:
             trainer = make_trainer("fourier_ridge", {"N": 8, "lam": 1e-6})
             state = warm_up(ds, trainer, seed=100 + s)
             tau = estimate_tau(state.residuals)
-            t = max(3.0, 4.0 * tau) + 0.1
+            t = default_t(tau)
             m = int(round(1000 ** 0.6))
             rounds = [run_round(state, ds, trainer,
                                 srswor(ds.n, m, "permutation", derive_seed(100 + s, "subsample", k)),

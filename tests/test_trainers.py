@@ -1,6 +1,3 @@
-import gc
-import weakref
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -112,6 +109,20 @@ class TestFourierRidge:
         probes = np.random.default_rng(0).uniform(0, 1, size=(500, 5))
         assert np.all(np.isfinite(f.predict(probes)))
 
+    def test_kernel_predicts_in_row_blocks(self, monkeypatch):
+        # A budget of 1000 kernel entries at 150 training points is 6 rows
+        # a block, so 500 probes take 84 blocks, the last one partial.
+        monkeypatch.setattr(trainers, "_KERNEL_BLOCK_ENTRIES", 1000)
+        ds, _ = generate(ExperimentSpec(id="exp3", n=150, seed=1))
+        spec = FourierRidgeSpec(N=3)
+        f = fourier_ridge_fit(ds, spec)
+        probes = np.random.default_rng(2).uniform(0, 1, size=(500, 5))
+        kernel = _dirichlet_kernel(_dirichlet_features(probes, spec.N),
+                                   _dirichlet_features(ds.xs, spec.N))
+        one_shot = kernel @ f.meta["dual_coefficients"]
+        blocked = f.predict(probes)
+        assert np.max(np.abs(blocked - one_shot)) <= 1e-12 * np.max(np.abs(one_shot))
+
     def test_interpolation_without_penalty_above_n(self):
         # lam = 0 with p > n keeps the least-squares solve on the explicit
         # design: a solve on K (condition number 2e10 here) would square the
@@ -146,19 +157,23 @@ class TestFourierRidge:
         np.testing.assert_array_equal(hit, fresh)
         np.testing.assert_array_equal(again, fresh)
 
-    def test_design_memo_is_read_only_and_released(self):
-        ds, _ = generate(ExperimentSpec(id="exp1", n=100, seed=0))
+    def test_design_memo_keyed_by_values(self):
+        xs = np.random.default_rng(3).uniform(0, 1, size=(50, 1))
         freqs = _half_space_frequencies(4, 1)
-        design = _fourier_design(ds.xs, freqs)
-        assert _fourier_design(ds.xs, freqs) is design
-        with pytest.raises(ValueError):
-            design[0, 0] = 1.0
-        copy = np.array(ds.xs)
-        assert _fourier_design(copy, freqs).flags.writeable
-        released = weakref.ref(design)
-        del ds, design
-        gc.collect()
-        assert released() is None
+        design = _fourier_design(xs, freqs)
+        assert not design.flags.writeable
+        frozen = np.array(xs)
+        frozen.setflags(write=False)
+        # Distinct arrays with equal values, writeable or not, share the design.
+        assert _fourier_design(np.array(xs), freqs) is design
+        assert _fourier_design(frozen, freqs) is design
+        np.testing.assert_array_equal(design, _build_design(xs, freqs))
+        changed = np.array(xs)
+        changed[7, 0] = 0.5
+        miss = _fourier_design(changed, freqs)
+        assert miss is not design
+        np.testing.assert_array_equal(miss, _build_design(changed, freqs))
+        assert _fourier_design(xs[:-1], freqs) is not miss
 
     def test_design_memo_sees_rewritten_frozen_array(self):
         xs = np.random.default_rng(4).uniform(0, 1, size=(40, 1))
@@ -183,14 +198,24 @@ class TestFourierRidge:
             return build(xs, freqs)
 
         monkeypatch.setattr(trainers, "_build_design", counting)
-        cfg = EvaluationConfig(K=30, rho_grid=(0.1, 0.5, 1.0, 2.0, 5.0), seed=5)
-        reports = evaluate(ds, make_trainer("fourier_ridge", {"N": 8, "lam": 1e-6}), cfg)
-        assert len(reports) == len(cfg.rho_grid)
+        trainer = make_trainer("fourier_ridge", {"N": 8, "lam": 1e-6})
+
+        def count_builds(cfg):
+            builds.clear()
+            monkeypatch.setattr(trainers, "_design_memo", None)
+            evaluate(ds, trainer, cfg)
+            return builds.count(ds.n), len(builds)
+
         # One build per distinct covariate block: the warm-up fit and its
-        # prediction share one, each subsample's 2 * |grid| refits and
-        # their scoring share one, and every scale's candidates share one.
-        assert builds.count(ds.n) == 2
-        assert len(builds) == cfg.K + 2
+        # prediction share one, and each subsample's refits (every scale or
+        # every tuning step, both directions) and their scoring share one.
+        # Fixed-grid: every scale's full-data candidates share one more.
+        cfg = EvaluationConfig(K=30, rho_grid=(0.1, 0.5, 1.0, 2.0, 5.0), seed=5)
+        assert count_builds(cfg) == (2, cfg.K + 2)
+        # Tuned: the warm-up rounds' candidates and the tuned rounds'
+        # candidates are predicted apart, with tuning fits in between.
+        cfg = EvaluationConfig(K=12, K1=4, rho_mode="tuned", seed=5)
+        assert count_builds(cfg) == (3, cfg.K + 3)
 
     def test_prediction_totality(self):
         ds, _ = generate(ExperimentSpec(id="exp1", n=200, seed=0))
