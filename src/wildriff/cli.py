@@ -161,7 +161,11 @@ def _read_dataset_csv(path) -> RegressionDataset:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader)
-            data = np.asarray([[float(cell) for cell in row] for row in reader if row])
+            rows = [row for row in reader if row]
+        for row in rows:
+            if len(row) != len(header):
+                raise ConfigError(f"row {row} has {len(row)} columns; the header has {len(header)}")
+        data = np.asarray([[float(cell) for cell in row] for row in rows])
     except (OSError, StopIteration, ValueError) as exc:
         raise ConfigError(f"cannot read dataset file {path}: {exc}") from exc
     if "y" not in header:

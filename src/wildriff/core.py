@@ -195,22 +195,28 @@ class TrainerOracle:
 
 @dataclass(frozen=True)
 class RefitState:
-    """Warm-up outputs shared by every resampling round."""
+    """Warm-up outputs shared by every resampling round.  ``pilot_vals`` is
+    ``breve_vals`` itself when the trained predictor is the pilot."""
 
     breve_f: PredictorHandle
     pilot_f: PredictorHandle
     residuals: np.ndarray
     signs: np.ndarray
     breve_vals: np.ndarray
+    pilot_vals: np.ndarray
     seed: int
 
     def __post_init__(self):
+        breve_vals = _frozen_array(self.breve_vals)
+        pilot_vals = (breve_vals if self.pilot_vals is self.breve_vals
+                      else _frozen_array(self.pilot_vals))
         object.__setattr__(self, "residuals", _frozen_array(self.residuals))
-        object.__setattr__(self, "breve_vals", _frozen_array(self.breve_vals))
+        object.__setattr__(self, "breve_vals", breve_vals)
+        object.__setattr__(self, "pilot_vals", pilot_vals)
         signs = _frozen_array(self.signs)
         if not np.all(np.abs(signs) == 1.0):
             raise NonFiniteDataError("signs must take values in {-1, +1}")
-        if signs.shape != self.residuals.shape or self.breve_vals.shape != self.residuals.shape:
+        if not signs.shape == breve_vals.shape == pilot_vals.shape == self.residuals.shape:
             raise NonFiniteDataError("residuals, signs, and predictions must share a length")
         object.__setattr__(self, "signs", signs)
 
@@ -278,6 +284,8 @@ class EvaluationConfig:
                 raise BadConfigError("tau must be a positive number or 'estimate'")
         elif self.tau <= 0:
             raise BadConfigError("tau must be a positive number or 'estimate'")
+        if self.v <= 0:
+            raise BadConfigError("v must be positive")
         if self.tol_rho <= 0:
             raise BadConfigError("tol_rho must be positive")
         if self.tune_max_iter < 1:
@@ -314,6 +322,7 @@ def warm_up(dataset: RegressionDataset, trainer: TrainerOracle,
         residuals=residuals,
         signs=signs,
         breve_vals=breve_vals,
+        pilot_vals=pilot_vals,
         seed=int(seed),
     )
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import List, NamedTuple, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,7 +41,6 @@ __all__ = [
     "BoundError",
     "BadParamError",
     "DecayRegimeError",
-    "NoCandidatesError",
     "TuneError",
     "NoBracketError",
     "NonMonotoneWarning",
@@ -74,10 +73,6 @@ class BadParamError(BoundError):
 
 class DecayRegimeError(BoundError):
     """Decay exponent too small for the requested dimension."""
-
-
-class NoCandidatesError(BoundError):
-    """A candidate-set supremum was requested with no candidates."""
 
 
 class TuneError(EvaluationError):
@@ -160,6 +155,7 @@ class TuneResult(NamedTuple):
     achieved_norm: float
     iterations: int
     converged: bool
+    sub_vals: np.ndarray   # the predictor on the tuned subsample
 
 
 class CandidateBlock(NamedTuple):
@@ -254,38 +250,42 @@ def candidate_block(state: RefitState, dataset: RegressionDataset,
     vals = np.empty((len(handles), dataset.n))
     for row, f in zip(vals, handles):
         row[:] = f.predict(dataset.xs)
-    dists = np.array([empirical_norm(row - state.breve_vals) for row in vals])
-    return CandidateBlock(vals, dists)
+    return _block(state, vals)
 
 
-def _candidate_sup(weights: np.ndarray, breve_vals: np.ndarray, block: CandidateBlock,
-                   radius: float, negate: bool) -> float:
-    # The trained predictor itself sits at distance zero and scores zero,
-    # so the proxy is never negative.
-    best = 0.0
-    for row, dist in zip(block.vals, block.dists):
-        if dist <= radius:
-            diff = row - breve_vals
-            best = max(best, float(np.mean(weights * (-diff if negate else diff))))
-    return best
+def _block(state: RefitState, vals: np.ndarray) -> CandidateBlock:
+    return CandidateBlock(vals, np.array([empirical_norm(row - state.breve_vals) for row in vals]))
+
+
+def _scored(weights: np.ndarray, breve_vals: np.ndarray,
+            blocks: Sequence[CandidateBlock]) -> List[Tuple[float, float]]:
+    """(s, distance) of every row of ``blocks``, s = mean(weights * (row - breve_vals))."""
+    return [(float(np.mean(weights * (row - breve_vals))), dist)
+            for block in blocks for row, dist in zip(block.vals, block.dists)]
+
+
+def _sups(scored: Sequence[Tuple[float, float]], radius: float) -> Tuple[float, float]:
+    """max(0, max s) and max(0, -min s) over the rows within ``radius``.
+
+    The trained predictor itself sits at distance zero and scores zero, so
+    neither supremum is ever negative.
+    """
+    inside = [s for s, dist in scored if dist <= radius]
+    return max([0.0, *inside]), max([0.0, *(-s for s in inside)])
 
 
 def _refits(rounds: Sequence[WildRound]) -> List[PredictorHandle]:
     return [f for rd in rounds for f in (rd.tilde_f, rd.check_f)]
 
 
-def process_sup_proxy(state: RefitState, block: CandidateBlock, radius: float,
-                      direction: str = "plus") -> float:
-    """Candidate-set proxy for the full-data noise complexity at a radius.
+def process_sup_proxy(state: RefitState, block: CandidateBlock,
+                      radius: float) -> Tuple[float, float]:
+    """Candidate-set proxies for the full-data noise complexity at a radius.
 
-    ``plus`` maximizes (1/n) sum eps*v*(f - breve); ``minus`` the negated
-    difference.  Only rows of ``block`` within ``radius`` of the trained
-    predictor in the full-data norm participate.
+    Returns the suprema over the rows of ``block`` within ``radius`` of the
+    trained predictor of (1/n) sum eps*v*(f - breve) and of its negation.
     """
-    if direction not in ("plus", "minus"):
-        raise BadParamError(f"direction must be 'plus' or 'minus', got {direction!r}")
-    weights = state.signs * state.residuals
-    return _candidate_sup(weights, state.breve_vals, block, radius, negate=(direction == "minus"))
+    return _sups(_scored(state.signs * state.residuals, state.breve_vals, [block]), radius)
 
 
 # ---------------------------------------------------------------------------
@@ -326,16 +326,15 @@ def run_round(state: RefitState, dataset: RegressionDataset, trainer: TrainerOra
                               derive_seed(seed, "refit-check", k))
     except TrainerFailedError as exc:
         raise TrainerFailedError(f"round {k}: {exc}") from exc
-    return _score_round(trainer, rows, sub, k, rho1, rho2, tilde_f, check_f)
+    return _score_round(trainer, rows, sub, k, rho1, rho2, tilde_f, check_f,
+                        tilde_f.predict(rows.xs), check_f.predict(rows.xs))
 
 
 def _score_round(trainer: TrainerOracle, rows: _SubsampleRows, sub: Subsample, k: int,
-                 rho1: float, rho2: float,
-                 tilde_f: PredictorHandle, check_f: PredictorHandle) -> WildRound:
-    """Optimisms and subsample-norm distances of a round's two refits."""
-    tilde_vals = tilde_f.predict(rows.xs)
-    check_vals = check_f.predict(rows.xs)
-
+                 rho1: float, rho2: float, tilde_f: PredictorHandle, check_f: PredictorHandle,
+                 tilde_vals: np.ndarray, check_vals: np.ndarray) -> WildRound:
+    """Optimisms and subsample-norm distances of a round's two refits, from
+    their values on the subsample."""
     opt_tilde = wild_optimism(rows.signs, rows.residuals, tilde_vals, rows.breve)
     # The minus-direction optimism carries the mirrored difference breve - f.
     opt_check = wild_optimism(rows.signs, rows.residuals, rows.breve, check_vals)
@@ -396,7 +395,8 @@ def tune_noise_scale(state: RefitState, dataset: RegressionDataset, trainer: Tra
         y = wild_responses(rows.breve, rows.signs, rows.residuals, rho, direction)
         f = trainer.fit(RegressionDataset(rows.xs, y), fit_seed)
         evals[0] += 1
-        return empirical_norm(f.predict(rows.xs) - rows.breve), f
+        vals = f.predict(rows.xs)
+        return empirical_norm(vals - rows.breve), (f, vals)
 
     tol_abs = tol_rel * target
     rho = target / empirical_norm(rows.residuals)   # exact for interpolating solvers
@@ -427,7 +427,7 @@ def tune_noise_scale(state: RefitState, dataset: RegressionDataset, trainer: Tra
             lo = (rho, norm)
     if lo is None or hi is None:
         if best[0] <= tol_abs:
-            return TuneResult(best[1], best[2], best[3], evals[0], True)
+            return TuneResult(best[1], best[2][0], best[3], evals[0], True, best[2][1])
         side = ("the class saturates below the target" if hi is None
                 else "the refit error floor sits above the target")
         raise NoBracketError(
@@ -445,7 +445,7 @@ def tune_noise_scale(state: RefitState, dataset: RegressionDataset, trainer: Tra
         else:
             lo = (rho, norm)
 
-    return TuneResult(best[1], best[2], best[3], evals[0], best[0] <= tol_abs)
+    return TuneResult(best[1], best[2][0], best[3], evals[0], best[0] <= tol_abs, best[2][1])
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +466,7 @@ def estimate_radius(state: RefitState, rounds: Sequence[WildRound], block: Candi
     Takes the maximum of the t^2/sqrt(n) floor, the two mean refit
     distances, and twice the summed slope proxies, adds the concentration
     additives, and divides by (1 - 4 tau / t).  Requires t > max(3, 4 tau).
-    The slope proxies score the first 2 * len(rounds) rows of ``block``:
-    the rounds' refit predictors.
+    The slope proxies score the rows of ``block``, the rounds' refits.
     """
     if len(rounds) < 1:
         raise BadParamError("radius estimation needs at least one round")
@@ -479,19 +478,11 @@ def estimate_radius(state: RefitState, rounds: Sequence[WildRound], block: Candi
     r_sharp = float(np.mean([rd.norm_check for rd in rounds]))
 
     inflate = 2.0 + 1.0 / t
-    c = 2 * len(rounds)
-    refits = CandidateBlock(block.vals[:c], block.dists[:c])
-
-    if r_diamond > 0:
-        w_sup = process_sup_proxy(state, refits, inflate * r_diamond, "plus")
-        slope_w = w_sup / r_diamond
-    else:
-        w_sup, slope_w = 0.0, 0.0
-    if r_sharp > 0:
-        h_sup = process_sup_proxy(state, refits, inflate * r_sharp, "minus")
-        slope_h = h_sup / r_sharp
-    else:
-        h_sup, slope_h = 0.0, 0.0
+    scored = _scored(state.signs * state.residuals, state.breve_vals, [block])
+    w_sup = _sups(scored, inflate * r_diamond)[0] if r_diamond > 0 else 0.0
+    h_sup = _sups(scored, inflate * r_sharp)[1] if r_sharp > 0 else 0.0
+    slope_w = w_sup / r_diamond if r_diamond > 0 else 0.0
+    slope_h = h_sup / r_sharp if r_sharp > 0 else 0.0
 
     branches = {
         "t2_over_sqrt_n": t * t / sqrt_n,
@@ -529,22 +520,20 @@ def estimate_radius(state: RefitState, rounds: Sequence[WildRound], block: Candi
 # Pilot error proxy
 # ---------------------------------------------------------------------------
 
-def pilot_error_proxy(state: RefitState, block: CandidateBlock,
-                      radius: float = math.inf) -> float:
+def pilot_error_proxy(state: RefitState, refit_blocks: Sequence[CandidateBlock],
+                      fstar_vals: np.ndarray, radius: float = math.inf) -> float:
     """Candidate-set proxy for the pilot error term in synthetic mode.
 
-    The last two rows of ``block`` are the pilot and the truth; their
-    difference weights both supremands.  Every row is a candidate, restricted
-    to the full-data ball of the given radius around the trained predictor;
-    the canonical candidate set is the wild predictors plus the pilot and the
-    truth.  With no truth available the term is omitted, and callers record
-    the omission flag in the report.
+    The gap between the pilot and the truth on the full data, ``fstar_vals``,
+    weights both supremands.  The candidates are the rows of
+    ``refit_blocks`` plus the pilot and the truth themselves, restricted to
+    the full-data ball of the given radius around the trained predictor.
+    With no truth available the term is omitted, and callers record the
+    omission flag in the report.
     """
-    if len(block.vals) < 2:
-        raise NoCandidatesError("pilot error proxy needs the pilot and truth rows")
-    weights = state.signs * (block.vals[-2] - block.vals[-1])
-    return (_candidate_sup(weights, state.breve_vals, block, radius, negate=False)
-            + _candidate_sup(weights, state.breve_vals, block, radius, negate=True))
+    weights = state.signs * (state.pilot_vals - fstar_vals)
+    ends = _block(state, np.stack([state.pilot_vals, fstar_vals]))
+    return sum(_sups(_scored(weights, state.breve_vals, [*refit_blocks, ends]), radius))
 
 
 # ---------------------------------------------------------------------------
@@ -557,8 +546,8 @@ def _resolve_tau(config: EvaluationConfig, state: RefitState) -> float:
     return float(config.tau)
 
 
-def _assemble_report(label, state, dataset, config, rounds_for_bound, block,
-                     r_value, rt_value, tau, t, fstar) -> RiskBoundReport:
+def _assemble_report(label, state, dataset, config, rounds_for_bound, blocks,
+                     r_value, rt_value, tau, t, fstar_vals) -> RiskBoundReport:
     n, d = dataset.n, dataset.d
     k_used = len(rounds_for_bound)
     mean_opt_tilde = float(np.mean([rd.optimism.opt_tilde for rd in rounds_for_bound]))
@@ -566,12 +555,12 @@ def _assemble_report(label, state, dataset, config, rounds_for_bound, block,
     deviation = deviation_term(r_value, tau, config.delta, n, k_used)
 
     flags = ["sup-terms-are-candidate-proxies"]
-    if fstar is None:
+    if fstar_vals is None:
         pilot = 0.0
         flags.append("pilot-term-omitted")  # pilot equals the trained predictor;
         # the pilot error is dominated by the wild optimism for rich classes.
     else:
-        pilot = pilot_error_proxy(state, block, radius=2.0 * r_value)
+        pilot = pilot_error_proxy(state, blocks, fstar_vals, radius=2.0 * r_value)
 
     fixed = mean_opt_tilde + mean_opt_check + deviation + pilot
     ratio = config.w_bar / config.w_under
@@ -618,20 +607,21 @@ def evaluate_with_state(dataset: RegressionDataset, trainer: TrainerOracle,
 
     subs = [srswor(n, m, config.srswor_strategy, derive_seed(config.seed, "subsample", k))
             for k in range(config.K)]
-    # Each report predicts its candidates on the full data once, in one
-    # block: the round refits, then the pilot and the truth when given.
-    truth_rows = [state.pilot_f, fstar] if fstar is not None else []
+    # Each report predicts its refits on the full data once; the pilot's
+    # values come from the warm-up and the truth's are predicted here, once.
+    fstar_vals = fstar.predict(dataset.xs) if fstar is not None else None
 
     reports: List[RiskBoundReport] = []
     if config.rho_mode == "fixed-grid":
         by_scale = _run_rounds(state, dataset, trainer, subs, config.rho_grid, config.seed)
         for rho, rounds in zip(config.rho_grid, by_scale):
-            block = candidate_block(state, dataset, _refits(rounds) + truth_rows)
+            block = candidate_block(state, dataset, _refits(rounds))
             est = estimate_radius(state, rounds, block, t, tau, C=config.radius_constant)
             rt = r_tilde(est.r, n, config.beta, dataset.d, config.v, config.M_v,
                          config.w_bar, config.w_under)
             reports.append(_assemble_report(
-                f"{rho:g}", state, dataset, config, rounds, block, est.r, rt, tau, t, fstar))
+                f"{rho:g}", state, dataset, config, rounds, [block], est.r, rt, tau, t,
+                fstar_vals))
             del block  # release it before the next scale's block is built
     else:
         rho0 = config.rho_grid[0] if config.rho_grid else 1.0
@@ -655,12 +645,11 @@ def evaluate_with_state(dataset: RegressionDataset, trainer: TrainerOracle,
             unconverged += (not plus.converged) + (not minus.converged)
             tuned_rounds.append(_score_round(trainer, _subsample_rows(state, dataset, sub), sub,
                                              k, plus.rho, minus.rho,
-                                             plus.predictor, minus.predictor))
-        rest = candidate_block(state, dataset, _refits(tuned_rounds) + truth_rows)
-        block = CandidateBlock(np.vstack([warm_block.vals, rest.vals]),
-                               np.concatenate([warm_block.dists, rest.dists]))
-        report = _assemble_report(
-            "tuned", state, dataset, config, tuned_rounds, block, est.r, rt, tau, t, fstar)
+                                             plus.predictor, minus.predictor,
+                                             plus.sub_vals, minus.sub_vals))
+        tuned_block = candidate_block(state, dataset, _refits(tuned_rounds))
+        report = _assemble_report("tuned", state, dataset, config, tuned_rounds,
+                                  [warm_block, tuned_block], est.r, rt, tau, t, fstar_vals)
         if unconverged:
             # An unconverged tune still enters the bound at its closest
             # noise scale; say how many did.

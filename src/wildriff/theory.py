@@ -24,7 +24,6 @@ __all__ = [
     "fourier_coefficients",
     "decay_constant",
     "norm_equivalence_check",
-    "spectral_norm",
 ]
 
 EPS_FLOOR = 1e-300
@@ -172,18 +171,3 @@ def norm_equivalence_check(h_vals_full, sub: Subsample, N: int, delta: float, be
         rhs=rhs,
         factor=factor,
     )
-
-
-def spectral_norm(matrix: np.ndarray, iters: int = 200, seed: int = 0) -> float:
-    """Largest singular value via power iteration on M^T M."""
-    m = np.asarray(matrix, dtype=float)
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=m.shape[1])
-    x /= np.linalg.norm(x)
-    for _ in range(iters):
-        y = m.T @ (m @ x)
-        nrm = np.linalg.norm(y)
-        if nrm == 0.0:
-            return 0.0
-        x = y / nrm
-    return float(np.linalg.norm(m @ x))

@@ -16,7 +16,7 @@ from .metrics import empirical_norm, ht_average
 from .refit import candidate_block, default_t, estimate_radius, run_round
 from .sampling import Subsample, srswor
 from .synth import ExperimentSpec, generate
-from .theory import decay_constant, fourier_coefficients, norm_equivalence_check, spectral_norm
+from .theory import decay_constant, fourier_coefficients, norm_equivalence_check
 from .trainers import MlpSpec, make_trainer, mlp_fit
 
 __all__ = ["SUITES", "suite_unbias", "suite_norm_equiv", "suite_decay", "suite_radius",
@@ -98,7 +98,7 @@ def suite_decay(seed: int = 0) -> dict:
     net = mlp_fit(RegressionDataset(xs, ys), MlpSpec(widths=(16, 16), max_iter=300), seed=seed)
     weight_product = 1.0
     for w in net.meta["weights"]:
-        weight_product *= spectral_norm(w)
+        weight_product *= float(np.linalg.norm(w, 2))
     net_profile = fourier_coefficients(net, N=48, grid_size=400)
     m2 = decay_constant(net_profile, v=2.0)
     net_ok = m2 <= 2.0 * weight_product

@@ -131,8 +131,13 @@ class TestCmdEvaluate:
                      "params": {"N": 100, "lam": 0, "max_features": 10}}},
         # A dataset file with a header and no data rows.
         {"dataset_csv": "x,y\n"},
+        # Rows narrower and wider than the header.
+        {"dataset_csv": "x1,x2,y\n0.5,1.0\n"},
+        {"dataset_csv": "x1,y\n0.1,0.2,0.3\n"},
+        {"evaluation": {"K": 2, "rho_grid": [1.0], "v": 0}},
     ], ids=["srswor_strategy", "t", "w_under", "M_v", "tune_max_iter", "rho_grid", "n",
-            "seeds", "n_mc", "K_float", "max_features", "header_only_csv"])
+            "seeds", "n_mc", "K_float", "max_features", "header_only_csv", "narrow_csv_row",
+            "wide_csv_row", "v_zero"])
     def test_config_mistake_exit_2(self, tmp_path, capsys, overrides):
         # Raised before, during or after the run, a config error exits 2.
         overrides = dict(overrides)

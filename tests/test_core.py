@@ -101,6 +101,7 @@ class TestWarmUp:
         ds = RegressionDataset(np.linspace(0, 1, 10)[:, None], np.sin(np.arange(10.0)))
         state = warm_up(ds, mean_trainer(), seed=1)
         assert state.pilot_f is state.breve_f
+        assert state.pilot_vals is state.breve_vals
         np.testing.assert_allclose(state.residuals, ds.ys - state.breve_vals)
 
     def test_explicit_pilot_drives_residuals(self):
@@ -108,6 +109,8 @@ class TestWarmUp:
         pilot = PredictorHandle(lambda xs: np.zeros(xs.shape[0]), name="zero")
         state = warm_up(ds, mean_trainer(), pilot=pilot, seed=1)
         np.testing.assert_allclose(state.residuals, ds.ys)
+        assert np.all(state.pilot_vals == 0.0)
+        assert not state.pilot_vals.flags.writeable
 
     def test_trainer_failure_propagates(self):
         def boom(ds, seed):
@@ -193,6 +196,11 @@ class TestEvaluationConfig:
             EvaluationConfig(rho_grid=(0.0, 1.0))
         with pytest.raises(BadConfigError):
             EvaluationConfig(rho_grid=5)
+
+    @pytest.mark.parametrize("v", [0.0, -1.0])
+    def test_bad_v(self, v):
+        with pytest.raises(BadConfigError, match="v must be positive"):
+            EvaluationConfig(v=v)
 
     def test_bad_tune_max_iter(self):
         with pytest.raises(BadConfigError):

@@ -39,6 +39,19 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_trace_boundaries_resolve():
+    # perfbench's tracer patches the names `refit` and `cli` look up and
+    # reports each one it cannot find; a renamed boundary would read 0 in
+    # every per-layer metric.  A subprocess keeps the patches out of the
+    # other tests.
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); "
+             "import wildriff, wildriff.cli; from tracing import Tracer; "
+             "print(Tracer().install(wildriff))")
+    out = subprocess.run([sys.executable, "-c", probe, str(PACKAGE.parents[1] / "perfbench")],
+                         capture_output=True, text=True, check=True, cwd=PACKAGE.parent)
+    assert out.stdout.strip() == "[]"
+
+
 def package_modules():
     """The package and each of its modules."""
     return [importlib.import_module(f"wildriff.{path.stem}".removesuffix(".__init__"))

@@ -7,6 +7,7 @@ import pytest
 from wildriff.core import (
     EvaluationConfig,
     PredictorHandle,
+    RefitState,
     RegressionDataset,
     TrainerOracle,
     derive_seed,
@@ -16,9 +17,9 @@ from wildriff.core import (
 from wildriff.metrics import empirical_norm
 from wildriff.refit import (
     BadParamError,
+    CandidateBlock,
     DecayRegimeError,
     NoBracketError,
-    NoCandidatesError,
     candidate_block,
     default_t,
     deviation_term,
@@ -44,31 +45,36 @@ def interpolating_trainer(N=12):
     return fourier_ridge_trainer(FourierRidgeSpec(N=N, lam=0.0))
 
 
-def refit_block(state, ds, rounds, extra=()):
-    """Full-data block of the rounds' refits, then any extra handles."""
-    handles = [f for rd in rounds for f in (rd.tilde_f, rd.check_f)] + list(extra)
-    return candidate_block(state, ds, handles)
+def refit_block(state, ds, rounds):
+    """Full-data block of the rounds' refits."""
+    return candidate_block(state, ds, [f for rd in rounds for f in (rd.tilde_f, rd.check_f)])
 
 
-def full_data_counting(trainer, n):
-    """Copy of `trainer` whose handles count their predictions on n rows.
+def counting(inner, n, m):
+    """`inner` as a handle that counts its predictions on n and on m rows in
+    ``meta["full_predicts"]`` and ``meta["sub_predicts"]``."""
 
-    Returns the trainer and its fitted handles in fit order; each handle
-    keeps its count in ``meta["full_predicts"]``.
+    def fn(xs):
+        if xs.shape[0] == n:
+            handle.meta["full_predicts"] += 1
+        if xs.shape[0] == m:
+            handle.meta["sub_predicts"] += 1
+        return inner.predict(xs)
+
+    handle = PredictorHandle(fn, name=inner.name, meta={"full_predicts": 0, "sub_predicts": 0})
+    return handle
+
+
+def full_data_counting(trainer, n, m=None):
+    """Copy of `trainer` whose handles count their predictions (see `counting`).
+
+    Returns the trainer and its fitted handles in fit order.
     """
     handles = []
 
     def fit(ds, seed):
-        inner = trainer.fit_fn(ds, seed)
-
-        def fn(xs):
-            if xs.shape[0] == n:
-                handle.meta["full_predicts"] += 1
-            return inner.predict(xs)
-
-        handle = PredictorHandle(fn, name=inner.name, meta={"full_predicts": 0})
-        handles.append(handle)
-        return handle
+        handles.append(counting(trainer.fit_fn(ds, seed), n, m))
+        return handles[-1]
 
     return dataclasses.replace(trainer, fit_fn=fit), handles
 
@@ -374,6 +380,69 @@ class TestEstimateRadius:
         assert covered >= 4
 
 
+def reference_candidate_sup(weights, breve_vals, block, radius, negate):
+    """Per-row, per-direction supremum, as the proxies were first written."""
+    best = 0.0
+    for row, dist in zip(block.vals, block.dists):
+        if dist <= radius:
+            diff = row - breve_vals
+            best = max(best, float(np.mean(weights * (-diff if negate else diff))))
+    return best
+
+
+class TestOnePassScorer:
+    """Both directions from one scoring pass equal the per-direction loops."""
+
+    def _random_state(self, rng, n, own_pilot):
+        breve = rng.normal(size=n)
+        pilot = breve + 0.3 * rng.normal(size=n) if own_pilot else breve
+        handle = PredictorHandle(lambda xs: np.zeros(xs.shape[0]))
+        return RefitState(breve_f=handle, pilot_f=handle, residuals=rng.normal(size=n),
+                          signs=rng.choice([-1.0, 1.0], size=n), breve_vals=breve,
+                          pilot_vals=pilot, seed=0)
+
+    def _block(self, state, vals):
+        return CandidateBlock(vals, np.array([empirical_norm(row - state.breve_vals)
+                                              for row in vals]))
+
+    def _radii(self, rng, dists):
+        return [0.0, math.inf, *rng.uniform(0.0, 1.2 * dists.max(), size=6),
+                *dists[:2]]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_process_sup_proxy_matches_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(5, 300))
+        state = self._random_state(rng, n, own_pilot=False)
+        vals = state.breve_vals + rng.normal(size=(int(rng.integers(1, 12)), n)) * rng.uniform(
+            0.0, 2.0, size=(1, 1))
+        block = self._block(state, vals)
+        weights = state.signs * state.residuals
+        for radius in self._radii(rng, block.dists):
+            plus, minus = process_sup_proxy(state, block, radius)
+            assert plus == reference_candidate_sup(weights, state.breve_vals, block, radius, False)
+            assert minus == reference_candidate_sup(weights, state.breve_vals, block, radius, True)
+            assert plus >= 0.0 and minus >= 0.0
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("own_pilot", [False, True])
+    def test_pilot_error_proxy_matches_reference(self, seed, own_pilot):
+        rng = np.random.default_rng(100 + seed)
+        n = int(rng.integers(5, 300))
+        state = self._random_state(rng, n, own_pilot)
+        fstar_vals = state.breve_vals + 0.5 * rng.normal(size=n)
+        blocks = [self._block(state, state.breve_vals + rng.normal(size=(c, n)))
+                  for c in rng.integers(1, 8, size=2)]
+        # The parent layout: the refits, then the pilot and the truth rows.
+        stacked = self._block(state, np.vstack([*(b.vals for b in blocks),
+                                                state.pilot_vals, fstar_vals]))
+        weights = state.signs * (state.pilot_vals - fstar_vals)
+        for radius in self._radii(rng, stacked.dists):
+            expected = (reference_candidate_sup(weights, state.breve_vals, stacked, radius, False)
+                        + reference_candidate_sup(weights, state.breve_vals, stacked, radius, True))
+            assert pilot_error_proxy(state, blocks, fstar_vals, radius) == expected
+
+
 class TestPilotErrorProxy:
     def _setup(self, seed=0):
         ds, truth = generate(ExperimentSpec(id="exp1", n=300, seed=seed))
@@ -388,15 +457,15 @@ class TestPilotErrorProxy:
         # Rebuild the state with the truth as the pilot: the gap factor is zero.
         trainer = make_trainer("fourier_ridge", {"N": 8, "lam": 1e-6})
         state2 = warm_up(ds, trainer, pilot=truth.fstar, seed=0)
-        block = candidate_block(state2, ds, cands + [state2.pilot_f, truth.fstar])
-        assert pilot_error_proxy(state2, block, radius=10.0) == 0.0
+        block = candidate_block(state2, ds, cands)
+        assert pilot_error_proxy(state2, [block], truth.fstar.predict(ds.xs), radius=10.0) == 0.0
 
     def test_breve_only_candidate_gives_zero(self):
         # A zero radius keeps only the rows at the trained predictor itself
         # (here the pilot), which score zero.
         ds, truth, state, _ = self._setup(seed=1)
-        block = candidate_block(state, ds, [state.breve_f, state.pilot_f, truth.fstar])
-        val = pilot_error_proxy(state, block, radius=0.0)
+        block = candidate_block(state, ds, [state.breve_f])
+        val = pilot_error_proxy(state, [block], truth.fstar.predict(ds.xs), radius=0.0)
         assert val == pytest.approx(0.0, abs=1e-15)
 
     def test_no_truth_returns_zero(self):
@@ -405,11 +474,6 @@ class TestPilotErrorProxy:
         report = evaluate(ds, trainer, EvaluationConfig(K=2, rho_grid=(1.0,), seed=2))[0]
         assert report.pilot_proxy == 0.0
         assert "pilot-term-omitted" in report.pilot_flags
-
-    def test_empty_candidates_rejected(self):
-        ds, truth, state, _ = self._setup(seed=3)
-        with pytest.raises(NoCandidatesError):
-            pilot_error_proxy(state, candidate_block(state, ds, []), radius=1.0)
 
     def test_dominated_by_process_proxies(self):
         # Proxy-level analogue of the pilot-error domination inequality.
@@ -428,11 +492,9 @@ class TestPilotErrorProxy:
                 cands.extend([rd.tilde_f, rd.check_f])
             r_hat = empirical_norm(state.breve_vals - truth.fstar.predict(ds.xs))
             radius = 2.0 * r_hat
-            block = candidate_block(state, ds, cands + [state.pilot_f, truth.fstar])
             cand_block = candidate_block(state, ds, cands)
-            v_proxy = pilot_error_proxy(state, block, radius)
-            w_proxy = process_sup_proxy(state, cand_block, radius, "plus")
-            h_proxy = process_sup_proxy(state, cand_block, radius, "minus")
+            v_proxy = pilot_error_proxy(state, [cand_block], truth.fstar.predict(ds.xs), radius)
+            w_proxy, h_proxy = process_sup_proxy(state, cand_block, radius)
             slack = 8 * r_hat * tau * math.sqrt(math.log(1 / 0.05)) / math.sqrt(ds.n)
             hold += int(v_proxy <= w_proxy + h_proxy + slack)
         assert hold >= 9
@@ -575,21 +637,26 @@ class TestEvaluate:
         ds, truth = generate(ExperimentSpec(id="exp1", n=300, seed=15))
         trainer, handles = full_data_counting(
             make_trainer("fourier_ridge", {"N": 6, "lam": 1e-6}), ds.n)
+        fstar = counting(truth.fstar, ds.n, None)
         cfg = EvaluationConfig(K=3, rho_grid=(0.5, 2.0), seed=15)
-        reports = evaluate(ds, trainer, cfg, fstar=truth.fstar)
+        reports = evaluate(ds, trainer, cfg, fstar=fstar)
+        assert len(reports) == 2
         breve, refits = handles[0], handles[1:]
         assert len(refits) == 2 * cfg.K * len(cfg.rho_grid)
         assert [f.meta["full_predicts"] for f in refits] == [1] * len(refits)
-        # The trained predictor: once in the warm-up, then once per report
-        # as the pilot row.
-        assert breve.meta["full_predicts"] == 1 + len(reports)
+        # The trained predictor (here also the pilot) and the truth: once
+        # per evaluate.
+        assert breve.meta["full_predicts"] == 1
+        assert fstar.meta["full_predicts"] == 1
 
     def test_candidates_predicted_once_per_report_tuned(self):
         ds, truth = generate(ExperimentSpec(id="exp1", n=300, seed=13))
-        trainer, handles = full_data_counting(interpolating_trainer(N=20), ds.n)
         cfg = EvaluationConfig(K=4, K1=2, rho_mode="tuned", rho_grid=(1.0,), seed=13,
                                tol_rho=0.05)
-        report = evaluate(ds, trainer, cfg, fstar=truth.fstar)[0]
+        m = cfg.subsample_size(ds.n)
+        trainer, handles = full_data_counting(interpolating_trainer(N=20), ds.n, m)
+        fstar = counting(truth.fstar, ds.n, None)
+        report = evaluate(ds, trainer, cfg, fstar=fstar)[0]
         breve, fits = handles[0], handles[1:]
         # 2*K1 warm-up refits plus the 2*(K-K1) tuned refits each get one
         # full-data prediction; intermediate tuning fits get none.
@@ -598,7 +665,10 @@ class TestEvaluate:
         for rd in report.rounds:
             assert rd.tilde_f.meta["full_predicts"] == 1
             assert rd.check_f.meta["full_predicts"] == 1
-        assert breve.meta["full_predicts"] == 2
+        # Every refit, tuned or not, is predicted on its subsample once.
+        assert [f.meta["sub_predicts"] for f in fits] == [1] * len(fits)
+        assert breve.meta["full_predicts"] == 1
+        assert fstar.meta["full_predicts"] == 1
 
     def test_optimism_concentration_diagnostic(self):
         # Sanity: per-round optimisms on a fixed dataset have cv below 1.

@@ -10,7 +10,6 @@ from wildriff.theory import (
     decay_constant,
     fourier_coefficients,
     norm_equivalence_check,
-    spectral_norm,
 )
 from wildriff.trainers import FourierRidgeSpec, MlpSpec, fourier_ridge_fit, mlp_fit
 
@@ -93,21 +92,10 @@ class TestDecayConstant:
         net = mlp_fit(RegressionDataset(xs, ys), MlpSpec(widths=(16, 16), max_iter=300), seed=3)
         product = 1.0
         for w in net.meta["weights"]:
-            product *= spectral_norm(w)
+            product *= np.linalg.norm(w, 2)
         prof = fourier_coefficients(net, N=48, grid_size=400)
         m2 = decay_constant(prof, v=2.0)
         assert m2 <= 2.0 * product
-
-
-class TestSpectralNorm:
-    def test_matches_svd(self):
-        rng = np.random.default_rng(0)
-        for shape in [(4, 7), (9, 3), (5, 5)]:
-            m = rng.normal(size=shape)
-            assert spectral_norm(m) == pytest.approx(np.linalg.norm(m, 2), rel=1e-8)
-
-    def test_zero_matrix(self):
-        assert spectral_norm(np.zeros((3, 3))) == 0.0
 
 
 class TestNormEquivalence:
