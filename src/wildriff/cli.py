@@ -146,13 +146,11 @@ class RunConfig:
 
 
 def _parse(key: str, convert, value):
-    """``convert(value)``; a wrongly typed value raises a `ConfigError` that
-    names its key."""
+    """``convert(value)``; a wrongly typed or invalid value raises a
+    `ConfigError` that names its key."""
     try:
         return convert(value)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError, AttributeError) as exc:
+    except (TypeError, ValueError, AttributeError) as exc:   # ConfigError is a ValueError
         raise ConfigError(f"{key}: {exc}") from exc
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -97,6 +97,23 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return arr
 
 
+def _checked_data(xs, ys: np.ndarray):
+    """Read-only float64 copies of covariates and responses (one row per
+    point), once every `RegressionDataset` check has passed."""
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    if xs.shape[0] != ys.shape[0]:
+        raise InvalidDataError(
+            f"covariates ({xs.shape[0]}) and responses ({ys.shape[0]}) disagree in length"
+        )
+    if xs.shape[0] < 1 or xs.shape[1] < 1:
+        raise EmptyInputError("dataset needs n >= 1 and d >= 1")
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+        raise NonFiniteDataError("dataset contains non-finite entries")
+    if xs.min() < 0.0 or xs.max() > 1.0:
+        raise InvalidDataError("covariate coordinates must lie in [0, 1]")
+    return _frozen_array(xs), _frozen_array(ys)
+
+
 @dataclass(frozen=True)
 class RegressionDataset:
     """Covariates in the unit cube plus real responses.
@@ -116,22 +133,10 @@ class RegressionDataset:
     ys: np.ndarray
 
     def __post_init__(self):
-        xs = np.atleast_2d(np.asarray(self.xs, dtype=float))
         ys = np.asarray(self.ys, dtype=float)
-        if ys.ndim != 1:
-            ys = ys.ravel()
-        if xs.shape[0] != ys.shape[0]:
-            raise InvalidDataError(
-                f"covariates ({xs.shape[0]}) and responses ({ys.shape[0]}) disagree in length"
-            )
-        if xs.shape[0] < 1 or xs.shape[1] < 1:
-            raise EmptyInputError("dataset needs n >= 1 and d >= 1")
-        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
-            raise NonFiniteDataError("dataset contains non-finite entries")
-        if xs.min() < 0.0 or xs.max() > 1.0:
-            raise InvalidDataError("covariate coordinates must lie in [0, 1]")
-        object.__setattr__(self, "xs", _frozen_array(xs))
-        object.__setattr__(self, "ys", _frozen_array(ys))
+        xs, ys = _checked_data(self.xs, ys if ys.ndim == 1 else ys.ravel())
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "ys", ys)
 
     @property
     def n(self) -> int:
@@ -178,15 +183,49 @@ class TrainerOracle:
     above the class minimum; exact solvers declare a solver-precision value.
     A `WildriffError` from ``fit_fn`` passes through as raised; any other
     exception becomes a `TrainerFailedError`.
+
+    ``fit_multi_fn(xs, Y, seeds)``, optional, fits every column of ``Y`` on
+    the shared covariates ``xs`` in one call and returns one handle per
+    column, each the handle ``fit_fn`` would return for that column and
+    seed.  `fit_multi` uses it when set and loops over ``fit`` otherwise.
     """
 
     name: str
     fit_fn: Callable[[RegressionDataset, int], PredictorHandle] = field(repr=False)
     optimization_tol: float = 0.0
+    fit_multi_fn: Optional[Callable[[np.ndarray, np.ndarray, List[int]],
+                                    Sequence[PredictorHandle]]] = field(default=None,
+                                                                        repr=False)
 
     def fit(self, dataset: RegressionDataset, seed: int) -> PredictorHandle:
+        return self._call(self.fit_fn, dataset, int(seed))
+
+    def fit_multi(self, xs, Y, seeds: Sequence[int]) -> List[PredictorHandle]:
+        """Fit column i of ``Y`` (n x c) on ``xs`` with ``seeds[i]``, for every i.
+
+        The data pass the `RegressionDataset` checks, with the same errors.
+        Returns the c handles in column order.
+        """
+        seeds = [int(s) for s in seeds]
+        Y = np.asarray(Y, dtype=float)
+        if Y.ndim != 2 or Y.shape[1] != len(seeds):
+            raise InvalidDataError(
+                f"need one response column per seed; got shape {Y.shape}, {len(seeds)} seeds")
+        xs, Y = _checked_data(xs, Y)
+        if self.fit_multi_fn is None:
+            return [self.fit(RegressionDataset(xs, y), s) for y, s in zip(Y.T, seeds)]
+        if not seeds:
+            return []
+        handles = list(self._call(self.fit_multi_fn, xs, Y, seeds))
+        if len(handles) != len(seeds):
+            raise TrainerFailedError(
+                f"trainer {self.name!r} returned {len(handles)} predictors "
+                f"for {len(seeds)} response columns")
+        return handles
+
+    def _call(self, fn, *args):
         try:
-            return self.fit_fn(dataset, int(seed))
+            return fn(*args)
         except WildriffError:
             raise
         except Exception as exc:

@@ -315,19 +315,32 @@ def run_round(state: RefitState, dataset: RegressionDataset, trainer: TrainerOra
     Builds the two perturbed pseudo-datasets on the subsample, refits the
     black box on each, and records optimisms and subsample-norm distances.
     """
-    rows = _subsample_rows(state, dataset, sub)
-    y_tilde = wild_responses(rows.breve, rows.signs, rows.residuals, rho1, "plus")
-    y_check = wild_responses(rows.breve, rows.signs, rows.residuals, rho2, "minus")
+    [rd] = _subsample_rounds(state, dataset, trainer, sub, [(rho1, rho2)], seed, k)
+    return rd
 
+
+def _subsample_rounds(state: RefitState, dataset: RegressionDataset, trainer: TrainerOracle,
+                      sub: Subsample, scales: Sequence[Tuple[float, float]], seed: int,
+                      k: int) -> List[WildRound]:
+    """Round k on ``sub`` at each (rho1, rho2) of ``scales``, in order.
+
+    The plus and minus pseudo-responses of every scale, in that order, are
+    the columns of one matrix, refit in one `TrainerOracle.fit_multi` call.
+    Every scale's plus refit takes one seed and every minus refit another.
+    """
+    rows = _subsample_rows(state, dataset, sub)
+    responses = np.column_stack([
+        wild_responses(rows.breve, rows.signs, rows.residuals, rho, direction)
+        for pair in scales for rho, direction in zip(pair, ("plus", "minus"))])
+    seeds = [derive_seed(seed, "refit-tilde", k), derive_seed(seed, "refit-check", k)]
     try:
-        tilde_f = trainer.fit(RegressionDataset(rows.xs, y_tilde),
-                              derive_seed(seed, "refit-tilde", k))
-        check_f = trainer.fit(RegressionDataset(rows.xs, y_check),
-                              derive_seed(seed, "refit-check", k))
+        fits = trainer.fit_multi(rows.xs, responses, seeds * len(scales))
     except TrainerFailedError as exc:
         raise TrainerFailedError(f"round {k}: {exc}") from exc
-    return _score_round(trainer, rows, sub, k, rho1, rho2, tilde_f, check_f,
-                        tilde_f.predict(rows.xs), check_f.predict(rows.xs))
+    vals = [f.predict(rows.xs) for f in fits]
+    return [_score_round(trainer, rows, sub, k, rho1, rho2, fits[2 * i], fits[2 * i + 1],
+                         vals[2 * i], vals[2 * i + 1])
+            for i, (rho1, rho2) in enumerate(scales)]
 
 
 def _score_round(trainer: TrainerOracle, rows: _SubsampleRows, sub: Subsample, k: int,
@@ -356,16 +369,14 @@ def _score_round(trainer: TrainerOracle, rows: _SubsampleRows, sub: Subsample, k
 def _run_rounds(state, dataset, trainer, subs, grid, seed) -> List[List[WildRound]]:
     """Round k on subsample k at each noise scale of ``grid``, both directions.
 
-    Subsample-major: all rounds of one subsample run back to back, so a
-    trainer that keeps its last piece of work on a covariate block (as
-    `fourier_ridge` keeps its last design) reuses it across them.  Returns
-    one list of rounds per scale, in k order.
+    Subsample-major: every refit of one subsample goes to the trainer in a
+    single `TrainerOracle.fit_multi` call.  Returns one list of rounds per
+    scale, in k order.
     """
-    by_scale: List[List[WildRound]] = [[] for _ in grid]
-    for k, sub in enumerate(subs):
-        for rounds, rho in zip(by_scale, grid):
-            rounds.append(run_round(state, dataset, trainer, sub, rho, rho, seed, k))
-    return by_scale
+    scales = [(rho, rho) for rho in grid]
+    per_sub = [_subsample_rounds(state, dataset, trainer, sub, scales, seed, k)
+               for k, sub in enumerate(subs)]
+    return [list(rounds) for rounds in zip(*per_sub)]
 
 
 # ---------------------------------------------------------------------------

@@ -85,11 +85,17 @@ def _as_rng(seed_or_rng: Union[int, np.random.Generator], strategy: str) -> np.r
 
 
 def _permutation_batch(n: int, m: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    arr = np.tile(np.arange(n, dtype=np.int64), (count, 1))
-    rows = np.arange(count)
     # Row t holds step t's swap targets, uniform on [t, n); one call draws
     # the same stream as one call per step.
     targets = rng.integers(np.arange(m)[:, None], n, size=(m, count))
+    if count == 1:
+        # One draw: swap Python ints, keeping only the slots that moved.
+        moved = {}
+        for t, j in enumerate(targets[:, 0].tolist()):
+            moved[t], moved[j] = moved.get(j, j), moved.get(t, t)
+        return np.array([sorted(moved[t] for t in range(m))], dtype=np.int64)
+    arr = np.tile(np.arange(n, dtype=np.int64), (count, 1))
+    rows = np.arange(count)
     for t, j in enumerate(targets):
         picked = arr[rows, j].copy()
         arr[rows, j] = arr[:, t]

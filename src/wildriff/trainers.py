@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
@@ -53,6 +53,11 @@ class DivergedError(TrainerFailedError):
     """Iterative training produced a non-finite loss."""
 
 
+def _check_integer(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TrainerError(f"{name} must be an integer, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # Fourier ridge
 # ---------------------------------------------------------------------------
@@ -75,6 +80,8 @@ class FourierRidgeSpec:
     max_features: int = 20000
 
     def __post_init__(self):
+        _check_integer("N", self.N)
+        _check_integer("max_features", self.max_features)
         if self.N < 0:
             raise TrainerError("N must be >= 0")
         if self.lam < 0:
@@ -255,6 +262,9 @@ class MlpSpec:
     learning_rate: float = 0.05
 
     def __post_init__(self):
+        for w in self.widths:
+            _check_integer("layer widths", w)
+        _check_integer("max_iter", self.max_iter)
         if any(w < 1 for w in self.widths):
             raise TrainerError("layer widths must be >= 1")
         if self.max_iter < 1:
@@ -388,6 +398,8 @@ class TreeSpec:
     feature_fraction: float = 1.0
 
     def __post_init__(self):
+        for name in ("max_depth", "min_samples_leaf", "n_trees"):
+            _check_integer(name, getattr(self, name))
         if self.max_depth < 1:
             raise TrainerError("max_depth must be >= 1")
         if self.min_samples_leaf < 1:
@@ -398,104 +410,223 @@ class TreeSpec:
             raise TrainerError("feature_fraction must lie in (0, 1]")
 
 
-class _TreeNode:
-    __slots__ = ("feature", "threshold", "left", "right", "value")
+class _Trees(NamedTuple):
+    """Every tree of one `_grow_trees` call as flat node arrays.
 
-    def __init__(self, value=None, feature=None, threshold=None, left=None, right=None):
-        self.value = value
-        self.feature = feature
-        self.threshold = threshold
-        self.left = left
-        self.right = right
+    Tree g's root is node g.  A leaf points to itself both ways, so routing
+    a point ``levels`` times from a root always ends on its leaf.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    n_leaves: np.ndarray   # per tree
+    levels: int
 
 
-def _best_split(xs, y, features, min_leaf):
-    best = None  # (gain, feature, threshold)
-    total = y.sum()
-    sq_total = np.square(y).sum()
-    n = y.shape[0]
-    parent_sse = sq_total - total * total / n
-    for j in features:
-        order = np.argsort(xs[:, j], kind="stable")
-        xj = xs[order, j]
-        ys = y[order]
-        csum = np.cumsum(ys)
-        # Candidate split after position i (1-based left size), only where
-        # consecutive values differ and both sides satisfy the leaf minimum.
-        left_sizes = np.arange(1, n)
-        valid = (xj[:-1] < xj[1:]) & (left_sizes >= min_leaf) & (n - left_sizes >= min_leaf)
-        if not np.any(valid):
-            continue
-        left_sum = csum[:-1]
+class _Padded(NamedTuple):
+    """Training data plus one padding row m, which ranks last in every
+    feature, sits at x = inf and has y = 0 in every column."""
+
+    rank: np.ndarray   # rank[j, i]: place of row i in the stable order of feature j
+    xs: np.ndarray
+    Y: np.ndarray
+
+
+# Split search pads a level's nodes, taken in size order, into blocks of at
+# most this many (node x row) entries, so memory stays bounded however
+# unevenly the rows spread over the nodes.
+_LEVEL_BLOCK_ENTRIES = 2 ** 15
+
+
+def _size_blocks(nodes: np.ndarray, sizes: np.ndarray):
+    """``nodes`` in size order, cut into runs whose count times their
+    largest size stays within the entry budget (one node at the least)."""
+    nodes = nodes[np.argsort(sizes[nodes], kind="stable")]
+    start = 0
+    while start < nodes.size:
+        widths = sizes[nodes[start:]]
+        fits = np.arange(1, widths.size + 1) * widths <= _LEVEL_BLOCK_ENTRIES
+        stop = start + max(1, int(fits.sum()))
+        yield nodes[start:stop]
+        start = stop
+
+
+def _node_sums(y: np.ndarray, starts: np.ndarray, sizes: np.ndarray):
+    """Each node's sum of y and of y^2, as ``y[node].sum()`` takes them.
+
+    That is numpy's pairwise sum in row order, which summing equal-length
+    segments as the rows of a C-ordered block reproduces; `np.take` returns
+    one (fancy indexing with a leading slice need not).
+    """
+    y_y2 = np.stack([y, np.square(y)])
+    sums = np.empty((2, sizes.size))
+    by_size = np.argsort(sizes, kind="stable")
+    cuts = [0, *(np.flatnonzero(np.diff(sizes[by_size])) + 1), sizes.size]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        at = by_size[lo:hi]
+        segments = starts[at, None] + np.arange(sizes[at[0]])
+        sums[:, at] = np.take(y_y2, segments, axis=1).sum(axis=2)
+    return sums
+
+
+def _grow_trees(xs: np.ndarray, Y: np.ndarray, seeds, spec: TreeSpec) -> _Trees:
+    """CART on every column of ``Y`` (spec.n_trees trees each), level by level.
+
+    Tree g = c * n_trees + t fits column c and draws its feature subsets
+    from (seeds[c], t), in level order.  A node with constant responses,
+    fewer than 2 * min_samples_leaf rows, or at max_depth is a leaf, as is
+    one with no split above the gain floor (`_block_splits`).
+    """
+    m, d = xs.shape
+    n_trees = spec.n_trees
+    n_groups = Y.shape[1] * n_trees
+    subsample = spec.feature_fraction < 1.0 and d > 1
+    n_feats = max(1, int(round(spec.feature_fraction * d))) if subsample else d
+    rngs = [derive_rng(seed, "tree-features", t) for seed in seeds
+            for t in range(n_trees)] if subsample else None
+
+    rank = np.empty((d, m + 1), dtype=np.intp)
+    rank[np.arange(d)[:, None], np.argsort(xs, axis=0, kind="stable").T] = np.arange(m)
+    rank[:, m] = m
+    pad = _Padded(rank, np.vstack([xs, np.full((1, d), np.inf)]),
+                  np.vstack([Y, np.zeros((1, Y.shape[1]))]))
+
+    # The current level: each node's rows in their original order, nodes
+    # one after the other, and the tree of each node.
+    tree = np.arange(n_groups)
+    sizes = np.full(n_groups, m)
+    rows = np.tile(np.arange(m), n_groups)
+    levels = []   # per level: (feature, threshold, left, right, value, is_leaf, tree)
+    base = 0
+    while sizes.size:
+        count = sizes.size
+        starts = np.cumsum(sizes) - sizes
+        col = tree // n_trees
+        y = Y[rows, np.repeat(col, sizes)]
+        total, sq_total = _node_sums(y, starts, sizes)
+        grow = ((sizes >= 2 * spec.min_samples_leaf)
+                & (np.maximum.reduceat(y, starts) != np.minimum.reduceat(y, starts))
+                & (len(levels) < spec.max_depth))
+
+        nodes = np.flatnonzero(grow)
+        if subsample:
+            feats = np.zeros((count, n_feats), dtype=np.intp)
+            for a in nodes:
+                feats[a] = np.sort(rngs[tree[a]].choice(d, size=n_feats, replace=False))
+        else:
+            feats = np.tile(np.arange(d), (count, 1))
+        feature = np.zeros(count, dtype=np.intp)
+        threshold = np.zeros(count)
+        gain = np.full(count, -np.inf)
+        for block in _size_blocks(nodes, sizes):
+            feature[block], threshold[block], gain[block] = _block_splits(
+                pad, spec.min_samples_leaf, rows, starts[block], sizes[block], total[block],
+                sq_total[block], col[block], feats[block])
+
+        split = gain > -np.inf
+        child = np.cumsum(split) - 1
+        ids = base + np.arange(count)
+        first = base + count + 2 * child
+        levels.append((feature, threshold, np.where(split, first, ids),
+                       np.where(split, first + 1, ids), total / sizes, ~split, tree))
+
+        # The next level: the rows of every split node, left child then
+        # right child, each still in original row order.
+        node = np.repeat(np.arange(count), sizes)
+        keep = split[node]
+        rows, node = rows[keep], node[keep]
+        side = 2 * child[node] + ~(xs[rows, feature[node]] <= threshold[node])
+        rows = rows[np.argsort(side, kind="stable")]
+        sizes = np.bincount(side, minlength=2 * split.sum())
+        tree = np.repeat(tree[split], 2)
+        base += count
+
+    feature, threshold, left, right, value, is_leaf, owner = (
+        np.concatenate(parts) for parts in zip(*levels))
+    return _Trees(feature, threshold, left, right, value,
+                  np.bincount(owner[is_leaf], minlength=n_groups), len(levels) - 1)
+
+
+def _block_splits(pad: _Padded, min_leaf: int, rows: np.ndarray, starts: np.ndarray,
+                  n: np.ndarray, total: np.ndarray, sq_total: np.ndarray, col: np.ndarray,
+                  feats: np.ndarray):
+    """The best split of each node of a block: (feature, threshold, gain).
+
+    Node a holds rows[starts[a]:starts[a] + n[a]] of column col[a]; its
+    rows, sorted by a feature and padded to the block's width, are one row
+    of a matrix, and one cumulative sum scores every split position.  The
+    split maximizes the SSE drop, ties going to the first position and then
+    to the first of the node's features ``feats[a]``, and counts only above
+    1e-12 * max(node SSE, 1); a node without one gets gain -inf.
+    """
+    pos = np.arange(int(n.max()))
+    size = n[:, None]
+    padded = np.where(pos < size, rows[np.minimum(starts[:, None] + pos, rows.size - 1)],
+                      pad.rank.shape[1] - 1)
+    tot = total[:, None]
+    floor = 1e-12 * np.maximum(sq_total - total * total / n, 1.0)
+    left_sizes = pos[1:]
+    right_sizes = size - left_sizes
+    r = np.arange(n.size)
+    feature = np.zeros(n.size, dtype=np.intp)
+    threshold = np.zeros(n.size)
+    gain = np.full(n.size, -np.inf)
+    for j in feats.T:
+        order = np.take_along_axis(padded, np.argsort(pad.rank[j[:, None], padded], axis=1),
+                                   axis=1)
+        xj = pad.xs[order, j[:, None]]
+        left_sum = np.cumsum(pad.Y[order, col[:, None]], axis=1)[:, :-1]
+        valid = (xj[:, :-1] < xj[:, 1:]) & (left_sizes >= min_leaf) & (right_sizes >= min_leaf)
         sse_drop = (left_sum ** 2 / left_sizes
-                    + (total - left_sum) ** 2 / (n - left_sizes)
-                    - total * total / n)
+                    + (tot - left_sum) ** 2 / np.maximum(right_sizes, 1)
+                    - tot * tot / size)
         sse_drop = np.where(valid, sse_drop, -np.inf)
-        pos = int(np.argmax(sse_drop))
-        gain = float(sse_drop[pos])
-        if gain <= 1e-12 * max(parent_sse, 1.0):
-            continue
-        threshold = 0.5 * (xj[pos] + xj[pos + 1])
-        if best is None or gain > best[0]:
-            best = (gain, int(j), float(threshold))
-    return best
+        at = np.argmax(sse_drop, axis=1)
+        best = sse_drop[r, at]
+        better = (best > floor) & (best > gain)
+        lo, hi = xj[r, at], xj[r, at + 1]
+        # The midpoint rounds onto hi when hi is the next float after lo and
+        # lo's last bit is odd; lo then still separates the two sides.
+        mid = 0.5 * (lo + hi)
+        feature[better] = j[better]
+        threshold[better] = np.where(mid < hi, mid, lo)[better]
+        gain[better] = best[better]
+    return feature, threshold, gain
 
 
-def _grow(xs, y, depth, spec: TreeSpec, rng: Optional[np.random.Generator]):
-    n, d = xs.shape
-    if depth >= spec.max_depth or n < 2 * spec.min_samples_leaf or np.ptp(y) == 0.0:
-        return _TreeNode(value=float(y.mean()))
-    if spec.feature_fraction < 1.0 and d > 1:
-        k = max(1, int(round(spec.feature_fraction * d)))
-        features = np.sort(rng.choice(d, size=k, replace=False))
-    else:
-        features = np.arange(d)
-    split = _best_split(xs, y, features, spec.min_samples_leaf)
-    if split is None:
-        return _TreeNode(value=float(y.mean()))
-    _, j, thr = split
-    mask = xs[:, j] <= thr
-    left = _grow(xs[mask], y[mask], depth + 1, spec, rng)
-    right = _grow(xs[~mask], y[~mask], depth + 1, spec, rng)
-    return _TreeNode(feature=j, threshold=thr, left=left, right=right)
+def _tree_fits(xs: np.ndarray, Y: np.ndarray, seeds, spec: TreeSpec) -> List[PredictorHandle]:
+    """One tree (or forest) handle per column of ``Y``, all grown together."""
+    trees = _grow_trees(xs, Y, seeds, spec)
+    n_trees = spec.n_trees
+    return [_tree_handle(trees, range(c * n_trees, (c + 1) * n_trees), spec)
+            for c in range(Y.shape[1])]
 
 
-def _tree_predict(node: _TreeNode, xs: np.ndarray, out: np.ndarray, rows: np.ndarray):
-    if node.value is not None:
-        out[rows] = node.value
-        return
-    mask = xs[rows, node.feature] <= node.threshold
-    _tree_predict(node.left, xs, out, rows[mask])
-    _tree_predict(node.right, xs, out, rows[~mask])
-
-
-def _count_leaves(node: _TreeNode) -> int:
-    if node.value is not None:
-        return 1
-    return _count_leaves(node.left) + _count_leaves(node.right)
-
-
-def tree_fit(dataset: RegressionDataset, spec: TreeSpec = TreeSpec(), seed: int = 0) -> PredictorHandle:
-    """CART regression fit; a forest when spec.n_trees > 1."""
-    roots = []
-    for t in range(spec.n_trees):
-        rng = derive_rng(seed, "tree-features", t)
-        roots.append(_grow(dataset.xs, dataset.ys, 0, spec, rng))
-
+def _tree_handle(trees: _Trees, roots: range, spec: TreeSpec) -> PredictorHandle:
     def predict(pts: np.ndarray) -> np.ndarray:
         acc = np.zeros(pts.shape[0])
-        rows = np.arange(pts.shape[0])
+        at = np.arange(pts.shape[0])
         for root in roots:
-            out = np.empty(pts.shape[0])
-            _tree_predict(root, pts, out, rows)
-            acc += out
+            node = np.full(pts.shape[0], root)
+            for _ in range(trees.levels):
+                node = np.where(pts[at, trees.feature[node]] <= trees.threshold[node],
+                                trees.left[node], trees.right[node])
+            acc += trees.value[node]
         return acc / len(roots)
 
     return PredictorHandle(
         predict,
         name=f"tree(depth={spec.max_depth}, trees={spec.n_trees})",
-        meta={"kind": "tree", "n_leaves": sum(_count_leaves(r) for r in roots), "spec": spec},
+        meta={"kind": "tree", "n_leaves": int(trees.n_leaves[roots].sum()), "spec": spec},
     )
+
+
+def tree_fit(dataset: RegressionDataset, spec: TreeSpec = TreeSpec(), seed: int = 0) -> PredictorHandle:
+    """CART regression fit; a forest when spec.n_trees > 1."""
+    return _tree_fits(dataset.xs, dataset.ys[:, None], [seed], spec)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -522,6 +653,7 @@ def tree_trainer(spec: TreeSpec = TreeSpec()) -> TrainerOracle:
     return TrainerOracle(
         name="tree",
         fit_fn=lambda ds, seed: tree_fit(ds, spec, seed),
+        fit_multi_fn=lambda xs, Y, seeds: _tree_fits(xs, Y, seeds, spec),
         optimization_tol=float("inf"),
     )
 

@@ -135,9 +135,20 @@ class TestCmdEvaluate:
         {"dataset_csv": "x1,x2,y\n0.5,1.0\n"},
         {"dataset_csv": "x1,y\n0.1,0.2,0.3\n"},
         {"evaluation": {"K": 2, "rho_grid": [1.0], "v": 0}},
+        # Integer trainer settings given as fractions or booleans.
+        {"trainer": {"name": "tree", "params": {"n_trees": 2.5}}},
+        {"trainer": {"name": "tree", "params": {"max_depth": 2.5}}},
+        {"trainer": {"name": "tree", "params": {"min_samples_leaf": 1.5}}},
+        {"trainer": {"name": "tree", "params": {"max_depth": True}}},
+        {"trainer": {"name": "fourier_ridge", "params": {"N": 2.5}}},
+        {"trainer": {"name": "fourier_ridge", "params": {"max_features": 100.5}}},
+        {"trainer": {"name": "mlp", "params": {"max_iter": 3.5}}},
+        {"trainer": {"name": "mlp", "params": {"widths": [2.5]}}},
     ], ids=["srswor_strategy", "t", "w_under", "M_v", "tune_max_iter", "rho_grid", "n",
             "seeds", "n_mc", "K_float", "max_features", "header_only_csv", "narrow_csv_row",
-            "wide_csv_row", "v_zero"])
+            "wide_csv_row", "v_zero", "tree_n_trees_float", "tree_max_depth_float",
+            "tree_min_samples_leaf_float", "tree_max_depth_bool", "ridge_N_float",
+            "ridge_max_features_float", "mlp_max_iter_float", "mlp_widths_float"])
     def test_config_mistake_exit_2(self, tmp_path, capsys, overrides):
         # Raised before, during or after the run, a config error exits 2.
         overrides = dict(overrides)

@@ -132,6 +132,70 @@ class TestWarmUp:
         assert all(0.1 <= m <= 0.3 for m in means)
 
 
+class TestFitMulti:
+    def data(self, n=20, c=3):
+        rng = np.random.default_rng(7)
+        return rng.uniform(0, 1, size=(n, 1)), rng.normal(size=(n, c))
+
+    def test_default_loop_equals_per_column_fits(self):
+        xs, Y = self.data()
+        probe = np.linspace(0, 1, 11)[:, None]
+        for name in ("fourier_ridge", "mlp", "tree"):
+            trainer = make_trainer(name, {"max_iter": 20} if name == "mlp" else {})
+            handles = trainer.fit_multi(xs, Y, [4, 5, 6])
+            assert len(handles) == 3
+            for y, seed, f in zip(Y.T, [4, 5, 6], handles):
+                g = trainer.fit(RegressionDataset(xs, y), seed)
+                np.testing.assert_array_equal(f.predict(probe), g.predict(probe))
+                assert f.meta.get("n_leaves") == g.meta.get("n_leaves")
+
+    def test_default_loop_calls_fit_per_column(self):
+        calls = []
+
+        def fit(ds, seed):
+            calls.append((ds.ys.tolist(), seed))
+            return PredictorHandle(lambda xs: np.zeros(xs.shape[0]))
+
+        xs, Y = self.data(c=2)
+        TrainerOracle(name="rec", fit_fn=fit).fit_multi(xs, Y, [8, 9])
+        assert calls == [(Y[:, 0].tolist(), 8), (Y[:, 1].tolist(), 9)]
+
+    def test_foreign_exception_wrapped(self):
+        def boom(xs, Y, seeds):
+            raise RuntimeError("nope")
+
+        oracle = TrainerOracle(name="boom", fit_fn=constant_trainer().fit_fn, fit_multi_fn=boom)
+        xs, Y = self.data()
+        with pytest.raises(TrainerFailedError, match="nope"):
+            oracle.fit_multi(xs, Y, [0, 1, 2])
+
+    def test_wrong_length_rejected(self):
+        one = constant_trainer().fit_fn(None, 0)
+        oracle = TrainerOracle(name="short", fit_fn=constant_trainer().fit_fn,
+                               fit_multi_fn=lambda xs, Y, seeds: [one] * (len(seeds) - 1))
+        xs, Y = self.data()
+        with pytest.raises(TrainerFailedError, match="2 predictors for 3"):
+            oracle.fit_multi(xs, Y, [0, 1, 2])
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_input_checks(self, batched):
+        trainer = make_trainer("tree" if batched else "fourier_ridge", {})
+        assert (trainer.fit_multi_fn is not None) == batched
+        xs, Y = self.data()
+        bad = Y.copy()
+        bad[3, 1] = np.inf
+        with pytest.raises(NonFiniteDataError):
+            trainer.fit_multi(xs, bad, [0, 1, 2])
+        with pytest.raises(InvalidDataError):
+            trainer.fit_multi(xs + 1.0, Y, [0, 1, 2])
+        with pytest.raises(InvalidDataError):
+            trainer.fit_multi(xs[:-1], Y, [0, 1, 2])
+        with pytest.raises(InvalidDataError):
+            trainer.fit_multi(xs, Y, [0, 1])
+        with pytest.raises(EmptyInputError):
+            trainer.fit_multi(xs[:0], Y[:0], [0, 1, 2])
+
+
 class TestSigns:
     def test_values_pm_one(self):
         ds = RegressionDataset(np.linspace(0, 1, 50)[:, None], np.zeros(50))

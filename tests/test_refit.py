@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import wildriff.refit as refit
 from wildriff.core import (
     EvaluationConfig,
     PredictorHandle,
@@ -582,6 +583,31 @@ class TestEvaluate:
             loop = [run_round(state, ds, trainer, sub, rho, rho, cfg.seed, k)
                     for k, sub in enumerate(subs)]
             assert [numbers(rd) for rd in report.rounds] == [numbers(rd) for rd in loop]
+
+    def test_one_fit_multi_call_per_subsample(self, monkeypatch):
+        # Fixed-grid mode hands each subsample's refits, every scale and both
+        # directions, to one fit_multi call, and derives the two refit seeds
+        # once per subsample.
+        ds, _ = generate(ExperimentSpec(id="exp2", n=300, seed=17))
+        cfg = EvaluationConfig(K=5, rho_grid=(0.1, 0.5, 2.0), seed=17)
+        calls, tags = [], []
+        fit_multi, derive_seed = TrainerOracle.fit_multi, refit.derive_seed
+
+        def counting_fit_multi(trainer, xs, Y, seeds):
+            calls.append((Y.shape, list(seeds)))
+            return fit_multi(trainer, xs, Y, seeds)
+
+        def counting_derive_seed(seed, tag, *indices):
+            tags.append(tag)
+            return derive_seed(seed, tag, *indices)
+
+        monkeypatch.setattr(TrainerOracle, "fit_multi", counting_fit_multi)
+        monkeypatch.setattr(refit, "derive_seed", counting_derive_seed)
+        evaluate(ds, make_trainer("tree", {"max_depth": 3}), cfg)
+        m = cfg.subsample_size(ds.n)
+        assert [shape for shape, _ in calls] == [(m, 2 * len(cfg.rho_grid))] * cfg.K
+        assert all(seeds == seeds[:2] * len(cfg.rho_grid) for _, seeds in calls)
+        assert sum(tag.startswith("refit-") for tag in tags) == 2 * cfg.K
 
     def test_shared_subsamples_across_grid(self):
         ds, _ = generate(ExperimentSpec(id="exp1", n=300, seed=12))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +22,7 @@ from wildriff.trainers import (
     make_trainer,
     mlp_fit,
     tree_fit,
+    tree_trainer,
 )
 
 
@@ -30,6 +33,92 @@ def uniform_dataset(n, d=1, seed=0, fn=None, noise=0.0):
     if noise:
         ys = ys + rng.normal(0, noise, size=n)
     return RegressionDataset(xs, ys)
+
+
+# The depth-first recursive CART grower that the level-wise one replaced,
+# kept as the reference it must match bit for bit at feature_fraction = 1.
+
+class _RefNode:
+    __slots__ = ("feature", "threshold", "left", "right", "value")
+
+    def __init__(self, value=None, feature=None, threshold=None, left=None, right=None):
+        self.value = value
+        self.feature = feature
+        self.threshold = threshold
+        self.left = left
+        self.right = right
+
+
+def _ref_best_split(xs, y, features, min_leaf):
+    best = None  # (gain, feature, threshold)
+    total = y.sum()
+    sq_total = np.square(y).sum()
+    n = y.shape[0]
+    parent_sse = sq_total - total * total / n
+    for j in features:
+        order = np.argsort(xs[:, j], kind="stable")
+        xj = xs[order, j]
+        ys = y[order]
+        csum = np.cumsum(ys)
+        left_sizes = np.arange(1, n)
+        valid = (xj[:-1] < xj[1:]) & (left_sizes >= min_leaf) & (n - left_sizes >= min_leaf)
+        if not np.any(valid):
+            continue
+        left_sum = csum[:-1]
+        sse_drop = (left_sum ** 2 / left_sizes
+                    + (total - left_sum) ** 2 / (n - left_sizes)
+                    - total * total / n)
+        sse_drop = np.where(valid, sse_drop, -np.inf)
+        pos = int(np.argmax(sse_drop))
+        gain = float(sse_drop[pos])
+        if gain <= 1e-12 * max(parent_sse, 1.0):
+            continue
+        threshold = 0.5 * (xj[pos] + xj[pos + 1])
+        if best is None or gain > best[0]:
+            best = (gain, int(j), float(threshold))
+    return best
+
+
+def _ref_grow(xs, y, depth, spec):
+    n, d = xs.shape
+    if depth >= spec.max_depth or n < 2 * spec.min_samples_leaf or np.ptp(y) == 0.0:
+        return _RefNode(value=float(y.mean()))
+    split = _ref_best_split(xs, y, np.arange(d), spec.min_samples_leaf)
+    if split is None:
+        return _RefNode(value=float(y.mean()))
+    _, j, thr = split
+    mask = xs[:, j] <= thr
+    return _RefNode(feature=j, threshold=thr,
+                    left=_ref_grow(xs[mask], y[mask], depth + 1, spec),
+                    right=_ref_grow(xs[~mask], y[~mask], depth + 1, spec))
+
+
+def _ref_predict(node, xs, out, rows):
+    if node.value is not None:
+        out[rows] = node.value
+        return
+    mask = xs[rows, node.feature] <= node.threshold
+    _ref_predict(node.left, xs, out, rows[mask])
+    _ref_predict(node.right, xs, out, rows[~mask])
+
+
+def _ref_leaves(node):
+    return 1 if node.value is not None else _ref_leaves(node.left) + _ref_leaves(node.right)
+
+
+def reference_tree(xs, ys, spec):
+    """(predict, n_leaves) of the recursive grower; feature_fraction = 1 only."""
+    roots = [_ref_grow(xs, ys, 0, spec) for _ in range(spec.n_trees)]
+
+    def predict(pts):
+        acc = np.zeros(pts.shape[0])
+        for root in roots:
+            out = np.empty(pts.shape[0])
+            _ref_predict(root, pts, out, np.arange(pts.shape[0]))
+            acc += out
+        return acc / len(roots)
+
+    return predict, sum(_ref_leaves(r) for r in roots)
 
 
 class TestFourierRidge:
@@ -306,6 +395,66 @@ class TestTree:
         f = tree_fit(ds, TreeSpec(max_depth=6))
         probes = np.random.default_rng(1).uniform(0, 1, size=(10_000, 1))
         assert np.all(np.isfinite(f.predict(probes)))
+
+    @given(d=st.sampled_from([1, 5]), n=st.integers(1, 300), x_levels=st.integers(0, 6),
+           y_levels=st.integers(0, 4), depth=st.integers(1, 7), leaf=st.integers(1, 4),
+           n_trees=st.integers(1, 3), cols=st.integers(1, 4), seed=st.integers(0, 2**16))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_recursive_grower(self, d, n, x_levels, y_levels, depth, leaf, n_trees,
+                                      cols, seed):
+        # Level by level and batched over columns, the trees are the
+        # recursive grower's, bit for bit: ties in x (few levels) and in y
+        # (few values), leaf minimums and averaged identical forest trees.
+        rng = np.random.default_rng(seed)
+        xs = (rng.integers(0, x_levels + 2, size=(n, d)) / (x_levels + 1) if x_levels
+              else rng.uniform(0, 1, size=(n, d)))
+        Y = (rng.integers(0, y_levels + 1, size=(n, cols)).astype(float) if y_levels
+             else rng.normal(size=(n, cols)) * 10.0 ** rng.uniform(-3, 3))
+        spec = TreeSpec(max_depth=depth, min_samples_leaf=leaf, n_trees=n_trees)
+        probes = np.vstack([xs, rng.uniform(0, 1, size=(40, d))])
+        batched = tree_trainer(spec).fit_multi(xs, Y, list(range(cols)))
+        for c in range(cols):
+            want, leaves = reference_tree(xs, Y[:, c], spec)
+            single = tree_fit(RegressionDataset(xs, Y[:, c]), spec, seed=c)
+            for f in (single, batched[c]):
+                np.testing.assert_array_equal(f.predict(probes), want(probes))
+                assert f.meta["n_leaves"] == leaves
+
+    def test_threshold_never_rounds_onto_upper_value(self):
+        # 0.5 * (0.3 + nextafter(0.3, 1)) rounds up to the upper value, which
+        # would leave the right child empty; the lower value splits instead.
+        xs = np.array([[0.1], [0.3], [np.nextafter(0.3, 1.0)]])
+        ds = RegressionDataset(xs, np.array([5.0, 0.0, 1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = tree_fit(ds, TreeSpec(max_depth=3))
+            got = f.predict(np.array([[0.1], [0.3], [0.30000000000000004], [0.9]]))
+        np.testing.assert_array_equal(got, [5.0, 0.0, 1.0, 1.0])
+        assert f.meta["n_leaves"] == 3
+
+    def test_deep_tree_fit_memory_bounded(self):
+        # Split search pads a level in size-ordered blocks under a fixed
+        # entry budget, so a deep tree on 8000 points stays within a few MB.
+        import tracemalloc
+
+        ds, _ = generate(ExperimentSpec(id="exp2", n=8000, seed=0))
+        tracemalloc.start()
+        try:
+            f = tree_fit(ds, TreeSpec(max_depth=20))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f.meta["n_leaves"] > 1000
+        assert peak < 5e6
+
+    def test_size_blocks_respect_budget(self, monkeypatch):
+        monkeypatch.setattr(trainers, "_LEVEL_BLOCK_ENTRIES", 100)
+        sizes = np.array([40, 3, 60, 3, 200, 10, 10, 3])
+        blocks = list(trainers._size_blocks(np.arange(sizes.size), sizes))
+        assert sorted(np.concatenate(blocks).tolist()) == list(range(sizes.size))
+        for block in blocks:
+            assert block.size == 1 or block.size * sizes[block].max() <= 100
+        assert [sizes[b].tolist() for b in blocks] == [[3, 3, 3, 10, 10], [40], [60], [200]]
 
 
 class TestRegistry:
