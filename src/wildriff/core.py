@@ -193,9 +193,8 @@ class TrainerOracle:
     name: str
     fit_fn: Callable[[RegressionDataset, int], PredictorHandle] = field(repr=False)
     optimization_tol: float = 0.0
-    fit_multi_fn: Optional[Callable[[np.ndarray, np.ndarray, List[int]],
-                                    Sequence[PredictorHandle]]] = field(default=None,
-                                                                        repr=False)
+    fit_multi_fn: Optional[Callable[..., Sequence[PredictorHandle]]] = field(default=None,
+                                                                          repr=False)
 
     def fit(self, dataset: RegressionDataset, seed: int) -> PredictorHandle:
         return self._call(self.fit_fn, dataset, int(seed))
