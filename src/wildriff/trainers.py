@@ -18,8 +18,8 @@ from typing import List, NamedTuple, Optional
 
 import numpy as np
 
-from .core import (ConfigError, PredictorHandle, RegressionDataset, TrainerFailedError,
-                   TrainerOracle, derive_rng)
+from .core import (ConfigError, InvalidDataError, PredictorHandle, RegressionDataset,
+                   TrainerFailedError, TrainerOracle, derive_rng)
 
 __all__ = [
     "TrainerError",
@@ -58,6 +58,18 @@ def _check_integer(name: str, value) -> None:
         raise TrainerError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_real(name: str, value) -> None:
+    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
+            or not np.isfinite(value)):
+        raise TrainerError(f"{name} must be a finite number, got {value!r}")
+
+
+def _check_dimension(xs: np.ndarray, d: int) -> None:
+    if xs.shape[1] != d:
+        raise InvalidDataError(
+            f"predictor trained on {d}-dimensional points got points of dimension {xs.shape[1]}")
+
+
 # ---------------------------------------------------------------------------
 # Fourier ridge
 # ---------------------------------------------------------------------------
@@ -82,6 +94,7 @@ class FourierRidgeSpec:
     def __post_init__(self):
         _check_integer("N", self.N)
         _check_integer("max_features", self.max_features)
+        _check_real("lam", self.lam)
         if self.N < 0:
             raise TrainerError("N must be >= 0")
         if self.lam < 0:
@@ -111,10 +124,30 @@ def _half_space_frequencies(N: int, d: int) -> np.ndarray:
     return freqs
 
 
-# The last design built: (freqs, copy of xs, design).  Every candidate of a
-# report is predicted on the same full-data covariates, so all but the first
-# reuse it.  Keyed by values, so no caller needs to keep or freeze an array.
+# The last features built: (builder, its parameter, copy of xs, features),
+# the explicit design on the primal path and the per-coordinate Dirichlet
+# features on the kernel path.  Every candidate of a report is predicted on
+# the same full-data covariates, so all but the first reuse them.  Keyed by
+# values, so no caller needs to keep or freeze an array.
 _design_memo = None
+
+
+def _memoized(build, param, xs: np.ndarray) -> np.ndarray:
+    """``build(xs, param)``, read-only.
+
+    The last result is kept; a call with the same builder, the same
+    parameter object and equal covariates returns it, and any other call
+    replaces it.
+    """
+    global _design_memo
+    entry = _design_memo
+    if (entry is not None and entry[0] is build and entry[1] is param
+            and np.array_equal(entry[2], xs)):
+        return entry[3]
+    features = build(xs, param)
+    features.setflags(write=False)
+    _design_memo = (build, param, xs.copy(), features)
+    return features
 
 
 def _build_design(xs: np.ndarray, freqs: np.ndarray) -> np.ndarray:
@@ -123,19 +156,9 @@ def _build_design(xs: np.ndarray, freqs: np.ndarray) -> np.ndarray:
 
 
 def _fourier_design(xs: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    """The n x p feature matrix: constant, cosines, sines, read-only.
-
-    The last design built is kept; a call with the same frequency table and
-    equal covariates returns it, and any other call replaces it.
-    """
-    global _design_memo
-    entry = _design_memo
-    if entry is not None and entry[0] is freqs and np.array_equal(entry[1], xs):
-        return entry[2]
-    design = _build_design(xs, freqs)
-    design.setflags(write=False)
-    _design_memo = (freqs, xs.copy(), design)
-    return design
+    """The n x p feature matrix: constant, cosines, sines, read-only, through
+    the memo."""
+    return _memoized(_build_design, freqs, xs)
 
 
 def _dirichlet_features(xs: np.ndarray, N: int) -> np.ndarray:
@@ -151,14 +174,26 @@ def _dirichlet_features(xs: np.ndarray, N: int) -> np.ndarray:
     return np.concatenate([ones, root2 * np.cos(phase), root2 * np.sin(phase)], axis=2)
 
 
+# Kernel rows are filled in tiles of about this many entries, small enough
+# to stay in cache while every coordinate's factor multiplies in.
+_KERNEL_TILE_ENTRIES = 2 ** 16
+
+
 def _dirichlet_kernel(psi_a: np.ndarray, psi_b: np.ndarray) -> np.ndarray:
     """The Gram matrix of the half-space features, phi(a) . phi(b) =
-    (1 + prod_j D_N(a_j - b_j)) / 2, one small GEMM per coordinate."""
-    gram = psi_a[0] @ psi_b[0].T
-    for j in range(1, psi_a.shape[0]):
-        gram *= psi_a[j] @ psi_b[j].T
-    gram += 1.0
-    gram *= 0.5
+    (1 + prod_j D_N(a_j - b_j)) / 2, one small GEMM per coordinate and row
+    tile, so no temporary is as large as the kernel."""
+    rows, cols = psi_a.shape[1], psi_b.shape[1]
+    gram = np.empty((rows, cols))
+    step = max(1, _KERNEL_TILE_ENTRIES // cols)
+    for start in range(0, rows, step):
+        tile_a = psi_a[:, start:start + step]
+        tile = gram[start:start + step]
+        np.matmul(tile_a[0], psi_b[0].T, out=tile)
+        for j in range(1, psi_a.shape[0]):
+            tile *= tile_a[j] @ psi_b[j].T
+        tile += 1.0
+        tile *= 0.5
     return gram
 
 
@@ -167,28 +202,41 @@ _KERNEL_BLOCK_ENTRIES = 2 ** 22
 
 def _fourier_kernel_fit(dataset: RegressionDataset, spec: FourierRidgeSpec) -> PredictorHandle:
     """The ridge fit through its kernel: alpha = (K + n lam I)^-1 y and
-    predictions K(xs, X) alpha, by the representer theorem."""
-    n = dataset.n
+    predictions K(xs, X) alpha, by the representer theorem.
+
+    K is built once: after the solve its diagonal is restored and it gives
+    the fitted values, which a prediction on the training points returns.
+    """
+    n, d = dataset.n, dataset.d
     psi = _dirichlet_features(dataset.xs, spec.N)
-    system = _dirichlet_kernel(psi, psi)
-    system[np.diag_indices(n)] += n * spec.lam
+    kernel = _dirichlet_kernel(psi, psi)
+    diagonal = kernel.diagonal().copy()
+    kernel[np.diag_indices(n)] += n * spec.lam
     try:
-        alpha = np.linalg.solve(system, dataset.ys)
+        alpha = np.linalg.solve(kernel, dataset.ys)
     except np.linalg.LinAlgError as exc:
         raise IllConditionedError(f"ridge system singular: {exc}") from exc
     if not np.all(np.isfinite(alpha)):
         raise IllConditionedError("non-finite ridge coefficients")
+    kernel[np.diag_indices(n)] = diagonal
 
     # Predict in row blocks of at most _KERNEL_BLOCK_ENTRIES kernel entries,
-    # so memory stays bounded however many points are predicted.
+    # so memory stays bounded however many points are predicted.  The fitted
+    # values take the same blocks, so they round as a prediction would.
     block_rows = max(1, _KERNEL_BLOCK_ENTRIES // n)
+    fitted = np.concatenate([kernel[start:start + block_rows] @ alpha
+                             for start in range(0, n, block_rows)])
+    train_xs = dataset.xs.copy()
 
     def predict(xs: np.ndarray) -> np.ndarray:
+        _check_dimension(xs, d)
+        if np.array_equal(xs, train_xs):
+            return fitted.copy()
+        features = _memoized(_dirichlet_features, spec.N, xs)
         out = np.empty(xs.shape[0])
         for start in range(0, xs.shape[0], block_rows):
-            block = xs[start:start + block_rows]
             out[start:start + block_rows] = (
-                _dirichlet_kernel(_dirichlet_features(block, spec.N), psi) @ alpha)
+                _dirichlet_kernel(features[:, start:start + block_rows], psi) @ alpha)
         return out
 
     return PredictorHandle(
@@ -219,7 +267,7 @@ def fourier_ridge_fit(dataset: RegressionDataset, spec: FourierRidgeSpec = Fouri
     freqs = _half_space_frequencies(spec.N, dataset.d)
     phi = _fourier_design(dataset.xs, freqs)
     y = dataset.ys
-    n = dataset.n
+    n, d = dataset.n, dataset.d
 
     if spec.lam > 0:
         try:
@@ -233,6 +281,7 @@ def fourier_ridge_fit(dataset: RegressionDataset, spec: FourierRidgeSpec = Fouri
         raise IllConditionedError("non-finite ridge coefficients")
 
     def predict(xs: np.ndarray) -> np.ndarray:
+        _check_dimension(xs, d)
         return _fourier_design(xs, freqs) @ coef
 
     return PredictorHandle(
@@ -265,6 +314,9 @@ class MlpSpec:
         for w in self.widths:
             _check_integer("layer widths", w)
         _check_integer("max_iter", self.max_iter)
+        _check_real("learning_rate", self.learning_rate)
+        if self.learning_rate <= 0:
+            raise TrainerError("learning_rate must be > 0")
         if any(w < 1 for w in self.widths):
             raise TrainerError("layer widths must be >= 1")
         if self.max_iter < 1:
@@ -336,7 +388,8 @@ def _mlp_loss_grad(theta, shapes, xs, y):
 
 def mlp_fit(dataset: RegressionDataset, spec: MlpSpec = MlpSpec(), seed: int = 0) -> PredictorHandle:
     """Deterministic full-batch MLP fit; approximate empirical risk minimizer."""
-    shapes = _mlp_shapes(dataset.d, spec.widths)
+    d = dataset.d
+    shapes = _mlp_shapes(d, spec.widths)
     rng = derive_rng(seed, "mlp-init")
     theta0 = _pack(_mlp_init(shapes, rng))
     xs, y = dataset.xs, dataset.ys
@@ -369,6 +422,7 @@ def mlp_fit(dataset: RegressionDataset, spec: MlpSpec = MlpSpec(), seed: int = 0
     biases = [params[i + 1] for i in range(0, len(params), 2)]
 
     def predict(pts: np.ndarray) -> np.ndarray:
+        _check_dimension(pts, d)
         out, _, _ = _mlp_forward(pts, params)
         return out
 
@@ -400,6 +454,7 @@ class TreeSpec:
     def __post_init__(self):
         for name in ("max_depth", "min_samples_leaf", "n_trees"):
             _check_integer(name, getattr(self, name))
+        _check_real("feature_fraction", self.feature_fraction)
         if self.max_depth < 1:
             raise TrainerError("max_depth must be >= 1")
         if self.min_samples_leaf < 1:
@@ -601,12 +656,13 @@ def _tree_fits(xs: np.ndarray, Y: np.ndarray, seeds, spec: TreeSpec) -> List[Pre
     """One tree (or forest) handle per column of ``Y``, all grown together."""
     trees = _grow_trees(xs, Y, seeds, spec)
     n_trees = spec.n_trees
-    return [_tree_handle(trees, range(c * n_trees, (c + 1) * n_trees), spec)
+    return [_tree_handle(trees, range(c * n_trees, (c + 1) * n_trees), xs.shape[1], spec)
             for c in range(Y.shape[1])]
 
 
-def _tree_handle(trees: _Trees, roots: range, spec: TreeSpec) -> PredictorHandle:
+def _tree_handle(trees: _Trees, roots: range, d: int, spec: TreeSpec) -> PredictorHandle:
     def predict(pts: np.ndarray) -> np.ndarray:
+        _check_dimension(pts, d)
         acc = np.zeros(pts.shape[0])
         at = np.arange(pts.shape[0])
         for root in roots:

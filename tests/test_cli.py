@@ -144,11 +144,22 @@ class TestCmdEvaluate:
         {"trainer": {"name": "fourier_ridge", "params": {"max_features": 100.5}}},
         {"trainer": {"name": "mlp", "params": {"max_iter": 3.5}}},
         {"trainer": {"name": "mlp", "params": {"widths": [2.5]}}},
+        # Real trainer settings that are not finite numbers, or out of range.
+        {"trainer": {"name": "fourier_ridge", "params": {"lam": float("nan")}}},
+        {"trainer": {"name": "fourier_ridge", "params": {"lam": float("inf")}}},
+        {"trainer": {"name": "fourier_ridge", "params": {"lam": True}}},
+        {"trainer": {"name": "mlp", "params": {"optimizer": "gd", "learning_rate": float("nan")}}},
+        {"trainer": {"name": "mlp", "params": {"optimizer": "gd", "learning_rate": 0}}},
+        {"trainer": {"name": "mlp", "params": {"optimizer": "gd", "learning_rate": -0.05}}},
+        {"trainer": {"name": "mlp", "params": {"optimizer": "gd", "learning_rate": True}}},
+        {"trainer": {"name": "tree", "params": {"feature_fraction": True}}},
     ], ids=["srswor_strategy", "t", "w_under", "M_v", "tune_max_iter", "rho_grid", "n",
             "seeds", "n_mc", "K_float", "max_features", "header_only_csv", "narrow_csv_row",
             "wide_csv_row", "v_zero", "tree_n_trees_float", "tree_max_depth_float",
             "tree_min_samples_leaf_float", "tree_max_depth_bool", "ridge_N_float",
-            "ridge_max_features_float", "mlp_max_iter_float", "mlp_widths_float"])
+            "ridge_max_features_float", "mlp_max_iter_float", "mlp_widths_float",
+            "ridge_lam_nan", "ridge_lam_inf", "ridge_lam_bool", "mlp_lr_nan", "mlp_lr_zero",
+            "mlp_lr_negative", "mlp_lr_bool", "tree_feature_fraction_bool"])
     def test_config_mistake_exit_2(self, tmp_path, capsys, overrides):
         # Raised before, during or after the run, a config error exits 2.
         overrides = dict(overrides)

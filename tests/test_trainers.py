@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wildriff.trainers as trainers
-from wildriff.core import EvaluationConfig, RegressionDataset
+from wildriff.core import EvaluationConfig, InvalidDataError, RegressionDataset
 from wildriff.refit import evaluate
 from wildriff.synth import ExperimentSpec, generate
 from wildriff.trainers import (
@@ -24,6 +25,27 @@ from wildriff.trainers import (
     tree_fit,
     tree_trainer,
 )
+
+
+def traced_peak(fn, *args):
+    """(fn(*args), peak bytes that tracemalloc saw while it ran)."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def untiled_kernel(psi_a, psi_b):
+    """The Dirichlet kernel as one full-size product per coordinate: the
+    reference for the tiled build."""
+    gram = psi_a[0] @ psi_b[0].T
+    for j in range(1, psi_a.shape[0]):
+        gram *= psi_a[j] @ psi_b[j].T
+    gram += 1.0
+    gram *= 0.5
+    return gram
 
 
 def uniform_dataset(n, d=1, seed=0, fn=None, noise=0.0):
@@ -212,6 +234,130 @@ class TestFourierRidge:
         blocked = f.predict(probes)
         assert np.max(np.abs(blocked - one_shot)) <= 1e-12 * np.max(np.abs(one_shot))
 
+    # Rows of one tile at 100 columns, and a column count at which a tile is
+    # a single row.
+    TILE_ROWS = trainers._KERNEL_TILE_ENTRIES // 100
+    WIDE = trainers._KERNEL_TILE_ENTRIES // 2 + 1
+
+    @pytest.mark.parametrize("rows,cols", [
+        (1, 100), (TILE_ROWS - 1, 100), (TILE_ROWS, 100), (TILE_ROWS + 1, 100),
+        (2 * TILE_ROWS + 1, 100), (1, WIDE), (3, WIDE), (WIDE, 2),
+    ])
+    def test_tiled_kernel_matches_untiled(self, rows, cols):
+        # Each tile multiplies the same per-coordinate factors in the same
+        # order as the full-size product, so only the GEMM's own blocking
+        # can move a last bit.
+        rng = np.random.default_rng(rows + cols)
+        psi_a = _dirichlet_features(rng.uniform(0, 1, size=(rows, 3)), 4)
+        psi_b = _dirichlet_features(rng.uniform(0, 1, size=(cols, 3)), 4)
+        want = untiled_kernel(psi_a, psi_b)
+        got = _dirichlet_kernel(psi_a, psi_b)
+        assert got.shape == (rows, cols)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    def test_tiled_kernel_memory(self):
+        # The kernel itself plus one tile; the untiled product also holds a
+        # second kernel-sized factor, twice the kernel.
+        n = 1500
+        psi = _dirichlet_features(np.random.default_rng(5).uniform(0, 1, size=(n, 5)), 8)
+        kernel, peak = traced_peak(_dirichlet_kernel, psi, psi)
+        assert kernel.shape == (n, n)
+        assert peak <= 1.1 * kernel.nbytes
+
+    def test_kernel_fitted_values(self, monkeypatch):
+        # A prediction on the training points, given as a fresh or a frozen
+        # copy, returns the fitted values without building a kernel; they
+        # match a freshly built prediction to rounding.
+        ds, _ = generate(ExperimentSpec(id="exp3", n=300, seed=3))
+        spec = FourierRidgeSpec()
+        f = fourier_ridge_fit(ds, spec)
+        psi = _dirichlet_features(np.array(ds.xs), spec.N)
+        fresh = _dirichlet_kernel(psi, psi) @ f.meta["dual_coefficients"]
+        builds = []
+        monkeypatch.setattr(trainers, "_dirichlet_kernel",
+                            lambda a, b: builds.append(1) or _dirichlet_kernel(a, b))
+        frozen = np.array(ds.xs)
+        frozen.setflags(write=False)
+        fitted = f.predict(np.array(ds.xs))
+        np.testing.assert_array_equal(f.predict(frozen), fitted)
+        assert builds == []
+        assert np.max(np.abs(fitted - fresh)) <= 1e-12 * np.max(np.abs(fresh))
+        fitted[:] = 0.0   # a copy: the next caller still gets the fitted values
+        np.testing.assert_array_equal(f.predict(ds.xs), f.predict(frozen))
+        assert f.predict(ds.xs[:-1]).shape == (ds.n - 1,)
+        assert builds == [1]
+
+    def test_kernel_fitted_values_see_rewritten_training_array(self):
+        # The handle compares against its own copy of the training points,
+        # so rewriting the dataset's array in place makes a miss.
+        ds, _ = generate(ExperimentSpec(id="exp3", n=120, seed=4))
+        spec = FourierRidgeSpec(N=3)
+        f = fourier_ridge_fit(ds, spec)
+        psi = _dirichlet_features(np.array(ds.xs), spec.N)
+        before = f.predict(ds.xs)
+        ds.xs.setflags(write=True)
+        ds.xs[:] = 1.0 - ds.xs
+        ds.xs.setflags(write=False)
+        after = f.predict(ds.xs)
+        want = _dirichlet_kernel(_dirichlet_features(ds.xs, spec.N), psi) @ (
+            f.meta["dual_coefficients"])
+        np.testing.assert_array_equal(after, want)
+        assert not np.allclose(after, before)
+
+    def test_kernel_path_builds_once_per_report(self, monkeypatch):
+        # The warm-up builds the n x n training kernel once, for its fit;
+        # its prediction on the training points reads the fitted values.
+        # The full-data features are built for the warm-up fit and once for
+        # the candidates: refits predict on the full data or on their own
+        # training points, which read their fitted values, so tuned mode's
+        # second candidate block finds the features still in the memo.
+        ds, _ = generate(ExperimentSpec(id="exp3", n=200, seed=6))
+        kernels, features = [], []
+        kernel, feature = trainers._dirichlet_kernel, trainers._dirichlet_features
+
+        def counting_kernel(psi_a, psi_b):
+            kernels.append((psi_a.shape[1], psi_b.shape[1]))
+            return kernel(psi_a, psi_b)
+
+        def counting_features(xs, N):
+            features.append(xs.shape[0])
+            return feature(xs, N)
+
+        monkeypatch.setattr(trainers, "_dirichlet_kernel", counting_kernel)
+        monkeypatch.setattr(trainers, "_dirichlet_features", counting_features)
+        trainer = make_trainer("fourier_ridge", {})
+
+        def count_builds(cfg):
+            kernels.clear()
+            features.clear()
+            monkeypatch.setattr(trainers, "_design_memo", None)
+            evaluate(ds, trainer, cfg)
+            return kernels.count((ds.n, ds.n)), features.count(ds.n)
+
+        cfg = EvaluationConfig(K=3, rho_grid=(0.5, 1.0), seed=6)
+        assert count_builds(cfg) == (1, 2)
+        cfg = EvaluationConfig(K=4, K1=2, rho_mode="tuned", seed=6)
+        assert count_builds(cfg) == (1, 2)
+
+    def test_kernel_path_evaluate_memory(self):
+        # The warm-up's n x n kernel is the one full-size object: the solve
+        # adds its factorization inside LAPACK, which tracemalloc does not
+        # see, and the fitted values reuse the kernel.
+        ds, _ = generate(ExperimentSpec(id="exp3", n=1500, seed=0))
+        cfg = EvaluationConfig(K=3, rho_grid=(0.5, 1.0), seed=0)
+        _, peak = traced_peak(evaluate, ds, make_trainer("fourier_ridge", {}), cfg)
+        assert peak <= 1.2 * ds.n ** 2 * 8
+
+    @pytest.mark.parametrize("n", [40, 8], ids=["primal", "kernel"])
+    def test_predict_rejects_wrong_dimension(self, n):
+        ds = uniform_dataset(n, d=1, fn=lambda xs: xs[:, 0])
+        f = fourier_ridge_fit(ds, FourierRidgeSpec(N=4))   # p = 9
+        assert ("coefficients" in f.meta) == (n > 9)
+        with pytest.raises(InvalidDataError, match="1-dimensional .* dimension 5"):
+            f.predict(np.linspace(0, 1, 5))
+        with pytest.raises(InvalidDataError, match="dimension 2"):
+            f.predict(np.full((3, 2), 0.5))
+
     def test_interpolation_without_penalty_above_n(self):
         # lam = 0 with p > n keeps the least-squares solve on the explicit
         # design: a solve on K (condition number 2e10 here) would square the
@@ -353,6 +499,12 @@ class TestMlp:
         f = mlp_fit(ds, MlpSpec(widths=(8, 8), max_iter=20), seed=0)
         assert [w.shape for w in f.meta["weights"]] == [(1, 8), (8, 8), (8, 1)]
 
+    def test_predict_rejects_wrong_dimension(self):
+        ds = uniform_dataset(30, d=2, fn=lambda xs: xs[:, 0])
+        f = mlp_fit(ds, MlpSpec(widths=(4,), max_iter=5), seed=0)
+        with pytest.raises(InvalidDataError, match="2-dimensional .* dimension 5"):
+            f.predict(np.linspace(0, 1, 5))
+
     def test_prediction_totality(self):
         ds, _ = generate(ExperimentSpec(id="exp3", n=150, seed=0))
         f = mlp_fit(ds, MlpSpec(max_iter=60), seed=0)
@@ -420,6 +572,14 @@ class TestTree:
                 np.testing.assert_array_equal(f.predict(probes), want(probes))
                 assert f.meta["n_leaves"] == leaves
 
+    def test_predict_rejects_wrong_dimension(self):
+        # A vector of 5 values is one 5-d point, not five 1-d points.
+        ds, _ = generate(ExperimentSpec(id="exp2", n=50, seed=0))
+        for f in (tree_fit(ds, TreeSpec(max_depth=3)),
+                  tree_trainer(TreeSpec(max_depth=3)).fit_multi(ds.xs, ds.ys[:, None], [0])[0]):
+            with pytest.raises(InvalidDataError, match="1-dimensional .* dimension 5"):
+                f.predict(np.linspace(0, 1, 5))
+
     def test_threshold_never_rounds_onto_upper_value(self):
         # 0.5 * (0.3 + nextafter(0.3, 1)) rounds up to the upper value, which
         # would leave the right child empty; the lower value splits instead.
@@ -435,15 +595,8 @@ class TestTree:
     def test_deep_tree_fit_memory_bounded(self):
         # Split search pads a level in size-ordered blocks under a fixed
         # entry budget, so a deep tree on 8000 points stays within a few MB.
-        import tracemalloc
-
         ds, _ = generate(ExperimentSpec(id="exp2", n=8000, seed=0))
-        tracemalloc.start()
-        try:
-            f = tree_fit(ds, TreeSpec(max_depth=20))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        f, peak = traced_peak(tree_fit, ds, TreeSpec(max_depth=20))
         assert f.meta["n_leaves"] > 1000
         assert peak < 5e6
 
