@@ -27,6 +27,7 @@ __all__ = [
     "TrainerOracle",
     "RefitState",
     "EvaluationConfig",
+    "check_real",
     "derive_rng",
     "derive_seed",
     "warm_up",
@@ -65,6 +66,13 @@ class EmptyInputError(ConfigError):
 
 class InvalidDataError(ConfigError):
     """Input data of the wrong shape or outside the unit cube."""
+
+
+def check_real(name: str, value, error: type = ConfigError) -> None:
+    """Raise ``error`` unless ``value`` is a finite int or float (not a bool)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
+            or not np.isfinite(value)):
+        raise error(f"{name} must be a finite number, got {value!r}")
 
 
 _SEED_MASK = (1 << 64) - 1
@@ -187,7 +195,8 @@ class TrainerOracle:
     ``fit_multi_fn(xs, Y, seeds)``, optional, fits every column of ``Y`` on
     the shared covariates ``xs`` in one call and returns one handle per
     column, each the handle ``fit_fn`` would return for that column and
-    seed.  `fit_multi` uses it when set and loops over ``fit`` otherwise.
+    seed, up to float rounding when the trainer solves columns together.
+    `fit_multi` uses it when set and loops over ``fit`` otherwise.
     """
 
     name: str
@@ -294,9 +303,19 @@ class EvaluationConfig:
 
     def __post_init__(self):
         try:
-            object.__setattr__(self, "rho_grid", tuple(float(r) for r in self.rho_grid))
-        except (TypeError, ValueError) as exc:
+            grid = tuple(self.rho_grid)
+        except TypeError as exc:
             raise BadConfigError(f"rho_grid must be a list of numbers: {exc}") from exc
+        for rho in grid:
+            check_real("rho_grid entries", rho)
+        object.__setattr__(self, "rho_grid", tuple(float(r) for r in grid))
+        for name in ("beta", "delta", "w_bar", "w_under", "v", "M_v", "tol_rho",
+                     "radius_constant", "log_term_constant"):
+            check_real(name, getattr(self, name))
+        if self.t is not None:
+            check_real("t", self.t)
+        if self.tau != "estimate":
+            check_real("tau", self.tau)
         for name in ("K", "K1", "tune_max_iter"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -317,10 +336,7 @@ class EvaluationConfig:
             raise BadConfigError("rho values must be positive")
         if not (0.0 < self.delta < 1.0):
             raise BadConfigError("delta must lie in (0, 1)")
-        if isinstance(self.tau, str):
-            if self.tau != "estimate":
-                raise BadConfigError("tau must be a positive number or 'estimate'")
-        elif self.tau <= 0:
+        if self.tau != "estimate" and self.tau <= 0:
             raise BadConfigError("tau must be a positive number or 'estimate'")
         if self.v <= 0:
             raise BadConfigError("v must be positive")
@@ -328,6 +344,8 @@ class EvaluationConfig:
             raise BadConfigError("tol_rho must be positive")
         if self.tune_max_iter < 1:
             raise BadConfigError("tune_max_iter must be a positive integer")
+        if self.radius_constant < 0 or self.log_term_constant < 0:
+            raise BadConfigError("radius_constant and log_term_constant must be >= 0")
 
     def subsample_size(self, n: int) -> int:
         m = int(round(n ** self.beta))

@@ -111,7 +111,6 @@ class RadiusEstimate:
     branch: str
     components: dict
     t: float
-    valid: bool
 
 
 @dataclass
@@ -523,7 +522,6 @@ def estimate_radius(state: RefitState, rounds: Sequence[WildRound], block: Candi
             "C": C,
         },
         t=t,
-        valid=denom > 0,
     )
 
 

@@ -19,7 +19,7 @@ from typing import List, NamedTuple, Optional
 import numpy as np
 
 from .core import (ConfigError, InvalidDataError, PredictorHandle, RegressionDataset,
-                   TrainerFailedError, TrainerOracle, derive_rng)
+                   TrainerFailedError, TrainerOracle, check_real, derive_rng)
 
 __all__ = [
     "TrainerError",
@@ -58,12 +58,6 @@ def _check_integer(name: str, value) -> None:
         raise TrainerError(f"{name} must be an integer, got {value!r}")
 
 
-def _check_real(name: str, value) -> None:
-    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
-            or not np.isfinite(value)):
-        raise TrainerError(f"{name} must be a finite number, got {value!r}")
-
-
 def _check_dimension(xs: np.ndarray, d: int) -> None:
     if xs.shape[1] != d:
         raise InvalidDataError(
@@ -94,7 +88,7 @@ class FourierRidgeSpec:
     def __post_init__(self):
         _check_integer("N", self.N)
         _check_integer("max_features", self.max_features)
-        _check_real("lam", self.lam)
+        check_real("lam", self.lam, TrainerError)
         if self.N < 0:
             raise TrainerError("N must be >= 0")
         if self.lam < 0:
@@ -155,12 +149,6 @@ def _build_design(xs: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     return np.hstack([np.ones((xs.shape[0], 1)), np.cos(phase), np.sin(phase)])
 
 
-def _fourier_design(xs: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    """The n x p feature matrix: constant, cosines, sines, read-only, through
-    the memo."""
-    return _memoized(_build_design, freqs, xs)
-
-
 def _dirichlet_features(xs: np.ndarray, N: int) -> np.ndarray:
     """Per-coordinate features, shape (d, n, 2N+1).
 
@@ -179,72 +167,90 @@ def _dirichlet_features(xs: np.ndarray, N: int) -> np.ndarray:
 _KERNEL_TILE_ENTRIES = 2 ** 16
 
 
-def _dirichlet_kernel(psi_a: np.ndarray, psi_b: np.ndarray) -> np.ndarray:
+def _dirichlet_kernel(psi_a: np.ndarray, psi_b: np.ndarray,
+                      coef: Optional[np.ndarray] = None) -> np.ndarray:
     """The Gram matrix of the half-space features, phi(a) . phi(b) =
     (1 + prod_j D_N(a_j - b_j)) / 2, one small GEMM per coordinate and row
-    tile, so no temporary is as large as the kernel."""
+    tile, so no temporary is as large as the kernel.
+
+    Given ``coef``, it returns the kernel times ``coef`` instead, each tile
+    multiplied as it is filled, so it never holds more than one tile.
+    """
     rows, cols = psi_a.shape[1], psi_b.shape[1]
-    gram = np.empty((rows, cols))
     step = max(1, _KERNEL_TILE_ENTRIES // cols)
+    if coef is None:
+        out = np.empty((rows, cols))
+    else:
+        out = np.empty((rows,) + coef.shape[1:])
+        scratch = np.empty((min(step, rows), cols))
     for start in range(0, rows, step):
         tile_a = psi_a[:, start:start + step]
-        tile = gram[start:start + step]
+        tile = out[start:start + step] if coef is None else scratch[:tile_a.shape[1]]
         np.matmul(tile_a[0], psi_b[0].T, out=tile)
         for j in range(1, psi_a.shape[0]):
             tile *= tile_a[j] @ psi_b[j].T
         tile += 1.0
         tile *= 0.5
-    return gram
+        if coef is not None:
+            out[start:start + step] = tile @ coef
+    return out
 
 
-_KERNEL_BLOCK_ENTRIES = 2 ** 22
+def _fourier_fits(xs: np.ndarray, Y: np.ndarray,
+                  spec: FourierRidgeSpec) -> List[PredictorHandle]:
+    """`fourier_ridge_fit` on every column of ``Y``, all solved against one
+    factorization; one handle per column.
 
-
-def _fourier_kernel_fit(dataset: RegressionDataset, spec: FourierRidgeSpec) -> PredictorHandle:
-    """The ridge fit through its kernel: alpha = (K + n lam I)^-1 y and
-    predictions K(xs, X) alpha, by the representer theorem.
-
-    K is built once: after the solve its diagonal is restored and it gives
-    the fitted values, which a prediction on the training points returns.
+    The kernel is built once: after the solve its diagonal is restored and
+    it gives the fitted values, which a prediction on the training points
+    returns.
     """
-    n, d = dataset.n, dataset.d
-    psi = _dirichlet_features(dataset.xs, spec.N)
-    kernel = _dirichlet_kernel(psi, psi)
-    diagonal = kernel.diagonal().copy()
-    kernel[np.diag_indices(n)] += n * spec.lam
+    n, d = xs.shape
+    p = spec.feature_count(d)
+    dual = spec.lam > 0 and p > n
+    if not dual and p > spec.max_features:
+        raise TrainerError(f"feature count {p} exceeds cap {spec.max_features}")
+    freqs = None if dual else _half_space_frequencies(spec.N, d)
     try:
-        alpha = np.linalg.solve(kernel, dataset.ys)
+        if dual:
+            psi = _dirichlet_features(xs, spec.N)
+            kernel = _dirichlet_kernel(psi, psi)
+            diagonal = kernel.diagonal().copy()
+            kernel[np.diag_indices(n)] += n * spec.lam
+            coef = np.linalg.solve(kernel, Y)
+            kernel[np.diag_indices(n)] = diagonal
+        elif spec.lam > 0:
+            phi = _memoized(_build_design, freqs, xs)
+            gram = phi.T @ phi / n + spec.lam * np.eye(p)
+            coef = np.linalg.solve(gram, phi.T @ Y / n)
+        else:
+            coef = np.linalg.lstsq(_memoized(_build_design, freqs, xs), Y, rcond=None)[0]
     except np.linalg.LinAlgError as exc:
         raise IllConditionedError(f"ridge system singular: {exc}") from exc
-    if not np.all(np.isfinite(alpha)):
+    if not np.all(np.isfinite(coef)):
         raise IllConditionedError("non-finite ridge coefficients")
-    kernel[np.diag_indices(n)] = diagonal
+    # One contiguous row per column, and on the kernel path its fitted values.
+    coefs = np.ascontiguousarray(coef.T)
+    if dual:
+        fitted = np.ascontiguousarray((kernel @ coef).T)
+        train_xs = xs.copy()
 
-    # Predict in row blocks of at most _KERNEL_BLOCK_ENTRIES kernel entries,
-    # so memory stays bounded however many points are predicted.  The fitted
-    # values take the same blocks, so they round as a prediction would.
-    block_rows = max(1, _KERNEL_BLOCK_ENTRIES // n)
-    fitted = np.concatenate([kernel[start:start + block_rows] @ alpha
-                             for start in range(0, n, block_rows)])
-    train_xs = dataset.xs.copy()
+    def predict(c: int, pts: np.ndarray) -> np.ndarray:
+        _check_dimension(pts, d)
+        if not dual:
+            return _memoized(_build_design, freqs, pts) @ coefs[c]
+        if np.array_equal(pts, train_xs):
+            return fitted[c].copy()
+        return _dirichlet_kernel(_memoized(_dirichlet_features, spec.N, pts), psi, coefs[c])
 
-    def predict(xs: np.ndarray) -> np.ndarray:
-        _check_dimension(xs, d)
-        if np.array_equal(xs, train_xs):
-            return fitted.copy()
-        features = _memoized(_dirichlet_features, spec.N, xs)
-        out = np.empty(xs.shape[0])
-        for start in range(0, xs.shape[0], block_rows):
-            out[start:start + block_rows] = (
-                _dirichlet_kernel(features[:, start:start + block_rows], psi) @ alpha)
-        return out
+    def meta(c: int) -> dict:
+        solution = ({"dual_coefficients": coefs[c]} if dual
+                    else {"coefficients": coefs[c], "frequencies": freqs})
+        return {"kind": "fourier_ridge", **solution, "lam": spec.lam, "N": spec.N}
 
-    return PredictorHandle(
-        predict,
-        name=f"fourier_ridge(N={spec.N}, lam={spec.lam:g})",
-        meta={"kind": "fourier_ridge", "dual_coefficients": alpha, "lam": spec.lam,
-              "N": spec.N},
-    )
+    return [PredictorHandle(functools.partial(predict, c),
+                            name=f"fourier_ridge(N={spec.N}, lam={spec.lam:g})", meta=meta(c))
+            for c in range(Y.shape[1])]
 
 
 def fourier_ridge_fit(dataset: RegressionDataset, spec: FourierRidgeSpec = FourierRidgeSpec(),
@@ -259,37 +265,7 @@ def fourier_ridge_fit(dataset: RegressionDataset, spec: FourierRidgeSpec = Fouri
     for interface uniformity; the solution is a pure function of the
     dataset and spec.
     """
-    p = spec.feature_count(dataset.d)
-    if spec.lam > 0 and p > dataset.n:
-        return _fourier_kernel_fit(dataset, spec)
-    if p > spec.max_features:
-        raise TrainerError(f"feature count {p} exceeds cap {spec.max_features}")
-    freqs = _half_space_frequencies(spec.N, dataset.d)
-    phi = _fourier_design(dataset.xs, freqs)
-    y = dataset.ys
-    n, d = dataset.n, dataset.d
-
-    if spec.lam > 0:
-        try:
-            gram = phi.T @ phi / n + spec.lam * np.eye(phi.shape[1])
-            coef = np.linalg.solve(gram, phi.T @ y / n)
-        except np.linalg.LinAlgError as exc:
-            raise IllConditionedError(f"ridge system singular: {exc}") from exc
-    else:
-        coef, _, _, _ = np.linalg.lstsq(phi, y, rcond=None)
-    if not np.all(np.isfinite(coef)):
-        raise IllConditionedError("non-finite ridge coefficients")
-
-    def predict(xs: np.ndarray) -> np.ndarray:
-        _check_dimension(xs, d)
-        return _fourier_design(xs, freqs) @ coef
-
-    return PredictorHandle(
-        predict,
-        name=f"fourier_ridge(N={spec.N}, lam={spec.lam:g})",
-        meta={"kind": "fourier_ridge", "coefficients": coef, "frequencies": freqs,
-              "lam": spec.lam, "N": spec.N},
-    )
+    return _fourier_fits(dataset.xs, dataset.ys[:, None], spec)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +290,7 @@ class MlpSpec:
         for w in self.widths:
             _check_integer("layer widths", w)
         _check_integer("max_iter", self.max_iter)
-        _check_real("learning_rate", self.learning_rate)
+        check_real("learning_rate", self.learning_rate, TrainerError)
         if self.learning_rate <= 0:
             raise TrainerError("learning_rate must be > 0")
         if any(w < 1 for w in self.widths):
@@ -454,7 +430,7 @@ class TreeSpec:
     def __post_init__(self):
         for name in ("max_depth", "min_samples_leaf", "n_trees"):
             _check_integer(name, getattr(self, name))
-        _check_real("feature_fraction", self.feature_fraction)
+        check_real("feature_fraction", self.feature_fraction, TrainerError)
         if self.max_depth < 1:
             raise TrainerError("max_depth must be >= 1")
         if self.min_samples_leaf < 1:
@@ -693,6 +669,7 @@ def fourier_ridge_trainer(spec: FourierRidgeSpec = FourierRidgeSpec()) -> Traine
     return TrainerOracle(
         name="fourier_ridge",
         fit_fn=lambda ds, seed: fourier_ridge_fit(ds, spec, seed),
+        fit_multi_fn=lambda xs, Y, seeds: _fourier_fits(xs, Y, spec),
         optimization_tol=1e-10,
     )
 

@@ -11,9 +11,9 @@ import math
 
 import numpy as np
 
-from .core import PredictorHandle, RegressionDataset, derive_rng, derive_seed, estimate_tau, warm_up
+from .core import EvaluationConfig, PredictorHandle, RegressionDataset, derive_rng
 from .metrics import empirical_norm, ht_average
-from .refit import candidate_block, default_t, estimate_radius, run_round
+from .refit import evaluate_with_state
 from .sampling import Subsample, srswor
 from .synth import ExperimentSpec, generate
 from .theory import decay_constant, fourier_coefficients, norm_equivalence_check
@@ -109,26 +109,21 @@ def suite_decay(seed: int = 0) -> dict:
 
 
 def suite_radius(seeds: int = 20, n: int = 1000, k1: int = 5, seed0: int = 0) -> dict:
-    """Radius estimate covers the realized full-data error distance."""
+    """Radius estimate covers the realized full-data error distance.
+
+    Each seed runs the engine's radius estimate: k1 rounds at noise scale 1.
+    """
     covered = 0
     details = []
-    for s in range(seeds):
-        dataset, truth = generate(ExperimentSpec(id="exp1", n=n, seed=seed0 + s))
-        trainer = make_trainer("fourier_ridge", {"N": 8, "lam": 1e-6})
-        state = warm_up(dataset, trainer, seed=seed0 + s)
-        tau = estimate_tau(state.residuals)
-        t = default_t(tau)
-        m = int(round(n ** 0.6))
-        rounds = [run_round(state, dataset, trainer,
-                            srswor(n, m, "permutation", derive_seed(seed0 + s, "subsample", k)),
-                            1.0, 1.0, seed0 + s, k)
-                  for k in range(k1)]
-        block = candidate_block(state, dataset,
-                                [f for rd in rounds for f in (rd.tilde_f, rd.check_f)])
-        est = estimate_radius(state, rounds, block, t, tau)
+    trainer = make_trainer("fourier_ridge", {"N": 8, "lam": 1e-6})
+    for s in range(seed0, seed0 + seeds):
+        dataset, truth = generate(ExperimentSpec(id="exp1", n=n, seed=s))
+        config = EvaluationConfig(K=k1, beta=0.6, rho_grid=(1.0,), seed=s)
+        reports, state = evaluate_with_state(dataset, trainer, config)
+        r = reports[0].r
         r_hat = empirical_norm(state.breve_vals - truth.fstar.predict(dataset.xs))
-        covered += int(est.r >= r_hat)
-        details.append({"seed": seed0 + s, "r": est.r, "r_hat": r_hat})
+        covered += int(r >= r_hat)
+        details.append({"seed": s, "r": r, "r_hat": r_hat})
     return {"suite": "radius", "seeds": seeds, "covered": covered,
             "required": 18, "details": details, "pass": bool(covered >= 18)}
 

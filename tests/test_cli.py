@@ -153,13 +153,37 @@ class TestCmdEvaluate:
         {"trainer": {"name": "mlp", "params": {"optimizer": "gd", "learning_rate": -0.05}}},
         {"trainer": {"name": "mlp", "params": {"optimizer": "gd", "learning_rate": True}}},
         {"trainer": {"name": "tree", "params": {"feature_fraction": True}}},
+        # Real evaluation settings that are booleans or not finite, and
+        # negative bound constants.
+        {"evaluation": {"K": 2, "rho_grid": [1.0], "radius_constant": float("inf")}},
+        {"evaluation": {"K": 2, "rho_grid": [1.0], "radius_constant": float("nan")}},
+        {"evaluation": {"K": 2, "rho_grid": [1.0], "radius_constant": -5}},
+        {"evaluation": {"K": 2, "rho_grid": [1.0], "log_term_constant": float("nan")}},
+        {"evaluation": {"K": 2, "rho_grid": [1.0], "log_term_constant": -1.0}},
+        {"evaluation": {"K": 2, "rho_grid": [1.0], "w_under": float("nan")}},
+        {"evaluation": {"K": 2, "rho_grid": [1.0], "w_bar": float("inf")}},
+        {"evaluation": {"K": 2, "rho_grid": [1.0], "M_v": float("nan")}},
+        {"evaluation": {"K": 2, "rho_grid": [1.0], "v": float("nan")}},
+        {"evaluation": {"K": 2, "rho_grid": [1.0], "tau": True}},
+        {"evaluation": {"K": 2, "rho_grid": [1.0], "tau": float("inf")}},
+        {"evaluation": {"K": 2, "rho_grid": [1.0], "t": float("nan")}},
+        {"evaluation": {"K": 2, "rho_grid": [1.0], "beta": float("nan")}},
+        {"evaluation": {"K": 2, "rho_grid": [1.0], "delta": True}},
+        {"evaluation": {"K": 3, "K1": 1, "rho_mode": "tuned", "tol_rho": float("inf")}},
+        {"evaluation": {"K": 2, "rho_grid": [float("nan")]}},
+        {"evaluation": {"K": 2, "rho_grid": [float("inf")]}},
+        {"evaluation": {"K": 2, "rho_grid": [True]}},
     ], ids=["srswor_strategy", "t", "w_under", "M_v", "tune_max_iter", "rho_grid", "n",
             "seeds", "n_mc", "K_float", "max_features", "header_only_csv", "narrow_csv_row",
             "wide_csv_row", "v_zero", "tree_n_trees_float", "tree_max_depth_float",
             "tree_min_samples_leaf_float", "tree_max_depth_bool", "ridge_N_float",
             "ridge_max_features_float", "mlp_max_iter_float", "mlp_widths_float",
             "ridge_lam_nan", "ridge_lam_inf", "ridge_lam_bool", "mlp_lr_nan", "mlp_lr_zero",
-            "mlp_lr_negative", "mlp_lr_bool", "tree_feature_fraction_bool"])
+            "mlp_lr_negative", "mlp_lr_bool", "tree_feature_fraction_bool",
+            "radius_constant_inf", "radius_constant_nan", "radius_constant_negative",
+            "log_term_constant_nan", "log_term_constant_negative", "w_under_nan", "w_bar_inf",
+            "M_v_nan", "v_nan", "tau_bool", "tau_inf", "t_nan", "beta_nan", "delta_bool",
+            "tol_rho_inf", "rho_grid_nan", "rho_grid_inf", "rho_grid_bool"])
     def test_config_mistake_exit_2(self, tmp_path, capsys, overrides):
         # Raised before, during or after the run, a config error exits 2.
         overrides = dict(overrides)

@@ -140,7 +140,9 @@ class TestFitMulti:
     def test_default_loop_equals_per_column_fits(self):
         xs, Y = self.data()
         probe = np.linspace(0, 1, 11)[:, None]
-        for name in ("fourier_ridge", "mlp", "tree"):
+        # fourier_ridge solves its columns together, which rounds
+        # differently (test_trainers checks it to a tolerance).
+        for name in ("mlp", "tree"):
             trainer = make_trainer(name, {"max_iter": 20} if name == "mlp" else {})
             handles = trainer.fit_multi(xs, Y, [4, 5, 6])
             assert len(handles) == 3
@@ -179,7 +181,7 @@ class TestFitMulti:
 
     @pytest.mark.parametrize("batched", [False, True])
     def test_input_checks(self, batched):
-        trainer = make_trainer("tree" if batched else "fourier_ridge", {})
+        trainer = make_trainer("tree" if batched else "mlp", {})
         assert (trainer.fit_multi_fn is not None) == batched
         xs, Y = self.data()
         bad = Y.copy()

@@ -17,9 +17,10 @@ from wildriff.trainers import (
     _build_design,
     _dirichlet_features,
     _dirichlet_kernel,
-    _fourier_design,
     _half_space_frequencies,
+    _memoized,
     fourier_ridge_fit,
+    fourier_ridge_trainer,
     make_trainer,
     mlp_fit,
     tree_fit,
@@ -180,7 +181,7 @@ class TestFourierRidge:
         ds = uniform_dataset(n, d=d, seed=seed, fn=lambda xs: np.sin(7 * xs.sum(axis=1)),
                              noise=0.3)
         f = fourier_ridge_fit(ds, FourierRidgeSpec(N=N, lam=lam))
-        phi = _fourier_design(ds.xs, _half_space_frequencies(N, d))
+        phi = _build_design(ds.xs, _half_space_frequencies(N, d))
         if dual:
             assert "coefficients" not in f.meta
             coef = phi.T @ f.meta["dual_coefficients"]
@@ -220,24 +221,40 @@ class TestFourierRidge:
         probes = np.random.default_rng(0).uniform(0, 1, size=(500, 5))
         assert np.all(np.isfinite(f.predict(probes)))
 
-    def test_kernel_predicts_in_row_blocks(self, monkeypatch):
-        # A budget of 1000 kernel entries at 150 training points is 6 rows
-        # a block, so 500 probes take 84 blocks, the last one partial.
-        monkeypatch.setattr(trainers, "_KERNEL_BLOCK_ENTRIES", 1000)
-        ds, _ = generate(ExperimentSpec(id="exp3", n=150, seed=1))
-        spec = FourierRidgeSpec(N=3)
-        f = fourier_ridge_fit(ds, spec)
-        probes = np.random.default_rng(2).uniform(0, 1, size=(500, 5))
-        kernel = _dirichlet_kernel(_dirichlet_features(probes, spec.N),
-                                   _dirichlet_features(ds.xs, spec.N))
-        one_shot = kernel @ f.meta["dual_coefficients"]
-        blocked = f.predict(probes)
-        assert np.max(np.abs(blocked - one_shot)) <= 1e-12 * np.max(np.abs(one_shot))
-
     # Rows of one tile at 100 columns, and a column count at which a tile is
     # a single row.
     TILE_ROWS = trainers._KERNEL_TILE_ENTRIES // 100
     WIDE = trainers._KERNEL_TILE_ENTRIES // 2 + 1
+
+    @pytest.mark.parametrize("rows,cols", [
+        (1, 100), (TILE_ROWS - 1, 100), (TILE_ROWS, 100), (TILE_ROWS + 1, 100),
+        (2 * TILE_ROWS + 1, 100), (1, WIDE), (3, WIDE),
+    ])
+    @pytest.mark.parametrize("columns", [None, 3], ids=["vector", "matrix"])
+    def test_kernel_times_coef_matches_product(self, rows, cols, columns):
+        # Each tile is multiplied by coef as it is filled; a tile's
+        # matrix-vector product may round its last rows apart from the
+        # full-size one.
+        rng = np.random.default_rng(rows + cols)
+        psi_a = _dirichlet_features(rng.uniform(0, 1, size=(rows, 3)), 4)
+        psi_b = _dirichlet_features(rng.uniform(0, 1, size=(cols, 3)), 4)
+        coef = rng.normal(size=(cols,) if columns is None else (cols, columns))
+        want = untiled_kernel(psi_a, psi_b) @ coef
+        got = _dirichlet_kernel(psi_a, psi_b, coef)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_kernel_prediction_memory(self):
+        # A 10,000-point prediction holds one tile of its 10,000 x 400
+        # kernel (32 MB) and the tile's per-coordinate factor at a time,
+        # once the probes' features sit in the memo.
+        ds, _ = generate(ExperimentSpec(id="exp3", n=400, seed=1))
+        f = fourier_ridge_fit(ds, FourierRidgeSpec(N=3))
+        probes = np.random.default_rng(2).uniform(0, 1, size=(10_000, 5))
+        first = f.predict(probes)
+        again, peak = traced_peak(f.predict, probes)
+        np.testing.assert_array_equal(again, first)
+        assert peak <= again.nbytes + 3 * 8 * trainers._KERNEL_TILE_ENTRIES
 
     @pytest.mark.parametrize("rows,cols", [
         (1, 100), (TILE_ROWS - 1, 100), (TILE_ROWS, 100), (TILE_ROWS + 1, 100),
@@ -274,8 +291,9 @@ class TestFourierRidge:
         psi = _dirichlet_features(np.array(ds.xs), spec.N)
         fresh = _dirichlet_kernel(psi, psi) @ f.meta["dual_coefficients"]
         builds = []
-        monkeypatch.setattr(trainers, "_dirichlet_kernel",
-                            lambda a, b: builds.append(1) or _dirichlet_kernel(a, b))
+        monkeypatch.setattr(
+            trainers, "_dirichlet_kernel",
+            lambda a, b, coef=None: builds.append(1) or _dirichlet_kernel(a, b, coef))
         frozen = np.array(ds.xs)
         frozen.setflags(write=False)
         fitted = f.predict(np.array(ds.xs))
@@ -315,9 +333,9 @@ class TestFourierRidge:
         kernels, features = [], []
         kernel, feature = trainers._dirichlet_kernel, trainers._dirichlet_features
 
-        def counting_kernel(psi_a, psi_b):
+        def counting_kernel(psi_a, psi_b, coef=None):
             kernels.append((psi_a.shape[1], psi_b.shape[1]))
-            return kernel(psi_a, psi_b)
+            return kernel(psi_a, psi_b, coef)
 
         def counting_features(xs, N):
             features.append(xs.shape[0])
@@ -395,20 +413,20 @@ class TestFourierRidge:
     def test_design_memo_keyed_by_values(self):
         xs = np.random.default_rng(3).uniform(0, 1, size=(50, 1))
         freqs = _half_space_frequencies(4, 1)
-        design = _fourier_design(xs, freqs)
+        design = _memoized(_build_design, freqs, xs)
         assert not design.flags.writeable
         frozen = np.array(xs)
         frozen.setflags(write=False)
         # Distinct arrays with equal values, writeable or not, share the design.
-        assert _fourier_design(np.array(xs), freqs) is design
-        assert _fourier_design(frozen, freqs) is design
+        assert _memoized(_build_design, freqs, np.array(xs)) is design
+        assert _memoized(_build_design, freqs, frozen) is design
         np.testing.assert_array_equal(design, _build_design(xs, freqs))
         changed = np.array(xs)
         changed[7, 0] = 0.5
-        miss = _fourier_design(changed, freqs)
+        miss = _memoized(_build_design, freqs, changed)
         assert miss is not design
         np.testing.assert_array_equal(miss, _build_design(changed, freqs))
-        assert _fourier_design(xs[:-1], freqs) is not miss
+        assert _memoized(_build_design, freqs, xs[:-1]) is not miss
 
     def test_design_memo_sees_rewritten_frozen_array(self):
         xs = np.random.default_rng(4).uniform(0, 1, size=(40, 1))
@@ -451,6 +469,34 @@ class TestFourierRidge:
         # candidates are predicted apart, with tuning fits in between.
         cfg = EvaluationConfig(K=12, K1=4, rho_mode="tuned", seed=5)
         assert count_builds(cfg) == (3, cfg.K + 3)
+
+    @pytest.mark.parametrize("d,N,lam,key", [
+        (1, 4, 1e-6, "coefficients"),      # p = 9 <= n: the p x p normal equations
+        (2, 4, 1e-3, "dual_coefficients"),  # p = 81 > n: the n x n kernel system
+        (2, 4, 0.0, "coefficients"),       # lam = 0: least squares on the design
+    ], ids=["primal", "kernel", "lstsq"])
+    def test_fit_multi_matches_per_column_fits(self, d, N, lam, key):
+        # One factorization solves every column; a multi-column solve rounds
+        # apart from a single-column one, so columns match the per-column
+        # fits to 1e-10 of the largest prediction.
+        n, c = 40, 4
+        rng = np.random.default_rng(d + N)
+        xs = rng.uniform(0, 1, size=(n, d))
+        Y = np.sin(5.0 * xs.sum(axis=1))[:, None] + rng.normal(0, 0.3, size=(n, c))
+        spec = FourierRidgeSpec(N=N, lam=lam)
+        handles = fourier_ridge_trainer(spec).fit_multi(xs, Y, list(range(c)))
+        probes = rng.uniform(0, 1, size=(200, d))
+        p = spec.feature_count(d)
+        for y, f in zip(Y.T, handles):
+            g = fourier_ridge_fit(RegressionDataset(xs, y), spec)
+            assert set(f.meta) == set(g.meta)
+            assert f.meta[key].shape == g.meta[key].shape == ((n,) if key.startswith("dual")
+                                                               else (p,))
+            if key == "coefficients":
+                assert f.meta["frequencies"].shape == ((p - 1) // 2, d)
+            for pts in (xs, probes):
+                want = g.predict(pts)
+                assert np.max(np.abs(f.predict(pts) - want)) <= 1e-10 * np.max(np.abs(want))
 
     def test_prediction_totality(self):
         ds, _ = generate(ExperimentSpec(id="exp1", n=200, seed=0))

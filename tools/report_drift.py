@@ -1,0 +1,81 @@
+"""Largest relative difference of every output field between two checkouts.
+
+    python3 tools/report_drift.py PARENT CHANGE --workload ridge5d --seed 0 --ops 4
+
+Each checkout runs operations 0..N-1 of a benchmark workload through its own
+perfbench/workloads.py, in a subprocess that writes nothing into it: every
+numeric report field and rounds.csv column per scale, or the sweep.csv cells.
+Exits 1 if the two label sets differ.
+"""
+
+import argparse
+import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
+from collections import defaultdict
+
+DUMP = r"""
+import csv, dataclasses, json, sys
+from pathlib import Path
+sys.path.insert(0, str(Path(sys.argv[1]) / "perfbench"))
+import workloads
+out, w = {}, workloads.Workload(sys.argv[2], int(sys.argv[3]), Path.cwd())
+for i in range(int(sys.argv[4])):
+    w.prepare(i)
+    result = w.run_op(i)
+    if w.spec["mode"] == "sweep":
+        for row in csv.DictReader(open("out/sweep.csv")):
+            out.update({f"{i}/{row['rho']}/{k}": [float(v)] for k, v in row.items()})
+        continue
+    for r in result:
+        cells = {f.name: [getattr(r, f.name)] for f in dataclasses.fields(r)}
+        cells = {k: v for k, v in cells.items() if type(v[0]) in (int, float)}
+        for col in ("k", "rho1", "rho2", "norm_tilde", "norm_check", "trainer_tol"):
+            cells["rounds." + col] = [getattr(rd, col) for rd in r.rounds]
+        for col in ("opt_tilde", "opt_check"):
+            cells["rounds." + col] = [getattr(rd.optimism, col) for rd in r.rounds]
+        out.update({f"{i}/{r.label}/{k}": v for k, v in cells.items()})
+print(json.dumps(out))
+"""
+
+
+def dump(checkout, args):
+    with tempfile.TemporaryDirectory() as tmp:
+        proc = subprocess.run(
+            [sys.executable, "-c", DUMP, os.path.abspath(checkout), args.workload,
+             str(args.seed), str(args.ops)], cwd=tmp, capture_output=True, text=True,
+            check=True, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def rel(a, b):
+    same = a == b or (math.isnan(a) and math.isnan(b))
+    return 0.0 if same else abs(a - b) / max(abs(a), abs(b))
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent")
+    parser.add_argument("change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--ops", type=int, default=1)
+    args = parser.parse_args()
+    before, after = dump(args.parent, args), dump(args.change, args)
+    if {k: len(v) for k, v in before.items()} != {k: len(v) for k, v in after.items()}:
+        print("labels differ:", sorted(set(before) ^ set(after)))
+        return 1
+    worst = defaultdict(float)
+    for key, values in before.items():
+        field = key.split("/", 2)[2]
+        worst[field] = max([worst[field], *map(rel, values, after[key])])
+    for field, diff in sorted(worst.items()):
+        print(f"{field:32s} {diff:.3g}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
