@@ -197,6 +197,13 @@ class TrainerOracle:
     column, each the handle ``fit_fn`` would return for that column and
     seed, up to float rounding when the trainer solves columns together.
     `fit_multi` uses it when set and loops over ``fit`` otherwise.
+
+    ``predict_multi_fn(handles, xs)``, optional, is its prediction twin: one
+    call returns a (len(handles), n) array whose row i is
+    ``handles[i].predict(xs)``, up to float rounding when the trainer
+    predicts handles together.  It must accept any handle, predicting one it
+    did not make through that handle's own ``predict``.  `predict_multi`
+    uses it when set and loops over ``predict`` otherwise.
     """
 
     name: str
@@ -204,6 +211,7 @@ class TrainerOracle:
     optimization_tol: float = 0.0
     fit_multi_fn: Optional[Callable[..., Sequence[PredictorHandle]]] = field(default=None,
                                                                           repr=False)
+    predict_multi_fn: Optional[Callable[..., np.ndarray]] = field(default=None, repr=False)
 
     def fit(self, dataset: RegressionDataset, seed: int) -> PredictorHandle:
         return self._call(self.fit_fn, dataset, int(seed))
@@ -231,6 +239,27 @@ class TrainerOracle:
                 f"for {len(seeds)} response columns")
         return handles
 
+    def predict_multi(self, handles: Sequence[PredictorHandle], xs) -> np.ndarray:
+        """Row i is ``handles[i]`` predicted on ``xs``: shape (len(handles), n).
+
+        The engine predicts every refit through here.  A foreign exception
+        becomes a `TrainerFailedError`, as in `fit`, and so does a result of
+        the wrong shape; a non-finite prediction raises `NonFiniteDataError`.
+        """
+        handles = list(handles)
+        xs = np.atleast_2d(np.asarray(xs, dtype=float))
+        if not handles:
+            return np.empty((0, xs.shape[0]))
+        vals = np.asarray(self._call(self.predict_multi_fn or _predict_each, handles, xs),
+                          dtype=float)
+        if vals.shape != (len(handles), xs.shape[0]):
+            raise TrainerFailedError(
+                f"trainer {self.name!r} returned predictions of shape {vals.shape} "
+                f"for {len(handles)} predictors on {xs.shape[0]} points")
+        if not np.all(np.isfinite(vals)):
+            raise NonFiniteDataError(f"trainer {self.name!r} predicted non-finite values")
+        return vals
+
     def _call(self, fn, *args):
         try:
             return fn(*args)
@@ -238,6 +267,13 @@ class TrainerOracle:
             raise
         except Exception as exc:
             raise TrainerFailedError(f"trainer {self.name!r} failed: {exc}") from exc
+
+
+def _predict_each(handles: Sequence[PredictorHandle], xs: np.ndarray) -> np.ndarray:
+    out = np.empty((len(handles), xs.shape[0]))
+    for row, handle in zip(out, handles):
+        row[:] = handle.predict(xs)
+    return out
 
 
 @dataclass(frozen=True)

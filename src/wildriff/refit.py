@@ -34,6 +34,8 @@ from .core import (
     estimate_tau,
     warm_up,
 )
+# Rounds are scored row-wise over a value block (`_score_rounds`), not through
+# `wild_optimism`; the name stays because perfbench's tracer patches it here.
 from .metrics import OptimismPair, empirical_norm, wild_optimism, wild_responses
 from .sampling import Subsample, srswor
 
@@ -243,13 +245,11 @@ def _log_term(n: int, d: int, v: float, delta: float, w_bar: float, w_under: flo
 # Candidate-set suprema
 # ---------------------------------------------------------------------------
 
-def candidate_block(state: RefitState, dataset: RegressionDataset,
+def candidate_block(state: RefitState, dataset: RegressionDataset, trainer: TrainerOracle,
                     handles: Sequence[PredictorHandle]) -> CandidateBlock:
-    """Predict each handle once on the full data, one row per handle."""
-    vals = np.empty((len(handles), dataset.n))
-    for row, f in zip(vals, handles):
-        row[:] = f.predict(dataset.xs)
-    return _block(state, vals)
+    """Predict the handles on the full data, one row per handle, in one
+    `TrainerOracle.predict_multi` call of the trainer that made them."""
+    return _block(state, trainer.predict_multi(handles, dataset.xs))
 
 
 def _block(state: RefitState, vals: np.ndarray) -> CandidateBlock:
@@ -324,8 +324,10 @@ def _subsample_rounds(state: RefitState, dataset: RegressionDataset, trainer: Tr
     """Round k on ``sub`` at each (rho1, rho2) of ``scales``, in order.
 
     The plus and minus pseudo-responses of every scale, in that order, are
-    the columns of one matrix, refit in one `TrainerOracle.fit_multi` call.
-    Every scale's plus refit takes one seed and every minus refit another.
+    the columns of one matrix, refit in one `TrainerOracle.fit_multi` call
+    and predicted on the subsample in one `TrainerOracle.predict_multi`
+    call.  Every scale's plus refit takes one seed and every minus refit
+    another.
     """
     rows = _subsample_rows(state, dataset, sub)
     responses = np.column_stack([
@@ -334,35 +336,40 @@ def _subsample_rounds(state: RefitState, dataset: RegressionDataset, trainer: Tr
     seeds = [derive_seed(seed, "refit-tilde", k), derive_seed(seed, "refit-check", k)]
     try:
         fits = trainer.fit_multi(rows.xs, responses, seeds * len(scales))
+        vals = trainer.predict_multi(fits, rows.xs)
     except TrainerFailedError as exc:
         raise TrainerFailedError(f"round {k}: {exc}") from exc
-    vals = [f.predict(rows.xs) for f in fits]
-    return [_score_round(trainer, rows, sub, k, rho1, rho2, fits[2 * i], fits[2 * i + 1],
-                         vals[2 * i], vals[2 * i + 1])
-            for i, (rho1, rho2) in enumerate(scales)]
+    return _score_rounds(trainer, rows, sub, k, scales, fits, vals)
 
 
-def _score_round(trainer: TrainerOracle, rows: _SubsampleRows, sub: Subsample, k: int,
-                 rho1: float, rho2: float, tilde_f: PredictorHandle, check_f: PredictorHandle,
-                 tilde_vals: np.ndarray, check_vals: np.ndarray) -> WildRound:
-    """Optimisms and subsample-norm distances of a round's two refits, from
-    their values on the subsample."""
-    opt_tilde = wild_optimism(rows.signs, rows.residuals, tilde_vals, rows.breve)
+def _score_rounds(trainer: TrainerOracle, rows: _SubsampleRows, sub: Subsample, k: int,
+                  scales: Sequence[Tuple[float, float]], fits: Sequence[PredictorHandle],
+                  vals: np.ndarray) -> List[WildRound]:
+    """Round k at each (rho1, rho2) of ``scales``, from its refits ``fits``
+    (plus then minus, scale by scale) and their values on the subsample,
+    one row of ``vals`` each.
+
+    Row-wise reductions give every row's optimism and subsample-norm
+    distance bit for bit as `wild_optimism` and `empirical_norm` give them
+    for that row alone.
+    """
+    diff = vals - rows.breve
     # The minus-direction optimism carries the mirrored difference breve - f.
-    opt_check = wild_optimism(rows.signs, rows.residuals, rows.breve, check_vals)
-
-    return WildRound(
+    diff[1::2] *= -1.0
+    opts = np.mean(rows.signs * rows.residuals * diff, axis=1)
+    norms = np.sqrt(np.mean(np.square(diff), axis=1))
+    return [WildRound(
         k=k,
         sub=sub,
         rho1=float(rho1),
         rho2=float(rho2),
-        tilde_f=tilde_f,
-        check_f=check_f,
-        optimism=OptimismPair(opt_tilde=opt_tilde, opt_check=opt_check),
-        norm_tilde=empirical_norm(tilde_vals - rows.breve),
-        norm_check=empirical_norm(check_vals - rows.breve),
+        tilde_f=fits[2 * i],
+        check_f=fits[2 * i + 1],
+        optimism=OptimismPair(opt_tilde=float(opts[2 * i]), opt_check=float(opts[2 * i + 1])),
+        norm_tilde=float(norms[2 * i]),
+        norm_check=float(norms[2 * i + 1]),
         trainer_tol=trainer.optimization_tol,
-    )
+    ) for i, (rho1, rho2) in enumerate(scales)]
 
 
 def _run_rounds(state, dataset, trainer, subs, grid, seed) -> List[List[WildRound]]:
@@ -405,7 +412,7 @@ def tune_noise_scale(state: RefitState, dataset: RegressionDataset, trainer: Tra
         y = wild_responses(rows.breve, rows.signs, rows.residuals, rho, direction)
         f = trainer.fit(RegressionDataset(rows.xs, y), fit_seed)
         evals[0] += 1
-        vals = f.predict(rows.xs)
+        [vals] = trainer.predict_multi([f], rows.xs)
         return empirical_norm(vals - rows.breve), (f, vals)
 
     tol_abs = tol_rel * target
@@ -624,7 +631,7 @@ def evaluate_with_state(dataset: RegressionDataset, trainer: TrainerOracle,
     if config.rho_mode == "fixed-grid":
         by_scale = _run_rounds(state, dataset, trainer, subs, config.rho_grid, config.seed)
         for rho, rounds in zip(config.rho_grid, by_scale):
-            block = candidate_block(state, dataset, _refits(rounds))
+            block = candidate_block(state, dataset, trainer, _refits(rounds))
             est = estimate_radius(state, rounds, block, t, tau, C=config.radius_constant)
             rt = r_tilde(est.r, n, config.beta, dataset.d, config.v, config.M_v,
                          config.w_bar, config.w_under)
@@ -636,7 +643,7 @@ def evaluate_with_state(dataset: RegressionDataset, trainer: TrainerOracle,
         rho0 = config.rho_grid[0] if config.rho_grid else 1.0
         [warm_rounds] = _run_rounds(state, dataset, trainer, subs[:config.K1], (rho0,),
                                     config.seed)
-        warm_block = candidate_block(state, dataset, _refits(warm_rounds))
+        warm_block = candidate_block(state, dataset, trainer, _refits(warm_rounds))
         est = estimate_radius(state, warm_rounds, warm_block, t, tau, C=config.radius_constant)
         rt = r_tilde(est.r, n, config.beta, dataset.d, config.v, config.M_v,
                      config.w_bar, config.w_under)
@@ -652,11 +659,11 @@ def evaluate_with_state(dataset: RegressionDataset, trainer: TrainerOracle,
                                      config.tol_rho, config.tune_max_iter,
                                      derive_seed(config.seed, "tune", k))
             unconverged += (not plus.converged) + (not minus.converged)
-            tuned_rounds.append(_score_round(trainer, _subsample_rows(state, dataset, sub), sub,
-                                             k, plus.rho, minus.rho,
-                                             plus.predictor, minus.predictor,
-                                             plus.sub_vals, minus.sub_vals))
-        tuned_block = candidate_block(state, dataset, _refits(tuned_rounds))
+            tuned_rounds += _score_rounds(trainer, _subsample_rows(state, dataset, sub), sub, k,
+                                          [(plus.rho, minus.rho)],
+                                          [plus.predictor, minus.predictor],
+                                          np.stack([plus.sub_vals, minus.sub_vals]))
+        tuned_block = candidate_block(state, dataset, trainer, _refits(tuned_rounds))
         report = _assemble_report("tuned", state, dataset, config, tuned_rounds,
                                   [warm_block, tuned_block], est.r, rt, tau, t, fstar_vals)
         if unconverged:

@@ -65,6 +65,69 @@ def _check_dimension(xs: np.ndarray, d: int) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Batched prediction
+# ---------------------------------------------------------------------------
+
+# Every matrix product of a prediction is cut to at most this many
+# multiply-adds.  OpenBLAS runs a product this small on one thread; a larger
+# one wakes its other threads, which then spin between the many small
+# products of an evaluate and cost CPU time without saving wall time.
+_PRODUCT_BUDGET = 2 ** 18
+
+
+class _BatchHandle(PredictorHandle):
+    """A built-in handle.  Handles whose ``fill`` compare equal predict
+    together: ``fill(items, xs, out)`` writes the predictions on ``xs`` of
+    the handles holding ``items`` into the rows of ``out``.  `predict` is its
+    one-handle case, so a handle has one prediction path, alone or batched.
+    """
+
+    def __init__(self, fill, item, name: str, meta: dict):
+        super().__init__(functools.partial(_predict_alone, fill, item), name, meta)
+        self.fill = fill
+        self.item = item
+
+
+def _predict_alone(fill, item, xs: np.ndarray) -> np.ndarray:
+    out = np.empty((1, xs.shape[0]))
+    fill([item], xs, out)
+    return out[0]
+
+
+def _predict_multi(handles, xs: np.ndarray) -> np.ndarray:
+    """The built-in trainers' `TrainerOracle.predict_multi_fn`: one ``fill``
+    call per group of built-in handles, in place when the group's rows are
+    consecutive; any other handle through its own ``predict``."""
+    out = np.empty((len(handles), xs.shape[0]))
+    groups = {}
+    for i, handle in enumerate(handles):
+        if isinstance(handle, _BatchHandle):
+            groups.setdefault(handle.fill, []).append(i)
+        else:
+            out[i] = handle.predict(xs)
+    for fill, rows in groups.items():
+        items = [handles[i].item for i in rows]
+        if rows[-1] - rows[0] + 1 == len(rows):
+            fill(items, xs, out[rows[0]:rows[-1] + 1])
+        else:
+            block = np.empty((len(rows), xs.shape[0]))
+            fill(items, xs, block)
+            out[rows] = block
+    return out
+
+
+def _tiled_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """``out = a @ b.T``, in blocks of at most `_PRODUCT_BUDGET`
+    multiply-adds (one row of ``a`` and one of ``b`` at the least)."""
+    rows = max(1, _PRODUCT_BUDGET // a.shape[1])
+    for r in range(0, a.shape[0], rows):
+        block = a[r:r + rows]
+        cols = max(1, _PRODUCT_BUDGET // block.size)
+        for c in range(0, b.shape[0], cols):
+            np.matmul(block, b[c:c + cols].T, out=out[r:r + rows, c:c + cols])
+
+
+# ---------------------------------------------------------------------------
 # Fourier ridge
 # ---------------------------------------------------------------------------
 
@@ -120,9 +183,9 @@ def _half_space_frequencies(N: int, d: int) -> np.ndarray:
 
 # The last features built: (builder, its parameter, copy of xs, features),
 # the explicit design on the primal path and the per-coordinate Dirichlet
-# features on the kernel path.  Every candidate of a report is predicted on
-# the same full-data covariates, so all but the first reuse them.  Keyed by
-# values, so no caller needs to keep or freeze an array.
+# features on the kernel path.  Every candidate block of a report is
+# predicted on the same full-data covariates, so all but the first reuse
+# them.  Keyed by values, so no caller needs to keep or freeze an array.
 _design_memo = None
 
 
@@ -174,13 +237,17 @@ def _dirichlet_kernel(psi_a: np.ndarray, psi_b: np.ndarray,
     tile, so no temporary is as large as the kernel.
 
     Given ``coef``, it returns the kernel times ``coef`` instead, each tile
-    multiplied as it is filled, so it never holds more than one tile.
+    multiplied as it is filled, so it never holds more than one tile.  That
+    is a prediction, and its tiles also keep every product within
+    `_PRODUCT_BUDGET`.
     """
     rows, cols = psi_a.shape[1], psi_b.shape[1]
     step = max(1, _KERNEL_TILE_ENTRIES // cols)
     if coef is None:
         out = np.empty((rows, cols))
     else:
+        width = max(psi_a.shape[2], coef.size // cols)
+        step = min(step, max(1, _PRODUCT_BUDGET // (cols * width)))
         out = np.empty((rows,) + coef.shape[1:])
         scratch = np.empty((min(step, rows), cols))
     for start in range(0, rows, step):
@@ -188,11 +255,11 @@ def _dirichlet_kernel(psi_a: np.ndarray, psi_b: np.ndarray,
         tile = out[start:start + step] if coef is None else scratch[:tile_a.shape[1]]
         np.matmul(tile_a[0], psi_b[0].T, out=tile)
         for j in range(1, psi_a.shape[0]):
-            tile *= tile_a[j] @ psi_b[j].T
+            tile *= np.matmul(tile_a[j], psi_b[j].T)
         tile += 1.0
         tile *= 0.5
         if coef is not None:
-            out[start:start + step] = tile @ coef
+            out[start:start + step] = np.matmul(tile, coef)
     return out
 
 
@@ -203,7 +270,9 @@ def _fourier_fits(xs: np.ndarray, Y: np.ndarray,
 
     The kernel is built once: after the solve its diagonal is restored and
     it gives the fitted values, which a prediction on the training points
-    returns.
+    returns.  Explicit-design handles predict together with every handle on
+    the same frequency table (`_PrimalRows`); kernel-path handles with the
+    others of this call (`_KernelRows`).
     """
     n, d = xs.shape
     p = spec.feature_count(d)
@@ -232,25 +301,53 @@ def _fourier_fits(xs: np.ndarray, Y: np.ndarray,
     # One contiguous row per column, and on the kernel path its fitted values.
     coefs = np.ascontiguousarray(coef.T)
     if dual:
-        fitted = np.ascontiguousarray((kernel @ coef).T)
-        train_xs = xs.copy()
-
-    def predict(c: int, pts: np.ndarray) -> np.ndarray:
-        _check_dimension(pts, d)
-        if not dual:
-            return _memoized(_build_design, freqs, pts) @ coefs[c]
-        if np.array_equal(pts, train_xs):
-            return fitted[c].copy()
-        return _dirichlet_kernel(_memoized(_dirichlet_features, spec.N, pts), psi, coefs[c])
+        fill = _KernelRows(xs.copy(), psi, coefs, np.ascontiguousarray((kernel @ coef).T),
+                           spec.N)
+    else:
+        fill = _PrimalRows(spec.N, d)
 
     def meta(c: int) -> dict:
         solution = ({"dual_coefficients": coefs[c]} if dual
                     else {"coefficients": coefs[c], "frequencies": freqs})
         return {"kind": "fourier_ridge", **solution, "lam": spec.lam, "N": spec.N}
 
-    return [PredictorHandle(functools.partial(predict, c),
-                            name=f"fourier_ridge(N={spec.N}, lam={spec.lam:g})", meta=meta(c))
+    return [_BatchHandle(fill, c if dual else coefs[c],
+                         f"fourier_ridge(N={spec.N}, lam={spec.lam:g})", meta(c))
             for c in range(Y.shape[1])]
+
+
+@dataclass(frozen=True)
+class _PrimalRows:
+    """Explicit-design handles on the (N, d) frequency table.  An item is a
+    coefficient row; one tiled product against the memoized design predicts
+    every handle asked for."""
+
+    N: int
+    d: int
+
+    def __call__(self, coefs, xs: np.ndarray, out: np.ndarray) -> None:
+        _check_dimension(xs, self.d)
+        design = _memoized(_build_design, _half_space_frequencies(self.N, self.d), xs)
+        _tiled_product(np.stack(coefs), design, out)
+
+
+class _KernelRows:
+    """The kernel-path handles of one fit call.  Item c predicts with
+    column c's dual coefficients; one tiled K(x, X) pass predicts every
+    column asked for, and covariates equal to the training points read the
+    fitted values."""
+
+    def __init__(self, xs: np.ndarray, psi: np.ndarray, coefs: np.ndarray,
+                 fitted: np.ndarray, N: int):
+        self.xs, self.psi, self.coefs, self.fitted, self.N = xs, psi, coefs, fitted, N
+
+    def __call__(self, columns, pts: np.ndarray, out: np.ndarray) -> None:
+        _check_dimension(pts, self.xs.shape[1])
+        if np.array_equal(pts, self.xs):
+            out[:] = self.fitted[columns]
+        else:
+            features = _memoized(_dirichlet_features, self.N, pts)
+            out[:] = _dirichlet_kernel(features, self.psi, self.coefs[columns].T).T
 
 
 def fourier_ridge_fit(dataset: RegressionDataset, spec: FourierRidgeSpec = FourierRidgeSpec(),
@@ -468,7 +565,8 @@ class _Padded(NamedTuple):
 
 # Split search pads a level's nodes, taken in size order, into blocks of at
 # most this many (node x row) entries, so memory stays bounded however
-# unevenly the rows spread over the nodes.
+# unevenly the rows spread over the nodes.  Prediction routes points in
+# tiles of at most this many (tree x point) entries.
 _LEVEL_BLOCK_ENTRIES = 2 ** 15
 
 
@@ -631,29 +729,38 @@ def _block_splits(pad: _Padded, min_leaf: int, rows: np.ndarray, starts: np.ndar
 def _tree_fits(xs: np.ndarray, Y: np.ndarray, seeds, spec: TreeSpec) -> List[PredictorHandle]:
     """One tree (or forest) handle per column of ``Y``, all grown together."""
     trees = _grow_trees(xs, Y, seeds, spec)
-    n_trees = spec.n_trees
-    return [_tree_handle(trees, range(c * n_trees, (c + 1) * n_trees), xs.shape[1], spec)
+    fill = _TreeRows(trees, spec.n_trees, xs.shape[1])
+    leaves = trees.n_leaves.reshape(Y.shape[1], spec.n_trees).sum(axis=1)
+    return [_BatchHandle(fill, c, f"tree(depth={spec.max_depth}, trees={spec.n_trees})",
+                         {"kind": "tree", "n_leaves": int(leaves[c]), "spec": spec})
             for c in range(Y.shape[1])]
 
 
-def _tree_handle(trees: _Trees, roots: range, d: int, spec: TreeSpec) -> PredictorHandle:
-    def predict(pts: np.ndarray) -> np.ndarray:
-        _check_dimension(pts, d)
-        acc = np.zeros(pts.shape[0])
-        at = np.arange(pts.shape[0])
-        for root in roots:
-            node = np.full(pts.shape[0], root)
-            for _ in range(trees.levels):
-                node = np.where(pts[at, trees.feature[node]] <= trees.threshold[node],
-                                trees.left[node], trees.right[node])
-            acc += trees.value[node]
-        return acc / len(roots)
+class _TreeRows:
+    """The handles of one `_grow_trees` call.  Item c is column c's forest,
+    roots c * n_trees onward; every root asked for is routed at once, and a
+    forest's trees are summed in root order, as one handle alone sums them.
+    """
 
-    return PredictorHandle(
-        predict,
-        name=f"tree(depth={spec.max_depth}, trees={spec.n_trees})",
-        meta={"kind": "tree", "n_leaves": int(trees.n_leaves[roots].sum()), "spec": spec},
-    )
+    def __init__(self, trees: _Trees, n_trees: int, d: int):
+        self.trees, self.n_trees, self.d = trees, n_trees, d
+
+    def __call__(self, columns, pts: np.ndarray, out: np.ndarray) -> None:
+        _check_dimension(pts, self.d)
+        trees = self.trees
+        roots = np.add.outer(np.asarray(columns) * self.n_trees, np.arange(self.n_trees))
+        step = max(1, _LEVEL_BLOCK_ENTRIES // roots.size)
+        for start in range(0, pts.shape[0], step):
+            tile = pts[start:start + step]
+            at = np.arange(tile.shape[0])
+            node = np.repeat(roots[:, :, None], tile.shape[0], axis=2)
+            for _ in range(trees.levels):
+                node = np.where(tile[at, trees.feature[node]] <= trees.threshold[node],
+                                trees.left[node], trees.right[node])
+            acc = np.zeros((roots.shape[0], tile.shape[0]))
+            for t in range(self.n_trees):
+                acc += trees.value[node[:, t]]
+            out[:, start:start + step] = acc / self.n_trees
 
 
 def tree_fit(dataset: RegressionDataset, spec: TreeSpec = TreeSpec(), seed: int = 0) -> PredictorHandle:
@@ -670,6 +777,7 @@ def fourier_ridge_trainer(spec: FourierRidgeSpec = FourierRidgeSpec()) -> Traine
         name="fourier_ridge",
         fit_fn=lambda ds, seed: fourier_ridge_fit(ds, spec, seed),
         fit_multi_fn=lambda xs, Y, seeds: _fourier_fits(xs, Y, spec),
+        predict_multi_fn=_predict_multi,
         optimization_tol=1e-10,
     )
 
@@ -687,6 +795,7 @@ def tree_trainer(spec: TreeSpec = TreeSpec()) -> TrainerOracle:
         name="tree",
         fit_fn=lambda ds, seed: tree_fit(ds, spec, seed),
         fit_multi_fn=lambda xs, Y, seeds: _tree_fits(xs, Y, seeds, spec),
+        predict_multi_fn=_predict_multi,
         optimization_tol=float("inf"),
     )
 

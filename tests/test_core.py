@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -196,6 +198,74 @@ class TestFitMulti:
             trainer.fit_multi(xs, Y, [0, 1])
         with pytest.raises(EmptyInputError):
             trainer.fit_multi(xs[:0], Y[:0], [0, 1, 2])
+
+
+class TestPredictMulti:
+    def data(self, n=20, c=3):
+        rng = np.random.default_rng(8)
+        return rng.uniform(0, 1, size=(n, 1)), rng.normal(size=(n, c))
+
+    def handles(self):
+        # Four distinct predictors, each a plain black-box handle.
+        return [PredictorHandle(lambda xs, a=a: a * xs[:, 0] + a, name=f"h{a}")
+                for a in (1.0, -2.0, 0.5, 3.0)]
+
+    def test_default_loop_equals_per_handle_predict(self):
+        handles = self.handles()
+        probe = np.linspace(0, 1, 9)
+        vals = constant_trainer().predict_multi(handles[::-1], probe[:, None])
+        assert vals.shape == (4, 9)
+        for row, h in zip(vals, handles[::-1]):
+            np.testing.assert_array_equal(row, h.predict(probe[:, None]))
+
+    def test_foreign_exception_wrapped(self):
+        def boom(xs):
+            raise RuntimeError("nope")
+
+        with pytest.raises(TrainerFailedError, match="'const' failed: nope"):
+            constant_trainer().predict_multi([PredictorHandle(boom)], np.zeros((3, 1)))
+        batched = TrainerOracle(name="boom", fit_fn=constant_trainer().fit_fn,
+                                predict_multi_fn=lambda handles, xs: boom(xs))
+        with pytest.raises(TrainerFailedError, match="nope"):
+            batched.predict_multi(self.handles(), np.zeros((3, 1)))
+
+    @pytest.mark.parametrize("shape", [(2, 5), (3, 4), (3,), (3, 5, 1)])
+    def test_wrong_shape_rejected(self, shape):
+        oracle = TrainerOracle(name="skewed", fit_fn=constant_trainer().fit_fn,
+                               predict_multi_fn=lambda handles, xs: np.zeros(shape))
+        with pytest.raises(TrainerFailedError, match=r"shape .* for 3 predictors on 5 points"):
+            oracle.predict_multi(self.handles()[:3], np.zeros((5, 1)))
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_dimension_mismatch(self, batched):
+        xs, Y = self.data()
+        trainer = make_trainer("tree", {})
+        handles = trainer.fit_multi(xs, Y, [0, 1, 2])
+        if not batched:
+            trainer = dataclasses.replace(trainer, predict_multi_fn=None)
+        with pytest.raises(InvalidDataError, match="dimension 2"):
+            trainer.predict_multi(handles, np.full((4, 2), 0.5))
+
+    @pytest.mark.parametrize("name", ["mlp", "tree"])
+    def test_empty_handle_list(self, name):
+        vals = make_trainer(name, {}).predict_multi([], np.zeros((6, 2)))
+        assert vals.shape == (0, 6)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_non_finite_rejected(self, bad, batched):
+        def fn(xs):
+            out = xs[:, 0].copy()
+            out[2] = bad
+            return out
+
+        handles = [*self.handles()[:2], PredictorHandle(fn)]
+        oracle = TrainerOracle(
+            name="holey", fit_fn=constant_trainer().fit_fn,
+            predict_multi_fn=(lambda hs, xs: np.stack([h.predict(xs) for h in hs])) if batched
+            else None)
+        with pytest.raises(NonFiniteDataError, match="'holey' predicted non-finite"):
+            oracle.predict_multi(handles, np.linspace(0, 1, 5)[:, None])
 
 
 class TestSigns:

@@ -7,6 +7,7 @@ import pytest
 import wildriff.refit as refit
 from wildriff.core import (
     EvaluationConfig,
+    NonFiniteDataError,
     PredictorHandle,
     RefitState,
     RegressionDataset,
@@ -46,9 +47,10 @@ def interpolating_trainer(N=12):
     return fourier_ridge_trainer(FourierRidgeSpec(N=N, lam=0.0))
 
 
-def refit_block(state, ds, rounds):
+def refit_block(state, ds, trainer, rounds):
     """Full-data block of the rounds' refits."""
-    return candidate_block(state, ds, [f for rd in rounds for f in (rd.tilde_f, rd.check_f)])
+    return candidate_block(state, ds, trainer,
+                           [f for rd in rounds for f in (rd.tilde_f, rd.check_f)])
 
 
 def counting(inner, n, m):
@@ -343,7 +345,7 @@ class TestEstimateRadius:
         rounds = [run_round(state, ds, trainer, sub, 1.0, 1.0, seed=0, k=0)]
         tau = estimate_tau(state.residuals)
         t = 3.1
-        est = estimate_radius(state, rounds, refit_block(state, ds, rounds), t=t, tau=tau)
+        est = estimate_radius(state, rounds, refit_block(state, ds, trainer, rounds), t=t, tau=tau)
         # tau ~ 0 and zero refit distances: only the t^2/sqrt(n) branch remains.
         expected = (t * t / math.sqrt(ds.n)) / (1 - 4 * tau / t)
         assert est.r == pytest.approx(expected, rel=1e-6)
@@ -353,7 +355,7 @@ class TestEstimateRadius:
         ds, trainer, state = zero_residual_setup(seed=2)
         sub = srswor(ds.n, 8, "permutation", seed=2)
         rounds = [run_round(state, ds, trainer, sub, 1.0, 1.0, seed=0, k=0)]
-        est = estimate_radius(state, rounds, refit_block(state, ds, rounds), t=3.5, tau=0.0)
+        est = estimate_radius(state, rounds, refit_block(state, ds, trainer, rounds), t=3.5, tau=0.0)
         assert est.r == pytest.approx(3.5 ** 2 / math.sqrt(ds.n), rel=1e-6)
         assert est.components["additive"] == 0.0
 
@@ -361,7 +363,7 @@ class TestEstimateRadius:
         ds, trainer, state = zero_residual_setup(seed=3)
         sub = srswor(ds.n, 8, "permutation", seed=3)
         rounds = [run_round(state, ds, trainer, sub, 1.0, 1.0, seed=0, k=0)]
-        block = refit_block(state, ds, rounds)
+        block = refit_block(state, ds, trainer, rounds)
         with pytest.raises(BadParamError):
             estimate_radius(state, rounds, block, t=2.0, tau=0.0)
         with pytest.raises(BadParamError):
@@ -448,14 +450,15 @@ class TestPilotErrorProxy:
         # Rebuild the state with the truth as the pilot: the gap factor is zero.
         trainer = make_trainer("fourier_ridge", {"N": 8, "lam": 1e-6})
         state2 = warm_up(ds, trainer, pilot=truth.fstar, seed=0)
-        block = candidate_block(state2, ds, cands)
+        block = candidate_block(state2, ds, trainer, cands)
         assert pilot_error_proxy(state2, [block], truth.fstar.predict(ds.xs), radius=10.0) == 0.0
 
     def test_breve_only_candidate_gives_zero(self):
         # A zero radius keeps only the rows at the trained predictor itself
         # (here the pilot), which score zero.
         ds, truth, state, _ = self._setup(seed=1)
-        block = candidate_block(state, ds, [state.breve_f])
+        trainer = make_trainer("fourier_ridge", {"N": 8, "lam": 1e-6})
+        block = candidate_block(state, ds, trainer, [state.breve_f])
         val = pilot_error_proxy(state, [block], truth.fstar.predict(ds.xs), radius=0.0)
         assert val == pytest.approx(0.0, abs=1e-15)
 
@@ -483,7 +486,7 @@ class TestPilotErrorProxy:
                 cands.extend([rd.tilde_f, rd.check_f])
             r_hat = empirical_norm(state.breve_vals - truth.fstar.predict(ds.xs))
             radius = 2.0 * r_hat
-            cand_block = candidate_block(state, ds, cands)
+            cand_block = candidate_block(state, ds, trainer, cands)
             v_proxy = pilot_error_proxy(state, [cand_block], truth.fstar.predict(ds.xs), radius)
             w_proxy, h_proxy = process_sup_proxy(state, cand_block, radius)
             slack = 8 * r_hat * tau * math.sqrt(math.log(1 / 0.05)) / math.sqrt(ds.n)
@@ -598,6 +601,63 @@ class TestEvaluate:
         assert [shape for shape, _ in calls] == [(m, 2 * len(cfg.rho_grid))] * cfg.K
         assert all(seeds == seeds[:2] * len(cfg.rho_grid) for _, seeds in calls)
         assert sum(tag.startswith("refit-") for tag in tags) == 2 * cfg.K
+
+    def test_one_predict_multi_call_per_block_and_subsample(self, monkeypatch):
+        # Fixed-grid mode predicts each subsample's refits on the subsample
+        # in one predict_multi call and each scale's candidate block in one;
+        # tuned mode predicts each candidate block in one call, and every
+        # tuning step's refit on its subsample in one.
+        ds, _ = generate(ExperimentSpec(id="exp1", n=300, seed=19))
+        calls = []
+        predict_multi = TrainerOracle.predict_multi
+
+        def counting_predict_multi(trainer, handles, xs):
+            calls.append((len(handles), xs.shape[0]))
+            return predict_multi(trainer, handles, xs)
+
+        monkeypatch.setattr(TrainerOracle, "predict_multi", counting_predict_multi)
+        cfg = EvaluationConfig(K=5, rho_grid=(0.1, 0.5, 2.0), seed=19)
+        evaluate(ds, make_trainer("tree", {"max_depth": 3}), cfg)
+        m = cfg.subsample_size(ds.n)
+        assert calls == ([(2 * len(cfg.rho_grid), m)] * cfg.K
+                         + [(2 * cfg.K, ds.n)] * len(cfg.rho_grid))
+
+        calls.clear()
+        cfg = EvaluationConfig(K=5, K1=2, rho_mode="tuned", rho_grid=(1.0,), seed=19)
+        evaluate(ds, interpolating_trainer(N=20), cfg)
+        assert [c for c in calls if c[1] == ds.n] == [(2 * cfg.K1, ds.n),
+                                                      (2 * (cfg.K - cfg.K1), ds.n)]
+        on_subsamples = [c for c in calls if c[1] == m]
+        assert on_subsamples[:cfg.K1] == [(2, m)] * cfg.K1
+        assert len(on_subsamples) > cfg.K1 + 2 * (cfg.K - cfg.K1)
+        assert set(on_subsamples[cfg.K1:]) == {(1, m)}
+        assert len(calls) == len(on_subsamples) + 2
+
+    def test_non_finite_refit_predictions_stop_the_run(self):
+        # A refit that predicts NaN at 5 of the 400 full-data points has a
+        # NaN distance, which no radius admits, so it once dropped out of
+        # every candidate supremum and left a finite, unflagged report.
+        ds, truth = generate(ExperimentSpec(id="exp1", n=400, seed=18))
+        base = make_trainer("fourier_ridge", {"N": 8, "lam": 1e-6})
+        holes = np.arange(0, ds.n, 80)
+
+        def fit(data, seed):
+            f = base.fit(data, seed)
+            if data.n == ds.n:   # the warm-up fit
+                return f
+
+            def predict(xs):
+                out = f.predict(xs)
+                if xs.shape[0] == ds.n:
+                    out[holes] = np.nan
+                return out
+
+            return PredictorHandle(predict, name="holey refit")
+
+        trainer = TrainerOracle(name="holey", fit_fn=fit)
+        cfg = EvaluationConfig(K=5, rho_grid=(0.5,), seed=18)
+        with pytest.raises(NonFiniteDataError, match="'holey' predicted non-finite"):
+            evaluate(ds, trainer, cfg, fstar=truth.fstar)
 
     def test_shared_subsamples_across_grid(self):
         ds, _ = generate(ExperimentSpec(id="exp1", n=300, seed=12))

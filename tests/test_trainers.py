@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wildriff.trainers as trainers
-from wildriff.core import EvaluationConfig, InvalidDataError, RegressionDataset
+from wildriff.core import EvaluationConfig, InvalidDataError, PredictorHandle, RegressionDataset
 from wildriff.refit import evaluate
 from wildriff.synth import ExperimentSpec, generate
 from wildriff.trainers import (
@@ -478,13 +478,16 @@ class TestFourierRidge:
     def test_fit_multi_matches_per_column_fits(self, d, N, lam, key):
         # One factorization solves every column; a multi-column solve rounds
         # apart from a single-column one, so columns match the per-column
-        # fits to 1e-10 of the largest prediction.
+        # fits to 1e-10 of the largest prediction.  One product (primal,
+        # lstsq) or one kernel pass (kernel) predicts every handle, each row
+        # matching the handle's own prediction to 1e-13.
         n, c = 40, 4
         rng = np.random.default_rng(d + N)
         xs = rng.uniform(0, 1, size=(n, d))
         Y = np.sin(5.0 * xs.sum(axis=1))[:, None] + rng.normal(0, 0.3, size=(n, c))
         spec = FourierRidgeSpec(N=N, lam=lam)
-        handles = fourier_ridge_trainer(spec).fit_multi(xs, Y, list(range(c)))
+        trainer = fourier_ridge_trainer(spec)
+        handles = trainer.fit_multi(xs, Y, list(range(c)))
         probes = rng.uniform(0, 1, size=(200, d))
         p = spec.feature_count(d)
         for y, f in zip(Y.T, handles):
@@ -497,6 +500,11 @@ class TestFourierRidge:
             for pts in (xs, probes):
                 want = g.predict(pts)
                 assert np.max(np.abs(f.predict(pts) - want)) <= 1e-10 * np.max(np.abs(want))
+        for pts in (xs, probes):
+            want = np.stack([f.predict(pts) for f in handles])
+            vals = trainer.predict_multi(handles, pts)
+            assert vals.shape == want.shape
+            assert np.max(np.abs(vals - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_prediction_totality(self):
         ds, _ = generate(ExperimentSpec(id="exp1", n=200, seed=0))
@@ -646,6 +654,28 @@ class TestTree:
         assert f.meta["n_leaves"] > 1000
         assert peak < 5e6
 
+    @given(d=st.sampled_from([1, 3]), n=st.integers(1, 120), depth=st.integers(1, 7),
+           n_trees=st.integers(1, 3), calls=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+           entries=st.sampled_from([1, 5, 64, 2 ** 15]), seed=st.integers(0, 2**16))
+    @settings(max_examples=80, deadline=None)
+    def test_predict_multi_bit_identical_to_per_handle(self, d, n, depth, n_trees, calls,
+                                                       entries, seed):
+        # Handles of several fit_multi calls, shuffled: every root of one
+        # call is routed at once, in point tiles of `entries`, and each row
+        # equals the handle's own prediction bit for bit.
+        rng = np.random.default_rng(seed)
+        xs = rng.uniform(0, 1, size=(n, d))
+        trainer = tree_trainer(TreeSpec(max_depth=depth, n_trees=n_trees))
+        handles = [f for cols in calls for f in trainer.fit_multi(
+            xs, rng.normal(size=(n, cols)), list(range(cols)))]
+        handles = [handles[i] for i in rng.permutation(len(handles))]
+        probes = np.vstack([xs, rng.uniform(0, 1, size=(30, d))])
+        want = np.stack([f.predict(probes) for f in handles])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(trainers, "_LEVEL_BLOCK_ENTRIES", entries)
+            got = trainer.predict_multi(handles, probes)
+        np.testing.assert_array_equal(got, want)
+
     def test_size_blocks_respect_budget(self, monkeypatch):
         monkeypatch.setattr(trainers, "_LEVEL_BLOCK_ENTRIES", 100)
         sizes = np.array([40, 3, 60, 3, 200, 10, 10, 3])
@@ -654,6 +684,62 @@ class TestTree:
         for block in blocks:
             assert block.size == 1 or block.size * sizes[block].max() <= 100
         assert [sizes[b].tolist() for b in blocks] == [[3, 3, 3, 10, 10], [40], [60], [200]]
+
+
+class TestBatchedPrediction:
+    def test_mixed_handles_keep_row_order(self):
+        # Primal handles at two N, kernel handles and a foreign handle, with
+        # one group's rows apart: groups predict together, the foreign handle
+        # through its own predict, and every row lands in its place.
+        rng = np.random.default_rng(21)
+        xs = rng.uniform(0, 1, size=(40, 1))
+        few = rng.uniform(0, 1, size=(8, 1))
+        primal3 = fourier_ridge_trainer(FourierRidgeSpec(N=3)).fit_multi(
+            xs, rng.normal(size=(40, 2)), [0, 1])
+        primal4 = fourier_ridge_trainer(FourierRidgeSpec(N=4)).fit_multi(
+            xs, rng.normal(size=(40, 2)), [0, 1])
+        kernel = fourier_ridge_trainer(FourierRidgeSpec(N=6, lam=1e-3)).fit_multi(
+            few, rng.normal(size=(8, 2)), [0, 1])
+        assert all("dual_coefficients" in f.meta for f in kernel)
+        foreign = PredictorHandle(lambda pts: np.cos(pts[:, 0]))
+        handles = [primal3[0], kernel[1], foreign, primal4[0], primal3[1], kernel[0], primal4[1]]
+        trainer = fourier_ridge_trainer(FourierRidgeSpec())
+        for pts in (few, rng.uniform(0, 1, size=(50, 1))):
+            vals = trainer.predict_multi(handles, pts)
+            for row, f in zip(vals, handles):
+                want = f.predict(pts)
+                assert np.max(np.abs(row - want)) <= 1e-13 * np.max(np.abs(want))
+            np.testing.assert_array_equal(vals[2], np.cos(pts[:, 0]))
+
+    def test_products_respect_budget(self, monkeypatch):
+        # Every BLAS product of a batched prediction, primal or kernel, stays
+        # within the budget, and tiling does not move the predictions
+        # beyond rounding.
+        rng = np.random.default_rng(22)
+        xs = rng.uniform(0, 1, size=(40, 2))
+        primal = fourier_ridge_trainer(FourierRidgeSpec(N=2)).fit_multi(   # p = 25
+            xs, rng.normal(size=(40, 7)), list(range(7)))
+        kernel = fourier_ridge_trainer(FourierRidgeSpec(N=3, lam=1e-3)).fit_multi(
+            xs[:12], rng.normal(size=(12, 9)), list(range(9)))           # p = 49 > 12
+        probes = rng.uniform(0, 1, size=(300, 2))
+        trainer = fourier_ridge_trainer(FourierRidgeSpec())
+        want = [trainer.predict_multi(group, probes) for group in (primal, kernel)]
+
+        budget, products = 600, []
+        matmul = np.matmul
+
+        def recording(a, b, **kwargs):
+            products.append(a.size * (b.shape[1] if b.ndim == 2 else 1))
+            return matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(trainers, "_PRODUCT_BUDGET", budget)
+        monkeypatch.setattr(np, "matmul", recording)
+        for group, expected in zip((primal, kernel), want):
+            products.clear()
+            monkeypatch.setattr(trainers, "_design_memo", None)
+            got = trainer.predict_multi(group, probes)
+            assert len(products) > 10 and max(products) <= budget
+            assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 class TestRegistry:
