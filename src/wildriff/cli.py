@@ -26,7 +26,7 @@ import os
 import sys
 import time
 import traceback
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import List, Optional
 
@@ -94,21 +94,21 @@ class RunConfig:
             raise ConfigError(f"unknown experiment {experiment!r}; pick one of {EXPERIMENT_IDS}")
 
         n_raw = raw.get("n", 1000)
-        n_list = _parse("n", lambda v: [int(x) for x in (v if isinstance(v, list) else [v])],
+        n_list = _parse("n", lambda v: [_integer(x) for x in (v if isinstance(v, list) else [v])],
                         n_raw)
-        if any(x < 1 for x in n_list):
-            raise ConfigError("sample sizes must be >= 1")
 
         trainer = raw.get("trainer", {})
         if not isinstance(trainer, dict) or "name" not in trainer:
             raise ConfigError("config needs trainer: {name, params}")
         trainer_params = _parse("trainer.params", dict, trainer.get("params", {}))
 
-        seed = _parse("seed", int, seed_override if seed_override is not None
+        seed = _parse("seed", _integer, seed_override if seed_override is not None
                       else raw.get("seed", 0))
-        seeds = _parse("seeds", lambda v: [int(s) for s in v], raw.get("seeds", [seed]))
+        seeds = _parse("seeds", lambda v: [_integer(s) for s in v], raw.get("seeds", [seed]))
         if seed_override is not None:
             seeds = [seed]
+        if not (n_list and seeds) or min(n_list) < 1:
+            raise ConfigError("n and seeds each need an entry, and sample sizes must be >= 1")
 
         evaluation = _parse("evaluation", dict, raw.get("evaluation", {}))
         evaluation["seed"] = seed
@@ -118,6 +118,11 @@ class RunConfig:
         if bad:
             raise ConfigError(f"unknown output formats: {sorted(bad)}")
 
+        n_mc = _parse("oracle.n_mc", lambda o: _integer(o.get("n_mc", 10000)),
+                      raw.get("oracle", {}))
+        if n_mc < 2:
+            raise ConfigError("oracle.n_mc must be >= 2")
+
         return RunConfig(
             experiment=experiment,
             dataset_file=dataset_file,
@@ -126,7 +131,7 @@ class RunConfig:
             trainer_name=trainer["name"],
             trainer_params=trainer_params,
             evaluation=evaluation,
-            n_mc=_parse("oracle.n_mc", lambda o: int(o.get("n_mc", 10000)), raw.get("oracle", {})),
+            n_mc=n_mc,
             output_dir=Path(out_override if out_override is not None else raw.get("output_dir", ".")),
             trainer=_parse("trainer.params", lambda p: make_trainer(trainer["name"], p),
                            trainer_params),
@@ -152,6 +157,14 @@ def _parse(key: str, convert, value):
         return convert(value)
     except (TypeError, ValueError, AttributeError) as exc:   # ConfigError is a ValueError
         raise ConfigError(f"{key}: {exc}") from exc
+
+
+def _integer(value) -> int:
+    """``value`` when it is an integer.  A bool, a float (even a whole one,
+    as `EvaluationConfig` treats ``K``) or a string is rejected, not rounded."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"must be an integer, got {value!r}")
+    return int(value)
 
 
 def _read_dataset_csv(path) -> RegressionDataset:
@@ -192,28 +205,9 @@ def _csv_text(columns, rows) -> str:
 
 
 def _report_json(report: RiskBoundReport) -> dict:
-    return {
-        "n": report.n,
-        "m": report.m,
-        "d": report.d,
-        "k_rounds_used": report.k_rounds_used,
-        "mean_opt_tilde": report.mean_opt_tilde,
-        "mean_opt_check": report.mean_opt_check,
-        "wild_optimism_bound": report.wild_optimism_bound,
-        "deviation": report.deviation,
-        "pilot_proxy": report.pilot_proxy,
-        "r": report.r,
-        "r_tilde": report.r_tilde,
-        "fixed_design_bound": report.fixed_design_bound,
-        "random_design_bound": report.random_design_bound,
-        "log_term": report.log_term,
-        "tau": report.tau,
-        "t": report.t,
-        "delta": report.delta,
-        "confidence_fixed": report.confidence_fixed,
-        "confidence_random": report.confidence_random,
-        "pilot_flags": list(report.pilot_flags),
-    }
+    """Every report field but the label, the rounds and the config, in order."""
+    return {f.name: getattr(report, f.name) for f in fields(report)
+            if f.name not in ("label", "rounds", "config")}
 
 
 def _rounds_rows(reports) -> list:

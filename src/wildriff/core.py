@@ -53,7 +53,8 @@ class EvaluationError(WildriffError, RuntimeError):
 
 
 class TrainerFailedError(EvaluationError):
-    """The black-box trainer raised during a fit call."""
+    """The black-box trainer, or a predictor it returned, raised or returned
+    output of the wrong shape."""
 
 
 class NonFiniteDataError(EvaluationError):
@@ -172,7 +173,7 @@ class PredictorHandle:
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         out = np.asarray(self._fn(xs), dtype=float).ravel()
         if out.shape[0] != xs.shape[0]:
-            raise NonFiniteDataError(
+            raise TrainerFailedError(
                 f"{self.name}: expected {xs.shape[0]} predictions, got {out.shape[0]}"
             )
         return out

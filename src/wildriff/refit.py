@@ -160,14 +160,13 @@ class TuneResult(NamedTuple):
 
 
 class CandidateBlock(NamedTuple):
-    """Candidate predictors evaluated on the full data.
+    """Candidates scored on the full data, one entry each: the distance
+    ||f - breve||_n, the noise score mean(eps*v*(f - breve)) and the pilot
+    score mean(eps*(pilot - f*)*(f - breve)), None unless scored with a truth f*."""
 
-    ``vals`` holds one row of full-data predictions per candidate (c x n);
-    ``dists`` holds each row's empirical distance to the trained predictor.
-    """
-
-    vals: np.ndarray
     dists: np.ndarray
+    scores: np.ndarray
+    pilot_scores: Optional[np.ndarray] = None
 
 
 # ---------------------------------------------------------------------------
@@ -245,46 +244,62 @@ def _log_term(n: int, d: int, v: float, delta: float, w_bar: float, w_under: flo
 # Candidate-set suprema
 # ---------------------------------------------------------------------------
 
-def candidate_block(state: RefitState, dataset: RegressionDataset, trainer: TrainerOracle,
-                    handles: Sequence[PredictorHandle]) -> CandidateBlock:
-    """Predict the handles on the full data, one row per handle, in one
-    `TrainerOracle.predict_multi` call of the trainer that made them."""
-    return _block(state, trainer.predict_multi(handles, dataset.xs))
+_SCORE_TILE_ENTRIES = 1 << 14   # values per row tile of `_row_scores`
 
 
-def _block(state: RefitState, vals: np.ndarray) -> CandidateBlock:
-    return CandidateBlock(vals, np.array([empirical_norm(row - state.breve_vals) for row in vals]))
+def _row_scores(vals: np.ndarray, breve: np.ndarray,
+                weights: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """Each row's RMS distance to ``breve`` and, per weight vector w, its
+    mean of w * (row - breve): shapes (c,) and (len(weights), c).
+
+    Row tiles reduce along axis 1, bit for bit as `empirical_norm` and a
+    one-row `np.mean` do, and never write ``vals``, which a trainer's
+    ``predict_multi_fn`` may keep.
+    """
+    dists = np.empty(len(vals))
+    scores = np.empty((len(weights), len(vals)))
+    step = max(1, _SCORE_TILE_ENTRIES // vals.shape[1])
+    for lo in range(0, len(vals), step):
+        diff = vals[lo:lo + step] - breve
+        for out, w in zip(scores, weights):
+            out[lo:lo + step] = np.mean(w * diff, axis=1)
+        dists[lo:lo + step] = np.sqrt(np.mean(np.square(diff, out=diff), axis=1))
+    return dists, scores
 
 
-def _scored(weights: np.ndarray, breve_vals: np.ndarray,
-            blocks: Sequence[CandidateBlock]) -> List[Tuple[float, float]]:
-    """(s, distance) of every row of ``blocks``, s = mean(weights * (row - breve_vals))."""
-    return [(float(np.mean(weights * (row - breve_vals))), dist)
-            for block in blocks for row, dist in zip(block.vals, block.dists)]
+def candidate_block(state: RefitState, vals: np.ndarray,
+                    fstar_vals: Optional[np.ndarray] = None) -> CandidateBlock:
+    """Score candidates from their full-data values, one row of ``vals``
+    each; with the truth's values ``fstar_vals``, pilot scores too."""
+    weights = [state.signs * state.residuals]
+    if fstar_vals is not None:
+        weights.append(state.signs * (state.pilot_vals - fstar_vals))
+    dists, scores = _row_scores(vals, state.breve_vals, weights)
+    return CandidateBlock(dists, *scores)
 
 
-def _sups(scored: Sequence[Tuple[float, float]], radius: float) -> Tuple[float, float]:
-    """max(0, max s) and max(0, -min s) over the rows within ``radius``.
+def _sups(scores: np.ndarray, dists: np.ndarray, radius: float) -> Tuple[float, float]:
+    """max(0, max s) and max(0, -min s), as Python floats, over the scores s
+    of the candidates within ``radius``.
 
     The trained predictor itself sits at distance zero and scores zero, so
     neither supremum is ever negative.
     """
-    inside = [s for s, dist in scored if dist <= radius]
-    return max([0.0, *inside]), max([0.0, *(-s for s in inside)])
+    inside = scores[dists <= radius]
+    return max(0.0, float(inside.max(initial=0.0))), max(0.0, -float(inside.min(initial=0.0)))
 
 
 def _refits(rounds: Sequence[WildRound]) -> List[PredictorHandle]:
     return [f for rd in rounds for f in (rd.tilde_f, rd.check_f)]
 
 
-def process_sup_proxy(state: RefitState, block: CandidateBlock,
-                      radius: float) -> Tuple[float, float]:
+def process_sup_proxy(block: CandidateBlock, radius: float) -> Tuple[float, float]:
     """Candidate-set proxies for the full-data noise complexity at a radius.
 
-    Returns the suprema over the rows of ``block`` within ``radius`` of the
-    trained predictor of (1/n) sum eps*v*(f - breve) and of its negation.
+    Returns the suprema over the candidates of ``block`` within ``radius`` of
+    the trained predictor of (1/n) sum eps*v*(f - breve) and of its negation.
     """
-    return _sups(_scored(state.signs * state.residuals, state.breve_vals, [block]), radius)
+    return _sups(block.scores, block.dists, radius)
 
 
 # ---------------------------------------------------------------------------
@@ -349,15 +364,11 @@ def _score_rounds(trainer: TrainerOracle, rows: _SubsampleRows, sub: Subsample, 
     (plus then minus, scale by scale) and their values on the subsample,
     one row of ``vals`` each.
 
-    Row-wise reductions give every row's optimism and subsample-norm
-    distance bit for bit as `wild_optimism` and `empirical_norm` give them
-    for that row alone.
+    Every row's optimism and distance are bit for bit what `wild_optimism`
+    and `empirical_norm` give for that row alone.
     """
-    diff = vals - rows.breve
-    # The minus-direction optimism carries the mirrored difference breve - f.
-    diff[1::2] *= -1.0
-    opts = np.mean(rows.signs * rows.residuals * diff, axis=1)
-    norms = np.sqrt(np.mean(np.square(diff), axis=1))
+    norms, [opts] = _row_scores(vals, rows.breve, [rows.signs * rows.residuals])
+    opts[1::2] *= -1.0   # the minus direction mirrors f - breve; negation is exact
     return [WildRound(
         k=k,
         sub=sub,
@@ -405,64 +416,49 @@ def tune_noise_scale(state: RefitState, dataset: RegressionDataset, trainer: Tra
     if np.all(rows.residuals == 0.0):
         raise TuneError("residuals on the subsample are all zero; nothing to scale")
     fit_seed = derive_seed(seed, "tune-fit", 0 if direction == "plus" else 1)
+    tol_abs = tol_rel * target
+    best = lo = hi = None   # the closest refit; (rho, norm) below / at or above the target
+    gap, evals = math.inf, 0   # best's distance from the target; refits so far
 
-    evals = [0]
-
-    def achieved(rho: float):
+    def probe(rho: float) -> float:
+        nonlocal best, gap, lo, hi, evals
         y = wild_responses(rows.breve, rows.signs, rows.residuals, rho, direction)
         f = trainer.fit(RegressionDataset(rows.xs, y), fit_seed)
-        evals[0] += 1
+        evals += 1
         [vals] = trainer.predict_multi([f], rows.xs)
-        return empirical_norm(vals - rows.breve), (f, vals)
+        norm = empirical_norm(vals - rows.breve)
+        if best is None or abs(norm - target) < gap:
+            best, gap = TuneResult(rho, f, norm, 0, False, vals), abs(norm - target)
+        if norm >= target:
+            hi = (rho, norm)
+        else:
+            lo = (rho, norm)
+        return norm
 
-    tol_abs = tol_rel * target
     rho = target / empirical_norm(rows.residuals)   # exact for interpolating solvers
-    norm, pred = achieved(rho)
-    best = (abs(norm - target), rho, pred, norm)
-
-    lo = hi = None   # lo: (rho, norm) below target; hi: at/above target
-    if norm >= target:
-        hi = (rho, norm)
-    else:
-        lo = (rho, norm)
-    grow = norm < target
-    prev_norm = norm
-    while (lo is None or hi is None) and evals[0] < max_iter:
+    prev_norm = probe(rho)
+    grow = prev_norm < target
+    while (lo is None or hi is None) and evals < max_iter:
         rho = rho * 2.0 if grow else rho / 2.0
-        norm, pred = achieved(rho)
-        if abs(norm - target) < best[0]:
-            best = (abs(norm - target), rho, pred, norm)
+        norm = probe(rho)
         if grow and norm < prev_norm - 10.0 * tol_abs:
             warnings.warn(
                 f"achieved norm fell from {prev_norm:.3g} to {norm:.3g} while doubling rho",
                 NonMonotoneWarning,
             )
         prev_norm = norm
-        if norm >= target:
-            hi = (rho, norm)
-        else:
-            lo = (rho, norm)
-    if lo is None or hi is None:
-        if best[0] <= tol_abs:
-            return TuneResult(best[1], best[2][0], best[3], evals[0], True, best[2][1])
+    if (lo is None or hi is None) and gap > tol_abs:
         side = ("the class saturates below the target" if hi is None
                 else "the refit error floor sits above the target")
         raise NoBracketError(
             f"no bracket for target {target:.6g} within {max_iter} refits "
-            f"(closest achieved norm {best[3]:.6g}); {side}"
+            f"(closest achieved norm {best.achieved_norm:.6g}); {side}"
         )
 
-    while best[0] > tol_abs and evals[0] < max_iter:
-        rho = math.sqrt(lo[0] * hi[0])
-        norm, pred = achieved(rho)
-        if abs(norm - target) < best[0]:
-            best = (abs(norm - target), rho, pred, norm)
-        if norm >= target:
-            hi = (rho, norm)
-        else:
-            lo = (rho, norm)
-
-    return TuneResult(best[1], best[2][0], best[3], evals[0], best[0] <= tol_abs, best[2][1])
+    # Bisection; an unbracketed search gets here only when already converged.
+    while gap > tol_abs and evals < max_iter:
+        probe(math.sqrt(lo[0] * hi[0]))
+    return best._replace(iterations=evals, converged=gap <= tol_abs)
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +479,7 @@ def estimate_radius(state: RefitState, rounds: Sequence[WildRound], block: Candi
     Takes the maximum of the t^2/sqrt(n) floor, the two mean refit
     distances, and twice the summed slope proxies, adds the concentration
     additives, and divides by (1 - 4 tau / t).  Requires t > max(3, 4 tau).
-    The slope proxies score the rows of ``block``, the rounds' refits.
+    The slope proxies take the scores of ``block``, the rounds' refits.
     """
     if len(rounds) < 1:
         raise BadParamError("radius estimation needs at least one round")
@@ -495,9 +491,8 @@ def estimate_radius(state: RefitState, rounds: Sequence[WildRound], block: Candi
     r_sharp = float(np.mean([rd.norm_check for rd in rounds]))
 
     inflate = 2.0 + 1.0 / t
-    scored = _scored(state.signs * state.residuals, state.breve_vals, [block])
-    w_sup = _sups(scored, inflate * r_diamond)[0] if r_diamond > 0 else 0.0
-    h_sup = _sups(scored, inflate * r_sharp)[1] if r_sharp > 0 else 0.0
+    w_sup = process_sup_proxy(block, inflate * r_diamond)[0] if r_diamond > 0 else 0.0
+    h_sup = process_sup_proxy(block, inflate * r_sharp)[1] if r_sharp > 0 else 0.0
     slope_w = w_sup / r_diamond if r_diamond > 0 else 0.0
     slope_h = h_sup / r_sharp if r_sharp > 0 else 0.0
 
@@ -541,15 +536,19 @@ def pilot_error_proxy(state: RefitState, refit_blocks: Sequence[CandidateBlock],
     """Candidate-set proxy for the pilot error term in synthetic mode.
 
     The gap between the pilot and the truth on the full data, ``fstar_vals``,
-    weights both supremands.  The candidates are the rows of
-    ``refit_blocks`` plus the pilot and the truth themselves, restricted to
-    the full-data ball of the given radius around the trained predictor.
-    With no truth available the term is omitted, and callers record the
-    omission flag in the report.
+    weights both supremands.  The candidates are those of ``refit_blocks``
+    (scored with the same truth) plus the pilot and the truth themselves,
+    restricted to the full-data ball of the given radius around the trained
+    predictor.  With no truth available the term is omitted, and callers
+    record the omission flag in the report.
     """
+    if any(block.pilot_scores is None for block in refit_blocks):
+        raise BadParamError("pilot_error_proxy needs candidate blocks scored with a truth")
     weights = state.signs * (state.pilot_vals - fstar_vals)
-    ends = _block(state, np.stack([state.pilot_vals, fstar_vals]))
-    return sum(_sups(_scored(weights, state.breve_vals, [*refit_blocks, ends]), radius))
+    dists, [scores] = _row_scores(np.stack([state.pilot_vals, fstar_vals]), state.breve_vals,
+                                  [weights])
+    return sum(_sups(np.concatenate([*(block.pilot_scores for block in refit_blocks), scores]),
+                     np.concatenate([*(block.dists for block in refit_blocks), dists]), radius))
 
 
 # ---------------------------------------------------------------------------
@@ -623,27 +622,31 @@ def evaluate_with_state(dataset: RegressionDataset, trainer: TrainerOracle,
 
     subs = [srswor(n, m, config.srswor_strategy, derive_seed(config.seed, "subsample", k))
             for k in range(config.K)]
-    # Each report predicts its refits on the full data once; the pilot's
-    # values come from the warm-up and the truth's are predicted here, once.
+    # Each report predicts its refits on the full data once and keeps only
+    # their scores; the pilot's values come from the warm-up, the truth's
+    # are predicted here, once.
     fstar_vals = fstar.predict(dataset.xs) if fstar is not None else None
+
+    def scored_block(rounds):
+        return candidate_block(state, trainer.predict_multi(_refits(rounds), dataset.xs),
+                               fstar_vals)
 
     reports: List[RiskBoundReport] = []
     if config.rho_mode == "fixed-grid":
         by_scale = _run_rounds(state, dataset, trainer, subs, config.rho_grid, config.seed)
         for rho, rounds in zip(config.rho_grid, by_scale):
-            block = candidate_block(state, dataset, trainer, _refits(rounds))
+            block = scored_block(rounds)
             est = estimate_radius(state, rounds, block, t, tau, C=config.radius_constant)
             rt = r_tilde(est.r, n, config.beta, dataset.d, config.v, config.M_v,
                          config.w_bar, config.w_under)
             reports.append(_assemble_report(
                 f"{rho:g}", state, dataset, config, rounds, [block], est.r, rt, tau, t,
                 fstar_vals))
-            del block  # release it before the next scale's block is built
     else:
         rho0 = config.rho_grid[0] if config.rho_grid else 1.0
         [warm_rounds] = _run_rounds(state, dataset, trainer, subs[:config.K1], (rho0,),
                                     config.seed)
-        warm_block = candidate_block(state, dataset, trainer, _refits(warm_rounds))
+        warm_block = scored_block(warm_rounds)
         est = estimate_radius(state, warm_rounds, warm_block, t, tau, C=config.radius_constant)
         rt = r_tilde(est.r, n, config.beta, dataset.d, config.v, config.M_v,
                      config.w_bar, config.w_under)
@@ -663,9 +666,9 @@ def evaluate_with_state(dataset: RegressionDataset, trainer: TrainerOracle,
                                           [(plus.rho, minus.rho)],
                                           [plus.predictor, minus.predictor],
                                           np.stack([plus.sub_vals, minus.sub_vals]))
-        tuned_block = candidate_block(state, dataset, trainer, _refits(tuned_rounds))
         report = _assemble_report("tuned", state, dataset, config, tuned_rounds,
-                                  [warm_block, tuned_block], est.r, rt, tau, t, fstar_vals)
+                                  [warm_block, scored_block(tuned_rounds)], est.r, rt, tau, t,
+                                  fstar_vals)
         if unconverged:
             # An unconverged tune still enters the bound at its closest
             # noise scale; say how many did.

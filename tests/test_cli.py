@@ -114,6 +114,17 @@ class TestCmdEvaluate:
             assert cmd_evaluate(write_config(tmp_path, trainer=trainer)) == 2
         tuned = write_config(tmp_path, evaluation={"K": 2, "K1": 0, "rho_mode": "tuned"})
         assert cmd_evaluate(tuned) == 2
+        # Integer settings given as fractions or booleans, empty lists of
+        # them, and a Monte-Carlo oracle too small to estimate its spread are
+        # rejected while parsing.
+        bad_integers = [{"n": 200.9}, {"n": True}, {"n": [100, 200.0]}, {"n": []},
+                        {"seed": 1.5}, {"seeds": [1.5]}, {"seeds": [False]}, {"seeds": []},
+                        {"oracle": {"n_mc": 0}}, {"oracle": {"n_mc": 1}},
+                        {"oracle": {"n_mc": 500.5}}]
+        for overrides in bad_integers:
+            assert cmd_evaluate(write_config(tmp_path, **overrides)) == 2
+            assert cmd_sweep(write_config(tmp_path, **overrides)) == 2
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("overrides", [
         {"evaluation": {"K": 2, "rho_grid": [1.0], "srswor_strategy": "bogus"}},

@@ -236,6 +236,15 @@ class TestPredictMulti:
         with pytest.raises(TrainerFailedError, match=r"shape .* for 3 predictors on 5 points"):
             oracle.predict_multi(self.handles()[:3], np.zeros((5, 1)))
 
+    def test_wrong_prediction_count_rejected(self):
+        # A handle that returns one value for three points is a fault of the
+        # predictor, not non-finite data, on its own and through predict_multi.
+        short = PredictorHandle(lambda xs: np.zeros(1), name="short")
+        with pytest.raises(TrainerFailedError, match="short: expected 3 predictions, got 1"):
+            short.predict(np.zeros((3, 1)))
+        with pytest.raises(TrainerFailedError, match="expected 3 predictions, got 1"):
+            constant_trainer().predict_multi([short], np.zeros((3, 1)))
+
     @pytest.mark.parametrize("batched", [False, True])
     def test_dimension_mismatch(self, batched):
         xs, Y = self.data()

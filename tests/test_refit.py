@@ -19,7 +19,6 @@ from wildriff.core import (
 from wildriff.metrics import empirical_norm
 from wildriff.refit import (
     BadParamError,
-    CandidateBlock,
     DecayRegimeError,
     NoBracketError,
     candidate_block,
@@ -48,9 +47,9 @@ def interpolating_trainer(N=12):
 
 
 def refit_block(state, ds, trainer, rounds):
-    """Full-data block of the rounds' refits."""
-    return candidate_block(state, ds, trainer,
-                           [f for rd in rounds for f in (rd.tilde_f, rd.check_f)])
+    """Full-data block of the rounds' refits, scored from their values."""
+    refits = [f for rd in rounds for f in (rd.tilde_f, rd.check_f)]
+    return candidate_block(state, trainer.predict_multi(refits, ds.xs))
 
 
 def counting(inner, n, m):
@@ -373,32 +372,33 @@ class TestEstimateRadius:
         assert suite_radius(seeds=5, seed0=100)["covered"] >= 4
 
 
-def reference_candidate_sup(weights, breve_vals, block, radius, negate):
-    """Per-row, per-direction supremum, as the proxies were first written."""
+def reference_candidate_sup(weights, breve_vals, vals, radius, negate):
+    """Per-row, per-direction supremum over the rows of ``vals``, each row's
+    distance and score recomputed from its values, as the proxies were
+    first written."""
     best = 0.0
-    for row, dist in zip(block.vals, block.dists):
-        if dist <= radius:
-            diff = row - breve_vals
+    for row in vals:
+        diff = row - breve_vals
+        if empirical_norm(diff) <= radius:
             best = max(best, float(np.mean(weights * (-diff if negate else diff))))
     return best
 
 
+def random_state(rng, n, own_pilot):
+    breve = rng.normal(size=n)
+    pilot = breve + 0.3 * rng.normal(size=n) if own_pilot else breve
+    handle = PredictorHandle(lambda xs: np.zeros(xs.shape[0]))
+    return RefitState(breve_f=handle, pilot_f=handle, residuals=rng.normal(size=n),
+                      signs=rng.choice([-1.0, 1.0], size=n), breve_vals=breve,
+                      pilot_vals=pilot, seed=0)
+
+
 class TestOnePassScorer:
-    """Both directions from one scoring pass equal the per-direction loops."""
+    """Blocks scored once from raw values equal the per-row, per-direction
+    loops over those values."""
 
-    def _random_state(self, rng, n, own_pilot):
-        breve = rng.normal(size=n)
-        pilot = breve + 0.3 * rng.normal(size=n) if own_pilot else breve
-        handle = PredictorHandle(lambda xs: np.zeros(xs.shape[0]))
-        return RefitState(breve_f=handle, pilot_f=handle, residuals=rng.normal(size=n),
-                          signs=rng.choice([-1.0, 1.0], size=n), breve_vals=breve,
-                          pilot_vals=pilot, seed=0)
-
-    def _block(self, state, vals):
-        return CandidateBlock(vals, np.array([empirical_norm(row - state.breve_vals)
-                                              for row in vals]))
-
-    def _radii(self, rng, dists):
+    def _radii(self, rng, vals, breve_vals):
+        dists = np.array([empirical_norm(row - breve_vals) for row in vals])
         return [0.0, math.inf, *rng.uniform(0.0, 1.2 * dists.max(), size=6),
                 *dists[:2]]
 
@@ -406,15 +406,17 @@ class TestOnePassScorer:
     def test_process_sup_proxy_matches_reference(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(5, 300))
-        state = self._random_state(rng, n, own_pilot=False)
+        state = random_state(rng, n, own_pilot=False)
         vals = state.breve_vals + rng.normal(size=(int(rng.integers(1, 12)), n)) * rng.uniform(
             0.0, 2.0, size=(1, 1))
-        block = self._block(state, vals)
+        block = candidate_block(state, vals)
+        assert block.pilot_scores is None
         weights = state.signs * state.residuals
-        for radius in self._radii(rng, block.dists):
-            plus, minus = process_sup_proxy(state, block, radius)
-            assert plus == reference_candidate_sup(weights, state.breve_vals, block, radius, False)
-            assert minus == reference_candidate_sup(weights, state.breve_vals, block, radius, True)
+        for radius in self._radii(rng, vals, state.breve_vals):
+            plus, minus = process_sup_proxy(block, radius)
+            assert plus == reference_candidate_sup(weights, state.breve_vals, vals, radius, False)
+            assert minus == reference_candidate_sup(weights, state.breve_vals, vals, radius, True)
+            assert type(plus) is float and type(minus) is float
             assert plus >= 0.0 and minus >= 0.0
 
     @pytest.mark.parametrize("seed", range(4))
@@ -422,18 +424,55 @@ class TestOnePassScorer:
     def test_pilot_error_proxy_matches_reference(self, seed, own_pilot):
         rng = np.random.default_rng(100 + seed)
         n = int(rng.integers(5, 300))
-        state = self._random_state(rng, n, own_pilot)
+        state = random_state(rng, n, own_pilot)
         fstar_vals = state.breve_vals + 0.5 * rng.normal(size=n)
-        blocks = [self._block(state, state.breve_vals + rng.normal(size=(c, n)))
-                  for c in rng.integers(1, 8, size=2)]
-        # The parent layout: the refits, then the pilot and the truth rows.
-        stacked = self._block(state, np.vstack([*(b.vals for b in blocks),
-                                                state.pilot_vals, fstar_vals]))
+        vals = [state.breve_vals + rng.normal(size=(c, n)) for c in rng.integers(1, 8, size=2)]
+        blocks = [candidate_block(state, v, fstar_vals) for v in vals]
+        # The candidates: the refits, then the pilot and the truth rows.
+        rows = np.vstack([*vals, state.pilot_vals, fstar_vals])
         weights = state.signs * (state.pilot_vals - fstar_vals)
-        for radius in self._radii(rng, stacked.dists):
-            expected = (reference_candidate_sup(weights, state.breve_vals, stacked, radius, False)
-                        + reference_candidate_sup(weights, state.breve_vals, stacked, radius, True))
+        for radius in self._radii(rng, rows, state.breve_vals):
+            expected = (reference_candidate_sup(weights, state.breve_vals, rows, radius, False)
+                        + reference_candidate_sup(weights, state.breve_vals, rows, radius, True))
             assert pilot_error_proxy(state, blocks, fstar_vals, radius) == expected
+
+    def test_pilot_error_proxy_needs_truth_scores(self):
+        rng = np.random.default_rng(7)
+        state = random_state(rng, 20, own_pilot=True)
+        block = candidate_block(state, state.breve_vals + rng.normal(size=(3, 20)))
+        with pytest.raises(BadParamError):
+            pilot_error_proxy(state, [block], state.breve_vals, math.inf)
+
+    @pytest.mark.parametrize("n", [1, 37, 300])
+    def test_tiling_does_not_move_scores(self, monkeypatch, n):
+        # One row per tile and tiles of an odd number of rows (which split
+        # the plus/minus pairs of the rounds) score every row bit for bit as
+        # the default tiles do, and never write the values they are given.
+        rng = np.random.default_rng(n)
+        state = random_state(rng, n, own_pilot=True)
+        fstar_vals = state.breve_vals + 0.5 * rng.normal(size=n)
+        vals = state.breve_vals + rng.normal(size=(11, n))
+        vals.flags.writeable = False
+        rows = refit._SubsampleRows(np.zeros((n, 1)), state.breve_vals, state.signs,
+                                    state.residuals)
+        scales = [(0.5, 0.5), (1.0, 2.0), (3.0, 3.0)]
+        fits = [PredictorHandle(lambda xs: np.zeros(xs.shape[0]))] * 6
+        sub = srswor(n, n, "permutation", seed=0)
+        trainer = interpolating_trainer()
+
+        def scored():
+            block = candidate_block(state, vals, fstar_vals)
+            rounds = refit._score_rounds(trainer, rows, sub, 0, scales, fits, vals[:6])
+            return (block, [(rd.optimism, rd.norm_tilde, rd.norm_check) for rd in rounds],
+                    pilot_error_proxy(state, [block], fstar_vals, 1.3))
+
+        default = scored()
+        for entries in (1, 3 * n + 1):
+            monkeypatch.setattr(refit, "_SCORE_TILE_ENTRIES", entries)
+            block, rounds, pilot = scored()
+            for got, want in zip(block, default[0]):
+                np.testing.assert_array_equal(got, want)
+            assert rounds == default[1] and pilot == default[2]
 
 
 class TestPilotErrorProxy:
@@ -450,16 +489,18 @@ class TestPilotErrorProxy:
         # Rebuild the state with the truth as the pilot: the gap factor is zero.
         trainer = make_trainer("fourier_ridge", {"N": 8, "lam": 1e-6})
         state2 = warm_up(ds, trainer, pilot=truth.fstar, seed=0)
-        block = candidate_block(state2, ds, trainer, cands)
-        assert pilot_error_proxy(state2, [block], truth.fstar.predict(ds.xs), radius=10.0) == 0.0
+        fstar_vals = truth.fstar.predict(ds.xs)
+        block = candidate_block(state2, trainer.predict_multi(cands, ds.xs), fstar_vals)
+        assert pilot_error_proxy(state2, [block], fstar_vals, radius=10.0) == 0.0
 
     def test_breve_only_candidate_gives_zero(self):
         # A zero radius keeps only the rows at the trained predictor itself
         # (here the pilot), which score zero.
         ds, truth, state, _ = self._setup(seed=1)
         trainer = make_trainer("fourier_ridge", {"N": 8, "lam": 1e-6})
-        block = candidate_block(state, ds, trainer, [state.breve_f])
-        val = pilot_error_proxy(state, [block], truth.fstar.predict(ds.xs), radius=0.0)
+        fstar_vals = truth.fstar.predict(ds.xs)
+        block = candidate_block(state, trainer.predict_multi([state.breve_f], ds.xs), fstar_vals)
+        val = pilot_error_proxy(state, [block], fstar_vals, radius=0.0)
         assert val == pytest.approx(0.0, abs=1e-15)
 
     def test_no_truth_returns_zero(self):
@@ -486,9 +527,10 @@ class TestPilotErrorProxy:
                 cands.extend([rd.tilde_f, rd.check_f])
             r_hat = empirical_norm(state.breve_vals - truth.fstar.predict(ds.xs))
             radius = 2.0 * r_hat
-            cand_block = candidate_block(state, ds, trainer, cands)
-            v_proxy = pilot_error_proxy(state, [cand_block], truth.fstar.predict(ds.xs), radius)
-            w_proxy, h_proxy = process_sup_proxy(state, cand_block, radius)
+            fstar_vals = truth.fstar.predict(ds.xs)
+            cand_block = candidate_block(state, trainer.predict_multi(cands, ds.xs), fstar_vals)
+            v_proxy = pilot_error_proxy(state, [cand_block], fstar_vals, radius)
+            w_proxy, h_proxy = process_sup_proxy(cand_block, radius)
             slack = 8 * r_hat * tau * math.sqrt(math.log(1 / 0.05)) / math.sqrt(ds.n)
             hold += int(v_proxy <= w_proxy + h_proxy + slack)
         assert hold >= 9

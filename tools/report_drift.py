@@ -1,11 +1,13 @@
 """Largest relative difference of every output field between two checkouts.
 
     python3 tools/report_drift.py PARENT CHANGE --workload ridge5d --seed 0 --ops 4
+    python3 tools/report_drift.py PARENT CHANGE --workload tree_step --max-rel 0
 
 Each checkout runs operations 0..N-1 of a benchmark workload through its own
 perfbench/workloads.py, in a subprocess that writes nothing into it: every
 numeric report field and rounds.csv column per scale, or the sweep.csv cells.
-Exits 1 if the two label sets differ.
+Exits 1 if the two label sets differ, or if ``--max-rel X`` is given and some
+field drifts by more than X relative (``--max-rel 0`` checks bit identity).
 """
 
 import argparse
@@ -52,8 +54,10 @@ def dump(checkout, args):
 
 
 def rel(a, b):
-    same = a == b or (math.isnan(a) and math.isnan(b))
-    return 0.0 if same else abs(a - b) / max(abs(a), abs(b))
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    diff = abs(a - b) / max(abs(a), abs(b))
+    return math.inf if math.isnan(diff) else diff   # one side NaN or infinite
 
 
 def main():
@@ -63,6 +67,8 @@ def main():
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--ops", type=int, default=1)
+    parser.add_argument("--max-rel", type=float, default=None,
+                        help="exit 1 when any field drifts by more than this relative amount")
     args = parser.parse_args()
     before, after = dump(args.parent, args), dump(args.change, args)
     if {k: len(v) for k, v in before.items()} != {k: len(v) for k, v in after.items()}:
@@ -74,6 +80,9 @@ def main():
         worst[field] = max([worst[field], *map(rel, values, after[key])])
     for field, diff in sorted(worst.items()):
         print(f"{field:32s} {diff:.3g}")
+    if args.max_rel is not None and max(worst.values(), default=0.0) > args.max_rel:
+        print(f"drift above --max-rel {args.max_rel:g}")
+        return 1
     return 0
 
 
