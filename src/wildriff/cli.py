@@ -301,11 +301,12 @@ def cmd_sweep(config_path, out_dir=None, seed=None) -> int:
         for cell_seed in run.seeds:
             dataset, truth, reports, state = _run_cell(run, n, cell_seed)
             oracle = population_excess_risk(state.breve_f, truth, run.n_mc, seed=cell_seed)
-            for report in reports:
+            # The exact grid value, not the report label it was rounded to.
+            rhos = run.config.rho_grid if run.config.rho_mode == "fixed-grid" else ["tuned"]
+            for report, rho in zip(reports, rhos):
                 bound = report.wild_optimism_bound
                 ratio = bound / oracle["estimate"] if oracle["estimate"] > 0 else math.inf
-                rows.append([n, float(report.label) if report.label != "tuned" else report.label,
-                             cell_seed, bound, oracle["estimate"], ratio])
+                rows.append([n, rho, cell_seed, bound, oracle["estimate"], ratio])
     _atomic_write_text(run.output_dir / "sweep.csv", _csv_text(SWEEP_COLUMNS, rows))
     return 0
 

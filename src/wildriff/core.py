@@ -346,6 +346,9 @@ class EvaluationConfig:
         for rho in grid:
             check_real("rho_grid entries", rho)
         object.__setattr__(self, "rho_grid", tuple(float(r) for r in grid))
+        if len({f"{r:g}" for r in self.rho_grid}) < len(self.rho_grid):
+            raise BadConfigError(f"rho_grid entries {self.rho_grid} share a report label "
+                                 "(each scale is labelled by its value to 6 significant digits)")
         for name in ("beta", "delta", "w_bar", "w_under", "v", "M_v", "tol_rho",
                      "radius_constant", "log_term_constant"):
             check_real(name, getattr(self, name))

@@ -34,7 +34,7 @@ from .core import (
     estimate_tau,
     warm_up,
 )
-# Rounds are scored row-wise over a value block (`_score_rounds`), not through
+# Rounds are scored row-wise over a value block (`_refit_scores`), not through
 # `wild_optimism`; the name stays because perfbench's tracer patches it here.
 from .metrics import OptimismPair, empirical_norm, wild_optimism, wild_responses
 from .sampling import Subsample, srswor
@@ -156,7 +156,7 @@ class TuneResult(NamedTuple):
     achieved_norm: float
     iterations: int
     converged: bool
-    sub_vals: np.ndarray   # the predictor on the tuned subsample
+    optimism: float   # the predictor's wild optimism on the tuned subsample
 
 
 class CandidateBlock(NamedTuple):
@@ -306,20 +306,45 @@ def process_sup_proxy(block: CandidateBlock, radius: float) -> Tuple[float, floa
 # Rounds
 # ---------------------------------------------------------------------------
 
-class _SubsampleRows(NamedTuple):
-    """One subsample's rows: its covariates and the warm-up slices."""
+def _refit_scores(state: RefitState, dataset: RegressionDataset, trainer: TrainerOracle,
+                  sub: Subsample, columns: Sequence[Tuple[float, str, int]]):
+    """Refit the black box on ``sub`` once per column (rho, direction, seed)
+    and score every refit there: returns the refits, their subsample-norm
+    distances to breve and their optimisms, in column order.
 
-    xs: np.ndarray
-    breve: np.ndarray
-    signs: np.ndarray
-    residuals: np.ndarray
-
-
-def _subsample_rows(state: RefitState, dataset: RegressionDataset,
-                    sub: Subsample) -> _SubsampleRows:
+    The pseudo-responses of every column go to one `TrainerOracle.fit_multi`
+    call, and the refits are predicted on the subsample in one
+    `TrainerOracle.predict_multi` call.  Every row's optimism and distance
+    are bit for bit what `wild_optimism` and `empirical_norm` give for that
+    row alone.
+    """
     idx = sub.indices
-    return _SubsampleRows(dataset.xs[idx], state.breve_vals[idx], state.signs[idx],
-                          state.residuals[idx])
+    xs, breve, signs, residuals = (dataset.xs[idx], state.breve_vals[idx], state.signs[idx],
+                                   state.residuals[idx])
+    responses = np.column_stack([wild_responses(breve, signs, residuals, rho, direction)
+                                 for rho, direction, _ in columns])
+    fits = trainer.fit_multi(xs, responses, [seed for *_, seed in columns])
+    norms, [opts] = _row_scores(trainer.predict_multi(fits, xs), breve, [signs * residuals])
+    # The minus direction mirrors f - breve; negation is exact.
+    opts[[direction == "minus" for _, direction, _ in columns]] *= -1.0
+    return fits, norms, opts
+
+
+def _wild_round(trainer: TrainerOracle, k: int, sub: Subsample, rhos, fits, norms,
+                opts) -> WildRound:
+    """Round k on ``sub`` from its plus and minus refits, in that order."""
+    return WildRound(
+        k=k,
+        sub=sub,
+        rho1=float(rhos[0]),
+        rho2=float(rhos[1]),
+        tilde_f=fits[0],
+        check_f=fits[1],
+        optimism=OptimismPair(opt_tilde=float(opts[0]), opt_check=float(opts[1])),
+        norm_tilde=float(norms[0]),
+        norm_check=float(norms[1]),
+        trainer_tol=trainer.optimization_tol,
+    )
 
 
 def run_round(state: RefitState, dataset: RegressionDataset, trainer: TrainerOracle,
@@ -338,49 +363,18 @@ def _subsample_rounds(state: RefitState, dataset: RegressionDataset, trainer: Tr
                       k: int) -> List[WildRound]:
     """Round k on ``sub`` at each (rho1, rho2) of ``scales``, in order.
 
-    The plus and minus pseudo-responses of every scale, in that order, are
-    the columns of one matrix, refit in one `TrainerOracle.fit_multi` call
-    and predicted on the subsample in one `TrainerOracle.predict_multi`
-    call.  Every scale's plus refit takes one seed and every minus refit
-    another.
+    The plus and minus refits of every scale, in that order, are the
+    columns of one `_refit_scores` call.  Every scale's plus refit takes one
+    seed and every minus refit another.
     """
-    rows = _subsample_rows(state, dataset, sub)
-    responses = np.column_stack([
-        wild_responses(rows.breve, rows.signs, rows.residuals, rho, direction)
-        for pair in scales for rho, direction in zip(pair, ("plus", "minus"))])
-    seeds = [derive_seed(seed, "refit-tilde", k), derive_seed(seed, "refit-check", k)]
+    seeds = (derive_seed(seed, "refit-tilde", k), derive_seed(seed, "refit-check", k))
+    columns = [column for pair in scales for column in zip(pair, ("plus", "minus"), seeds)]
     try:
-        fits = trainer.fit_multi(rows.xs, responses, seeds * len(scales))
-        vals = trainer.predict_multi(fits, rows.xs)
+        fits, norms, opts = _refit_scores(state, dataset, trainer, sub, columns)
     except TrainerFailedError as exc:
         raise TrainerFailedError(f"round {k}: {exc}") from exc
-    return _score_rounds(trainer, rows, sub, k, scales, fits, vals)
-
-
-def _score_rounds(trainer: TrainerOracle, rows: _SubsampleRows, sub: Subsample, k: int,
-                  scales: Sequence[Tuple[float, float]], fits: Sequence[PredictorHandle],
-                  vals: np.ndarray) -> List[WildRound]:
-    """Round k at each (rho1, rho2) of ``scales``, from its refits ``fits``
-    (plus then minus, scale by scale) and their values on the subsample,
-    one row of ``vals`` each.
-
-    Every row's optimism and distance are bit for bit what `wild_optimism`
-    and `empirical_norm` give for that row alone.
-    """
-    norms, [opts] = _row_scores(vals, rows.breve, [rows.signs * rows.residuals])
-    opts[1::2] *= -1.0   # the minus direction mirrors f - breve; negation is exact
-    return [WildRound(
-        k=k,
-        sub=sub,
-        rho1=float(rho1),
-        rho2=float(rho2),
-        tilde_f=fits[2 * i],
-        check_f=fits[2 * i + 1],
-        optimism=OptimismPair(opt_tilde=float(opts[2 * i]), opt_check=float(opts[2 * i + 1])),
-        norm_tilde=float(norms[2 * i]),
-        norm_check=float(norms[2 * i + 1]),
-        trainer_tol=trainer.optimization_tol,
-    ) for i, (rho1, rho2) in enumerate(scales)]
+    return [_wild_round(trainer, k, sub, pair, fits[2 * i:], norms[2 * i:], opts[2 * i:])
+            for i, pair in enumerate(scales)]
 
 
 def _run_rounds(state, dataset, trainer, subs, grid, seed) -> List[List[WildRound]]:
@@ -410,10 +404,10 @@ def tune_noise_scale(state: RefitState, dataset: RegressionDataset, trainer: Tra
     nondecreasing in rho; a decrease of more than 10x the tolerance across
     a doubling emits `NonMonotoneWarning` and continues best-effort.
     """
-    if target <= 0:
-        raise TuneError(f"target must be positive, got {target}")
-    rows = _subsample_rows(state, dataset, sub)
-    if np.all(rows.residuals == 0.0):
+    if not 0.0 < target < math.inf:
+        raise TuneError(f"target must be positive and finite, got {target}")
+    residuals = state.residuals[sub.indices]
+    if np.all(residuals == 0.0):
         raise TuneError("residuals on the subsample are all zero; nothing to scale")
     fit_seed = derive_seed(seed, "tune-fit", 0 if direction == "plus" else 1)
     tol_abs = tol_rel * target
@@ -422,20 +416,19 @@ def tune_noise_scale(state: RefitState, dataset: RegressionDataset, trainer: Tra
 
     def probe(rho: float) -> float:
         nonlocal best, gap, lo, hi, evals
-        y = wild_responses(rows.breve, rows.signs, rows.residuals, rho, direction)
-        f = trainer.fit(RegressionDataset(rows.xs, y), fit_seed)
+        [f], [norm], [opt] = _refit_scores(state, dataset, trainer, sub,
+                                           [(rho, direction, fit_seed)])
+        norm = float(norm)
         evals += 1
-        [vals] = trainer.predict_multi([f], rows.xs)
-        norm = empirical_norm(vals - rows.breve)
         if best is None or abs(norm - target) < gap:
-            best, gap = TuneResult(rho, f, norm, 0, False, vals), abs(norm - target)
+            best, gap = TuneResult(rho, f, norm, 0, False, float(opt)), abs(norm - target)
         if norm >= target:
             hi = (rho, norm)
         else:
             lo = (rho, norm)
         return norm
 
-    rho = target / empirical_norm(rows.residuals)   # exact for interpolating solvers
+    rho = target / empirical_norm(residuals)   # exact for interpolating solvers
     prev_norm = probe(rho)
     grow = prev_norm < target
     while (lo is None or hi is None) and evals < max_iter:
@@ -631,43 +624,37 @@ def evaluate_with_state(dataset: RegressionDataset, trainer: TrainerOracle,
         return candidate_block(state, trainer.predict_multi(_refits(rounds), dataset.xs),
                                fstar_vals)
 
+    def radius(rounds):
+        """The rounds' candidate block, radius r and inflated radius r_tilde."""
+        block = scored_block(rounds)
+        r = estimate_radius(state, rounds, block, t, tau, C=config.radius_constant).r
+        return block, r, r_tilde(r, n, config.beta, dataset.d, config.v, config.M_v,
+                                 config.w_bar, config.w_under)
+
     reports: List[RiskBoundReport] = []
     if config.rho_mode == "fixed-grid":
         by_scale = _run_rounds(state, dataset, trainer, subs, config.rho_grid, config.seed)
         for rho, rounds in zip(config.rho_grid, by_scale):
-            block = scored_block(rounds)
-            est = estimate_radius(state, rounds, block, t, tau, C=config.radius_constant)
-            rt = r_tilde(est.r, n, config.beta, dataset.d, config.v, config.M_v,
-                         config.w_bar, config.w_under)
-            reports.append(_assemble_report(
-                f"{rho:g}", state, dataset, config, rounds, [block], est.r, rt, tau, t,
-                fstar_vals))
+            block, r, rt = radius(rounds)
+            reports.append(_assemble_report(f"{rho:g}", state, dataset, config, rounds, [block],
+                                            r, rt, tau, t, fstar_vals))
     else:
         rho0 = config.rho_grid[0] if config.rho_grid else 1.0
         [warm_rounds] = _run_rounds(state, dataset, trainer, subs[:config.K1], (rho0,),
                                     config.seed)
-        warm_block = scored_block(warm_rounds)
-        est = estimate_radius(state, warm_rounds, warm_block, t, tau, C=config.radius_constant)
-        rt = r_tilde(est.r, n, config.beta, dataset.d, config.v, config.M_v,
-                     config.w_bar, config.w_under)
-        target = 2.0 * rt
-        tuned_rounds = []
-        unconverged = 0
+        warm_block, r, rt = radius(warm_rounds)
+        tuned_rounds, unconverged = [], 0
         for k in range(config.K1, config.K):
-            sub = subs[k]
-            plus = tune_noise_scale(state, dataset, trainer, sub, target, "plus",
-                                    config.tol_rho, config.tune_max_iter,
-                                    derive_seed(config.seed, "tune", k))
-            minus = tune_noise_scale(state, dataset, trainer, sub, target, "minus",
-                                     config.tol_rho, config.tune_max_iter,
-                                     derive_seed(config.seed, "tune", k))
+            plus, minus = [tune_noise_scale(state, dataset, trainer, subs[k], 2.0 * rt, direction,
+                                            config.tol_rho, config.tune_max_iter,
+                                            derive_seed(config.seed, "tune", k))
+                           for direction in ("plus", "minus")]
             unconverged += (not plus.converged) + (not minus.converged)
-            tuned_rounds += _score_rounds(trainer, _subsample_rows(state, dataset, sub), sub, k,
-                                          [(plus.rho, minus.rho)],
-                                          [plus.predictor, minus.predictor],
-                                          np.stack([plus.sub_vals, minus.sub_vals]))
+            tuned_rounds.append(_wild_round(
+                trainer, k, subs[k], (plus.rho, minus.rho), (plus.predictor, minus.predictor),
+                (plus.achieved_norm, minus.achieved_norm), (plus.optimism, minus.optimism)))
         report = _assemble_report("tuned", state, dataset, config, tuned_rounds,
-                                  [warm_block, scored_block(tuned_rounds)], est.r, rt, tau, t,
+                                  [warm_block, scored_block(tuned_rounds)], r, rt, tau, t,
                                   fstar_vals)
         if unconverged:
             # An unconverged tune still enters the bound at its closest

@@ -184,6 +184,9 @@ class TestCmdEvaluate:
         {"evaluation": {"K": 2, "rho_grid": [float("nan")]}},
         {"evaluation": {"K": 2, "rho_grid": [float("inf")]}},
         {"evaluation": {"K": 2, "rho_grid": [True]}},
+        # Scales whose report labels (6 significant digits) would collide.
+        {"evaluation": {"K": 2, "rho_grid": [0.1234567, 1.0, 1.0000001]}},
+        {"evaluation": {"K": 2, "rho_grid": [0.5, 0.5]}},
     ], ids=["srswor_strategy", "t", "w_under", "M_v", "tune_max_iter", "rho_grid", "n",
             "seeds", "n_mc", "K_float", "max_features", "header_only_csv", "narrow_csv_row",
             "wide_csv_row", "v_zero", "tree_n_trees_float", "tree_max_depth_float",
@@ -194,7 +197,8 @@ class TestCmdEvaluate:
             "radius_constant_inf", "radius_constant_nan", "radius_constant_negative",
             "log_term_constant_nan", "log_term_constant_negative", "w_under_nan", "w_bar_inf",
             "M_v_nan", "v_nan", "tau_bool", "tau_inf", "t_nan", "beta_nan", "delta_bool",
-            "tol_rho_inf", "rho_grid_nan", "rho_grid_inf", "rho_grid_bool"])
+            "tol_rho_inf", "rho_grid_nan", "rho_grid_inf", "rho_grid_bool",
+            "rho_grid_label_collision", "rho_grid_duplicate"])
     def test_config_mistake_exit_2(self, tmp_path, capsys, overrides):
         # Raised before, during or after the run, a config error exits 2.
         overrides = dict(overrides)
@@ -294,6 +298,16 @@ class TestCmdSweep:
         assert cmd_sweep(cfg) == 0
         rows = read_csv(tmp_path / "out" / "sweep.csv")
         assert len(rows) == 1 + 2 * 2 * 2
+
+    def test_rho_column_holds_exact_grid_value(self, tmp_path):
+        # The report label rounds 0.1234567 to 0.123457; the sweep row keeps
+        # the grid value itself.
+        cfg = write_config(tmp_path, evaluation={"K": 2, "beta": 0.6,
+                                                 "rho_grid": [0.1234567, 1.0]})
+        assert cmd_sweep(cfg) == 0
+        rows = read_csv(tmp_path / "out" / "sweep.csv")
+        assert [row[1] for row in rows[1:]] == ["0.1234567", "1.0"]
+        assert float(rows[1][1]) == 0.1234567
 
     def test_same_subsamples_across_rho(self, tmp_path):
         # Evaluate reuses the subsample sequence across the grid; verify via

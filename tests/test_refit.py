@@ -16,11 +16,12 @@ from wildriff.core import (
     estimate_tau,
     warm_up,
 )
-from wildriff.metrics import empirical_norm
+from wildriff.metrics import empirical_norm, wild_optimism
 from wildriff.refit import (
     BadParamError,
     DecayRegimeError,
     NoBracketError,
+    TuneError,
     candidate_block,
     deviation_term,
     estimate_radius,
@@ -319,6 +320,15 @@ class TestTuneNoiseScale:
         with pytest.raises(Exception):
             tune_noise_scale(state, ds, trainer, sub, 0.5, "plus")
 
+    @pytest.mark.parametrize("target", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_bad_target_rejected_before_any_refit(self, target):
+        state = random_state(np.random.default_rng(0), 20, own_pilot=False)
+        ds = RegressionDataset(np.full((20, 1), 0.5), np.zeros(20))
+        trainer = TrainerOracle(name="never", fit_fn=lambda ds_, s_: pytest.fail("refit"))
+        sub = srswor(20, 6, "permutation", seed=1)
+        with pytest.raises(TuneError, match=f"target must be positive and finite, got {target}"):
+            tune_noise_scale(state, ds, trainer, sub, target, "plus")
+
     def test_mlp_hits_target(self):
         # Budgeted optimizers carry a refit error floor, so a few draws may
         # fail to bracket; most land within tolerance.
@@ -453,26 +463,30 @@ class TestOnePassScorer:
         fstar_vals = state.breve_vals + 0.5 * rng.normal(size=n)
         vals = state.breve_vals + rng.normal(size=(11, n))
         vals.flags.writeable = False
-        rows = refit._SubsampleRows(np.zeros((n, 1)), state.breve_vals, state.signs,
-                                    state.residuals)
-        scales = [(0.5, 0.5), (1.0, 2.0), (3.0, 3.0)]
-        fits = [PredictorHandle(lambda xs: np.zeros(xs.shape[0]))] * 6
+        # A stub black box whose refits predict the first rows of ``vals``.
+        handle = PredictorHandle(lambda xs: np.zeros(xs.shape[0]))
+        trainer = TrainerOracle(name="stub", fit_fn=lambda ds, seed: handle,
+                                fit_multi_fn=lambda xs, Y, seeds: [handle] * Y.shape[1],
+                                predict_multi_fn=lambda handles, xs: vals[:len(handles)])
+        ds = RegressionDataset(np.zeros((n, 1)), np.zeros(n))
         sub = srswor(n, n, "permutation", seed=0)
-        trainer = interpolating_trainer()
+        columns = [(0.5, "plus", 1), (0.5, "minus", 2), (1.0, "plus", 1), (2.0, "minus", 2),
+                   (3.0, "plus", 1), (3.0, "minus", 2)]
 
         def scored():
             block = candidate_block(state, vals, fstar_vals)
-            rounds = refit._score_rounds(trainer, rows, sub, 0, scales, fits, vals[:6])
-            return (block, [(rd.optimism, rd.norm_tilde, rd.norm_check) for rd in rounds],
-                    pilot_error_proxy(state, [block], fstar_vals, 1.3))
+            _, norms, opts = refit._refit_scores(state, ds, trainer, sub, columns)
+            return block, norms, opts, pilot_error_proxy(state, [block], fstar_vals, 1.3)
 
         default = scored()
         for entries in (1, 3 * n + 1):
             monkeypatch.setattr(refit, "_SCORE_TILE_ENTRIES", entries)
-            block, rounds, pilot = scored()
+            block, norms, opts, pilot = scored()
             for got, want in zip(block, default[0]):
                 np.testing.assert_array_equal(got, want)
-            assert rounds == default[1] and pilot == default[2]
+            np.testing.assert_array_equal(norms, default[1])
+            np.testing.assert_array_equal(opts, default[2])
+            assert pilot == default[3]
 
 
 class TestPilotErrorProxy:
@@ -643,6 +657,39 @@ class TestEvaluate:
         assert [shape for shape, _ in calls] == [(m, 2 * len(cfg.rho_grid))] * cfg.K
         assert all(seeds == seeds[:2] * len(cfg.rho_grid) for _, seeds in calls)
         assert sum(tag.startswith("refit-") for tag in tags) == 2 * cfg.K
+
+    def test_tuned_mode_refits_through_one_path(self, monkeypatch):
+        # The warm-up is the only `fit` call; the radius rounds and every
+        # search step refit through `fit_multi`, and each tuned round keeps
+        # the scores its search measured on its own subsample.
+        ds, _ = generate(ExperimentSpec(id="exp1", n=300, seed=22))
+        fits, columns = [], []
+        fit, fit_multi = TrainerOracle.fit, TrainerOracle.fit_multi
+
+        def counting_fit(trainer, dataset, seed):
+            fits.append(dataset.n)
+            return fit(trainer, dataset, seed)
+
+        def counting_fit_multi(trainer, xs, Y, seeds):
+            columns.append(np.shape(Y)[1])
+            return fit_multi(trainer, xs, Y, seeds)
+
+        monkeypatch.setattr(TrainerOracle, "fit", counting_fit)
+        monkeypatch.setattr(TrainerOracle, "fit_multi", counting_fit_multi)
+        cfg = EvaluationConfig(K=5, K1=2, rho_mode="tuned", seed=22)
+        [report], state = evaluate_with_state(ds, make_trainer("tree", {"max_depth": 4}), cfg)
+        assert fits == [ds.n]
+        assert columns[:cfg.K1] == [2] * cfg.K1
+        assert set(columns[cfg.K1:]) == {1}
+        assert len(columns) - cfg.K1 >= 2 * (cfg.K - cfg.K1)
+        for rd in report.rounds:
+            idx = rd.sub.indices
+            breve, signs, residuals = state.breve_vals[idx], state.signs[idx], state.residuals[idx]
+            for f, opt, norm, sign in ((rd.tilde_f, rd.optimism.opt_tilde, rd.norm_tilde, 1.0),
+                                       (rd.check_f, rd.optimism.opt_check, rd.norm_check, -1.0)):
+                vals = f.predict(ds.xs[idx])
+                assert norm == empirical_norm(vals - breve)
+                assert opt == sign * wild_optimism(signs, residuals, vals, breve)
 
     def test_one_predict_multi_call_per_block_and_subsample(self, monkeypatch):
         # Fixed-grid mode predicts each subsample's refits on the subsample

@@ -6,8 +6,10 @@
 Each checkout runs operations 0..N-1 of a benchmark workload through its own
 perfbench/workloads.py, in a subprocess that writes nothing into it: every
 numeric report field and rounds.csv column per scale, or the sweep.csv cells.
-Exits 1 if the two label sets differ, or if ``--max-rel X`` is given and some
-field drifts by more than X relative (``--max-rel 0`` checks bit identity).
+The report flags and each round's subsample indices are compared exactly:
+any difference in them counts as infinite drift.  Exits 1 if the two label
+sets differ, or if ``--max-rel X`` is given and some field drifts by more
+than X relative (``--max-rel 0`` checks bit identity).
 """
 
 import argparse
@@ -35,6 +37,8 @@ for i in range(int(sys.argv[4])):
     for r in result:
         cells = {f.name: [getattr(r, f.name)] for f in dataclasses.fields(r)}
         cells = {k: v for k, v in cells.items() if type(v[0]) in (int, float)}
+        cells["pilot_flags"] = [r.pilot_flags]
+        cells["rounds.sub"] = [rd.sub.indices.tolist() for rd in r.rounds]
         for col in ("k", "rho1", "rho2", "norm_tilde", "norm_check", "trainer_tol"):
             cells["rounds." + col] = [getattr(rd, col) for rd in r.rounds]
         for col in ("opt_tilde", "opt_check"):
@@ -54,7 +58,11 @@ def dump(checkout, args):
 
 
 def rel(a, b):
-    if a == b or (math.isnan(a) and math.isnan(b)):
+    if a == b:
+        return 0.0
+    if not all(type(x) in (int, float) for x in (a, b)):
+        return math.inf   # flags and subsample indices compare exactly
+    if math.isnan(a) and math.isnan(b):
         return 0.0
     diff = abs(a - b) / max(abs(a), abs(b))
     return math.inf if math.isnan(diff) else diff   # one side NaN or infinite
