@@ -33,7 +33,8 @@ from typing import List, Optional
 import numpy as np
 
 from . import __version__
-from .core import ConfigError, EvaluationConfig, RegressionDataset, TrainerOracle, WildriffError
+from .core import (ConfigError, EvaluationConfig, RegressionDataset, TrainerOracle, WildriffError,
+                   check_integer)
 from .refit import RiskBoundReport, evaluate_with_state
 from .synth import (
     EXPERIMENT_IDS,
@@ -160,10 +161,8 @@ def _parse(key: str, convert, value):
 
 
 def _integer(value) -> int:
-    """``value`` when it is an integer.  A bool, a float (even a whole one,
-    as `EvaluationConfig` treats ``K``) or a string is rejected, not rounded."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"must be an integer, got {value!r}")
+    """``value`` when `check_integer` accepts it."""
+    check_integer("value", value)
     return int(value)
 
 
@@ -249,6 +248,8 @@ def _exit_codes(command):
 def cmd_evaluate(config_path, out_dir=None, seed=None, formats=None) -> int:
     """Run one evaluation and write rounds.csv / summary.json / oracle.json."""
     run = RunConfig.from_file(config_path, out_dir, seed, formats)
+    if len(run.n) > 1 or len(run.seeds) > 1:
+        raise ConfigError(f"evaluate runs one cell, not n {run.n} x seeds {run.seeds}; use sweep")
     start = time.perf_counter()
     n = run.n[0]
     dataset, truth, reports, state = _run_cell(run, n, run.seeds[0])

@@ -28,6 +28,7 @@ __all__ = [
     "RefitState",
     "EvaluationConfig",
     "check_real",
+    "check_integer",
     "derive_rng",
     "derive_seed",
     "warm_up",
@@ -74,6 +75,12 @@ def check_real(name: str, value, error: type = ConfigError) -> None:
     if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
             or not np.isfinite(value)):
         raise error(f"{name} must be a finite number, got {value!r}")
+
+
+def check_integer(name: str, value, error: type = ConfigError) -> None:
+    """Raise ``error`` unless ``value`` is an int; a bool or a whole float is not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
 
 
 _SEED_MASK = (1 << 64) - 1
@@ -243,7 +250,7 @@ class TrainerOracle:
     def predict_multi(self, handles: Sequence[PredictorHandle], xs) -> np.ndarray:
         """Row i is ``handles[i]`` predicted on ``xs``: shape (len(handles), n).
 
-        The engine predicts every refit through here.  A foreign exception
+        The engine reads every prediction through here.  A foreign exception
         becomes a `TrainerFailedError`, as in `fit`, and so does a result of
         the wrong shape; a non-finite prediction raises `NonFiniteDataError`.
         """
@@ -356,10 +363,8 @@ class EvaluationConfig:
             check_real("t", self.t)
         if self.tau != "estimate":
             check_real("tau", self.tau)
-        for name in ("K", "K1", "tune_max_iter"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise BadConfigError(f"{name} must be an integer, got {value!r}")
+        for name in ("K", "K1", "tune_max_iter", "seed"):
+            check_integer(name, getattr(self, name))
         if self.K < 1:
             raise BadConfigError("K must be a positive integer")
         if not (0 <= self.K1 < self.K):
@@ -397,17 +402,15 @@ def warm_up(dataset: RegressionDataset, trainer: TrainerOracle,
             pilot: Optional[PredictorHandle] = None, seed: int = 0) -> RefitState:
     """Train the full-scale predictor and prepare residuals and signs.
 
-    The pilot predictor defaults to the trained predictor itself.  Signs are
-    i.i.d. uniform on {-1, +1}, drawn once here and reused by every round.
+    The pilot predictor defaults to the trained predictor itself; one
+    `TrainerOracle.predict_multi` call checks both.  Signs are i.i.d.
+    uniform on {-1, +1}, drawn once here and reused by every round.
     """
-    breve_f = trainer.fit(dataset, seed)
+    [breve_f] = trainer.fit_multi(dataset.xs, dataset.ys[:, None], [seed])
     pilot_f = pilot if pilot is not None else breve_f
-
-    breve_vals = breve_f.predict(dataset.xs)
-    pilot_vals = breve_vals if pilot is None else pilot_f.predict(dataset.xs)
-    residuals = dataset.ys - pilot_vals
-    if not np.all(np.isfinite(residuals)) or not np.all(np.isfinite(breve_vals)):
-        raise NonFiniteDataError("non-finite residual or prediction in warm-up")
+    vals = trainer.predict_multi([breve_f] if pilot is None else [breve_f, pilot], dataset.xs)
+    breve_vals = vals[0]
+    pilot_vals = breve_vals if pilot is None else vals[1]
 
     rng = derive_rng(seed, "signs")
     signs = rng.integers(0, 2, size=dataset.n).astype(float) * 2.0 - 1.0
@@ -415,7 +418,7 @@ def warm_up(dataset: RegressionDataset, trainer: TrainerOracle,
     return RefitState(
         breve_f=breve_f,
         pilot_f=pilot_f,
-        residuals=residuals,
+        residuals=dataset.ys - pilot_vals,
         signs=signs,
         breve_vals=breve_vals,
         pilot_vals=pilot_vals,

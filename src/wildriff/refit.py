@@ -607,18 +607,19 @@ def evaluate_with_state(dataset: RegressionDataset, trainer: TrainerOracle,
                         config: EvaluationConfig, pilot: Optional[PredictorHandle] = None,
                         fstar: Optional[PredictorHandle] = None):
     """Like `evaluate`, additionally returning the warm-up state."""
-    state = warm_up(dataset, trainer, pilot, config.seed)
     n = dataset.n
     m = config.subsample_size(n)
+    # Drawn first, so a bad sampling setting stops the run before any fit.
+    subs = [srswor(n, m, config.srswor_strategy, derive_seed(config.seed, "subsample", k))
+            for k in range(config.K)]
+    state = warm_up(dataset, trainer, pilot, config.seed)
     tau = _resolve_tau(config, state)
     t = config.t if config.t is not None else default_t(tau)
 
-    subs = [srswor(n, m, config.srswor_strategy, derive_seed(config.seed, "subsample", k))
-            for k in range(config.K)]
     # Each report predicts its refits on the full data once and keeps only
     # their scores; the pilot's values come from the warm-up, the truth's
     # are predicted here, once.
-    fstar_vals = fstar.predict(dataset.xs) if fstar is not None else None
+    fstar_vals = None if fstar is None else trainer.predict_multi([fstar], dataset.xs)[0]
 
     def scored_block(rounds):
         return candidate_block(state, trainer.predict_multi(_refits(rounds), dataset.xs),

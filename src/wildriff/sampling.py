@@ -158,12 +158,14 @@ def reservoir_sample(stream: Iterable[int], m: int,
     return reservoir
 
 
+_BATCH_CHUNK = 200_000   # most draws per kernel call in `srswor_batch`, to bound memory
+
+
 def srswor_batch(n: int, m: int, strategy: str, seed: Union[int, np.random.Generator],
-                 count: int, chunk: int = 200_000) -> np.ndarray:
+                 count: int) -> np.ndarray:
     """Draw ``count`` independent subsamples; returns a (count, m) index array.
 
     Rows are sorted; the joint draw is deterministic given (strategy, seed).
-    Large counts are processed in chunks to bound memory.
     """
     _check_sizes(n, m)
     if strategy not in _BATCH_KERNELS:
@@ -172,15 +174,8 @@ def srswor_batch(n: int, m: int, strategy: str, seed: Union[int, np.random.Gener
         raise BadSizeError(f"need count >= 1, got {count}")
     rng = _as_rng(seed, strategy)
     kernel = _BATCH_KERNELS[strategy]
-    if count <= chunk:
-        return kernel(n, m, count, rng)
-    parts = []
-    done = 0
-    while done < count:
-        take = min(chunk, count - done)
-        parts.append(kernel(n, m, take, rng))
-        done += take
-    return np.vstack(parts)
+    return np.vstack([kernel(n, m, min(_BATCH_CHUNK, count - done), rng)
+                      for done in range(0, count, _BATCH_CHUNK)])
 
 
 def srswor(n: int, m: int, strategy: str = "permutation",

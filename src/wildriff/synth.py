@@ -13,7 +13,8 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .core import ConfigError, PredictorHandle, RegressionDataset, derive_rng
+from .core import (ConfigError, PredictorHandle, RegressionDataset, check_integer, check_real,
+                   derive_rng)
 
 __all__ = [
     "ExperimentSpec",
@@ -39,6 +40,10 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.id not in EXPERIMENT_IDS:
             raise ConfigError(f"unknown experiment {self.id!r}")
+        check_integer("n", self.n)
+        check_integer("seed", self.seed)
+        if self.noise_scale is not None:
+            check_real("noise_scale", self.noise_scale)
         if self.n < 1:
             raise ConfigError("n must be >= 1")
 

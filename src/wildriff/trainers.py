@@ -19,7 +19,7 @@ from typing import List, NamedTuple, Optional
 import numpy as np
 
 from .core import (ConfigError, InvalidDataError, PredictorHandle, RegressionDataset,
-                   TrainerFailedError, TrainerOracle, check_real, derive_rng)
+                   TrainerFailedError, TrainerOracle, check_integer, check_real, derive_rng)
 
 __all__ = [
     "TrainerError",
@@ -51,11 +51,6 @@ class IllConditionedError(TrainerFailedError):
 
 class DivergedError(TrainerFailedError):
     """Iterative training produced a non-finite loss."""
-
-
-def _check_integer(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise TrainerError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_dimension(xs: np.ndarray, d: int) -> None:
@@ -149,8 +144,8 @@ class FourierRidgeSpec:
     max_features: int = 20000
 
     def __post_init__(self):
-        _check_integer("N", self.N)
-        _check_integer("max_features", self.max_features)
+        check_integer("N", self.N, TrainerError)
+        check_integer("max_features", self.max_features, TrainerError)
         check_real("lam", self.lam, TrainerError)
         if self.N < 0:
             raise TrainerError("N must be >= 0")
@@ -385,8 +380,8 @@ class MlpSpec:
 
     def __post_init__(self):
         for w in self.widths:
-            _check_integer("layer widths", w)
-        _check_integer("max_iter", self.max_iter)
+            check_integer("widths entries", w, TrainerError)
+        check_integer("max_iter", self.max_iter, TrainerError)
         check_real("learning_rate", self.learning_rate, TrainerError)
         if self.learning_rate <= 0:
             raise TrainerError("learning_rate must be > 0")
@@ -526,7 +521,7 @@ class TreeSpec:
 
     def __post_init__(self):
         for name in ("max_depth", "min_samples_leaf", "n_trees"):
-            _check_integer(name, getattr(self, name))
+            check_integer(name, getattr(self, name), TrainerError)
         check_real("feature_fraction", self.feature_fraction, TrainerError)
         if self.max_depth < 1:
             raise TrainerError("max_depth must be >= 1")

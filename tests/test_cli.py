@@ -100,7 +100,7 @@ class TestCmdEvaluate:
         schema = json.loads(SCHEMA_PATH.read_text())
         jsonschema.validate(summary, schema)
 
-    def test_config_error_exit_2(self, tmp_path):
+    def test_config_error_exit_2(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"
         assert cmd_evaluate(missing) == 2
         bad = write_config(tmp_path, evaluation={"K": 0})
@@ -124,7 +124,18 @@ class TestCmdEvaluate:
         for overrides in bad_integers:
             assert cmd_evaluate(write_config(tmp_path, **overrides)) == 2
             assert cmd_sweep(write_config(tmp_path, **overrides)) == 2
+        # evaluate runs one (n, seed) cell; several belong to sweep.  A
+        # --seed replaces the seeds list, not a list of n.
+        capsys.readouterr()
+        for overrides in [{"n": [200, 400], "seeds": [0, 1]}, {"n": [200, 400]},
+                          {"seeds": [0, 1]}]:
+            assert cmd_evaluate(write_config(tmp_path, **overrides)) == 2
+            assert "use sweep" in capsys.readouterr().err
+        assert cmd_evaluate(write_config(tmp_path, n=[200, 400], seeds=[0, 1]), seed=3) == 2
         assert not (tmp_path / "out").exists()
+        assert cmd_evaluate(write_config(tmp_path, n=[200], seeds=[0, 1]), seed=3) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert (summary["config"]["n"], summary["config"]["seed"]) == (200, 3)
 
     @pytest.mark.parametrize("overrides", [
         {"evaluation": {"K": 2, "rho_grid": [1.0], "srswor_strategy": "bogus"}},

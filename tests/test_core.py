@@ -19,7 +19,7 @@ from wildriff.core import (
     warm_up,
 )
 from wildriff.synth import ExperimentSpec, generate
-from wildriff.trainers import make_trainer
+from wildriff.trainers import FourierRidgeSpec, MlpSpec, TreeSpec, make_trainer
 
 
 def constant_trainer(c=0.0):
@@ -370,3 +370,33 @@ class TestEvaluationConfig:
 
     def test_subsample_size_clamped(self):
         assert EvaluationConfig(beta=0.9).subsample_size(1) == 1
+
+
+# Every integer setting: (the object built from one value, the field named
+# in its error).
+INTEGER_SETTINGS = {
+    "EvaluationConfig.K": (lambda v: EvaluationConfig(K=v), "K"),
+    "EvaluationConfig.K1": (lambda v: EvaluationConfig(K=5, K1=v), "K1"),
+    "EvaluationConfig.tune_max_iter": (lambda v: EvaluationConfig(tune_max_iter=v),
+                                       "tune_max_iter"),
+    "EvaluationConfig.seed": (lambda v: EvaluationConfig(seed=v), "seed"),
+    "FourierRidgeSpec.N": (lambda v: FourierRidgeSpec(N=v), "N"),
+    "FourierRidgeSpec.max_features": (lambda v: FourierRidgeSpec(max_features=v),
+                                      "max_features"),
+    "MlpSpec.widths": (lambda v: MlpSpec(widths=(4, v)), "widths"),
+    "MlpSpec.max_iter": (lambda v: MlpSpec(max_iter=v), "max_iter"),
+    "TreeSpec.max_depth": (lambda v: TreeSpec(max_depth=v), "max_depth"),
+    "TreeSpec.min_samples_leaf": (lambda v: TreeSpec(min_samples_leaf=v), "min_samples_leaf"),
+    "TreeSpec.n_trees": (lambda v: TreeSpec(n_trees=v), "n_trees"),
+    "ExperimentSpec.n": (lambda v: ExperimentSpec(id="exp1", n=v), "n"),
+    "ExperimentSpec.seed": (lambda v: ExperimentSpec(id="exp1", n=10, seed=v), "seed"),
+}
+
+
+@pytest.mark.parametrize("value", [1.5, True, "3"])
+@pytest.mark.parametrize("setting", INTEGER_SETTINGS)
+def test_integer_settings_reject_non_integers(setting, value):
+    build, field = INTEGER_SETTINGS[setting]
+    with pytest.raises(ConfigError, match=rf"^{field}\b.* must be an integer"):
+        build(value)
+    build(np.int64(3))

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from wildriff.core import (
     PredictorHandle,
     RefitState,
     RegressionDataset,
+    TrainerFailedError,
     TrainerOracle,
     derive_seed,
     estimate_tau,
@@ -33,7 +35,7 @@ from wildriff.refit import (
     run_round,
     tune_noise_scale,
 )
-from wildriff.sampling import srswor
+from wildriff.sampling import STRATEGIES, SamplingError, srswor
 from wildriff.synth import ExperimentSpec, generate
 from wildriff.trainers import FourierRidgeSpec, fourier_ridge_trainer, make_trainer
 from wildriff.verify import suite_radius
@@ -634,7 +636,8 @@ class TestEvaluate:
             assert [numbers(rd) for rd in report.rounds] == [numbers(rd) for rd in loop]
 
     def test_one_fit_multi_call_per_subsample(self, monkeypatch):
-        # Fixed-grid mode hands each subsample's refits, every scale and both
+        # After the warm-up's one-column fit on the full data, fixed-grid
+        # mode hands each subsample's refits, every scale and both
         # directions, to one fit_multi call, and derives the two refit seeds
         # once per subsample.
         ds, _ = generate(ExperimentSpec(id="exp2", n=300, seed=17))
@@ -654,14 +657,15 @@ class TestEvaluate:
         monkeypatch.setattr(refit, "derive_seed", counting_derive_seed)
         evaluate(ds, make_trainer("tree", {"max_depth": 3}), cfg)
         m = cfg.subsample_size(ds.n)
-        assert [shape for shape, _ in calls] == [(m, 2 * len(cfg.rho_grid))] * cfg.K
-        assert all(seeds == seeds[:2] * len(cfg.rho_grid) for _, seeds in calls)
+        assert calls[0] == ((ds.n, 1), [cfg.seed])
+        assert [shape for shape, _ in calls[1:]] == [(m, 2 * len(cfg.rho_grid))] * cfg.K
+        assert all(seeds == seeds[:2] * len(cfg.rho_grid) for _, seeds in calls[1:])
         assert sum(tag.startswith("refit-") for tag in tags) == 2 * cfg.K
 
     def test_tuned_mode_refits_through_one_path(self, monkeypatch):
-        # The warm-up is the only `fit` call; the radius rounds and every
-        # search step refit through `fit_multi`, and each tuned round keeps
-        # the scores its search measured on its own subsample.
+        # No `fit` call: the warm-up, the radius rounds and every search
+        # step fit through `fit_multi`, and each tuned round keeps the
+        # scores its search measured on its own subsample.
         ds, _ = generate(ExperimentSpec(id="exp1", n=300, seed=22))
         fits, columns = [], []
         fit, fit_multi = TrainerOracle.fit, TrainerOracle.fit_multi
@@ -671,14 +675,18 @@ class TestEvaluate:
             return fit(trainer, dataset, seed)
 
         def counting_fit_multi(trainer, xs, Y, seeds):
-            columns.append(np.shape(Y)[1])
+            columns.append(np.shape(Y))
             return fit_multi(trainer, xs, Y, seeds)
 
         monkeypatch.setattr(TrainerOracle, "fit", counting_fit)
         monkeypatch.setattr(TrainerOracle, "fit_multi", counting_fit_multi)
         cfg = EvaluationConfig(K=5, K1=2, rho_mode="tuned", seed=22)
         [report], state = evaluate_with_state(ds, make_trainer("tree", {"max_depth": 4}), cfg)
-        assert fits == [ds.n]
+        assert fits == []
+        m = cfg.subsample_size(ds.n)
+        assert columns[0] == (ds.n, 1)
+        assert all(rows == m for rows, _ in columns[1:])
+        columns = [width for _, width in columns[1:]]
         assert columns[:cfg.K1] == [2] * cfg.K1
         assert set(columns[cfg.K1:]) == {1}
         assert len(columns) - cfg.K1 >= 2 * (cfg.K - cfg.K1)
@@ -692,10 +700,11 @@ class TestEvaluate:
                 assert opt == sign * wild_optimism(signs, residuals, vals, breve)
 
     def test_one_predict_multi_call_per_block_and_subsample(self, monkeypatch):
-        # Fixed-grid mode predicts each subsample's refits on the subsample
-        # in one predict_multi call and each scale's candidate block in one;
-        # tuned mode predicts each candidate block in one call, and every
-        # tuning step's refit on its subsample in one.
+        # The warm-up predicts the trained predictor on the full data in one
+        # predict_multi call.  Fixed-grid mode predicts each subsample's
+        # refits on the subsample in one call and each scale's candidate
+        # block in one; tuned mode predicts each candidate block in one
+        # call, and every tuning step's refit on its subsample in one.
         ds, _ = generate(ExperimentSpec(id="exp1", n=300, seed=19))
         calls = []
         predict_multi = TrainerOracle.predict_multi
@@ -708,19 +717,19 @@ class TestEvaluate:
         cfg = EvaluationConfig(K=5, rho_grid=(0.1, 0.5, 2.0), seed=19)
         evaluate(ds, make_trainer("tree", {"max_depth": 3}), cfg)
         m = cfg.subsample_size(ds.n)
-        assert calls == ([(2 * len(cfg.rho_grid), m)] * cfg.K
+        assert calls == ([(1, ds.n)] + [(2 * len(cfg.rho_grid), m)] * cfg.K
                          + [(2 * cfg.K, ds.n)] * len(cfg.rho_grid))
 
         calls.clear()
         cfg = EvaluationConfig(K=5, K1=2, rho_mode="tuned", rho_grid=(1.0,), seed=19)
         evaluate(ds, interpolating_trainer(N=20), cfg)
-        assert [c for c in calls if c[1] == ds.n] == [(2 * cfg.K1, ds.n),
+        assert [c for c in calls if c[1] == ds.n] == [(1, ds.n), (2 * cfg.K1, ds.n),
                                                       (2 * (cfg.K - cfg.K1), ds.n)]
         on_subsamples = [c for c in calls if c[1] == m]
         assert on_subsamples[:cfg.K1] == [(2, m)] * cfg.K1
         assert len(on_subsamples) > cfg.K1 + 2 * (cfg.K - cfg.K1)
         assert set(on_subsamples[cfg.K1:]) == {(1, m)}
-        assert len(calls) == len(on_subsamples) + 2
+        assert len(calls) == len(on_subsamples) + 3
 
     def test_non_finite_refit_predictions_stop_the_run(self):
         # A refit that predicts NaN at 5 of the 400 full-data points has a
@@ -747,6 +756,80 @@ class TestEvaluate:
         cfg = EvaluationConfig(K=5, rho_grid=(0.5,), seed=18)
         with pytest.raises(NonFiniteDataError, match="'holey' predicted non-finite"):
             evaluate(ds, trainer, cfg, fstar=truth.fstar)
+
+    @pytest.mark.parametrize("mode", ["fixed-grid", "tuned"])
+    @pytest.mark.parametrize("name,params", [
+        ("fourier_ridge", {"N": 6, "lam": 1e-6}),
+        ("tree", {"max_depth": 3}),
+        ("mlp", {"widths": (4,), "max_iter": 15}),
+    ])
+    def test_engine_reads_the_trainer_through_multi_calls(self, monkeypatch, name, params,
+                                                          mode):
+        # Neither `core` nor `refit` calls `TrainerOracle.fit` or
+        # `PredictorHandle.predict` itself: the warm-up, the truth and every
+        # refit go through `fit_multi`/`predict_multi`.  Only their loops
+        # for a trainer without `fit_multi_fn`/`predict_multi_fn` (here
+        # `mlp`) call the one-at-a-time methods.
+        ds, truth = generate(ExperimentSpec(id="exp1", n=150, seed=24))
+        callers = []
+
+        def spy(method):
+            def call(*args, **kwargs):
+                frame = sys._getframe(1)
+                while frame.f_code.co_name.startswith("<"):   # a comprehension's frame
+                    frame = frame.f_back
+                callers.append((frame.f_globals["__name__"], frame.f_code.co_name))
+                return method(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(TrainerOracle, "fit", spy(TrainerOracle.fit))
+        monkeypatch.setattr(PredictorHandle, "predict", spy(PredictorHandle.predict))
+        trainer = make_trainer(name, params)
+        cfg = EvaluationConfig(K=3, K1=1, rho_mode=mode, rho_grid=(0.5, 2.0), seed=24,
+                               tune_max_iter=6)
+        pilot = PredictorHandle(lambda xs: np.sin(xs[:, 0]), name="pilot")
+        evaluate(ds, trainer, cfg, pilot=pilot, fstar=truth.fstar)
+        engine = [call for call in callers if call[0] in ("wildriff.core", "wildriff.refit")]
+        if name == "mlp":
+            assert {function for _, function in engine} == {"fit_multi", "_predict_each"}
+        else:
+            assert engine == []
+
+    @pytest.mark.parametrize("role", ["pilot", "fstar"])
+    def test_bad_pilot_or_truth_values_stop_the_run(self, role):
+        # A NaN from the pilot or the truth once left residuals or pilot
+        # scores NaN; a NaN truth gave pilot_proxy 0.0 with no flag.
+        ds, truth = generate(ExperimentSpec(id="exp1", n=200, seed=25))
+        trainer = make_trainer("fourier_ridge", {"N": 6, "lam": 1e-6})
+        cfg = EvaluationConfig(K=2, rho_grid=(1.0,), seed=25)
+
+        def run(fn):
+            handle = PredictorHandle(fn, name=f"bad {role}")
+            evaluate(ds, trainer, cfg, **{"fstar": truth.fstar, role: handle})
+
+        with pytest.raises(NonFiniteDataError, match="predicted non-finite"):
+            run(lambda xs: np.where(xs[:, 0] > 0.5, np.nan, 0.0))
+        with pytest.raises(TrainerFailedError, match=f"bad {role}: expected {ds.n}"):
+            run(lambda xs: np.zeros(xs.shape[0] - 1))
+
+    def test_unknown_strategy_rejected_before_any_fit(self):
+        def fit(dataset, seed):
+            pytest.fail("fit before the sampling strategy was checked")
+
+        ds, _ = generate(ExperimentSpec(id="exp1", n=100, seed=26))
+        cfg = EvaluationConfig(K=2, rho_grid=(1.0,), srswor_strategy="bogus")
+        with pytest.raises(SamplingError, match="bogus"):
+            evaluate(ds, TrainerOracle(name="never", fit_fn=fit), cfg)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_rounds_draw_with_the_configured_strategy(self, strategy):
+        ds, _ = generate(ExperimentSpec(id="exp1", n=200, seed=27))
+        cfg = EvaluationConfig(K=3, rho_grid=(1.0,), seed=27, srswor_strategy=strategy)
+        [report] = evaluate(ds, make_trainer("tree", {"max_depth": 3}), cfg)
+        m = cfg.subsample_size(ds.n)
+        assert [rd.sub.indices.tolist() for rd in report.rounds] == [
+            srswor(ds.n, m, strategy, derive_seed(cfg.seed, "subsample", k)).indices.tolist()
+            for k in range(cfg.K)]
 
     def test_shared_subsamples_across_grid(self):
         ds, _ = generate(ExperimentSpec(id="exp1", n=300, seed=12))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wildriff import sampling
 from wildriff.sampling import (
     BadSizeError,
     IndexOutOfRangeError,
@@ -92,6 +93,24 @@ class TestScalarBatchConsistency:
         # vary with the seed.
         subs = {tuple(srswor(20, 4, strategy, seed=s).indices) for s in range(40)}
         assert len(subs) > 20
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("n,m", [(10, 3), (100, 7), (1000, 40), (8000, 219)])
+    def test_scalar_is_batch_of_one(self, strategy, n, m):
+        # The module docstring's claim, reservoir's single-pass scalar path
+        # included.
+        for seed in range(3):
+            np.testing.assert_array_equal(srswor(n, m, strategy, seed).indices,
+                                          srswor_batch(n, m, strategy, seed, 1)[0])
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_chunked_batch_rows_are_subsamples(self, strategy, monkeypatch):
+        monkeypatch.setattr(sampling, "_BATCH_CHUNK", 3)
+        rows = srswor_batch(50, 6, strategy, 5, 10)
+        assert rows.shape == (10, 6)
+        assert np.all(np.diff(rows, axis=1) > 0)   # sorted and distinct
+        assert rows.min() >= 0 and rows.max() < 50
+        assert len({tuple(row) for row in rows}) > 1
 
 
 def per_step_permutation(n, m, count, rng):

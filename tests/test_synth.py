@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from wildriff.core import PredictorHandle
+from wildriff.core import ConfigError, PredictorHandle
 from wildriff.synth import (
     EXPERIMENT_IDS,
     ExperimentSpec,
@@ -30,6 +30,11 @@ class TestGenerate:
         a, _ = generate(ExperimentSpec(id="exp3", n=100, seed=9))
         b, _ = generate(ExperimentSpec(id="exp3", n=100, seed=9))
         assert np.array_equal(a.xs, b.xs) and np.array_equal(a.ys, b.ys)
+
+    @pytest.mark.parametrize("noise_scale", [float("nan"), float("inf"), True, "0.1"])
+    def test_noise_scale_must_be_finite_number(self, noise_scale):
+        with pytest.raises(ConfigError, match="noise_scale"):
+            ExperimentSpec(id="exp1", n=10, noise_scale=noise_scale)
 
     def test_exp2_noiseless_levels(self):
         ds, _ = generate(ExperimentSpec(id="exp2", n=500, seed=3, noise_scale=0.0))

@@ -1,15 +1,22 @@
 """Alternating benchmark runs of two checkouts, pair by pair.
 
-    python3 tools/ab_pairs.py PARENT CHANGE --workload ridge1d_bign --pairs 10 --seconds 25
+    python3 tools/ab_pairs.py PARENT CHANGE --pairs 10 --seconds 25
+    python3 tools/ab_pairs.py PARENT CHANGE --workload ridge1d_bign --workload ridge5d
 
-Pair i runs `perfbench/run.py --trace 0` once in each checkout, the parent
-first in even pairs and the change first in odd ones.  Each checkout's
-`src/`, `perfbench/` and `BENCHMARK.json` are copied into a temporary
-directory and run there without writing bytecode, so neither checkout's
-files change.  Prints every end-to-end metric's per-pair values, both
-medians, the parent's interquartile range and the change's win count (a tie
-counts for neither side), with "better" read from the change's
-BENCHMARK.json.  Exits 1 if a run fails or reports a failed operation.
+Runs every workload given with ``--workload``, or every workload in the
+change's BENCHMARK.json when none is.  Pair i of a workload runs
+`perfbench/run.py --trace 0` once in each checkout, the parent first in even
+pairs and the change first in odd ones.  Each checkout's `src/`,
+`perfbench/` and `BENCHMARK.json` are copied into a temporary directory and
+run there without writing bytecode, so neither checkout's files change.
+Prints every end-to-end metric's per-pair values, both medians, the
+parent's interquartile range and the change's win count (a tie counts for
+neither side), with "better" and "bound" read from the change's
+BENCHMARK.json.  Each metric then gets a verdict against its relative
+bound: "worse" when the change's median is worse than the parent's by more
+than the bound, "unresolved" when the parent's IQR exceeds the bound (and
+not every change run beats every parent run), and "within bound" otherwise.
+Exits 1 if a run fails or reports a failed operation.
 """
 
 import argparse
@@ -37,9 +44,9 @@ def copy_checkout(checkout: Path, dest: Path) -> Path:
     return dest
 
 
-def run_once(root: Path, args) -> dict:
+def run_once(root: Path, workload: str, args) -> dict:
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", args.workload, "--seed",
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
          str(args.seed), "--seconds", str(args.seconds), "--trace", "0"],
         cwd=root, capture_output=True, text=True, check=False,
         env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
@@ -53,45 +60,71 @@ def run_once(root: Path, args) -> dict:
 
 
 def quartiles(values):
+    if len(values) < 2:
+        return values[0], values[0]
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, q3
+
+
+def verdict(before, after, lower_is_better: bool, bound: float) -> str:
+    """Whether the change's median is worse than the parent's by more than
+    ``bound`` (relative), or unresolved because the parent's own spread is."""
+    q1, q3 = quartiles(before)
+    med_b, med_a = statistics.median(before), statistics.median(after)
+    worse = (med_a - med_b if lower_is_better else med_b - med_a) / abs(med_b)
+    all_better = (max(after) < min(before) if lower_is_better else min(after) > max(before))
+    if (q3 - q1) / abs(med_b) > bound and not all_better:
+        return f"unresolved (parent IQR {(q3 - q1) / abs(med_b):.1%} > bound {bound:.0%})"
+    if worse > bound:
+        return f"worse by {worse:.1%} > bound {bound:.0%}"
+    return f"within bound {bound:.0%}"
+
+
+def compare(workload: str, roots: dict, metrics: dict, args) -> None:
+    runs = {"parent": [], "change": []}
+    for i in range(args.pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            runs[side].append(run_once(roots[side], workload, args))
+        print(f"{workload} pair {i}: " + "  ".join(
+            f"{name} {runs['parent'][-1][name]:.4g} -> {runs['change'][-1][name]:.4g}"
+            for name in metrics), flush=True)
+
+    print(f"\n{workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s runs")
+    for name, metric in metrics.items():
+        lower_is_better = metric["better"] == "lower"
+        before = [r[name] for r in runs["parent"]]
+        after = [r[name] for r in runs["change"]]
+        wins = sum((a < b) if lower_is_better else (a > b) for b, a in zip(before, after))
+        q1, q3 = quartiles(before)
+        med_b, med_a = statistics.median(before), statistics.median(after)
+        print(f"{name:16s} parent {' '.join(f'{v:.4g}' for v in before)}")
+        print(f"{'':16s} change {' '.join(f'{v:.4g}' for v in after)}")
+        print(f"{'':16s} median {med_b:.4g} -> {med_a:.4g} ({(med_a - med_b) / med_b:+.1%}), "
+              f"parent IQR {q3 - q1:.3g}, change better in {wins}/{len(before)}: "
+              f"{verdict(before, after, lower_is_better, metric['bound'])}")
+    print(flush=True)
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", action="append",
+                        help="a workload to run; repeat for several (default: all)")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args()
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    lower = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
+    workloads = args.workload or [w["name"] for w in spec["workloads"]]
 
-    runs = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="ab-pairs-") as tmp:
         roots = {side: copy_checkout(getattr(args, side).resolve(), Path(tmp) / side)
-                 for side in runs}
-        for i in range(args.pairs):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            for side in order:
-                runs[side].append(run_once(roots[side], args))
-            print(f"pair {i}: " + "  ".join(
-                f"{name} {runs['parent'][-1][name]:.4g} -> {runs['change'][-1][name]:.4g}"
-                for name in lower), flush=True)
-
-    print(f"\n{args.workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s runs")
-    for name, lower_is_better in lower.items():
-        before = [r[name] for r in runs["parent"]]
-        after = [r[name] for r in runs["change"]]
-        wins = sum((a < b) if lower_is_better else (a > b) for b, a in zip(before, after))
-        q1, q3 = quartiles(before) if len(before) > 1 else (before[0], before[0])
-        med_b, med_a = statistics.median(before), statistics.median(after)
-        print(f"{name:16s} parent {' '.join(f'{v:.4g}' for v in before)}")
-        print(f"{'':16s} change {' '.join(f'{v:.4g}' for v in after)}")
-        print(f"{'':16s} median {med_b:.4g} -> {med_a:.4g} ({(med_a - med_b) / med_b:+.1%}), "
-              f"parent IQR {q3 - q1:.3g}, change better in {wins}/{len(before)}")
+                 for side in ("parent", "change")}
+        for workload in workloads:
+            compare(workload, roots, metrics, args)
     return 0
 
 
