@@ -113,16 +113,28 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return arr
 
 
-def _checked_data(xs, ys: np.ndarray):
-    """Read-only float64 copies of covariates and responses (one row per
-    point), once every `RegressionDataset` check has passed."""
+def _checked_data(xs, ys: np.ndarray, rows: Optional[np.ndarray] = None):
+    """Read-only float64 copies of covariates and responses, once every
+    `RegressionDataset` check has passed.
+
+    Row i of ``ys`` is the response at point i, or, given ``rows`` (one row
+    of point indices per column of a 2-d ``ys``), entry (i, c) is the
+    response at point ``rows[c, i]``.
+    """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    if xs.shape[0] != ys.shape[0]:
+    if rows is None and xs.shape[0] != ys.shape[0]:
         raise InvalidDataError(
             f"covariates ({xs.shape[0]}) and responses ({ys.shape[0]}) disagree in length"
         )
-    if xs.shape[0] < 1 or xs.shape[1] < 1:
+    if rows is not None and (rows.shape != ys.shape[::-1]
+                             or not np.issubdtype(rows.dtype, np.integer)):
+        raise InvalidDataError(
+            f"rows must be an integer array of shape {ys.shape[::-1]}, one row of point "
+            f"indices per response column; got a {rows.dtype} array of shape {rows.shape}")
+    if xs.shape[0] < 1 or xs.shape[1] < 1 or ys.shape[0] < 1:
         raise EmptyInputError("dataset needs n >= 1 and d >= 1")
+    if rows is not None and rows.size and (rows.min() < 0 or rows.max() >= xs.shape[0]):
+        raise InvalidDataError(f"rows must index the {xs.shape[0]} covariate points")
     if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
         raise NonFiniteDataError("dataset contains non-finite entries")
     if xs.min() < 0.0 or xs.max() > 1.0:
@@ -200,9 +212,10 @@ class TrainerOracle:
     A `WildriffError` from ``fit_fn`` passes through as raised; any other
     exception becomes a `TrainerFailedError`.
 
-    ``fit_multi_fn(xs, Y, seeds)``, optional, fits every column of ``Y`` on
-    the shared covariates ``xs`` in one call and returns one handle per
-    column, each the handle ``fit_fn`` would return for that column and
+    ``fit_multi_fn(xs, Y, seeds, rows)``, optional, fits every column of
+    ``Y`` (m x c) in one call, column c on the points ``xs[rows[c]]`` of the
+    (c x m) integer array ``rows``, and returns one handle per column, each
+    the handle ``fit_fn`` would return for that column, its points and its
     seed, up to float rounding when the trainer solves columns together.
     `fit_multi` uses it when set and loops over ``fit`` otherwise.
 
@@ -224,23 +237,33 @@ class TrainerOracle:
     def fit(self, dataset: RegressionDataset, seed: int) -> PredictorHandle:
         return self._call(self.fit_fn, dataset, int(seed))
 
-    def fit_multi(self, xs, Y, seeds: Sequence[int]) -> List[PredictorHandle]:
-        """Fit column i of ``Y`` (n x c) on ``xs`` with ``seeds[i]``, for every i.
+    def fit_multi(self, xs, Y, seeds: Sequence[int],
+                  rows=None) -> List[PredictorHandle]:
+        """Fit column c of ``Y`` (m x c) on ``xs[rows[c]]`` with ``seeds[c]``,
+        for every c; without ``rows``, every column on all of ``xs``.
 
-        The data pass the `RegressionDataset` checks, with the same errors.
-        Returns the c handles in column order.
+        The data pass the `RegressionDataset` checks, with the same errors,
+        and ``rows`` of the wrong shape, not integer or not indexing ``xs``
+        raise `InvalidDataError`.  Returns the c handles in column order.
         """
         seeds = [int(s) for s in seeds]
         Y = np.asarray(Y, dtype=float)
         if Y.ndim != 2 or Y.shape[1] != len(seeds):
             raise InvalidDataError(
                 f"need one response column per seed; got shape {Y.shape}, {len(seeds)} seeds")
-        xs, Y = _checked_data(xs, Y)
+        if rows is not None:
+            try:
+                rows = _frozen_array(rows, dtype=None)
+            except ValueError as exc:   # ragged rows
+                raise InvalidDataError(f"rows must be a (c x m) integer array: {exc}") from exc
+        xs, Y = _checked_data(xs, Y, rows)
+        if rows is None:
+            rows = np.broadcast_to(np.arange(xs.shape[0]), Y.shape[::-1])
         if self.fit_multi_fn is None:
-            return [self.fit(RegressionDataset(xs, y), s) for y, s in zip(Y.T, seeds)]
+            return [self.fit(RegressionDataset(xs[r], y), s) for r, y, s in zip(rows, Y.T, seeds)]
         if not seeds:
             return []
-        handles = list(self._call(self.fit_multi_fn, xs, Y, seeds))
+        handles = list(self._call(self.fit_multi_fn, xs, Y, seeds, rows))
         if len(handles) != len(seeds):
             raise TrainerFailedError(
                 f"trainer {self.name!r} returned {len(handles)} predictors "
@@ -253,6 +276,8 @@ class TrainerOracle:
         The engine reads every prediction through here.  A foreign exception
         becomes a `TrainerFailedError`, as in `fit`, and so does a result of
         the wrong shape; a non-finite prediction raises `NonFiniteDataError`.
+        The result is C-ordered, copied only when ``predict_multi_fn``'s
+        is not.
         """
         handles = list(handles)
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
@@ -266,7 +291,8 @@ class TrainerOracle:
                 f"for {len(handles)} predictors on {xs.shape[0]} points")
         if not np.all(np.isfinite(vals)):
             raise NonFiniteDataError(f"trainer {self.name!r} predicted non-finite values")
-        return vals
+        # Each row of a C-ordered block reduces bit for bit as it would alone.
+        return np.ascontiguousarray(vals)
 
     def _call(self, fn, *args):
         try:

@@ -307,27 +307,41 @@ def process_sup_proxy(block: CandidateBlock, radius: float) -> Tuple[float, floa
 # ---------------------------------------------------------------------------
 
 def _refit_scores(state: RefitState, dataset: RegressionDataset, trainer: TrainerOracle,
-                  sub: Subsample, columns: Sequence[Tuple[float, str, int]]):
-    """Refit the black box on ``sub`` once per column (rho, direction, seed)
-    and score every refit there: returns the refits, their subsample-norm
-    distances to breve and their optimisms, in column order.
+                  batches: Sequence[Tuple[Subsample, Sequence[Tuple[float, str, int]]]]):
+    """Refit the black box once per column (rho, direction, seed) of every
+    (subsample, columns) batch, the subsamples all of one size, and score
+    every refit on its own subsample: returns, per batch, the refits, their
+    subsample-norm distances to breve and their optimisms, in column order.
 
     The pseudo-responses of every column go to one `TrainerOracle.fit_multi`
-    call, and the refits are predicted on the subsample in one
+    call, each column on its subsample's points of the full data.  Each
+    batch's refits are predicted on its subsample in one
     `TrainerOracle.predict_multi` call.  Every row's optimism and distance
     are bit for bit what `wild_optimism` and `empirical_norm` give for that
     row alone.
     """
-    idx = sub.indices
-    xs, breve, signs, residuals = (dataset.xs[idx], state.breve_vals[idx], state.signs[idx],
-                                   state.residuals[idx])
-    responses = np.column_stack([wild_responses(breve, signs, residuals, rho, direction)
-                                 for rho, direction, _ in columns])
-    fits = trainer.fit_multi(xs, responses, [seed for *_, seed in columns])
-    norms, [opts] = _row_scores(trainer.predict_multi(fits, xs), breve, [signs * residuals])
-    # The minus direction mirrors f - breve; negation is exact.
-    opts[[direction == "minus" for _, direction, _ in columns]] *= -1.0
-    return fits, norms, opts
+    width = sum(len(columns) for _, columns in batches)
+    responses = np.empty((batches[0][0].indices.size, width))
+    rows = np.empty((width, responses.shape[0]), dtype=np.intp)
+    seeds, subsets = [], []
+    for sub, columns in batches:
+        idx = sub.indices
+        breve, signs, residuals = state.breve_vals[idx], state.signs[idx], state.residuals[idx]
+        subsets.append((idx, breve, signs * residuals))
+        for rho, direction, seed in columns:
+            responses[:, len(seeds)] = wild_responses(breve, signs, residuals, rho, direction)
+            rows[len(seeds)] = idx
+            seeds.append(seed)
+    fits = trainer.fit_multi(dataset.xs, responses, seeds, rows)
+    scored = []
+    for (idx, breve, weights), (_, columns) in zip(subsets, batches):
+        batch, fits = fits[:len(columns)], fits[len(columns):]
+        norms, [opts] = _row_scores(trainer.predict_multi(batch, dataset.xs[idx]), breve,
+                                    [weights])
+        # The minus direction mirrors f - breve; negation is exact.
+        opts[[direction == "minus" for _, direction, _ in columns]] *= -1.0
+        scored.append((batch, norms, opts))
+    return scored
 
 
 def _wild_round(trainer: TrainerOracle, k: int, sub: Subsample, rhos, fits, norms,
@@ -354,39 +368,46 @@ def run_round(state: RefitState, dataset: RegressionDataset, trainer: TrainerOra
     Builds the two perturbed pseudo-datasets on the subsample, refits the
     black box on each, and records optimisms and subsample-norm distances.
     """
-    [rd] = _subsample_rounds(state, dataset, trainer, sub, [(rho1, rho2)], seed, k)
+    [[rd]] = _subsample_rounds(state, dataset, trainer, [(k, sub)], [(rho1, rho2)], seed)
     return rd
 
 
 def _subsample_rounds(state: RefitState, dataset: RegressionDataset, trainer: TrainerOracle,
-                      sub: Subsample, scales: Sequence[Tuple[float, float]], seed: int,
-                      k: int) -> List[WildRound]:
-    """Round k on ``sub`` at each (rho1, rho2) of ``scales``, in order.
+                      subs: Sequence[Tuple[int, Subsample]],
+                      scales: Sequence[Tuple[float, float]], seed: int) -> List[List[WildRound]]:
+    """Round k on ``sub`` at each (rho1, rho2) of ``scales``, in order, for
+    every (k, sub) of ``subs``: one list of rounds per subsample.
 
-    The plus and minus refits of every scale, in that order, are the
-    columns of one `_refit_scores` call.  Every scale's plus refit takes one
-    seed and every minus refit another.
+    Every refit is a column of one `_refit_scores` call: the plus and minus
+    refits of every scale, in that order, subsample by subsample.  Round k's
+    plus refits take one seed and its minus refits another.
     """
-    seeds = (derive_seed(seed, "refit-tilde", k), derive_seed(seed, "refit-check", k))
-    columns = [column for pair in scales for column in zip(pair, ("plus", "minus"), seeds)]
+    batches = []
+    for k, sub in subs:
+        seeds = (derive_seed(seed, "refit-tilde", k), derive_seed(seed, "refit-check", k))
+        batches.append((sub, [column for pair in scales
+                              for column in zip(pair, ("plus", "minus"), seeds)]))
     try:
-        fits, norms, opts = _refit_scores(state, dataset, trainer, sub, columns)
+        scored = _refit_scores(state, dataset, trainer, batches)
     except TrainerFailedError as exc:
-        raise TrainerFailedError(f"round {k}: {exc}") from exc
-    return [_wild_round(trainer, k, sub, pair, fits[2 * i:], norms[2 * i:], opts[2 * i:])
-            for i, pair in enumerate(scales)]
+        first, last = subs[0][0], subs[-1][0]
+        raise TrainerFailedError(
+            f"round {first}: {exc}" if first == last else f"rounds {first}-{last}: {exc}"
+        ) from exc
+    return [[_wild_round(trainer, k, sub, pair, fits[2 * i:], norms[2 * i:], opts[2 * i:])
+             for i, pair in enumerate(scales)]
+            for (k, sub), (fits, norms, opts) in zip(subs, scored)]
 
 
 def _run_rounds(state, dataset, trainer, subs, grid, seed) -> List[List[WildRound]]:
     """Round k on subsample k at each noise scale of ``grid``, both directions.
 
-    Subsample-major: every refit of one subsample goes to the trainer in a
-    single `TrainerOracle.fit_multi` call.  Returns one list of rounds per
-    scale, in k order.
+    Every refit of every subsample goes to the trainer in a single
+    `TrainerOracle.fit_multi` call.  Returns one list of rounds per scale,
+    in k order.
     """
-    scales = [(rho, rho) for rho in grid]
-    per_sub = [_subsample_rounds(state, dataset, trainer, sub, scales, seed, k)
-               for k, sub in enumerate(subs)]
+    per_sub = _subsample_rounds(state, dataset, trainer, list(enumerate(subs)),
+                                [(rho, rho) for rho in grid], seed)
     return [list(rounds) for rounds in zip(*per_sub)]
 
 
@@ -416,8 +437,8 @@ def tune_noise_scale(state: RefitState, dataset: RegressionDataset, trainer: Tra
 
     def probe(rho: float) -> float:
         nonlocal best, gap, lo, hi, evals
-        [f], [norm], [opt] = _refit_scores(state, dataset, trainer, sub,
-                                           [(rho, direction, fit_seed)])
+        [([f], [norm], [opt])] = _refit_scores(state, dataset, trainer,
+                                               [(sub, [(rho, direction, fit_seed)])])
         norm = float(norm)
         evals += 1
         if best is None or abs(norm - target) < gap:

@@ -311,6 +311,15 @@ def _fourier_fits(xs: np.ndarray, Y: np.ndarray,
             for c in range(Y.shape[1])]
 
 
+def _fourier_multi(xs: np.ndarray, Y: np.ndarray, rows: np.ndarray,
+                   spec: FourierRidgeSpec) -> List[PredictorHandle]:
+    """`_fourier_fits` once per run of consecutive columns of ``Y`` that
+    share their rows of ``xs``."""
+    cuts = [0, *(np.flatnonzero((rows[1:] != rows[:-1]).any(axis=1)) + 1), len(rows)]
+    return [f for lo, hi in zip(cuts[:-1], cuts[1:])
+            for f in _fourier_fits(xs[rows[lo]], np.ascontiguousarray(Y[:, lo:hi]), spec)]
+
+
 @dataclass(frozen=True)
 class _PrimalRows:
     """Explicit-design handles on the (N, d) frequency table.  An item is a
@@ -550,19 +559,20 @@ class _Trees(NamedTuple):
 
 
 class _Padded(NamedTuple):
-    """Training data plus one padding row m, which ranks last in every
-    feature, sits at x = inf and has y = 0 in every column."""
+    """Training data in stacked row space (`_grow_trees`) plus one padding
+    row after the last, which ranks last in every feature, sits at x = inf
+    and has y = 0."""
 
-    rank: np.ndarray   # rank[j, i]: place of row i in the stable order of feature j
+    rank: np.ndarray   # rank[j, s]: place of stacked row s in the stable order of feature j
     xs: np.ndarray
-    Y: np.ndarray
+    y: np.ndarray
 
 
 # Split search pads a level's nodes, taken in size order, into blocks of at
 # most this many (node x row) entries, so memory stays bounded however
 # unevenly the rows spread over the nodes.  Prediction routes points in
 # tiles of at most this many (tree x point) entries.
-_LEVEL_BLOCK_ENTRIES = 2 ** 15
+_LEVEL_BLOCK_ENTRIES = 2 ** 12
 
 
 def _size_blocks(nodes: np.ndarray, sizes: np.ndarray):
@@ -596,40 +606,47 @@ def _node_sums(y: np.ndarray, starts: np.ndarray, sizes: np.ndarray):
     return sums
 
 
-def _grow_trees(xs: np.ndarray, Y: np.ndarray, seeds, spec: TreeSpec) -> _Trees:
+def _grow_trees(xs: np.ndarray, Y: np.ndarray, seeds, spec: TreeSpec,
+                rows: np.ndarray) -> _Trees:
     """CART on every column of ``Y`` (spec.n_trees trees each), level by level.
 
-    Tree g = c * n_trees + t fits column c and draws its feature subsets
-    from (seeds[c], t), in level order.  A node with constant responses,
-    fewer than 2 * min_samples_leaf rows, or at max_depth is a leaf, as is
-    one with no split above the gain floor (`_block_splits`).
+    Column c fits the points ``xs[rows[c]]``.  The columns' rows are stacked:
+    column c's i-th row is stacked row c * m + i, and one stable rank per
+    feature over the stacked rows orders every column's rows as a rank over
+    that column alone would.  Tree g = c * n_trees + t fits column c and
+    draws its feature subsets from (seeds[c], t), in level order.  A node
+    with constant responses, fewer than 2 * min_samples_leaf rows, or at
+    max_depth is a leaf, as is one with no split above the gain floor
+    (`_block_splits`).
     """
-    m, d = xs.shape
+    m, n_cols = Y.shape
+    d = xs.shape[1]
     n_trees = spec.n_trees
-    n_groups = Y.shape[1] * n_trees
+    n_groups = n_cols * n_trees
     subsample = spec.feature_fraction < 1.0 and d > 1
     n_feats = max(1, int(round(spec.feature_fraction * d))) if subsample else d
     rngs = [derive_rng(seed, "tree-features", t) for seed in seeds
             for t in range(n_trees)] if subsample else None
 
-    rank = np.empty((d, m + 1), dtype=np.intp)
-    rank[np.arange(d)[:, None], np.argsort(xs, axis=0, kind="stable").T] = np.arange(m)
-    rank[:, m] = m
-    pad = _Padded(rank, np.vstack([xs, np.full((1, d), np.inf)]),
-                  np.vstack([Y, np.zeros((1, Y.shape[1]))]))
+    stacked = xs[rows.ravel()]
+    size = stacked.shape[0]
+    rank = np.empty((d, size + 1), dtype=np.intp)
+    rank[np.arange(d)[:, None], np.argsort(stacked, axis=0, kind="stable").T] = np.arange(size)
+    rank[:, size] = size
+    pad = _Padded(rank, np.vstack([stacked, np.full((1, d), np.inf)]),
+                  np.append(Y.T.ravel(), 0.0))
 
-    # The current level: each node's rows in their original order, nodes
-    # one after the other, and the tree of each node.
+    # The current level: each node's stacked rows in their original order,
+    # nodes one after the other, and the tree of each node.
     tree = np.arange(n_groups)
     sizes = np.full(n_groups, m)
-    rows = np.tile(np.arange(m), n_groups)
+    rows = np.repeat(np.arange(n_cols) * m, n_trees * m) + np.tile(np.arange(m), n_groups)
     levels = []   # per level: (feature, threshold, left, right, value, is_leaf, tree)
     base = 0
     while sizes.size:
         count = sizes.size
         starts = np.cumsum(sizes) - sizes
-        col = tree // n_trees
-        y = Y[rows, np.repeat(col, sizes)]
+        y = pad.y[rows]
         total, sq_total = _node_sums(y, starts, sizes)
         grow = ((sizes >= 2 * spec.min_samples_leaf)
                 & (np.maximum.reduceat(y, starts) != np.minimum.reduceat(y, starts))
@@ -648,7 +665,7 @@ def _grow_trees(xs: np.ndarray, Y: np.ndarray, seeds, spec: TreeSpec) -> _Trees:
         for block in _size_blocks(nodes, sizes):
             feature[block], threshold[block], gain[block] = _block_splits(
                 pad, spec.min_samples_leaf, rows, starts[block], sizes[block], total[block],
-                sq_total[block], col[block], feats[block])
+                sq_total[block], feats[block])
 
         split = gain > -np.inf
         child = np.cumsum(split) - 1
@@ -662,7 +679,7 @@ def _grow_trees(xs: np.ndarray, Y: np.ndarray, seeds, spec: TreeSpec) -> _Trees:
         node = np.repeat(np.arange(count), sizes)
         keep = split[node]
         rows, node = rows[keep], node[keep]
-        side = 2 * child[node] + ~(xs[rows, feature[node]] <= threshold[node])
+        side = 2 * child[node] + ~(stacked[rows, feature[node]] <= threshold[node])
         rows = rows[np.argsort(side, kind="stable")]
         sizes = np.bincount(side, minlength=2 * split.sum())
         tree = np.repeat(tree[split], 2)
@@ -675,11 +692,10 @@ def _grow_trees(xs: np.ndarray, Y: np.ndarray, seeds, spec: TreeSpec) -> _Trees:
 
 
 def _block_splits(pad: _Padded, min_leaf: int, rows: np.ndarray, starts: np.ndarray,
-                  n: np.ndarray, total: np.ndarray, sq_total: np.ndarray, col: np.ndarray,
-                  feats: np.ndarray):
+                  n: np.ndarray, total: np.ndarray, sq_total: np.ndarray, feats: np.ndarray):
     """The best split of each node of a block: (feature, threshold, gain).
 
-    Node a holds rows[starts[a]:starts[a] + n[a]] of column col[a]; its
+    Node a holds the stacked rows rows[starts[a]:starts[a] + n[a]]; its
     rows, sorted by a feature and padded to the block's width, are one row
     of a matrix, and one cumulative sum scores every split position.  The
     split maximizes the SSE drop, ties going to the first position and then
@@ -702,7 +718,7 @@ def _block_splits(pad: _Padded, min_leaf: int, rows: np.ndarray, starts: np.ndar
         order = np.take_along_axis(padded, np.argsort(pad.rank[j[:, None], padded], axis=1),
                                    axis=1)
         xj = pad.xs[order, j[:, None]]
-        left_sum = np.cumsum(pad.Y[order, col[:, None]], axis=1)[:, :-1]
+        left_sum = np.cumsum(pad.y[order], axis=1)[:, :-1]
         valid = (xj[:, :-1] < xj[:, 1:]) & (left_sizes >= min_leaf) & (right_sizes >= min_leaf)
         sse_drop = (left_sum ** 2 / left_sizes
                     + (tot - left_sum) ** 2 / np.maximum(right_sizes, 1)
@@ -721,9 +737,11 @@ def _block_splits(pad: _Padded, min_leaf: int, rows: np.ndarray, starts: np.ndar
     return feature, threshold, gain
 
 
-def _tree_fits(xs: np.ndarray, Y: np.ndarray, seeds, spec: TreeSpec) -> List[PredictorHandle]:
-    """One tree (or forest) handle per column of ``Y``, all grown together."""
-    trees = _grow_trees(xs, Y, seeds, spec)
+def _tree_fits(xs: np.ndarray, Y: np.ndarray, seeds, spec: TreeSpec,
+               rows: np.ndarray) -> List[PredictorHandle]:
+    """One tree (or forest) handle per column of ``Y``, column c fit on
+    ``xs[rows[c]]``, all grown together."""
+    trees = _grow_trees(xs, Y, seeds, spec, rows)
     fill = _TreeRows(trees, spec.n_trees, xs.shape[1])
     leaves = trees.n_leaves.reshape(Y.shape[1], spec.n_trees).sum(axis=1)
     return [_BatchHandle(fill, c, f"tree(depth={spec.max_depth}, trees={spec.n_trees})",
@@ -760,7 +778,8 @@ class _TreeRows:
 
 def tree_fit(dataset: RegressionDataset, spec: TreeSpec = TreeSpec(), seed: int = 0) -> PredictorHandle:
     """CART regression fit; a forest when spec.n_trees > 1."""
-    return _tree_fits(dataset.xs, dataset.ys[:, None], [seed], spec)[0]
+    return _tree_fits(dataset.xs, dataset.ys[:, None], [seed], spec,
+                      np.arange(dataset.n)[None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -771,7 +790,7 @@ def fourier_ridge_trainer(spec: FourierRidgeSpec = FourierRidgeSpec()) -> Traine
     return TrainerOracle(
         name="fourier_ridge",
         fit_fn=lambda ds, seed: fourier_ridge_fit(ds, spec, seed),
-        fit_multi_fn=lambda xs, Y, seeds: _fourier_fits(xs, Y, spec),
+        fit_multi_fn=lambda xs, Y, seeds, rows: _fourier_multi(xs, Y, rows, spec),
         predict_multi_fn=_predict_multi,
         optimization_tol=1e-10,
     )
@@ -789,7 +808,7 @@ def tree_trainer(spec: TreeSpec = TreeSpec()) -> TrainerOracle:
     return TrainerOracle(
         name="tree",
         fit_fn=lambda ds, seed: tree_fit(ds, spec, seed),
-        fit_multi_fn=lambda xs, Y, seeds: _tree_fits(xs, Y, seeds, spec),
+        fit_multi_fn=lambda xs, Y, seeds, rows: _tree_fits(xs, Y, seeds, spec, rows),
         predict_multi_fn=_predict_multi,
         optimization_tol=float("inf"),
     )

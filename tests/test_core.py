@@ -165,7 +165,7 @@ class TestFitMulti:
         assert calls == [(Y[:, 0].tolist(), 8), (Y[:, 1].tolist(), 9)]
 
     def test_foreign_exception_wrapped(self):
-        def boom(xs, Y, seeds):
+        def boom(xs, Y, seeds, rows):
             raise RuntimeError("nope")
 
         oracle = TrainerOracle(name="boom", fit_fn=constant_trainer().fit_fn, fit_multi_fn=boom)
@@ -176,7 +176,7 @@ class TestFitMulti:
     def test_wrong_length_rejected(self):
         one = constant_trainer().fit_fn(None, 0)
         oracle = TrainerOracle(name="short", fit_fn=constant_trainer().fit_fn,
-                               fit_multi_fn=lambda xs, Y, seeds: [one] * (len(seeds) - 1))
+                               fit_multi_fn=lambda xs, Y, seeds, rows: [one] * (len(seeds) - 1))
         xs, Y = self.data()
         with pytest.raises(TrainerFailedError, match="2 predictors for 3"):
             oracle.fit_multi(xs, Y, [0, 1, 2])
@@ -198,6 +198,54 @@ class TestFitMulti:
             trainer.fit_multi(xs, Y, [0, 1])
         with pytest.raises(EmptyInputError):
             trainer.fit_multi(xs[:0], Y[:0], [0, 1, 2])
+
+
+    def test_default_loop_fits_each_columns_rows(self):
+        # Without fit_multi_fn, column c is fit on the points rows[c]: unsorted,
+        # repeated, and different for every column.
+        calls = []
+
+        def fit(ds, seed):
+            calls.append((ds.xs.tolist(), ds.ys.tolist(), seed))
+            return PredictorHandle(lambda xs: np.zeros(xs.shape[0]))
+
+        xs, _ = self.data(n=20)
+        Y = np.random.default_rng(9).normal(size=(4, 3))
+        rows = np.array([[5, 2, 19, 2], [0, 1, 2, 3], [7, 7, 7, 7]])
+        TrainerOracle(name="rec", fit_fn=fit).fit_multi(xs, Y, [4, 5, 6], rows)
+        assert calls == [(xs[r].tolist(), y.tolist(), s) for r, y, s in zip(rows, Y.T, [4, 5, 6])]
+
+    def test_rows_default_to_every_point(self):
+        seen = []
+
+        def fit_multi(xs, Y, seeds, rows):
+            seen.append(rows)
+            return [constant_trainer().fit_fn(None, s) for s in seeds]
+
+        oracle = TrainerOracle(name="rows", fit_fn=constant_trainer().fit_fn,
+                               fit_multi_fn=fit_multi)
+        xs, Y = self.data()
+        oracle.fit_multi(xs, Y, [0, 1, 2])
+        np.testing.assert_array_equal(seen[0], np.tile(np.arange(20), (3, 1)))
+
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("rows,match", [
+        (np.zeros((4, 3), dtype=int), "shape"),           # transposed
+        (np.zeros((3, 5), dtype=int), "shape"),           # one row too many per column
+        (np.zeros((3, 4)), "integer"),                    # float indices
+        (np.zeros((3, 4), dtype=bool), "integer"),
+        (np.full((3, 4), 20), "index the 20"),             # past the last point
+        (np.full((3, 4), -1), "index the 20"),
+        ([[0, 1, 2, 3], [0, 1], [0, 1, 2, 3]], "integer array"),   # ragged
+    ])
+    def test_bad_rows_rejected(self, batched, rows, match):
+        trainer = make_trainer("tree" if batched else "mlp", {})
+        xs, _ = self.data(n=20)
+        Y = np.zeros((4, 3))
+        with pytest.raises(InvalidDataError, match=match):
+            trainer.fit_multi(xs, Y, [0, 1, 2], rows)
+        with pytest.raises(EmptyInputError):
+            trainer.fit_multi(xs, Y[:0], [0, 1, 2], np.zeros((3, 0), dtype=int))
 
 
 class TestPredictMulti:
@@ -275,6 +323,19 @@ class TestPredictMulti:
             else None)
         with pytest.raises(NonFiniteDataError, match="'holey' predicted non-finite"):
             oracle.predict_multi(handles, np.linspace(0, 1, 5)[:, None])
+
+
+    def test_result_is_c_ordered(self):
+        # A predict_multi_fn may return a Fortran-ordered block; the engine
+        # reduces along rows and needs C order to match a one-row reduction.
+        fortran = TrainerOracle(
+            name="fortran", fit_fn=constant_trainer().fit_fn,
+            predict_multi_fn=lambda hs, xs: np.asfortranarray(np.stack([h.predict(xs)
+                                                                         for h in hs])))
+        probe = np.linspace(0, 1, 7)[:, None]
+        vals = fortran.predict_multi(self.handles(), probe)
+        assert vals.flags.c_contiguous
+        np.testing.assert_array_equal(vals, np.stack([h.predict(probe) for h in self.handles()]))
 
 
 class TestSigns:

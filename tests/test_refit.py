@@ -81,8 +81,8 @@ def full_data_counting(trainer, n, m=None):
         handles.append(counting(trainer.fit_fn(ds, seed), n, m))
         return handles[-1]
 
-    def fit_multi(xs, Y, seeds):
-        fits = [counting(f, n, m) for f in trainer.fit_multi_fn(xs, Y, seeds)]
+    def fit_multi(xs, Y, seeds, rows):
+        fits = [counting(f, n, m) for f in trainer.fit_multi_fn(xs, Y, seeds, rows)]
         handles.extend(fits)
         return fits
 
@@ -468,7 +468,7 @@ class TestOnePassScorer:
         # A stub black box whose refits predict the first rows of ``vals``.
         handle = PredictorHandle(lambda xs: np.zeros(xs.shape[0]))
         trainer = TrainerOracle(name="stub", fit_fn=lambda ds, seed: handle,
-                                fit_multi_fn=lambda xs, Y, seeds: [handle] * Y.shape[1],
+                                fit_multi_fn=lambda xs, Y, seeds, rows: [handle] * Y.shape[1],
                                 predict_multi_fn=lambda handles, xs: vals[:len(handles)])
         ds = RegressionDataset(np.zeros((n, 1)), np.zeros(n))
         sub = srswor(n, n, "permutation", seed=0)
@@ -477,7 +477,7 @@ class TestOnePassScorer:
 
         def scored():
             block = candidate_block(state, vals, fstar_vals)
-            _, norms, opts = refit._refit_scores(state, ds, trainer, sub, columns)
+            [(_, norms, opts)] = refit._refit_scores(state, ds, trainer, [(sub, columns)])
             return block, norms, opts, pilot_error_proxy(state, [block], fstar_vals, 1.3)
 
         default = scored()
@@ -635,19 +635,20 @@ class TestEvaluate:
                     for k, sub in enumerate(subs)]
             assert [numbers(rd) for rd in report.rounds] == [numbers(rd) for rd in loop]
 
-    def test_one_fit_multi_call_per_subsample(self, monkeypatch):
+    def test_one_fit_multi_call_for_every_refit(self, monkeypatch):
         # After the warm-up's one-column fit on the full data, fixed-grid
-        # mode hands each subsample's refits, every scale and both
-        # directions, to one fit_multi call, and derives the two refit seeds
-        # once per subsample.
+        # mode hands every refit (each subsample, scale and direction) to
+        # one fit_multi call on the full data's points, each column with
+        # its subsample's rows, and derives the two refit seeds once per
+        # subsample.
         ds, _ = generate(ExperimentSpec(id="exp2", n=300, seed=17))
         cfg = EvaluationConfig(K=5, rho_grid=(0.1, 0.5, 2.0), seed=17)
         calls, tags = [], []
         fit_multi, derive_seed = TrainerOracle.fit_multi, refit.derive_seed
 
-        def counting_fit_multi(trainer, xs, Y, seeds):
-            calls.append((Y.shape, list(seeds)))
-            return fit_multi(trainer, xs, Y, seeds)
+        def counting_fit_multi(trainer, xs, Y, seeds, rows=None):
+            calls.append((np.shape(xs)[0], Y.shape, list(seeds), rows))
+            return fit_multi(trainer, xs, Y, seeds, rows)
 
         def counting_derive_seed(seed, tag, *indices):
             tags.append(tag)
@@ -657,15 +658,24 @@ class TestEvaluate:
         monkeypatch.setattr(refit, "derive_seed", counting_derive_seed)
         evaluate(ds, make_trainer("tree", {"max_depth": 3}), cfg)
         m = cfg.subsample_size(ds.n)
-        assert calls[0] == ((ds.n, 1), [cfg.seed])
-        assert [shape for shape, _ in calls[1:]] == [(m, 2 * len(cfg.rho_grid))] * cfg.K
-        assert all(seeds == seeds[:2] * len(cfg.rho_grid) for _, seeds in calls[1:])
+        width = 2 * len(cfg.rho_grid)
+        assert len(calls) == 2
+        assert calls[0] == (ds.n, (ds.n, 1), [cfg.seed], None)
+        n, shape, seeds, rows = calls[1]
+        assert (n, shape) == (ds.n, (m, width * cfg.K))
+        subs = [srswor(ds.n, m, "permutation", derive_seed(cfg.seed, "subsample", k))
+                for k in range(cfg.K)]
+        np.testing.assert_array_equal(rows, np.repeat([sub.indices for sub in subs], width,
+                                                      axis=0))
+        for k in range(cfg.K):
+            own = seeds[k * width:(k + 1) * width]
+            assert own == own[:2] * len(cfg.rho_grid)
         assert sum(tag.startswith("refit-") for tag in tags) == 2 * cfg.K
 
     def test_tuned_mode_refits_through_one_path(self, monkeypatch):
-        # No `fit` call: the warm-up, the radius rounds and every search
-        # step fit through `fit_multi`, and each tuned round keeps the
-        # scores its search measured on its own subsample.
+        # No `fit` call: the warm-up, the radius rounds (all in one call)
+        # and every search step fit through `fit_multi`, and each tuned
+        # round keeps the scores its search measured on its own subsample.
         ds, _ = generate(ExperimentSpec(id="exp1", n=300, seed=22))
         fits, columns = [], []
         fit, fit_multi = TrainerOracle.fit, TrainerOracle.fit_multi
@@ -674,9 +684,9 @@ class TestEvaluate:
             fits.append(dataset.n)
             return fit(trainer, dataset, seed)
 
-        def counting_fit_multi(trainer, xs, Y, seeds):
+        def counting_fit_multi(trainer, xs, Y, seeds, rows=None):
             columns.append(np.shape(Y))
-            return fit_multi(trainer, xs, Y, seeds)
+            return fit_multi(trainer, xs, Y, seeds, rows)
 
         monkeypatch.setattr(TrainerOracle, "fit", counting_fit)
         monkeypatch.setattr(TrainerOracle, "fit_multi", counting_fit_multi)
@@ -687,10 +697,30 @@ class TestEvaluate:
         assert columns[0] == (ds.n, 1)
         assert all(rows == m for rows, _ in columns[1:])
         columns = [width for _, width in columns[1:]]
-        assert columns[:cfg.K1] == [2] * cfg.K1
-        assert set(columns[cfg.K1:]) == {1}
-        assert len(columns) - cfg.K1 >= 2 * (cfg.K - cfg.K1)
+        assert columns[0] == 2 * cfg.K1
+        assert set(columns[1:]) == {1}
+        assert len(columns) - 1 >= 2 * (cfg.K - cfg.K1)
         for rd in report.rounds:
+            idx = rd.sub.indices
+            breve, signs, residuals = state.breve_vals[idx], state.signs[idx], state.residuals[idx]
+            for f, opt, norm, sign in ((rd.tilde_f, rd.optimism.opt_tilde, rd.norm_tilde, 1.0),
+                                       (rd.check_f, rd.optimism.opt_check, rd.norm_check, -1.0)):
+                vals = f.predict(ds.xs[idx])
+                assert norm == empirical_norm(vals - breve)
+                assert opt == sign * wild_optimism(signs, residuals, vals, breve)
+
+    def test_fortran_ordered_predictions_score_as_one_row(self):
+        # A predict_multi_fn that returns a Fortran-ordered block still gives
+        # every round the distance and optimism of its refit scored alone.
+        ds, _ = generate(ExperimentSpec(id="exp1", n=400, seed=6))
+        base = make_trainer("fourier_ridge", {"N": 8, "lam": 1e-6})
+        trainer = dataclasses.replace(
+            base, name="fortran",
+            predict_multi_fn=lambda hs, xs: np.asfortranarray(np.stack([h.predict(xs)
+                                                                         for h in hs])))
+        cfg = EvaluationConfig(K=6, rho_grid=(0.5, 1.0, 2.0), seed=6)
+        reports, state = evaluate_with_state(ds, trainer, cfg)
+        for rd in (rd for report in reports for rd in report.rounds):
             idx = rd.sub.indices
             breve, signs, residuals = state.breve_vals[idx], state.signs[idx], state.residuals[idx]
             for f, opt, norm, sign in ((rd.tilde_f, rd.optimism.opt_tilde, rd.norm_tilde, 1.0),

@@ -144,6 +144,33 @@ def reference_tree(xs, ys, spec):
     return predict, sum(_ref_leaves(r) for r in roots)
 
 
+def subsample_rows(rng, n, K, m, cols):
+    """K subsamples of m points of n, unsorted and one with a repeated point,
+    each repeated for ``cols`` response columns: a (K * cols) x m rows array
+    and the subsamples' index rows."""
+    subs = np.stack([rng.choice(n, size=m, replace=False) for _ in range(K)])
+    subs[1, -1] = subs[1, 0]
+    return np.repeat(subs, cols, axis=0), subs
+
+
+def assert_rows_fit_matches_per_subsample_fits(trainer, xs, Y, rows, subs, probes, cols):
+    """One `fit_multi` call with ``rows`` gives, column by column and bit for
+    bit, the handles one call per subsample on that subsample's points gives."""
+    seeds = list(range(Y.shape[1]))
+    together = trainer.fit_multi(xs, Y, seeds, rows)
+    for k, idx in enumerate(subs):
+        own = slice(k * cols, (k + 1) * cols)
+        apart = trainer.fit_multi(xs[idx], Y[:, own], seeds[own])
+        for pts in (xs[idx], probes):
+            np.testing.assert_array_equal(trainer.predict_multi(together[own], pts),
+                                          trainer.predict_multi(apart, pts))
+        for f, g in zip(together[own], apart):
+            np.testing.assert_array_equal(f.predict(probes), g.predict(probes))
+            assert f.meta.keys() == g.meta.keys()
+            for key, value in f.meta.items():
+                np.testing.assert_array_equal(value, g.meta[key])
+
+
 class TestFourierRidge:
     def test_constant_data(self):
         ds = uniform_dataset(20, fn=lambda xs: np.full(xs.shape[0], 2.5))
@@ -459,16 +486,19 @@ class TestFourierRidge:
             evaluate(ds, trainer, cfg)
             return builds.count(ds.n), len(builds)
 
-        # One build per distinct covariate block: the warm-up fit and its
-        # prediction share one, and each subsample's refits (every scale or
-        # every tuning step, both directions) and their scoring share one.
+        # One build per run of work on one covariate block: the warm-up fit
+        # and its prediction share one.  Every subsample is fit, in one
+        # call, before any is scored, so each subsample's refits (every
+        # scale, both directions) take one build and their scoring another.
         # Fixed-grid: every scale's full-data candidates share one more.
         cfg = EvaluationConfig(K=30, rho_grid=(0.1, 0.5, 1.0, 2.0, 5.0), seed=5)
-        assert count_builds(cfg) == (2, cfg.K + 2)
-        # Tuned: the warm-up rounds' candidates and the tuned rounds'
-        # candidates are predicted apart, with tuning fits in between.
+        assert count_builds(cfg) == (2, 2 * cfg.K + 2)
+        # Tuned: the K1 radius rounds as fixed-grid; each tuning step's fit
+        # and scoring share a build with the search's other steps.  The
+        # warm-up rounds' candidates and the tuned rounds' candidates are
+        # predicted apart, with tuning fits in between.
         cfg = EvaluationConfig(K=12, K1=4, rho_mode="tuned", seed=5)
-        assert count_builds(cfg) == (3, cfg.K + 3)
+        assert count_builds(cfg) == (3, cfg.K + cfg.K1 + 3)
 
     @pytest.mark.parametrize("d,N,lam,key", [
         (1, 4, 1e-6, "coefficients"),      # p = 9 <= n: the p x p normal equations
@@ -505,6 +535,24 @@ class TestFourierRidge:
             vals = trainer.predict_multi(handles, pts)
             assert vals.shape == want.shape
             assert np.max(np.abs(vals - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("N,lam,m", [(4, 1e-6, 20), (6, 1e-3, 9), (3, 0.0, 20)],
+                             ids=["primal", "kernel", "lstsq"])
+    def test_rows_fit_matches_per_subsample_fits(self, N, lam, m):
+        # Columns that share their rows are solved together, as one call on
+        # their points solves them; every handle and its predictions match
+        # bit for bit, on the training points (fitted values, kernel path)
+        # and off them.
+        rng = np.random.default_rng(N)
+        n, K, cols = 50, 4, 3
+        xs = rng.uniform(0, 1, size=(n, 1))
+        rows, subs = subsample_rows(rng, n, K, m, cols)
+        Y = rng.normal(size=(m, K * cols))
+        trainer = fourier_ridge_trainer(FourierRidgeSpec(N=N, lam=lam))
+        probes = rng.uniform(0, 1, size=(30, 1))
+        assert_rows_fit_matches_per_subsample_fits(trainer, xs, Y, rows, subs, probes, cols)
+        meta = trainer.fit_multi(xs, Y, list(range(K * cols)), rows)[0].meta
+        assert ("dual_coefficients" in meta) == (N == 6)
 
     def test_prediction_totality(self):
         ds, _ = generate(ExperimentSpec(id="exp1", n=200, seed=0))
@@ -625,6 +673,24 @@ class TestTree:
             for f in (single, batched[c]):
                 np.testing.assert_array_equal(f.predict(probes), want(probes))
                 assert f.meta["n_leaves"] == leaves
+
+    @pytest.mark.parametrize("spec,d", [
+        (TreeSpec(max_depth=4, n_trees=3), 1),
+        (TreeSpec(max_depth=4, n_trees=2, feature_fraction=0.5), 3),
+        (TreeSpec(max_depth=6, min_samples_leaf=2), 2),
+    ], ids=["forest", "feature-fraction", "min-leaf"])
+    def test_rows_fit_matches_per_subsample_fits(self, spec, d):
+        # One grow over every subsample's columns, in stacked row space,
+        # grows the trees one call per subsample grows, bit for bit: ties
+        # in x (a coarse grid) break by position within each column's rows.
+        rng = np.random.default_rng(d)
+        n, K, m, cols = 80, 4, 23, 3
+        xs = rng.integers(0, 6, size=(n, d)) / 5.0
+        rows, subs = subsample_rows(rng, n, K, m, cols)
+        Y = rng.normal(size=(m, K * cols))
+        probes = np.vstack([xs, rng.uniform(0, 1, size=(30, d))])
+        assert_rows_fit_matches_per_subsample_fits(tree_trainer(spec), xs, Y, rows, subs,
+                                                   probes, cols)
 
     def test_predict_rejects_wrong_dimension(self):
         # A vector of 5 values is one 5-d point, not five 1-d points.

@@ -16,11 +16,15 @@ BENCHMARK.json.  Each metric then gets a verdict against its relative
 bound: "worse" when the change's median is worse than the parent's by more
 than the bound, "unresolved" when the parent's IQR exceeds the bound (and
 not every change run beats every parent run), and "within bound" otherwise.
+Every metric also gets a gain verdict: "gain" when the change wins at least
+nine tenths of the pairs (a tie counts for neither side) and its median is
+better than the parent's by more than the parent's IQR, "no gain" otherwise.
 Exits 1 if a run fails or reports a failed operation.
 """
 
 import argparse
 import json
+import math
 import os
 import shutil
 import statistics
@@ -80,6 +84,18 @@ def verdict(before, after, lower_is_better: bool, bound: float) -> str:
     return f"within bound {bound:.0%}"
 
 
+def gain(before, after, wins: int, lower_is_better: bool) -> str:
+    """"gain" when the change won at least 9 of every 10 pairs and its median
+    is better than the parent's by more than the parent's IQR."""
+    q1, q3 = quartiles(before)
+    med_b, med_a = statistics.median(before), statistics.median(after)
+    shift = med_b - med_a if lower_is_better else med_a - med_b
+    won = 10 * wins >= 9 * len(before)
+    verdict = "gain" if won and shift > q3 - q1 else "no gain"
+    return (f"{verdict} ({wins}/{len(before)} wins, need {math.ceil(0.9 * len(before))}; "
+            f"median better by {shift:.3g}, parent IQR {q3 - q1:.3g})")
+
+
 def compare(workload: str, roots: dict, metrics: dict, args) -> None:
     runs = {"parent": [], "change": []}
     for i in range(args.pairs):
@@ -103,6 +119,7 @@ def compare(workload: str, roots: dict, metrics: dict, args) -> None:
         print(f"{'':16s} median {med_b:.4g} -> {med_a:.4g} ({(med_a - med_b) / med_b:+.1%}), "
               f"parent IQR {q3 - q1:.3g}, change better in {wins}/{len(before)}: "
               f"{verdict(before, after, lower_is_better, metric['bound'])}")
+        print(f"{'':16s} {gain(before, after, wins, lower_is_better)}")
     print(flush=True)
 
 
