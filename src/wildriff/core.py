@@ -225,6 +225,14 @@ class TrainerOracle:
     predicts handles together.  It must accept any handle, predicting one it
     did not make through that handle's own ``predict``.  `predict_multi`
     uses it when set and loops over ``predict`` otherwise.
+
+    ``linear_smoother`` declares two things of every `fit_multi` column:
+    its fitted function is linear in that column's responses, and it does
+    not depend on the column's seed.  A fixed-grid evaluate then fits two
+    columns per subsample, the trained predictor's values and the signed
+    residuals, and derives every noise scale's refits from that pair.  The
+    engine does not check the declaration: a trainer that declares it
+    falsely gets wrong bounds.
     """
 
     name: str
@@ -233,6 +241,7 @@ class TrainerOracle:
     fit_multi_fn: Optional[Callable[..., Sequence[PredictorHandle]]] = field(default=None,
                                                                           repr=False)
     predict_multi_fn: Optional[Callable[..., np.ndarray]] = field(default=None, repr=False)
+    linear_smoother: bool = False
 
     def fit(self, dataset: RegressionDataset, seed: int) -> PredictorHandle:
         return self._call(self.fit_fn, dataset, int(seed))

@@ -14,6 +14,7 @@ suprema.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -267,15 +268,70 @@ def _row_scores(vals: np.ndarray, breve: np.ndarray,
     return dists, scores
 
 
+def _score_weights(state: RefitState, fstar_vals: Optional[np.ndarray]) -> List[np.ndarray]:
+    """The full-data weights of a candidate's noise score and, with the
+    truth's values ``fstar_vals``, of its pilot score."""
+    weights = [state.signs * state.residuals]
+    if fstar_vals is not None:
+        weights.append(state.signs * (state.pilot_vals - fstar_vals))
+    return weights
+
+
 def candidate_block(state: RefitState, vals: np.ndarray,
                     fstar_vals: Optional[np.ndarray] = None) -> CandidateBlock:
     """Score candidates from their full-data values, one row of ``vals``
     each; with the truth's values ``fstar_vals``, pilot scores too."""
-    weights = [state.signs * state.residuals]
-    if fstar_vals is not None:
-        weights.append(state.signs * (state.pilot_vals - fstar_vals))
-    dists, scores = _row_scores(vals, state.breve_vals, weights)
+    dists, scores = _row_scores(vals, state.breve_vals, _score_weights(state, fstar_vals))
     return CandidateBlock(dists, *scores)
+
+
+class _PairMoments(NamedTuple):
+    """Full-data moments of linear-smoother refit pairs (a, b), one entry
+    per pair, with D = a - breve: the means of w * D and w * B per weight
+    vector w (shape (len(weights), pairs)), and of D * D, D * B and B * B."""
+
+    wd: np.ndarray
+    wb: np.ndarray
+    dd: np.ndarray
+    db: np.ndarray
+    bb: np.ndarray
+
+
+def _pair_moments(vals: np.ndarray, breve: np.ndarray,
+                  weights: Sequence[np.ndarray]) -> _PairMoments:
+    """The moments of the pairs whose full-data values are rows 2k and
+    2k + 1 of ``vals``.
+
+    Each tile of pairs takes one temporary, its D rows, of at most
+    `_SCORE_TILE_ENTRIES` values; ``einsum`` sums each product in one pass
+    without a temporary or a BLAS call.
+    """
+    n = vals.shape[1]
+    pairs = vals.reshape(len(vals) // 2, 2, n)
+    weights = np.stack(weights)
+    wd, wb = np.empty((2, len(weights), len(pairs)))
+    dd, db, bb = np.empty((3, len(pairs)))
+    step = max(1, _SCORE_TILE_ENTRIES // n)
+    for lo in range(0, len(pairs), step):
+        tile = slice(lo, lo + step)
+        diff, slope = pairs[tile, 0] - breve, pairs[tile, 1]
+        wd[:, tile] = np.einsum("wj,ij->wi", weights, diff)
+        wb[:, tile] = np.einsum("wj,ij->wi", weights, slope)
+        dd[tile] = np.einsum("ij,ij->i", diff, diff)
+        db[tile] = np.einsum("ij,ij->i", diff, slope)
+        bb[tile] = np.einsum("ij,ij->i", slope, slope)
+    return _PairMoments(wd / n, wb / n, dd / n, db / n, bb / n)
+
+
+def _affine_block(moments: _PairMoments, rho: float) -> CandidateBlock:
+    """The candidate block of the refits a + rho * b and a - rho * b of
+    every pair, in that order, from the pairs' moments alone."""
+    signed = np.array([rho, -rho])
+    scores = (moments.wd[:, :, None] + signed * moments.wb[:, :, None]).reshape(
+        len(moments.wd), -1)
+    sq = (moments.dd[:, None] + 2.0 * signed * moments.db[:, None]
+          + rho * rho * moments.bb[:, None])
+    return CandidateBlock(np.sqrt(np.maximum(sq, 0.0)).ravel(), *scores)
 
 
 def _sups(scores: np.ndarray, dists: np.ndarray, radius: float) -> Tuple[float, float]:
@@ -387,16 +443,22 @@ def _subsample_rounds(state: RefitState, dataset: RegressionDataset, trainer: Tr
         seeds = (derive_seed(seed, "refit-tilde", k), derive_seed(seed, "refit-check", k))
         batches.append((sub, [column for pair in scales
                               for column in zip(pair, ("plus", "minus"), seeds)]))
-    try:
+    with _naming_rounds(subs[0][0], subs[-1][0]):
         scored = _refit_scores(state, dataset, trainer, batches)
-    except TrainerFailedError as exc:
-        first, last = subs[0][0], subs[-1][0]
-        raise TrainerFailedError(
-            f"round {first}: {exc}" if first == last else f"rounds {first}-{last}: {exc}"
-        ) from exc
     return [[_wild_round(trainer, k, sub, pair, fits[2 * i:], norms[2 * i:], opts[2 * i:])
              for i, pair in enumerate(scales)]
             for (k, sub), (fits, norms, opts) in zip(subs, scored)]
+
+
+@contextlib.contextmanager
+def _naming_rounds(first: int, last: int):
+    """Prefix a trainer failure with the rounds it stopped."""
+    try:
+        yield
+    except TrainerFailedError as exc:
+        raise TrainerFailedError(
+            f"round {first}: {exc}" if first == last else f"rounds {first}-{last}: {exc}"
+        ) from exc
 
 
 def _run_rounds(state, dataset, trainer, subs, grid, seed) -> List[List[WildRound]]:
@@ -409,6 +471,67 @@ def _run_rounds(state, dataset, trainer, subs, grid, seed) -> List[List[WildRoun
     per_sub = _subsample_rounds(state, dataset, trainer, list(enumerate(subs)),
                                 [(rho, rho) for rho in grid], seed)
     return [list(rounds) for rounds in zip(*per_sub)]
+
+
+def _refit_block(state, dataset, trainer, rounds, fstar_vals) -> CandidateBlock:
+    """The rounds' refits predicted on the full data in one call, and scored."""
+    return candidate_block(state, trainer.predict_multi(_refits(rounds), dataset.xs),
+                           fstar_vals)
+
+
+def _black_box_scales(state, dataset, trainer, subs, grid, seed, fstar_vals):
+    """Each scale's rounds (`_run_rounds`) and their `_refit_block`."""
+    for rounds in _run_rounds(state, dataset, trainer, subs, grid, seed):
+        yield rounds, _refit_block(state, dataset, trainer, rounds, fstar_vals)
+
+
+def _affine_refit(trainer: TrainerOracle, base: PredictorHandle, slope: PredictorHandle,
+                  rho: float) -> PredictorHandle:
+    """The refit ``base + rho * slope`` of a linear smoother."""
+    def predict(xs):
+        a, b = trainer.predict_multi([base, slope], xs)
+        return a + rho * b
+
+    return PredictorHandle(predict, name=f"{base.name} {rho:+g} * slope")
+
+
+def _linear_scales(state, dataset, trainer, subs, grid, seed, fstar_vals):
+    """`_black_box_scales` for a trainer that declares
+    `TrainerOracle.linear_smoother`: every refit from two fits per subsample.
+
+    A refit on breve + rho * eps * v is a + rho * b, with a the fit of
+    breve and b the fit of eps * v on the subsample (and a - rho * b in the
+    minus direction), so one `fit_multi` call fits a and b for every
+    subsample, all columns of a subsample on one seed.  The full data see
+    each a and b once, right after the fit, while a trainer that keeps its
+    last full-data work (as `fourier_ridge` does) still holds it: every
+    scale's candidate block is affine in rho over their moments.  Each
+    subsample's rounds then predict a and b on it in one call and score
+    the refits' values there as `_refit_scores` does.
+    """
+    idx = np.stack([sub.indices for sub in subs])
+    responses = np.empty((idx.shape[1], 2 * len(subs)))
+    responses[:, 0::2] = state.breve_vals[idx].T
+    responses[:, 1::2] = (state.signs * state.residuals)[idx].T
+    seeds = [s for k in range(len(subs)) for s in [derive_seed(seed, "refit-tilde", k)] * 2]
+    signed = np.repeat(grid, 2) * np.tile([1.0, -1.0], len(grid))
+    per_sub = []
+    with _naming_rounds(0, len(subs) - 1):
+        fits = trainer.fit_multi(dataset.xs, responses, seeds, np.repeat(idx, 2, axis=0))
+        moments = _pair_moments(trainer.predict_multi(fits, dataset.xs), state.breve_vals,
+                                _score_weights(state, fstar_vals))
+        for k, (sub, own) in enumerate(zip(subs, idx)):
+            a, b = fits[2 * k:2 * k + 2]
+            base, slope = trainer.predict_multi([a, b], dataset.xs[own])
+            norms, [opts] = _row_scores(base + signed[:, None] * slope, state.breve_vals[own],
+                                        [state.signs[own] * state.residuals[own]])
+            opts[1::2] *= -1.0   # the minus direction mirrors f - breve; negation is exact
+            refits = [_affine_refit(trainer, a, b, rho) for rho in signed]
+            per_sub.append([_wild_round(trainer, k, sub, (rho, rho), refits[2 * i:],
+                                        norms[2 * i:], opts[2 * i:])
+                            for i, rho in enumerate(grid)])
+    for rho, rounds in zip(grid, zip(*per_sub)):
+        yield list(rounds), _affine_block(moments, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -637,34 +760,31 @@ def evaluate_with_state(dataset: RegressionDataset, trainer: TrainerOracle,
     tau = _resolve_tau(config, state)
     t = config.t if config.t is not None else default_t(tau)
 
-    # Each report predicts its refits on the full data once and keeps only
-    # their scores; the pilot's values come from the warm-up, the truth's
-    # are predicted here, once.
+    # Each refit, or each fitted pair of a linear smoother, is predicted on
+    # the full data once and only its scores are kept; the pilot's values
+    # come from the warm-up, the truth's are predicted here, once.
     fstar_vals = None if fstar is None else trainer.predict_multi([fstar], dataset.xs)[0]
 
-    def scored_block(rounds):
-        return candidate_block(state, trainer.predict_multi(_refits(rounds), dataset.xs),
-                               fstar_vals)
-
-    def radius(rounds):
-        """The rounds' candidate block, radius r and inflated radius r_tilde."""
-        block = scored_block(rounds)
+    def radius(rounds, block):
+        """The radius r and inflated radius r_tilde of the rounds and their block."""
         r = estimate_radius(state, rounds, block, t, tau, C=config.radius_constant).r
-        return block, r, r_tilde(r, n, config.beta, dataset.d, config.v, config.M_v,
-                                 config.w_bar, config.w_under)
+        return r, r_tilde(r, n, config.beta, dataset.d, config.v, config.M_v,
+                          config.w_bar, config.w_under)
 
     reports: List[RiskBoundReport] = []
     if config.rho_mode == "fixed-grid":
-        by_scale = _run_rounds(state, dataset, trainer, subs, config.rho_grid, config.seed)
-        for rho, rounds in zip(config.rho_grid, by_scale):
-            block, r, rt = radius(rounds)
+        scales = _linear_scales if trainer.linear_smoother else _black_box_scales
+        for rho, (rounds, block) in zip(config.rho_grid, scales(
+                state, dataset, trainer, subs, config.rho_grid, config.seed, fstar_vals)):
+            r, rt = radius(rounds, block)
             reports.append(_assemble_report(f"{rho:g}", state, dataset, config, rounds, [block],
                                             r, rt, tau, t, fstar_vals))
     else:
         rho0 = config.rho_grid[0] if config.rho_grid else 1.0
         [warm_rounds] = _run_rounds(state, dataset, trainer, subs[:config.K1], (rho0,),
                                     config.seed)
-        warm_block, r, rt = radius(warm_rounds)
+        warm_block = _refit_block(state, dataset, trainer, warm_rounds, fstar_vals)
+        r, rt = radius(warm_rounds, warm_block)
         tuned_rounds, unconverged = [], 0
         for k in range(config.K1, config.K):
             plus, minus = [tune_noise_scale(state, dataset, trainer, subs[k], 2.0 * rt, direction,
@@ -675,9 +795,9 @@ def evaluate_with_state(dataset: RegressionDataset, trainer: TrainerOracle,
             tuned_rounds.append(_wild_round(
                 trainer, k, subs[k], (plus.rho, minus.rho), (plus.predictor, minus.predictor),
                 (plus.achieved_norm, minus.achieved_norm), (plus.optimism, minus.optimism)))
+        tuned_block = _refit_block(state, dataset, trainer, tuned_rounds, fstar_vals)
         report = _assemble_report("tuned", state, dataset, config, tuned_rounds,
-                                  [warm_block, scored_block(tuned_rounds)], r, rt, tau, t,
-                                  fstar_vals)
+                                  [warm_block, tuned_block], r, rt, tau, t, fstar_vals)
         if unconverged:
             # An unconverged tune still enters the bound at its closest
             # noise scale; say how many did.
@@ -694,7 +814,9 @@ def evaluate(dataset: RegressionDataset, trainer: TrainerOracle, config: Evaluat
 
     Fixed-grid mode runs K rounds at each noise scale in the grid (the same
     subsamples and signs are reused across scales) and returns one report
-    per scale.  Tuned mode spends K1 rounds on radius estimation, tunes the
+    per scale; for a trainer that declares `TrainerOracle.linear_smoother`,
+    every scale's refits come from one fitted pair per subsample.  Tuned
+    mode spends K1 rounds on radius estimation, tunes the
     noise scales so each refit lands at twice the inflated radius, and
     returns a single report over the remaining K - K1 rounds.
     """

@@ -184,18 +184,27 @@ def _half_space_frequencies(N: int, d: int) -> np.ndarray:
 _design_memo = None
 
 
-def _memoized(build, param, xs: np.ndarray) -> np.ndarray:
-    """``build(xs, param)``, read-only.
-
-    The last result is kept; a call with the same builder, the same
-    parameter object and equal covariates returns it, and any other call
-    replaces it.
-    """
-    global _design_memo
+def _memo_lookup(build, param, xs: np.ndarray) -> Optional[np.ndarray]:
+    """The memo's ``build(xs, param)``: its result when it was last built
+    with the same builder, the same parameter object and equal covariates,
+    and None otherwise."""
     entry = _design_memo
     if (entry is not None and entry[0] is build and entry[1] is param
             and np.array_equal(entry[2], xs)):
         return entry[3]
+    return None
+
+
+def _memoized(build, param, xs: np.ndarray) -> np.ndarray:
+    """``build(xs, param)``, read-only.
+
+    The last result is kept; a call that `_memo_lookup` finds returns it,
+    and any other call replaces it.
+    """
+    global _design_memo
+    features = _memo_lookup(build, param, xs)
+    if features is not None:
+        return features
     features = build(xs, param)
     features.setflags(write=False)
     _design_memo = (build, param, xs.copy(), features)
@@ -258,10 +267,16 @@ def _dirichlet_kernel(psi_a: np.ndarray, psi_b: np.ndarray,
     return out
 
 
-def _fourier_fits(xs: np.ndarray, Y: np.ndarray,
-                  spec: FourierRidgeSpec) -> List[PredictorHandle]:
+def _dual(spec: FourierRidgeSpec, n: int, d: int) -> bool:
+    """Whether a fit on n points of dimension d solves the kernel system."""
+    return spec.lam > 0 and spec.feature_count(d) > n
+
+
+def _fourier_fits(xs: np.ndarray, Y: np.ndarray, spec: FourierRidgeSpec,
+                  design: Optional[np.ndarray] = None) -> List[PredictorHandle]:
     """`fourier_ridge_fit` on every column of ``Y``, all solved against one
-    factorization; one handle per column.
+    factorization; one handle per column.  ``design``, when given, is the
+    explicit design of ``xs``, which is then not built.
 
     The kernel is built once: after the solve its diagonal is restored and
     it gives the fitted values, which a prediction on the training points
@@ -271,7 +286,7 @@ def _fourier_fits(xs: np.ndarray, Y: np.ndarray,
     """
     n, d = xs.shape
     p = spec.feature_count(d)
-    dual = spec.lam > 0 and p > n
+    dual = _dual(spec, n, d)
     if not dual and p > spec.max_features:
         raise TrainerError(f"feature count {p} exceeds cap {spec.max_features}")
     freqs = None if dual else _half_space_frequencies(spec.N, d)
@@ -283,12 +298,13 @@ def _fourier_fits(xs: np.ndarray, Y: np.ndarray,
             kernel[np.diag_indices(n)] += n * spec.lam
             coef = np.linalg.solve(kernel, Y)
             kernel[np.diag_indices(n)] = diagonal
-        elif spec.lam > 0:
-            phi = _memoized(_build_design, freqs, xs)
-            gram = phi.T @ phi / n + spec.lam * np.eye(p)
-            coef = np.linalg.solve(gram, phi.T @ Y / n)
         else:
-            coef = np.linalg.lstsq(_memoized(_build_design, freqs, xs), Y, rcond=None)[0]
+            phi = _memoized(_build_design, freqs, xs) if design is None else design
+            if spec.lam > 0:
+                gram = phi.T @ phi / n + spec.lam * np.eye(p)
+                coef = np.linalg.solve(gram, phi.T @ Y / n)
+            else:
+                coef = np.linalg.lstsq(phi, Y, rcond=None)[0]
     except np.linalg.LinAlgError as exc:
         raise IllConditionedError(f"ridge system singular: {exc}") from exc
     if not np.all(np.isfinite(coef)):
@@ -314,10 +330,22 @@ def _fourier_fits(xs: np.ndarray, Y: np.ndarray,
 def _fourier_multi(xs: np.ndarray, Y: np.ndarray, rows: np.ndarray,
                    spec: FourierRidgeSpec) -> List[PredictorHandle]:
     """`_fourier_fits` once per run of consecutive columns of ``Y`` that
-    share their rows of ``xs``."""
+    share their rows of ``xs``.
+
+    When the memo holds the explicit design of all of ``xs``, as it does
+    after the warm-up, each run's design is gathered from its rows.
+    Otherwise each run builds its own: building the full design here would
+    evict the memo's, which a tuned search's next step on the same
+    subsample reuses.
+    """
+    d = xs.shape[1]
+    full = None
+    if not _dual(spec, rows.shape[1], d) and spec.feature_count(d) <= spec.max_features:
+        full = _memo_lookup(_build_design, _half_space_frequencies(spec.N, d), xs)
     cuts = [0, *(np.flatnonzero((rows[1:] != rows[:-1]).any(axis=1)) + 1), len(rows)]
     return [f for lo, hi in zip(cuts[:-1], cuts[1:])
-            for f in _fourier_fits(xs[rows[lo]], np.ascontiguousarray(Y[:, lo:hi]), spec)]
+            for f in _fourier_fits(xs[rows[lo]], np.ascontiguousarray(Y[:, lo:hi]), spec,
+                                   None if full is None else full[rows[lo]])]
 
 
 @dataclass(frozen=True)
@@ -793,6 +821,7 @@ def fourier_ridge_trainer(spec: FourierRidgeSpec = FourierRidgeSpec()) -> Traine
         fit_multi_fn=lambda xs, Y, seeds, rows: _fourier_multi(xs, Y, rows, spec),
         predict_multi_fn=_predict_multi,
         optimization_tol=1e-10,
+        linear_smoother=True,
     )
 
 

@@ -616,8 +616,10 @@ class TestEvaluate:
     def test_rounds_match_scale_major_loop(self, name, params):
         # Subsample-major rounds on shared covariate blocks give the rounds a
         # scale-major loop of independent run_round calls gives, bit for bit.
+        # (fourier_ridge's linear-smoother rounds round apart from these;
+        # test_linear_smoother_rounds_match_refit_rounds bounds the gap.)
         ds, _ = generate(ExperimentSpec(id="exp1", n=300, seed=16))
-        trainer = make_trainer(name, params)
+        trainer = dataclasses.replace(make_trainer(name, params), linear_smoother=False)
         cfg = EvaluationConfig(K=4, rho_grid=(0.5, 1.0, 2.0), seed=16)
         reports = evaluate(ds, trainer, cfg)
         state = warm_up(ds, trainer, seed=cfg.seed)
@@ -634,6 +636,118 @@ class TestEvaluate:
             loop = [run_round(state, ds, trainer, sub, rho, rho, cfg.seed, k)
                     for k, sub in enumerate(subs)]
             assert [numbers(rd) for rd in report.rounds] == [numbers(rd) for rd in loop]
+
+    def test_linear_smoother_fits_each_subsample_once(self, monkeypatch):
+        # A linear smoother's fixed-grid evaluate fits two columns per
+        # subsample, breve and eps * v there, both on one seed, all in one
+        # fit_multi call after the warm-up's, and predicts each of those
+        # 2K refits on the full data once, whatever the grid's size.
+        ds, truth = generate(ExperimentSpec(id="exp1", n=300, seed=15))
+        trainer, handles = full_data_counting(
+            make_trainer("fourier_ridge", {"N": 6, "lam": 1e-6}), ds.n)
+        assert trainer.linear_smoother
+        calls = []
+        fit_multi = TrainerOracle.fit_multi
+
+        def counting_fit_multi(trainer, xs, Y, seeds, rows=None):
+            calls.append((np.array(Y), list(seeds), rows))
+            return fit_multi(trainer, xs, Y, seeds, rows)
+
+        monkeypatch.setattr(TrainerOracle, "fit_multi", counting_fit_multi)
+        fstar = counting(truth.fstar, ds.n, None)
+        cfg = EvaluationConfig(K=3, rho_grid=(0.5, 1.0, 2.0), seed=15)
+        reports, state = evaluate_with_state(ds, trainer, cfg, fstar=fstar)
+        assert len(reports) == len(cfg.rho_grid) and len(calls) == 2
+        Y, seeds, rows = calls[1]
+        subs = [rd.sub.indices for rd in reports[0].rounds]
+        assert Y.shape == (cfg.subsample_size(ds.n), 2 * cfg.K)
+        np.testing.assert_array_equal(rows, np.repeat(subs, 2, axis=0))
+        assert seeds[0::2] == seeds[1::2] and len(set(seeds)) == cfg.K
+        for k, idx in enumerate(subs):
+            np.testing.assert_array_equal(Y[:, 2 * k], state.breve_vals[idx])
+            np.testing.assert_array_equal(Y[:, 2 * k + 1], state.signs[idx] * state.residuals[idx])
+        breve, refits = handles[0], handles[1:]
+        assert len(refits) == 2 * cfg.K
+        assert [f.meta["full_predicts"] for f in refits] == [1] * len(refits)
+        assert breve.meta["full_predicts"] == 1
+        assert fstar.meta["full_predicts"] == 1
+
+    # Largest relative gaps measured between the two paths over seeds 0-5
+    # (exp1 n=400 K=6, five scales; exp3 n=300 K=3, two scales): 6.6e-13
+    # on a round field and 5.3e-13 on a report field (primal); 1.7e-9 and
+    # 4.4e-10 (kernel, whose solves are worse conditioned).
+    @pytest.mark.parametrize("experiment,n,params,K,grid,rel", [
+        ("exp1", 400, {"N": 8, "lam": 1e-6}, 6, (0.1, 0.5, 1.0, 2.0, 5.0), 1e-11),
+        ("exp3", 300, {"N": 2, "lam": 1e-6}, 3, (0.5, 2.0), 1e-7),
+    ], ids=["primal", "kernel"])
+    def test_linear_smoother_rounds_match_refit_rounds(self, experiment, n, params, K, grid,
+                                                      rel):
+        # Deriving every scale from one fitted pair per subsample gives the
+        # reports refitting at every scale gives, up to rounding: the same
+        # flags and subsamples, and every bound and round field within rel.
+        ds, truth = generate(ExperimentSpec(id=experiment, n=n, seed=2))
+        trainer = make_trainer("fourier_ridge", params)
+        cfg = EvaluationConfig(K=K, rho_grid=grid, seed=2)
+        linear = evaluate(ds, trainer, cfg, fstar=truth.fstar)
+        refit_all = evaluate(ds, dataclasses.replace(trainer, linear_smoother=False), cfg,
+                             fstar=truth.fstar)
+
+        def numbers(report):
+            rounds = [(rd.rho1, rd.rho2, rd.optimism.opt_tilde, rd.optimism.opt_check,
+                       rd.norm_tilde, rd.norm_check) for rd in report.rounds]
+            bounds = [v for v in vars(report).values() if type(v) in (int, float)]
+            return np.array([*bounds, *np.ravel(rounds)])
+
+        assert len(linear) == len(refit_all) == len(grid)
+        for a, b in zip(linear, refit_all):
+            assert (a.label, a.pilot_flags, a.k_rounds_used) == (b.label, b.pilot_flags,
+                                                                 b.k_rounds_used)
+            assert ([rd.sub.indices.tolist() for rd in a.rounds]
+                    == [rd.sub.indices.tolist() for rd in b.rounds])
+            np.testing.assert_allclose(numbers(a), numbers(b), rtol=rel, atol=0.0)
+
+    @pytest.mark.parametrize("experiment,n,params,K,grid", [
+        ("exp1", 400, {"N": 8, "lam": 1e-6}, 6, (0.1, 1.0, 5.0)),
+        ("exp3", 300, {"N": 2, "lam": 1e-6}, 3, (0.5, 2.0)),
+    ], ids=["primal", "kernel"])
+    def test_linear_smoother_blocks_match_their_refits(self, experiment, n, params, K, grid):
+        # Each scale's candidate block, formed from the fitted pairs'
+        # full-data moments, scores the rounds' refit handles as their
+        # predicted values do: distances, noise and pilot scores within
+        # 1e-12 of each array's largest entry (6.7e-15 measured, seeds 0-5).
+        ds, truth = generate(ExperimentSpec(id=experiment, n=n, seed=3))
+        trainer = make_trainer("fourier_ridge", params)
+        state = warm_up(ds, trainer, seed=3)
+        m = EvaluationConfig().subsample_size(n)
+        subs = [srswor(n, m, "permutation", derive_seed(3, "subsample", k)) for k in range(K)]
+        fstar_vals = truth.fstar.predict(ds.xs)
+        scales = list(refit._linear_scales(state, ds, trainer, subs, grid, 3, fstar_vals))
+        assert len(scales) == len(grid)
+        for rho, (rounds, block) in zip(grid, scales):
+            assert [(rd.k, rd.rho1, rd.rho2) for rd in rounds] == [(k, rho, rho)
+                                                                   for k in range(K)]
+            want = candidate_block(state, trainer.predict_multi(
+                [f for rd in rounds for f in (rd.tilde_f, rd.check_f)], ds.xs), fstar_vals)
+            for got, ref in zip(block, want):
+                assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_linear_smoother_rounds_keep_the_erm_inequality(self):
+        # Criterion 03 on the linear path: with an exact ERM (lam = 0) every
+        # round's refits, derived from the fitted pair, satisfy
+        # opt >= dist^2 / (2 rho) - 1e-8 in both directions, and each round
+        # scores its refit handles as they predict alone.
+        ds, _ = generate(ExperimentSpec(id="exp1", n=500, seed=0))
+        trainer = fourier_ridge_trainer(FourierRidgeSpec(N=8, lam=0.0))
+        cfg = EvaluationConfig(K=30, rho_grid=(0.1, 1.0, 5.0), seed=0)
+        reports, state = evaluate_with_state(ds, trainer, cfg)
+        for rho, report in zip(cfg.rho_grid, reports):
+            for rd in report.rounds:
+                idx = rd.sub.indices
+                breve = state.breve_vals[idx]
+                for f, opt, norm in ((rd.tilde_f, rd.optimism.opt_tilde, rd.norm_tilde),
+                                     (rd.check_f, rd.optimism.opt_check, rd.norm_check)):
+                    assert opt >= norm ** 2 / (2.0 * rho) - 1e-8
+                    assert norm == empirical_norm(f.predict(ds.xs[idx]) - breve)
 
     def test_one_fit_multi_call_for_every_refit(self, monkeypatch):
         # After the warm-up's one-column fit on the full data, fixed-grid
@@ -715,7 +829,7 @@ class TestEvaluate:
         ds, _ = generate(ExperimentSpec(id="exp1", n=400, seed=6))
         base = make_trainer("fourier_ridge", {"N": 8, "lam": 1e-6})
         trainer = dataclasses.replace(
-            base, name="fortran",
+            base, name="fortran", linear_smoother=False,
             predict_multi_fn=lambda hs, xs: np.asfortranarray(np.stack([h.predict(xs)
                                                                          for h in hs])))
         cfg = EvaluationConfig(K=6, rho_grid=(0.5, 1.0, 2.0), seed=6)
@@ -913,8 +1027,8 @@ class TestEvaluate:
 
     def test_candidates_predicted_once_per_report_fixed_grid(self):
         ds, truth = generate(ExperimentSpec(id="exp1", n=300, seed=15))
-        trainer, handles = full_data_counting(
-            make_trainer("fourier_ridge", {"N": 6, "lam": 1e-6}), ds.n)
+        trainer, handles = full_data_counting(dataclasses.replace(
+            make_trainer("fourier_ridge", {"N": 6, "lam": 1e-6}), linear_smoother=False), ds.n)
         fstar = counting(truth.fstar, ds.n, None)
         cfg = EvaluationConfig(K=3, rho_grid=(0.5, 2.0), seed=15)
         reports = evaluate(ds, trainer, cfg, fstar=fstar)

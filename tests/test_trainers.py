@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -488,17 +489,22 @@ class TestFourierRidge:
 
         # One build per run of work on one covariate block: the warm-up fit
         # and its prediction share one.  Every subsample is fit, in one
-        # call, before any is scored, so each subsample's refits (every
-        # scale, both directions) take one build and their scoring another.
-        # Fixed-grid: every scale's full-data candidates share one more.
+        # call, before any is scored, with its design rows gathered from
+        # the warm-up's; scoring each subsample's refits takes one build.
+        # Fixed-grid: the linear-smoother path predicts its refit pairs on
+        # the full data before any subsample, still on the warm-up's build;
+        # refitting at every scale, the full-data candidates share one more.
         cfg = EvaluationConfig(K=30, rho_grid=(0.1, 0.5, 1.0, 2.0, 5.0), seed=5)
-        assert count_builds(cfg) == (2, 2 * cfg.K + 2)
+        assert count_builds(cfg) == (1, cfg.K + 1)
+        trainer = dataclasses.replace(trainer, linear_smoother=False)
+        assert count_builds(cfg) == (2, cfg.K + 2)
         # Tuned: the K1 radius rounds as fixed-grid; each tuning step's fit
-        # and scoring share a build with the search's other steps.  The
-        # warm-up rounds' candidates and the tuned rounds' candidates are
-        # predicted apart, with tuning fits in between.
+        # and scoring share a build with the search's other steps, and no
+        # step builds the full design.  The warm-up rounds' candidates and
+        # the tuned rounds' candidates are predicted apart, with tuning
+        # fits in between.
         cfg = EvaluationConfig(K=12, K1=4, rho_mode="tuned", seed=5)
-        assert count_builds(cfg) == (3, cfg.K + cfg.K1 + 3)
+        assert count_builds(cfg) == (3, cfg.K + 3)
 
     @pytest.mark.parametrize("d,N,lam,key", [
         (1, 4, 1e-6, "coefficients"),      # p = 9 <= n: the p x p normal equations
@@ -536,23 +542,64 @@ class TestFourierRidge:
             assert vals.shape == want.shape
             assert np.max(np.abs(vals - want)) <= 1e-13 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("N,lam,m", [(4, 1e-6, 20), (6, 1e-3, 9), (3, 0.0, 20)],
-                             ids=["primal", "kernel", "lstsq"])
-    def test_rows_fit_matches_per_subsample_fits(self, N, lam, m):
+    @pytest.mark.parametrize("d,N,lam,m", [(1, 4, 1e-6, 20), (1, 6, 1e-3, 9), (1, 3, 0.0, 20),
+                                           (3, 1, 1e-6, 30), (3, 1, 0.0, 20)],
+                             ids=["primal", "kernel", "lstsq", "primal-3d", "lstsq-3d"])
+    def test_rows_fit_matches_per_subsample_fits(self, monkeypatch, d, N, lam, m):
         # Columns that share their rows are solved together, as one call on
         # their points solves them; every handle and its predictions match
         # bit for bit, on the training points (fitted values, kernel path)
-        # and off them.
-        rng = np.random.default_rng(N)
+        # and off them.  That holds whether each subsample's design is
+        # built or, when the memo holds the design of all the points,
+        # gathered from its rows.
+        rng = np.random.default_rng(N + d - 1)
         n, K, cols = 50, 4, 3
-        xs = rng.uniform(0, 1, size=(n, 1))
+        xs = rng.uniform(0, 1, size=(n, d))
         rows, subs = subsample_rows(rng, n, K, m, cols)
         Y = rng.normal(size=(m, K * cols))
         trainer = fourier_ridge_trainer(FourierRidgeSpec(N=N, lam=lam))
-        probes = rng.uniform(0, 1, size=(30, 1))
+        probes = rng.uniform(0, 1, size=(30, d))
         assert_rows_fit_matches_per_subsample_fits(trainer, xs, Y, rows, subs, probes, cols)
         meta = trainer.fit_multi(xs, Y, list(range(K * cols)), rows)[0].meta
         assert ("dual_coefficients" in meta) == (N == 6)
+        if N == 6:
+            return   # the kernel path builds no design
+        builds, build = [], trainers._build_design
+        monkeypatch.setattr(trainers, "_build_design",
+                            lambda pts, freqs: builds.append(len(pts)) or build(pts, freqs))
+        _memoized(trainers._build_design, _half_space_frequencies(N, d), xs)
+        trainer.fit_multi(xs, Y, list(range(K * cols)), rows)
+        assert builds == [n]
+        assert_rows_fit_matches_per_subsample_fits(trainer, xs, Y, rows, subs, probes, cols)
+
+    @pytest.mark.parametrize("d,N,lam,key", [
+        (1, 4, 1e-6, "coefficients"),       # p = 9 <= n
+        (3, 1, 1e-3, "coefficients"),       # p = 27 <= n
+        (2, 4, 1e-3, "dual_coefficients"),  # p = 81 > n: the kernel system
+        (2, 4, 0.0, "coefficients"),        # lam = 0: least squares
+    ], ids=["primal", "primal-3d", "kernel", "lstsq"])
+    @given(alpha=st.floats(-10, 10), beta=st.floats(-10, 10),
+           seeds=st.lists(st.integers(0, 2**32), min_size=6, max_size=6))
+    @settings(max_examples=25, deadline=None)
+    def test_fit_multi_is_a_linear_smoother(self, d, N, lam, key, alpha, beta, seeds):
+        # What `linear_smoother` declares: a column's fit is linear in its
+        # responses, to 1e-10 of the terms' size, and does not depend on
+        # its seed, bit for bit.
+        n = 40
+        rng = np.random.default_rng(d + N)
+        xs = rng.uniform(0, 1, size=(n, d))
+        y, z = np.sin(5.0 * xs.sum(axis=1)), rng.normal(size=n)
+        Y = np.stack([y, z, alpha * y + beta * z], axis=1)
+        trainer = fourier_ridge_trainer(FourierRidgeSpec(N=N, lam=lam))
+        assert trainer.linear_smoother
+        probes = rng.uniform(0, 1, size=(50, d))
+        first, second = (trainer.fit_multi(xs, Y, seeds[:3]), trainer.fit_multi(xs, Y, seeds[3:]))
+        assert key in first[0].meta
+        for pts in (xs, probes):
+            f_y, f_z, f_mix = trainer.predict_multi(first, pts)
+            scale = np.max(np.abs(alpha * f_y) + np.abs(beta * f_z))
+            assert np.max(np.abs(f_mix - (alpha * f_y + beta * f_z))) <= 1e-10 * scale
+            np.testing.assert_array_equal(trainer.predict_multi(second, pts), [f_y, f_z, f_mix])
 
     def test_prediction_totality(self):
         ds, _ = generate(ExperimentSpec(id="exp1", n=200, seed=0))
@@ -823,6 +870,12 @@ class TestRegistry:
         ds = uniform_dataset(30, fn=lambda xs: np.cos(2 * np.pi * xs[:, 0]))
         f = oracle.fit(ds, 0)
         assert f.meta["N"] == 3
+
+    def test_only_fourier_ridge_declares_a_linear_smoother(self):
+        # A tree's leaf means and an MLP's weights are not linear in y.
+        assert make_trainer("fourier_ridge", {}).linear_smoother
+        assert not make_trainer("tree", {}).linear_smoother
+        assert not make_trainer("mlp", {}).linear_smoother
 
     def test_seed_isolation_deterministic_trainers(self):
         # Seeds only matter for stochastic trainers; ridge and single trees

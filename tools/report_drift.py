@@ -7,9 +7,11 @@ Each checkout runs operations 0..N-1 of a benchmark workload through its own
 perfbench/workloads.py, in a subprocess that writes nothing into it: every
 numeric report field and rounds.csv column per scale, or the sweep.csv cells.
 The report flags and each round's subsample indices are compared exactly:
-any difference in them counts as infinite drift.  Exits 1 if the two label
-sets differ, or if ``--max-rel X`` is given and some field drifts by more
-than X relative (``--max-rel 0`` checks bit identity).
+any difference in them counts as infinite drift.  Each field's line names
+the operation and the label (the scale, or the sweep cell's rho) where its
+largest drift occurs.  Exits 1 if the two label sets differ, or if
+``--max-rel X`` is given and some field drifts by more than X relative
+(``--max-rel 0`` checks bit identity).
 """
 
 import argparse
@@ -82,13 +84,17 @@ def main():
     if {k: len(v) for k, v in before.items()} != {k: len(v) for k, v in after.items()}:
         print("labels differ:", sorted(set(before) ^ set(after)))
         return 1
-    worst = defaultdict(float)
+    worst = defaultdict(lambda: (0.0, None, None))   # field -> (drift, op, label)
     for key, values in before.items():
-        field = key.split("/", 2)[2]
-        worst[field] = max([worst[field], *map(rel, values, after[key])])
-    for field, diff in sorted(worst.items()):
-        print(f"{field:32s} {diff:.3g}")
-    if args.max_rel is not None and max(worst.values(), default=0.0) > args.max_rel:
+        op, label, field = key.split("/", 2)
+        diff = max(map(rel, values, after[key]), default=0.0)
+        if diff > worst[field][0]:
+            worst[field] = (diff, op, label)
+    for field, (diff, op, label) in sorted(worst.items()):
+        where = f"  op {op} label {label}" if diff > 0 else ""
+        print(f"{field:32s} {diff:.3g}{where}")
+    largest = max((diff for diff, _, _ in worst.values()), default=0.0)
+    if args.max_rel is not None and largest > args.max_rel:
         print(f"drift above --max-rel {args.max_rel:g}")
         return 1
     return 0
