@@ -582,6 +582,7 @@ class _Trees(NamedTuple):
     left: np.ndarray
     right: np.ndarray
     value: np.ndarray
+    tree: np.ndarray       # per node, the tree it belongs to
     n_leaves: np.ndarray   # per tree
     levels: int
 
@@ -598,8 +599,10 @@ class _Padded(NamedTuple):
 
 # Split search pads a level's nodes, taken in size order, into blocks of at
 # most this many (node x row) entries, so memory stays bounded however
-# unevenly the rows spread over the nodes.  Prediction routes points in
-# tiles of at most this many (tree x point) entries.
+# unevenly the rows spread over the nodes.  Prediction keeps its (tree x
+# point) temporaries within it too: d > 1 routes points in tiles of at most
+# this many entries, and d = 1 cuts sorted points for as many forests at a
+# time as fit (one at the least).
 _LEVEL_BLOCK_ENTRIES = 2 ** 12
 
 
@@ -715,7 +718,7 @@ def _grow_trees(xs: np.ndarray, Y: np.ndarray, seeds, spec: TreeSpec,
 
     feature, threshold, left, right, value, is_leaf, owner = (
         np.concatenate(parts) for parts in zip(*levels))
-    return _Trees(feature, threshold, left, right, value,
+    return _Trees(feature, threshold, left, right, value, owner,
                   np.bincount(owner[is_leaf], minlength=n_groups), len(levels) - 1)
 
 
@@ -770,26 +773,71 @@ def _tree_fits(xs: np.ndarray, Y: np.ndarray, seeds, spec: TreeSpec,
     """One tree (or forest) handle per column of ``Y``, column c fit on
     ``xs[rows[c]]``, all grown together."""
     trees = _grow_trees(xs, Y, seeds, spec, rows)
-    fill = _TreeRows(trees, spec.n_trees, xs.shape[1])
+    steps = _leaf_steps(trees) if xs.shape[1] == 1 else None
+    fill = _TreeRows(trees, steps, spec.n_trees, xs.shape[1])
     leaves = trees.n_leaves.reshape(Y.shape[1], spec.n_trees).sum(axis=1)
     return [_BatchHandle(fill, c, f"tree(depth={spec.max_depth}, trees={spec.n_trees})",
                          {"kind": "tree", "n_leaves": int(leaves[c]), "spec": spec})
             for c in range(Y.shape[1])]
 
 
-class _TreeRows:
-    """The handles of one `_grow_trees` call.  Item c is column c's forest,
-    roots c * n_trees onward; every root asked for is routed at once, and a
-    forest's trees are summed in root order, as one handle alone sums them.
+class _Steps(NamedTuple):
+    """The 1-d trees of one `_grow_trees` call as step functions.
+
+    Tree g's leaves, left to right, are entries start[g]:start[g + 1].  A
+    leaf holds the points above its left neighbour's edge and up to its
+    own, the first leaf every point up to its edge.  The last leaf's edge is
+    NaN, which sorts after every point, NaN included, so the last leaf takes
+    NaN, as routing sends NaN right at every node.
     """
 
-    def __init__(self, trees: _Trees, n_trees: int, d: int):
-        self.trees, self.n_trees, self.d = trees, n_trees, d
+    edge: np.ndarray
+    value: np.ndarray
+    start: np.ndarray   # per tree, and one past the last
+
+
+def _leaf_steps(trees: _Trees) -> _Steps:
+    """Each 1-d tree's leaves in left-to-right order, with their upper edges.
+
+    A left child's upper edge is its parent's threshold, and a right child's
+    is its parent's upper edge (NaN at a root); ``levels`` passes carry the
+    edges down the right children.  A threshold lies strictly inside its
+    node's interval (it falls between two of the node's training points), so
+    a tree's leaves have distinct edges, in the order of the leaves.
+    """
+    ids = np.arange(trees.left.size)
+    inner = np.flatnonzero(trees.left != ids)
+    edge = np.full(ids.size, np.nan)
+    edge[trees.left[inner]] = trees.threshold[inner]
+    for _ in range(trees.levels):
+        edge[trees.right[inner]] = edge[inner]
+    leaf = np.flatnonzero(trees.left == ids)
+    leaf = leaf[np.lexsort((edge[leaf], trees.tree[leaf]))]
+    return _Steps(edge[leaf], trees.value[leaf], np.append(0, np.cumsum(trees.n_leaves)))
+
+
+class _TreeRows:
+    """The handles of one `_grow_trees` call.  Item c is column c's forest,
+    roots c * n_trees onward.  Every root asked for is predicted in one
+    pass, 1-d trees from their `_Steps` and others by routing, and a
+    forest's trees are summed in root order into zeros, as one handle alone
+    sums them.
+    """
+
+    def __init__(self, trees: _Trees, steps: Optional[_Steps], n_trees: int, d: int):
+        self.trees, self.steps, self.n_trees, self.d = trees, steps, n_trees, d
 
     def __call__(self, columns, pts: np.ndarray, out: np.ndarray) -> None:
         _check_dimension(pts, self.d)
-        trees = self.trees
         roots = np.add.outer(np.asarray(columns) * self.n_trees, np.arange(self.n_trees))
+        if self.steps is None:
+            self._route(roots, pts, out)
+        else:
+            self._cut(roots, pts[:, 0], out)
+
+    def _route(self, roots: np.ndarray, pts: np.ndarray, out: np.ndarray) -> None:
+        """Every point down every root, ``levels`` times, in point tiles."""
+        trees = self.trees
         step = max(1, _LEVEL_BLOCK_ENTRIES // roots.size)
         for start in range(0, pts.shape[0], step):
             tile = pts[start:start + step]
@@ -802,6 +850,38 @@ class _TreeRows:
             for t in range(self.n_trees):
                 acc += trees.value[node[:, t]]
             out[:, start:start + step] = acc / self.n_trees
+
+    def _cut(self, roots: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
+        """The points sorted once and cut at every selected tree's leaf
+        edges; each leaf's value repeated over its run of sorted points,
+        for as many forests at a time as the entry budget allows, then put
+        back in point order."""
+        steps, n = self.steps, x.size
+        order = np.argsort(x, kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(n)
+        g = roots.ravel()
+        sizes = steps.start[g + 1] - steps.start[g]
+        ends = np.cumsum(sizes)
+        begins = ends - sizes   # where each tree's leaves start in `leaf`
+        leaf = np.repeat(steps.start[g] - begins, sizes) + np.arange(ends[-1])
+        cuts = np.searchsorted(x[order], steps.edge[leaf], side="right")
+        counts = np.diff(cuts, prepend=0)
+        counts[begins] = cuts[begins]   # each tree's first run starts at point 0
+        values = steps.value[leaf]
+        bounds = np.append(0, ends[self.n_trees - 1::self.n_trees])   # per forest
+        per = max(1, _LEVEL_BLOCK_ENTRIES // max(1, roots.shape[1] * n))
+        for a in range(0, roots.shape[0], per):
+            b = min(a + per, roots.shape[0])
+            runs = np.repeat(values[bounds[a]:bounds[b]], counts[bounds[a]:bounds[b]])
+            runs = runs.reshape(b - a, self.n_trees, n)
+            acc = np.zeros((b - a, n))
+            for t in range(self.n_trees):
+                acc += runs[:, t]
+            acc /= self.n_trees
+            # Every rank is in range; "clip" writes straight into ``out``,
+            # where the default mode would gather into a buffer first.
+            np.take(acc, rank, axis=1, out=out[a:b], mode="clip")
 
 
 def tree_fit(dataset: RegressionDataset, spec: TreeSpec = TreeSpec(), seed: int = 0) -> PredictorHandle:

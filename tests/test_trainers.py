@@ -789,6 +789,110 @@ class TestTree:
             got = trainer.predict_multi(handles, probes)
         np.testing.assert_array_equal(got, want)
 
+    @given(n=st.integers(1, 150), x_levels=st.integers(0, 6), depth=st.integers(1, 6),
+           leaf=st.integers(1, 3), n_trees=st.sampled_from([1, 3]),
+           calls=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+           entries=st.sampled_from([1, 50, 2 ** 12]), seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_one_d_steps_match_recursive_routing(self, n, x_levels, depth, leaf, n_trees,
+                                                 calls, entries, seed):
+        # 1-d handles predict from sorted leaf edges.  The recursive grower's
+        # routing is the reference, bit for bit, on the points routing
+        # treats specially: NaN (right at every node), -inf, +inf, -0.0,
+        # every threshold and its float neighbours, and duplicated training
+        # points.  Each call's first column is 0 but for one -5e-324, too
+        # small to split on, so its trees are one leaf whose value (for
+        # n >= 2) is -0.0, which the sum into zeros turns into 0.0.  Handles
+        # come from several calls, shuffled, and are cut in chunks under an
+        # entry budget of `entries`.
+        rng = np.random.default_rng(seed)
+        xs = (rng.integers(0, x_levels + 2, size=(n, 1)) / (x_levels + 1) if x_levels
+              else rng.uniform(0, 1, size=(n, 1)))
+        spec = TreeSpec(max_depth=depth, min_samples_leaf=leaf, n_trees=n_trees)
+        trainer = tree_trainer(spec)
+        handles, refs, thresholds = [], [], []
+        for cols in calls:
+            Y = rng.normal(size=(n, cols))
+            Y[:, 0] = 0.0
+            Y[0, 0] = -5e-324
+            fitted = trainer.fit_multi(xs, Y, list(range(cols)))
+            trees = fitted[0].fill.trees
+            thresholds.append(trees.threshold[trees.left != np.arange(trees.left.size)])
+            handles += fitted
+            refs += [reference_tree(xs, Y[:, c], spec)[0] for c in range(cols)]
+        assert all(f.fill.steps is not None for f in handles)
+        thr = np.concatenate(thresholds)
+        probes = np.concatenate([xs[:, 0], thr, np.nextafter(thr, -np.inf),
+                                 np.nextafter(thr, np.inf),
+                                 [np.nan, -np.inf, np.inf, -0.0, 0.0, np.nan]])
+        probes = rng.permutation(probes)[:, None]
+        shuffle = rng.permutation(len(handles))
+        handles = [handles[i] for i in shuffle]
+        want = np.stack([refs[i](probes) for i in shuffle])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(trainers, "_LEVEL_BLOCK_ENTRIES", entries)
+            got = trainer.predict_multi(handles, probes)
+            none = trainer.predict_multi(handles, probes[:0])
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert none.shape == (len(handles), 0)
+        assert handles[0].predict(probes[:0]).shape == (0,)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_zero_points_predict_empty_rows(self, d):
+        # Both prediction paths give one empty row per handle on no points.
+        rng = np.random.default_rng(d)
+        trainer = tree_trainer(TreeSpec(max_depth=3, n_trees=3))
+        handles = trainer.fit_multi(rng.uniform(0, 1, size=(40, d)), rng.normal(size=(40, 4)),
+                                    [0, 1, 2, 3])
+        assert (handles[0].fill.steps is None) == (d > 1)
+        assert trainer.predict_multi(handles[::-1], np.empty((0, d))).shape == (4, 0)
+
+    @pytest.mark.parametrize("n_trees", [1, 3])
+    def test_one_d_prediction_memory_bounded(self, n_trees):
+        # Beyond its output, a 1-d prediction holds the points' order, rank
+        # and sorted copy, and per chunk one forest's runs or the entry
+        # budget's worth: well under the output's size, which one (root x
+        # point) temporary alone would reach.
+        rng = np.random.default_rng(n_trees)
+        n, m, cols = 2000, 50, 40
+        xs = rng.uniform(0, 1, size=(n, 1))
+        rows = np.stack([np.sort(rng.choice(n, m, replace=False)) for _ in range(cols)])
+        trainer = tree_trainer(TreeSpec(max_depth=4, n_trees=n_trees))
+        handles = trainer.fit_multi(xs, rng.normal(size=(m, cols)), list(range(cols)), rows)
+        got, peak = traced_peak(trainer.predict_multi, handles, xs)
+        assert peak - got.nbytes < got.nbytes / 2
+
+    @given(n=st.integers(1, 200), x_levels=st.integers(0, 6), depth=st.integers(1, 8),
+           leaf=st.integers(1, 3), cols=st.integers(1, 3), seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_one_d_thresholds_lie_inside_their_node(self, n, x_levels, depth, leaf, cols, seed):
+        # The invariant the 1-d path rests on: every threshold lies strictly
+        # inside its node's (lo, hi] interval, so each tree's leaves tile the
+        # line in order.  Walked recursively from the flat node arrays, the
+        # leaves and their upper edges are the ones `_leaf_steps` lists, and
+        # the edges increase, the last one NaN.
+        rng = np.random.default_rng(seed)
+        xs = (rng.integers(0, x_levels + 2, size=(n, 1)) / (x_levels + 1) if x_levels
+              else rng.uniform(0, 1, size=(n, 1)))
+        fill = tree_trainer(TreeSpec(max_depth=depth, min_samples_leaf=leaf)).fit_multi(
+            xs, rng.normal(size=(n, cols)), list(range(cols)))[0].fill
+        trees, steps = fill.trees, fill.steps
+
+        def walk(node, lo, hi):
+            if trees.left[node] == node:
+                return [(trees.value[node], hi)]
+            thr = trees.threshold[node]
+            assert trees.feature[node] == 0 and lo < thr < hi
+            return walk(trees.left[node], lo, thr) + walk(trees.right[node], thr, hi)
+
+        for g in range(cols):
+            leaves = walk(g, -np.inf, np.inf)
+            edges = steps.edge[steps.start[g]:steps.start[g + 1]]
+            np.testing.assert_array_equal(steps.value[steps.start[g]:steps.start[g + 1]],
+                                          [value for value, _ in leaves])
+            np.testing.assert_array_equal(edges[:-1], [hi for _, hi in leaves[:-1]])
+            assert np.all(np.diff(edges[:-1]) > 0) and np.isnan(edges[-1])
+
     def test_size_blocks_respect_budget(self, monkeypatch):
         monkeypatch.setattr(trainers, "_LEVEL_BLOCK_ENTRIES", 100)
         sizes = np.array([40, 3, 60, 3, 200, 10, 10, 3])
