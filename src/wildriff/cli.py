@@ -114,10 +114,9 @@ class RunConfig:
         evaluation = _parse("evaluation", dict, raw.get("evaluation", {}))
         evaluation["seed"] = seed
 
-        formats = _parse("formats", list, formats_override or raw.get("formats", ["csv", "json"]))
-        bad = set(formats) - {"csv", "json"}
-        if bad:
-            raise ConfigError(f"unknown output formats: {sorted(bad)}")
+        formats = formats_override or raw.get("formats", ["csv", "json"])
+        if not (isinstance(formats, list) and formats) or set(map(str, formats)) - {"csv", "json"}:
+            raise ConfigError(f"formats: need a non-empty list of csv and json, got {formats!r}")
 
         n_mc = _parse("oracle.n_mc", lambda o: _integer(o.get("n_mc", 10000)),
                       raw.get("oracle", {}))

@@ -503,11 +503,9 @@ def _linear_scales(state, dataset, trainer, subs, grid, seed, fstar_vals):
     breve and b the fit of eps * v on the subsample (and a - rho * b in the
     minus direction), so one `fit_multi` call fits a and b for every
     subsample, all columns of a subsample on one seed.  The full data see
-    each a and b once, right after the fit, while a trainer that keeps its
-    last full-data work (as `fourier_ridge` does) still holds it: every
-    scale's candidate block is affine in rho over their moments.  Each
-    subsample's rounds then predict a and b on it in one call and score
-    the refits' values there as `_refit_scores` does.
+    each a and b once: every scale's candidate block is affine in rho over
+    their moments.  Each subsample's rounds then predict a and b on it in
+    one call and score the refits' values there as `_refit_scores` does.
     """
     idx = np.stack([sub.indices for sub in subs])
     responses = np.empty((idx.shape[1], 2 * len(subs)))

@@ -94,13 +94,17 @@ def _permutation_batch(n: int, m: int, count: int, rng: np.random.Generator) -> 
         for t, j in enumerate(targets[:, 0].tolist()):
             moved[t], moved[j] = moved.get(j, j), moved.get(t, t)
         return np.array([sorted(moved[t] for t in range(m))], dtype=np.int64)
-    arr = np.tile(np.arange(n, dtype=np.int64), (count, 1))
-    rows = np.arange(count)
-    for t, j in enumerate(targets):
-        picked = arr[rows, j].copy()
-        arr[rows, j] = arr[:, t]
-        arr[:, t] = picked
-    return np.sort(arr[:, :m], axis=1)
+    out = np.empty((count, m), dtype=np.int64)
+    step = max(1, _PERMUTATION_BLOCK_ENTRIES // n)   # draws whose n slots swap at once
+    for lo in range(0, count, step):
+        arr = np.tile(np.arange(n, dtype=np.int64), (min(step, count - lo), 1))
+        rows = np.arange(arr.shape[0])
+        for t, j in enumerate(targets[:, lo:lo + step]):
+            picked = arr[rows, j].copy()
+            arr[rows, j] = arr[:, t]
+            arr[:, t] = picked
+        out[lo:lo + step] = np.sort(arr[:, :m], axis=1)
+    return out
 
 
 def _hashset_batch(n: int, m: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -159,6 +163,7 @@ def reservoir_sample(stream: Iterable[int], m: int,
 
 
 _BATCH_CHUNK = 200_000   # most draws per kernel call in `srswor_batch`, to bound memory
+_PERMUTATION_BLOCK_ENTRIES = 2 ** 16   # most slots `_permutation_batch` swaps at once
 
 
 def srswor_batch(n: int, m: int, strategy: str, seed: Union[int, np.random.Generator],

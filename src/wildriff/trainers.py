@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import weakref
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional
 
@@ -75,12 +76,13 @@ class _BatchHandle(PredictorHandle):
     together: ``fill(items, xs, out)`` writes the predictions on ``xs`` of
     the handles holding ``items`` into the rows of ``out``.  `predict` is its
     one-handle case, so a handle has one prediction path, alone or batched.
-    """
+    ``keep`` is held only to keep it alive (`_fourier_fits`)."""
 
-    def __init__(self, fill, item, name: str, meta: dict):
+    def __init__(self, fill, item, name: str, meta: dict, keep=None):
         super().__init__(functools.partial(_predict_alone, fill, item), name, meta)
         self.fill = fill
         self.item = item
+        self.keep = keep
 
 
 def _predict_alone(fill, item, xs: np.ndarray) -> np.ndarray:
@@ -176,39 +178,51 @@ def _half_space_frequencies(N: int, d: int) -> np.ndarray:
     return freqs
 
 
-# The last features built: (builder, its parameter, copy of xs, features),
-# the explicit design on the primal path and the per-coordinate Dirichlet
-# features on the kernel path.  Every candidate block of a report is
-# predicted on the same full-data covariates, so all but the first reuse
-# them.  Keyed by values, so no caller needs to keep or freeze an array.
-_design_memo = None
+# The feature memo: entries (builder, its parameter, copy of xs, features),
+# keyed by values.  Only `_fourier_multi` writes the fit entry, and fits
+# gather their rows from it; it refers to its features weakly, as the
+# handles fit on all of its points keep them, and goes with the last of
+# those.  Predictions read it, or else the prediction entry of their own.
+_fit_entry = None
+_predict_entry = None
 
 
-def _memo_lookup(build, param, xs: np.ndarray) -> Optional[np.ndarray]:
-    """The memo's ``build(xs, param)``: its result when it was last built
-    with the same builder, the same parameter object and equal covariates,
-    and None otherwise."""
-    entry = _design_memo
-    if (entry is not None and entry[0] is build and entry[1] is param
-            and np.array_equal(entry[2], xs)):
-        return entry[3]
-    return None
+def _holds(entry, build, param, xs: np.ndarray) -> bool:
+    return (entry is not None and entry[0] is build and entry[1] is param
+            and np.array_equal(entry[2], xs))
 
 
-def _memoized(build, param, xs: np.ndarray) -> np.ndarray:
-    """``build(xs, param)``, read-only.
-
-    The last result is kept; a call that `_memo_lookup` finds returns it,
-    and any other call replaces it.
-    """
-    global _design_memo
-    features = _memo_lookup(build, param, xs)
-    if features is not None:
-        return features
+def _built(build, param, xs: np.ndarray) -> np.ndarray:
     features = build(xs, param)
     features.setflags(write=False)
-    _design_memo = (build, param, xs.copy(), features)
     return features
+
+
+def _release_fit_entry(ref) -> None:
+    global _fit_entry
+    _fit_entry = None if _fit_entry is not None and _fit_entry[3] is ref else _fit_entry
+
+
+def _fit_features(build, param, xs: np.ndarray) -> np.ndarray:
+    """``build(xs, param)``, read-only: the fit entry's."""
+    global _fit_entry
+    if _holds(_fit_entry, build, param, xs):
+        return _fit_entry[3]()
+    _fit_entry = None
+    features = _built(build, param, xs)
+    _fit_entry = (build, param, xs.copy(), weakref.ref(features, _release_fit_entry))
+    return features
+
+
+def _predict_features(build, param, xs: np.ndarray) -> np.ndarray:
+    """``build(xs, param)``, read-only: the fit entry's, else the prediction entry's."""
+    global _predict_entry
+    if _holds(_fit_entry, build, param, xs):
+        return _fit_entry[3]()
+    if not _holds(_predict_entry, build, param, xs):
+        _predict_entry = None
+        _predict_entry = (build, param, xs.copy(), _built(build, param, xs))
+    return _predict_entry[3]
 
 
 def _build_design(xs: np.ndarray, freqs: np.ndarray) -> np.ndarray:
@@ -267,44 +281,28 @@ def _dirichlet_kernel(psi_a: np.ndarray, psi_b: np.ndarray,
     return out
 
 
-def _dual(spec: FourierRidgeSpec, n: int, d: int) -> bool:
-    """Whether a fit on n points of dimension d solves the kernel system."""
-    return spec.lam > 0 and spec.feature_count(d) > n
-
-
-def _fourier_fits(xs: np.ndarray, Y: np.ndarray, spec: FourierRidgeSpec,
-                  design: Optional[np.ndarray] = None) -> List[PredictorHandle]:
-    """`fourier_ridge_fit` on every column of ``Y``, all solved against one
-    factorization; one handle per column.  ``design``, when given, is the
-    explicit design of ``xs``, which is then not built.
-
-    The kernel is built once: after the solve its diagonal is restored and
-    it gives the fitted values, which a prediction on the training points
-    returns.  Explicit-design handles predict together with every handle on
-    the same frequency table (`_PrimalRows`); kernel-path handles with the
-    others of this call (`_KernelRows`).
+def _fourier_fits(xs: np.ndarray, features: np.ndarray, Y: np.ndarray, spec: FourierRidgeSpec,
+                  whole: bool) -> List[PredictorHandle]:
+    """`fourier_ridge_fit` on every column of ``Y`` against one factorization,
+    from the ``features`` of the points ``xs``: their design, or their
+    (d, n, 2N+1) Dirichlet features on the kernel path, which builds its
+    kernel once and keeps the fitted values for predictions on ``xs``.  One
+    handle per column; when ``whole``, the handles keep ``features`` alive.
     """
     n, d = xs.shape
-    p = spec.feature_count(d)
-    dual = _dual(spec, n, d)
-    if not dual and p > spec.max_features:
-        raise TrainerError(f"feature count {p} exceeds cap {spec.max_features}")
-    freqs = None if dual else _half_space_frequencies(spec.N, d)
+    dual = features.ndim == 3
     try:
         if dual:
-            psi = _dirichlet_features(xs, spec.N)
-            kernel = _dirichlet_kernel(psi, psi)
+            kernel = _dirichlet_kernel(features, features)
             diagonal = kernel.diagonal().copy()
             kernel[np.diag_indices(n)] += n * spec.lam
             coef = np.linalg.solve(kernel, Y)
             kernel[np.diag_indices(n)] = diagonal
+        elif spec.lam > 0:
+            gram = features.T @ features / n + spec.lam * np.eye(features.shape[1])
+            coef = np.linalg.solve(gram, features.T @ Y / n)
         else:
-            phi = _memoized(_build_design, freqs, xs) if design is None else design
-            if spec.lam > 0:
-                gram = phi.T @ phi / n + spec.lam * np.eye(p)
-                coef = np.linalg.solve(gram, phi.T @ Y / n)
-            else:
-                coef = np.linalg.lstsq(phi, Y, rcond=None)[0]
+            coef = np.linalg.lstsq(features, Y, rcond=None)[0]
     except np.linalg.LinAlgError as exc:
         raise IllConditionedError(f"ridge system singular: {exc}") from exc
     if not np.all(np.isfinite(coef)):
@@ -312,54 +310,55 @@ def _fourier_fits(xs: np.ndarray, Y: np.ndarray, spec: FourierRidgeSpec,
     # One contiguous row per column, and on the kernel path its fitted values.
     coefs = np.ascontiguousarray(coef.T)
     if dual:
-        fill = _KernelRows(xs.copy(), psi, coefs, np.ascontiguousarray((kernel @ coef).T),
-                           spec.N)
+        fill = _KernelRows(xs, features, coefs, np.ascontiguousarray((kernel @ coef).T), spec.N)
+        solutions = [{"dual_coefficients": row} for row in coefs]
     else:
         fill = _PrimalRows(spec.N, d)
-
-    def meta(c: int) -> dict:
-        solution = ({"dual_coefficients": coefs[c]} if dual
-                    else {"coefficients": coefs[c], "frequencies": freqs})
-        return {"kind": "fourier_ridge", **solution, "lam": spec.lam, "N": spec.N}
-
-    return [_BatchHandle(fill, c if dual else coefs[c],
-                         f"fourier_ridge(N={spec.N}, lam={spec.lam:g})", meta(c))
-            for c in range(Y.shape[1])]
+        freqs = _half_space_frequencies(spec.N, d)
+        solutions = [{"coefficients": row, "frequencies": freqs} for row in coefs]
+    name = f"fourier_ridge(N={spec.N}, lam={spec.lam:g})"
+    return [_BatchHandle(fill, c if dual else coefs[c], name,
+                         {"kind": "fourier_ridge", **solution, "lam": spec.lam, "N": spec.N},
+                         features if whole else None)
+            for c, solution in enumerate(solutions)]
 
 
 def _fourier_multi(xs: np.ndarray, Y: np.ndarray, rows: np.ndarray,
                    spec: FourierRidgeSpec) -> List[PredictorHandle]:
     """`_fourier_fits` once per run of consecutive columns of ``Y`` that
-    share their rows of ``xs``.
-
-    When the memo holds the explicit design of all of ``xs``, as it does
-    after the warm-up, each run's design is gathered from its rows.
-    Otherwise each run builds its own: building the full design here would
-    evict the memo's, which a tuned search's next step on the same
-    subsample reuses.
-    """
-    d = xs.shape[1]
-    full = None
-    if not _dual(spec, rows.shape[1], d) and spec.feature_count(d) <= spec.max_features:
-        full = _memo_lookup(_build_design, _half_space_frequencies(spec.N, d), xs)
+    share their rows of ``xs``, on those rows of the features of all of
+    ``xs`` (`_fit_features`); a run on all of ``xs`` in order (the warm-up)
+    takes them whole.  The kernel path is taken when lam > 0 and p > m."""
+    n, d = xs.shape
+    p = spec.feature_count(d)
+    if spec.lam > 0 and p > rows.shape[1]:
+        full, axis = _fit_features(_dirichlet_features, spec.N, xs), 1
+    elif p > spec.max_features:
+        raise TrainerError(f"feature count {p} exceeds cap {spec.max_features}")
+    else:
+        full, axis = _fit_features(_build_design, _half_space_frequencies(spec.N, d), xs), 0
     cuts = [0, *(np.flatnonzero((rows[1:] != rows[:-1]).any(axis=1)) + 1), len(rows)]
-    return [f for lo, hi in zip(cuts[:-1], cuts[1:])
-            for f in _fourier_fits(xs[rows[lo]], np.ascontiguousarray(Y[:, lo:hi]), spec,
-                                   None if full is None else full[rows[lo]])]
+    fits = []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        at = rows[lo]
+        whole = at.size == n and np.array_equal(at, np.arange(n))
+        fits += _fourier_fits(xs[at], full if whole else np.take(full, at, axis=axis),
+                              np.ascontiguousarray(Y[:, lo:hi]), spec, whole)
+    return fits
 
 
 @dataclass(frozen=True)
 class _PrimalRows:
     """Explicit-design handles on the (N, d) frequency table.  An item is a
-    coefficient row; one tiled product against the memoized design predicts
-    every handle asked for."""
+    coefficient row; one tiled product against the design of the points
+    predicts every handle asked for."""
 
     N: int
     d: int
 
     def __call__(self, coefs, xs: np.ndarray, out: np.ndarray) -> None:
         _check_dimension(xs, self.d)
-        design = _memoized(_build_design, _half_space_frequencies(self.N, self.d), xs)
+        design = _predict_features(_build_design, _half_space_frequencies(self.N, self.d), xs)
         _tiled_product(np.stack(coefs), design, out)
 
 
@@ -378,7 +377,7 @@ class _KernelRows:
         if np.array_equal(pts, self.xs):
             out[:] = self.fitted[columns]
         else:
-            features = _memoized(_dirichlet_features, self.N, pts)
+            features = _predict_features(_dirichlet_features, self.N, pts)
             out[:] = _dirichlet_kernel(features, self.psi, self.coefs[columns].T).T
 
 
@@ -386,15 +385,14 @@ def fourier_ridge_fit(dataset: RegressionDataset, spec: FourierRidgeSpec = Fouri
                       seed: int = 0) -> PredictorHandle:
     """Exact penalized least-squares fit over trigonometric polynomials.
 
-    With lam > 0 it solves the p x p normal equations when the feature
-    count p is at most n, and the equal n x n kernel system when p > n;
-    that handle carries ``dual_coefficients`` in place of ``coefficients``
-    and ``frequencies``.  With lam = 0 it takes the minimum-norm
-    least-squares solution on the explicit design.  The seed is accepted
-    for interface uniformity; the solution is a pure function of the
-    dataset and spec.
+    With lam > 0 it solves the p x p normal equations when p <= n, and the
+    equal n x n kernel system when p > n, whose handle carries
+    ``dual_coefficients`` in place of ``coefficients`` and ``frequencies``.
+    With lam = 0 it takes the minimum-norm least-squares solution on the
+    explicit design.  The seed is ignored: the solution is a pure function
+    of the dataset and spec.
     """
-    return _fourier_fits(dataset.xs, dataset.ys[:, None], spec)[0]
+    return _fourier_multi(dataset.xs, dataset.ys[:, None], np.arange(dataset.n)[None], spec)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -369,6 +369,25 @@ class TestMain:
     def test_verify_subcommand(self, tmp_path):
         assert main(["verify", "--suite", "unbias", "--out", str(tmp_path)]) == 0
 
+    @pytest.mark.parametrize("fmt,files", [
+        ("csv", ["rounds.csv"]),
+        ("json", ["oracle.json", "summary.json"]),
+        ("csv,json", ["oracle.json", "rounds.csv", "summary.json"]),
+    ])
+    def test_format_flag_writes_only_its_files(self, tmp_path, fmt, files):
+        cfg = write_config(tmp_path)
+        assert main(["evaluate", "--config", str(cfg), "--format", fmt]) == 0
+        assert sorted(f.name for f in (tmp_path / "out").iterdir()) == files
+
+    @pytest.mark.parametrize("formats", [[], "csv", ["xml"], ["csv", 1]],
+                             ids=["empty", "string", "unknown", "not_a_name"])
+    def test_bad_formats_exit_2(self, tmp_path, capsys, formats):
+        # Nothing is written, not even the output directory.
+        cfg = write_config(tmp_path, formats=formats)
+        assert main(["evaluate", "--config", str(cfg)]) == 2
+        assert "formats" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_seed_flag_changes_outputs(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["evaluate", "--config", str(cfg), "--seed", "7"]) == 0

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -133,6 +135,32 @@ class TestPermutationKernel:
             got = srswor_batch(n, m, "permutation", np.random.default_rng(seed), count)
             want = per_step_permutation(n, m, count, np.random.default_rng(seed))
             np.testing.assert_array_equal(got, want)
+
+    # SHA-256 of the int64 rows that drawing all of a chunk's swaps at once
+    # gave; (5000, 7, 40) spans four blocks of swaps, (20000, 10, 100) 34.
+    RECORDED = {
+        (5000, 7, 40, 3): "cbc38e0e82e5b146890af3097ff951ebd6b7615a1c0e7cac772f47afa4955701",
+        (20000, 10, 100, 0): "164e9869f77cfc049497f943f4d5c1d4abd97ab8166c4c9b38bf6189c36ff3cc",
+        (500, 40, 333, 2): "17ef1990fddb206a50b8cca5a0490be52c832c5a38400e4b20a0f119cdc8719c",
+    }
+
+    @pytest.mark.parametrize("n,m,count,seed", sorted(RECORDED))
+    def test_blocked_swaps_match_recorded_rows(self, n, m, count, seed):
+        assert count > sampling._PERMUTATION_BLOCK_ENTRIES // n
+        rows = srswor_batch(n, m, "permutation", seed, count)
+        assert rows.dtype == np.int64 and rows.shape == (count, m)
+        assert hashlib.sha256(rows.tobytes()).hexdigest() == self.RECORDED[(n, m, count, seed)]
+
+    def test_blocked_swaps_bound_memory(self):
+        # Swapping all 100 draws' 20,000 slots at once peaked at 16.2 MB.
+        srswor_batch(50, 7, "permutation", 0, 4)   # numpy's one-time set-up
+        tracemalloc.start()
+        try:
+            srswor_batch(20_000, 10, "permutation", 0, 100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 8 * sampling._PERMUTATION_BLOCK_ENTRIES
 
 
 class TestReservoirStream:

@@ -19,7 +19,7 @@ from wildriff.trainers import (
     _dirichlet_features,
     _dirichlet_kernel,
     _half_space_frequencies,
-    _memoized,
+    _predict_features,
     fourier_ridge_fit,
     fourier_ridge_trainer,
     make_trainer,
@@ -37,6 +37,12 @@ def traced_peak(fn, *args):
         return out, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def clear_memo(monkeypatch):
+    """Empty both entries of the fourier_ridge feature memo."""
+    monkeypatch.setattr(trainers, "_fit_entry", None)
+    monkeypatch.setattr(trainers, "_predict_entry", None)
 
 
 def untiled_kernel(psi_a, psi_b):
@@ -353,10 +359,10 @@ class TestFourierRidge:
     def test_kernel_path_builds_once_per_report(self, monkeypatch):
         # The warm-up builds the n x n training kernel once, for its fit;
         # its prediction on the training points reads the fitted values.
-        # The full-data features are built for the warm-up fit and once for
-        # the candidates: refits predict on the full data or on their own
-        # training points, which read their fitted values, so tuned mode's
-        # second candidate block finds the features still in the memo.
+        # The full-data features are built once, for the warm-up fit: every
+        # refit gathers its rows from them, and refits predict on the full
+        # data, which reads them, or on their own training points, which
+        # reads their fitted values.
         ds, _ = generate(ExperimentSpec(id="exp3", n=200, seed=6))
         kernels, features = [], []
         kernel, feature = trainers._dirichlet_kernel, trainers._dirichlet_features
@@ -376,14 +382,16 @@ class TestFourierRidge:
         def count_builds(cfg):
             kernels.clear()
             features.clear()
-            monkeypatch.setattr(trainers, "_design_memo", None)
+            clear_memo(monkeypatch)
             evaluate(ds, trainer, cfg)
-            return kernels.count((ds.n, ds.n)), features.count(ds.n)
+            return kernels.count((ds.n, ds.n)), features.count(ds.n), len(features)
 
         cfg = EvaluationConfig(K=3, rho_grid=(0.5, 1.0), seed=6)
-        assert count_builds(cfg) == (1, 2)
+        assert count_builds(cfg) == (1, 1, 1)
+        trainer = dataclasses.replace(trainer, linear_smoother=False)
+        assert count_builds(cfg) == (1, 1, 1)
         cfg = EvaluationConfig(K=4, K1=2, rho_mode="tuned", seed=6)
-        assert count_builds(cfg) == (1, 2)
+        assert count_builds(cfg) == (1, 1, 1)
 
     def test_kernel_path_evaluate_memory(self):
         # The warm-up's n x n kernel is the one full-size object: the solve
@@ -414,10 +422,15 @@ class TestFourierRidge:
         residual = np.max(np.abs(f.predict(ds.xs) - ds.ys))
         assert residual <= 1e-10 * np.max(np.abs(ds.ys))
 
-    def test_feature_cap(self):
-        # The cap guards the explicit design, which lam = 0 still builds.
+    def test_feature_cap(self, monkeypatch):
+        # The cap guards the explicit design, which lam = 0 still builds; it
+        # raises before the design is built.
+        def no_design(xs, freqs):
+            raise AssertionError("design built past the feature cap")
+
+        monkeypatch.setattr(trainers, "_build_design", no_design)
         ds = uniform_dataset(10, d=5)
-        with pytest.raises(TrainerError):
+        with pytest.raises(TrainerError, match="exceeds cap 1000"):
             fourier_ridge_fit(ds, FourierRidgeSpec(N=8, lam=0.0, max_features=1000))
 
     def test_half_space_frequency_count(self):
@@ -438,23 +451,31 @@ class TestFourierRidge:
         np.testing.assert_array_equal(hit, fresh)
         np.testing.assert_array_equal(again, fresh)
 
-    def test_design_memo_keyed_by_values(self):
+    def test_design_memo_keyed_by_values(self, monkeypatch):
+        # Both entries: a fit on all of xs fills the fit entry, which
+        # predictions on xs read; other points fill the prediction entry.
+        clear_memo(monkeypatch)
         xs = np.random.default_rng(3).uniform(0, 1, size=(50, 1))
         freqs = _half_space_frequencies(4, 1)
-        design = _memoized(_build_design, freqs, xs)
-        assert not design.flags.writeable
-        frozen = np.array(xs)
-        frozen.setflags(write=False)
-        # Distinct arrays with equal values, writeable or not, share the design.
-        assert _memoized(_build_design, freqs, np.array(xs)) is design
-        assert _memoized(_build_design, freqs, frozen) is design
-        np.testing.assert_array_equal(design, _build_design(xs, freqs))
-        changed = np.array(xs)
-        changed[7, 0] = 0.5
-        miss = _memoized(_build_design, freqs, changed)
-        assert miss is not design
-        np.testing.assert_array_equal(miss, _build_design(changed, freqs))
-        assert _memoized(_build_design, freqs, xs[:-1]) is not miss
+        owner = fourier_ridge_fit(RegressionDataset(xs, xs[:, 0]), FourierRidgeSpec(N=4))
+        for pts in (xs, xs[::-1].copy()):
+            design = _predict_features(_build_design, freqs, pts)
+            assert (design is owner.keep) == (pts is xs)
+            assert not design.flags.writeable
+            frozen = np.array(pts)
+            frozen.setflags(write=False)
+            # Distinct arrays with equal values, writeable or not, share the design.
+            assert _predict_features(_build_design, freqs, np.array(pts)) is design
+            assert _predict_features(_build_design, freqs, frozen) is design
+            np.testing.assert_array_equal(design, _build_design(pts, freqs))
+            changed = np.array(pts)
+            changed[7, 0] = 0.5
+            miss = _predict_features(_build_design, freqs, changed)
+            assert miss is not design
+            np.testing.assert_array_equal(miss, _build_design(changed, freqs))
+            assert _predict_features(_build_design, freqs, pts[:-1]) is not miss
+            # A prediction's miss replaces the prediction entry only.
+            assert (_predict_features(_build_design, freqs, pts) is design) == (pts is xs)
 
     def test_design_memo_sees_rewritten_frozen_array(self):
         xs = np.random.default_rng(4).uniform(0, 1, size=(40, 1))
@@ -468,6 +489,58 @@ class TestFourierRidge:
         after = f.predict(xs)
         np.testing.assert_array_equal(after, f.predict(np.array(xs)))
         assert not np.array_equal(after, before)
+
+    @pytest.mark.parametrize("d,N,name", [(1, 4, "_build_design"), (2, 4, "_dirichlet_features")],
+                             ids=["primal", "kernel"])
+    def test_full_data_features_built_once_in_any_order(self, monkeypatch, d, N, name):
+        # Fits write the memo and predictions only read it: a fit on all of
+        # xs, a prediction elsewhere, a prediction on xs and a fit on rows
+        # of xs build the features of all of xs once, while the first
+        # fit's handles live.
+        clear_memo(monkeypatch)
+        n, m = 40, 8
+        rng = np.random.default_rng(d)
+        xs = rng.uniform(0, 1, size=(n, d))
+        builds, build = [], getattr(trainers, name)
+        monkeypatch.setattr(trainers, name,
+                            lambda pts, param: builds.append(len(pts)) or build(pts, param))
+        trainer = fourier_ridge_trainer(FourierRidgeSpec(N=N, lam=1e-3))
+        owner = trainer.fit_multi(xs, rng.normal(size=(n, 2)), [0, 1])
+        assert ("dual_coefficients" in owner[0].meta) == (name == "_dirichlet_features")
+        rows = np.stack([rng.choice(n, size=m, replace=False) for _ in range(3)])
+        trainer.predict_multi(owner, xs[rows[0]])
+        trainer.predict_multi(owner, np.array(xs))
+        trainer.fit_multi(xs, rng.normal(size=(m, 3)), [0, 1, 2], rows)
+        assert builds.count(n) == 1
+
+    @pytest.mark.parametrize("d,N,n", [(1, 8, 4000), (2, 16, 400)], ids=["primal", "kernel"])
+    def test_full_data_features_freed_with_their_handles(self, monkeypatch, d, N, n):
+        # The memo refers to the features of all of xs only through the
+        # handles fit on all of xs: deleting the last of them frees the
+        # features, whatever was fit or predicted on rows of xs meanwhile.
+        clear_memo(monkeypatch)
+        m = 60
+        rng = np.random.default_rng(d)
+        xs = rng.uniform(0, 1, size=(n, d))
+        trainer = fourier_ridge_trainer(FourierRidgeSpec(N=N))
+        tracemalloc.start()
+        try:
+            owner = trainer.fit_multi(xs, rng.normal(size=(n, 1)), [0])
+            size = owner[0].keep.nbytes   # the design, or the Dirichlet features
+            rows = np.stack([rng.choice(n, size=m, replace=False) for _ in range(2)])
+            refits = trainer.fit_multi(xs, rng.normal(size=(m, 2)), [0, 1], rows)
+            trainer.predict_multi(owner + refits, xs)
+            trainer.predict_multi(refits, xs[rows[0]])
+            assert trainers._fit_entry[3]() is owner[0].keep
+            held = tracemalloc.get_traced_memory()[0]
+            del owner
+            freed = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert ("dual_coefficients" in refits[0].meta) == (d == 2)
+        assert trainers._fit_entry is None
+        assert len(trainers._predict_entry[2]) == m
+        assert size >= n * 17 * 8 and freed >= size
 
     def test_full_data_design_built_once_per_report(self, monkeypatch):
         ds, _ = generate(ExperimentSpec(id="exp1", n=300, seed=5))
@@ -483,28 +556,21 @@ class TestFourierRidge:
 
         def count_builds(cfg):
             builds.clear()
-            monkeypatch.setattr(trainers, "_design_memo", None)
+            clear_memo(monkeypatch)
             evaluate(ds, trainer, cfg)
             return builds.count(ds.n), len(builds)
 
-        # One build per run of work on one covariate block: the warm-up fit
-        # and its prediction share one.  Every subsample is fit, in one
-        # call, before any is scored, with its design rows gathered from
-        # the warm-up's; scoring each subsample's refits takes one build.
-        # Fixed-grid: the linear-smoother path predicts its refit pairs on
-        # the full data before any subsample, still on the warm-up's build;
-        # refitting at every scale, the full-data candidates share one more.
+        # The warm-up fit builds the full design, which lives as long as its
+        # handle: every refit gathers its rows from it, and every prediction
+        # on the full data reads it, whatever the order of the calls.  Each
+        # subsample's refits are scored on one more build, which a tuned
+        # search's steps on that subsample share.
         cfg = EvaluationConfig(K=30, rho_grid=(0.1, 0.5, 1.0, 2.0, 5.0), seed=5)
         assert count_builds(cfg) == (1, cfg.K + 1)
         trainer = dataclasses.replace(trainer, linear_smoother=False)
-        assert count_builds(cfg) == (2, cfg.K + 2)
-        # Tuned: the K1 radius rounds as fixed-grid; each tuning step's fit
-        # and scoring share a build with the search's other steps, and no
-        # step builds the full design.  The warm-up rounds' candidates and
-        # the tuned rounds' candidates are predicted apart, with tuning
-        # fits in between.
+        assert count_builds(cfg) == (1, cfg.K + 1)
         cfg = EvaluationConfig(K=12, K1=4, rho_mode="tuned", seed=5)
-        assert count_builds(cfg) == (3, cfg.K + 3)
+        assert count_builds(cfg) == (1, cfg.K + 1)
 
     @pytest.mark.parametrize("d,N,lam,key", [
         (1, 4, 1e-6, "coefficients"),      # p = 9 <= n: the p x p normal equations
@@ -549,9 +615,10 @@ class TestFourierRidge:
         # Columns that share their rows are solved together, as one call on
         # their points solves them; every handle and its predictions match
         # bit for bit, on the training points (fitted values, kernel path)
-        # and off them.  That holds whether each subsample's design is
-        # built or, when the memo holds the design of all the points,
-        # gathered from its rows.
+        # and off them, though the call gathers each subsample's features
+        # from those of all the points where the call on its points builds
+        # them.  While a handle fit on all the points lives, the call
+        # builds nothing.
         rng = np.random.default_rng(N + d - 1)
         n, K, cols = 50, 4, 3
         xs = rng.uniform(0, 1, size=(n, d))
@@ -563,13 +630,13 @@ class TestFourierRidge:
         meta = trainer.fit_multi(xs, Y, list(range(K * cols)), rows)[0].meta
         assert ("dual_coefficients" in meta) == (N == 6)
         if N == 6:
-            return   # the kernel path builds no design
+            return   # a fit on all n points takes the design, not the kernel
         builds, build = [], trainers._build_design
         monkeypatch.setattr(trainers, "_build_design",
                             lambda pts, freqs: builds.append(len(pts)) or build(pts, freqs))
-        _memoized(trainers._build_design, _half_space_frequencies(N, d), xs)
+        owner = trainer.fit_multi(xs, np.zeros((n, 1)), [0])
         trainer.fit_multi(xs, Y, list(range(K * cols)), rows)
-        assert builds == [n]
+        assert builds == [n] and owner
         assert_rows_fit_matches_per_subsample_fits(trainer, xs, Y, rows, subs, probes, cols)
 
     @pytest.mark.parametrize("d,N,lam,key", [
@@ -578,13 +645,16 @@ class TestFourierRidge:
         (2, 4, 1e-3, "dual_coefficients"),  # p = 81 > n: the kernel system
         (2, 4, 0.0, "coefficients"),        # lam = 0: least squares
     ], ids=["primal", "primal-3d", "kernel", "lstsq"])
-    @given(alpha=st.floats(-10, 10), beta=st.floats(-10, 10),
+    @given(alpha=st.floats(-10, 10, allow_subnormal=False),
+           beta=st.floats(-10, 10, allow_subnormal=False),
            seeds=st.lists(st.integers(0, 2**32), min_size=6, max_size=6))
     @settings(max_examples=25, deadline=None)
     def test_fit_multi_is_a_linear_smoother(self, d, N, lam, key, alpha, beta, seeds):
         # What `linear_smoother` declares: a column's fit is linear in its
         # responses, to 1e-10 of the terms' size, and does not depend on
-        # its seed, bit for bit.
+        # its seed, bit for bit.  Subnormal weights are left out: their
+        # predictions carry absolute rounding of about 1e-323, more than
+        # 1e-10 of terms that small.
         n = 40
         rng = np.random.default_rng(d + N)
         xs = rng.uniform(0, 1, size=(n, d))
@@ -953,7 +1023,7 @@ class TestBatchedPrediction:
         monkeypatch.setattr(np, "matmul", recording)
         for group, expected in zip((primal, kernel), want):
             products.clear()
-            monkeypatch.setattr(trainers, "_design_memo", None)
+            clear_memo(monkeypatch)
             got = trainer.predict_multi(group, probes)
             assert len(products) > 10 and max(products) <= budget
             assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))

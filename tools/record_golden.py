@@ -1,9 +1,11 @@
 """Record the goldens that tests/test_golden.py compares evaluations against.
 
-    python3 tools/record_golden.py             # writes tests/golden_trees.json
+    python3 tools/record_golden.py                 # every trainer's golden file
+    python3 tools/record_golden.py fourier_ridge   # tests/golden_fourier_ridge.json only
 
-Runs every cell of `CELLS` with the wildriff sources of the checkout this
-file sits in, and writes each cell's inputs together with its outputs:
+Runs every cell of a trainer's `GOLDENS` entry with the wildriff sources of
+the checkout this file sits in, and writes each cell's inputs together with
+its outputs:
 every report field, every round's noise scales, optimism and norms, and a
 SHA-256 of the rounds' subsample indices.  Floats are stored as
 `float.hex`, so the test compares them exactly.  Re-recording is an intended
@@ -17,9 +19,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-GOLDEN_FILE = ROOT / "tests" / "golden_trees.json"
 
-CELLS = [
+TREE_CELLS = [
     # The tree_step sweep cell (exp2, depth 4, its K, beta and grid) at smaller n.
     {"name": "fixed-grid-exp2-depth4", "experiment": "exp2", "n": 400, "seed": 3,
      "trainer": {"max_depth": 4},
@@ -40,6 +41,48 @@ CELLS = [
      "fstar": True},
 ]
 
+FOURIER_RIDGE_CELLS = [
+    # p = 17 <= m = 36: the p x p normal equations, with the linear-smoother
+    # step and, with "linear_smoother": False, refit at every scale.
+    {"name": "fixed-grid-exp1-primal", "experiment": "exp1", "n": 400, "seed": 2,
+     "trainer": {"N": 8, "lam": 1e-6},
+     "evaluation": {"K": 8, "rho_grid": [0.1, 0.5, 2.0]},
+     "fstar": True},
+    {"name": "fixed-grid-exp1-primal-refit-each-scale", "experiment": "exp1", "n": 400,
+     "seed": 2, "trainer": {"N": 8, "lam": 1e-6}, "linear_smoother": False,
+     "evaluation": {"K": 8, "rho_grid": [0.1, 0.5, 2.0]},
+     "fstar": True},
+    # p = 5^5 > n: the n x n Dirichlet kernel system.
+    {"name": "fixed-grid-exp3-kernel", "experiment": "exp3", "n": 200, "seed": 4,
+     "trainer": {"N": 2, "lam": 1e-6},
+     "evaluation": {"K": 4, "rho_grid": [0.5, 2.0]},
+     "fstar": True},
+    # p = 3^5 <= n but > m: the warm-up on the design, the refits on the kernel.
+    {"name": "fixed-grid-exp3-primal-warm-up", "experiment": "exp3", "n": 300, "seed": 12,
+     "trainer": {"N": 1, "lam": 1e-6},
+     "evaluation": {"K": 4, "rho_grid": [0.5, 2.0]},
+     "fstar": True},
+    # lam = 0: least squares on the explicit design.
+    {"name": "fixed-grid-exp1-lstsq", "experiment": "exp1", "n": 300, "seed": 6,
+     "trainer": {"N": 6, "lam": 0.0},
+     "evaluation": {"K": 6, "rho_grid": [0.5, 2.0]},
+     "fstar": False},
+    {"name": "tuned-exp1-primal", "experiment": "exp1", "n": 300, "seed": 8,
+     "trainer": {"N": 8, "lam": 1e-6},
+     "evaluation": {"K": 6, "K1": 2, "rho_mode": "tuned"},
+     "fstar": True},
+    {"name": "tuned-exp3-kernel", "experiment": "exp3", "n": 150, "seed": 10,
+     "trainer": {"N": 2, "lam": 1e-6},
+     "evaluation": {"K": 6, "K1": 2, "rho_mode": "tuned"},
+     "fstar": False},
+]
+
+# Per trainer: its golden file and its cells.
+GOLDENS = {
+    "tree": (ROOT / "tests" / "golden_trees.json", TREE_CELLS),
+    "fourier_ridge": (ROOT / "tests" / "golden_fourier_ridge.json", FOURIER_RIDGE_CELLS),
+}
+
 ROUND_FIELDS = ("k", "rho1", "rho2", "norm_tilde", "norm_check", "trainer_tol")
 
 
@@ -52,8 +95,9 @@ def exact(value):
     return value
 
 
-def run_cell(cell: dict) -> list:
-    """The recorded outputs of one cell: one entry per report."""
+def run_cell(trainer_name: str, cell: dict) -> list:
+    """The recorded outputs of one cell: one entry per report.  A cell may
+    set ``"linear_smoother": False`` to refit at every scale."""
     import numpy as np
     import wildriff
 
@@ -62,8 +106,10 @@ def run_cell(cell: dict) -> list:
     evaluation = dict(cell["evaluation"], seed=cell["seed"])
     if "rho_grid" in evaluation:
         evaluation["rho_grid"] = tuple(evaluation["rho_grid"])
-    reports = wildriff.evaluate(dataset, wildriff.make_trainer("tree", cell["trainer"]),
-                                wildriff.EvaluationConfig(**evaluation),
+    trainer = wildriff.make_trainer(trainer_name, cell["trainer"])
+    if "linear_smoother" in cell:
+        trainer = dataclasses.replace(trainer, linear_smoother=cell["linear_smoother"])
+    reports = wildriff.evaluate(dataset, trainer, wildriff.EvaluationConfig(**evaluation),
                                 fstar=truth.fstar if cell["fstar"] else None)
     out = []
     for report in reports:
@@ -82,13 +128,15 @@ def run_cell(cell: dict) -> list:
     return out
 
 
-def main() -> int:
+def main(argv) -> int:
     sys.path.insert(0, str(ROOT / "src"))
-    cells = [dict(cell, reports=run_cell(cell)) for cell in CELLS]
-    GOLDEN_FILE.write_text(json.dumps({"cells": cells}, indent=1) + "\n")
-    print(f"wrote {len(cells)} cells to {GOLDEN_FILE}")
+    for trainer_name in argv or GOLDENS:
+        path, cells = GOLDENS[trainer_name]
+        cells = [dict(cell, reports=run_cell(trainer_name, cell)) for cell in cells]
+        path.write_text(json.dumps({"cells": cells}, indent=1) + "\n")
+        print(f"wrote {len(cells)} cells to {path}")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
