@@ -284,6 +284,16 @@ def cmd_evaluate(config_path, out_dir=None, seed=None, formats=None) -> int:
     return 0
 
 
+def _sweep_rows(run: RunConfig, n: int, seed: int) -> list:
+    """One sweep cell's rows; its predictors are freed before the next cell."""
+    _, truth, reports, state = _run_cell(run, n, seed)
+    risk = population_excess_risk(state.breve_f, truth, run.n_mc, seed=seed)["estimate"]
+    # The exact grid value, not the report label it was rounded to.
+    rhos = run.config.rho_grid if run.config.rho_mode == "fixed-grid" else ["tuned"]
+    return [[n, rho, seed, r.wild_optimism_bound, risk,
+             r.wild_optimism_bound / risk if risk > 0 else math.inf] for r, rho in zip(reports, rhos)]
+
+
 @_exit_codes
 def cmd_sweep(config_path, out_dir=None, seed=None) -> int:
     """Evaluate every (n, seed) cell over the noise-scale grid.
@@ -296,17 +306,7 @@ def cmd_sweep(config_path, out_dir=None, seed=None) -> int:
     run = RunConfig.from_file(config_path, out_dir, seed)
     if run.experiment is None:
         raise ConfigError("sweep needs a synthetic experiment (oracle required)")
-    rows = []
-    for n in run.n:
-        for cell_seed in run.seeds:
-            dataset, truth, reports, state = _run_cell(run, n, cell_seed)
-            oracle = population_excess_risk(state.breve_f, truth, run.n_mc, seed=cell_seed)
-            # The exact grid value, not the report label it was rounded to.
-            rhos = run.config.rho_grid if run.config.rho_mode == "fixed-grid" else ["tuned"]
-            for report, rho in zip(reports, rhos):
-                bound = report.wild_optimism_bound
-                ratio = bound / oracle["estimate"] if oracle["estimate"] > 0 else math.inf
-                rows.append([n, rho, cell_seed, bound, oracle["estimate"], ratio])
+    rows = [row for n in run.n for s in run.seeds for row in _sweep_rows(run, n, s)]
     _atomic_write_text(run.output_dir / "sweep.csv", _csv_text(SWEEP_COLUMNS, rows))
     return 0
 

@@ -179,10 +179,10 @@ def _half_space_frequencies(N: int, d: int) -> np.ndarray:
 
 
 # The feature memo: entries (builder, its parameter, copy of xs, features),
-# keyed by values.  Only `_fourier_multi` writes the fit entry, and fits
-# gather their rows from it; it refers to its features weakly, as the
-# handles fit on all of its points keep them, and goes with the last of
-# those.  Predictions read it, or else the prediction entry of their own.
+# keyed by values.  Only `_fourier_multi` writes the fit entry, for a call
+# with a fit on all of its points, and fits gather their rows from it.  It
+# refers to its features weakly, as the handles of that fit keep them, and
+# goes with the last of those.  Predictions read it, or else their own entry.
 _fit_entry = None
 _predict_entry = None
 
@@ -203,11 +203,13 @@ def _release_fit_entry(ref) -> None:
     _fit_entry = None if _fit_entry is not None and _fit_entry[3] is ref else _fit_entry
 
 
-def _fit_features(build, param, xs: np.ndarray) -> np.ndarray:
-    """``build(xs, param)``, read-only: the fit entry's."""
+def _fit_features(build, param, xs: np.ndarray, write: bool) -> Optional[np.ndarray]:
+    """The fit entry's ``build(xs, param)``: on a miss built into it if ``write``, else None."""
     global _fit_entry
     if _holds(_fit_entry, build, param, xs):
         return _fit_entry[3]()
+    if not write:
+        return None
     _fit_entry = None
     features = _built(build, param, xs)
     _fit_entry = (build, param, xs.copy(), weakref.ref(features, _release_fit_entry))
@@ -284,11 +286,10 @@ def _dirichlet_kernel(psi_a: np.ndarray, psi_b: np.ndarray,
 def _fourier_fits(xs: np.ndarray, features: np.ndarray, Y: np.ndarray, spec: FourierRidgeSpec,
                   whole: bool) -> List[PredictorHandle]:
     """`fourier_ridge_fit` on every column of ``Y`` against one factorization,
-    from the ``features`` of the points ``xs``: their design, or their
-    (d, n, 2N+1) Dirichlet features on the kernel path, which builds its
-    kernel once and keeps the fitted values for predictions on ``xs``.  One
-    handle per column; when ``whole``, the handles keep ``features`` alive.
-    """
+    from the ``features`` of the points ``xs``: their design, or on the
+    kernel path their (d, n, 2N+1) Dirichlet features, whose kernel is built
+    once and gives the fitted values kept for predictions on ``xs``.  One
+    handle per column; when ``whole``, the handles keep ``features`` alive."""
     n, d = xs.shape
     dual = features.ndim == 3
     try:
@@ -327,23 +328,26 @@ def _fourier_multi(xs: np.ndarray, Y: np.ndarray, rows: np.ndarray,
                    spec: FourierRidgeSpec) -> List[PredictorHandle]:
     """`_fourier_fits` once per run of consecutive columns of ``Y`` that
     share their rows of ``xs``, on those rows of the features of all of
-    ``xs`` (`_fit_features`); a run on all of ``xs`` in order (the warm-up)
-    takes them whole.  The kernel path is taken when lam > 0 and p > m."""
+    ``xs`` (`_fit_features`), built on a miss only for a call with a run on
+    all of ``xs`` in order (the warm-up), which takes them whole; else each
+    run builds its own.  The kernel path is taken when lam > 0 and p > m."""
     n, d = xs.shape
     p = spec.feature_count(d)
     if spec.lam > 0 and p > rows.shape[1]:
-        full, axis = _fit_features(_dirichlet_features, spec.N, xs), 1
+        build, param, axis = _dirichlet_features, spec.N, 1
     elif p > spec.max_features:
         raise TrainerError(f"feature count {p} exceeds cap {spec.max_features}")
     else:
-        full, axis = _fit_features(_build_design, _half_space_frequencies(spec.N, d), xs), 0
+        build, param, axis = _build_design, _half_space_frequencies(spec.N, d), 0
     cuts = [0, *(np.flatnonzero((rows[1:] != rows[:-1]).any(axis=1)) + 1), len(rows)]
+    wholes = [rows[lo].size == n and np.array_equal(rows[lo], np.arange(n)) for lo in cuts[:-1]]
+    full = _fit_features(build, param, xs, any(wholes))
     fits = []
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
+    for lo, hi, whole in zip(cuts[:-1], cuts[1:], wholes):
         at = rows[lo]
-        whole = at.size == n and np.array_equal(at, np.arange(n))
-        fits += _fourier_fits(xs[at], full if whole else np.take(full, at, axis=axis),
-                              np.ascontiguousarray(Y[:, lo:hi]), spec, whole)
+        features = (full if whole else _built(build, param, xs[at]) if full is None
+                    else np.take(full, at, axis=axis))
+        fits += _fourier_fits(xs[at], features, np.ascontiguousarray(Y[:, lo:hi]), spec, whole)
     return fits
 
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -334,6 +335,23 @@ class TestCmdSweep:
         for k in range(3):
             assert np.array_equal(reports[0].rounds[k].sub.indices,
                                   reports[1].rounds[k].sub.indices)
+
+    def test_cell_frees_its_predictors_before_the_next(self, tmp_path):
+        # A predictor fit on all of a cell's points keeps their n x p design
+        # alive, so a second cell adds less than half a design to the peak
+        # only if the first cell's predictors are gone before it runs.
+        n, p = 20_000, 17   # N = 8 in one dimension
+        peaks = []
+        for seeds in ([1], [1, 2]):
+            cfg = write_config(tmp_path, n=n, seeds=seeds, trainer={
+                "name": "fourier_ridge", "params": {"N": 8, "lam": 1e-6}})
+            tracemalloc.start()
+            try:
+                assert cmd_sweep(cfg) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 0.5 * n * p * 8
 
     def test_requires_experiment(self, tmp_path):
         data = tmp_path / "d.csv"

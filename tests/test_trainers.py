@@ -393,6 +393,44 @@ class TestFourierRidge:
         cfg = EvaluationConfig(K=4, K1=2, rho_mode="tuned", seed=6)
         assert count_builds(cfg) == (1, 1, 1)
 
+    def test_design_warm_up_kernel_refits_build_their_own(self, monkeypatch):
+        # p = 3^5 <= n but > m: the warm-up fits on the design and the
+        # refits on the kernel.  No fit on all of the points keeps their
+        # Dirichlet features, so each refit builds its own subsample's, and
+        # the full data's are built once, for the refits' predictions there.
+        ds, _ = generate(ExperimentSpec(id="exp3", n=300, seed=12))
+        designs, features = [], []
+        design, feature = trainers._build_design, trainers._dirichlet_features
+
+        def counting_design(xs, freqs):
+            designs.append(xs.shape[0])
+            return design(xs, freqs)
+
+        def counting_features(xs, N):
+            features.append(xs.shape[0])
+            return feature(xs, N)
+
+        monkeypatch.setattr(trainers, "_build_design", counting_design)
+        monkeypatch.setattr(trainers, "_dirichlet_features", counting_features)
+        trainer = make_trainer("fourier_ridge", {"N": 1, "lam": 1e-6})
+
+        def count_builds(cfg):
+            designs.clear()
+            features.clear()
+            clear_memo(monkeypatch)
+            reports = evaluate(ds, trainer, cfg)
+            m = reports[0].rounds[0].sub.indices.size
+            assert 0 < m < 3 ** 5 <= ds.n
+            assert set(features) == {m, ds.n}
+            return designs, features.count(ds.n), len(features)
+
+        cfg = EvaluationConfig(K=4, rho_grid=(0.5, 2.0), seed=12)
+        assert count_builds(cfg) == ([ds.n], 1, cfg.K + 1)
+        trainer = dataclasses.replace(trainer, linear_smoother=False)
+        assert count_builds(cfg) == ([ds.n], 1, cfg.K + 1)
+        cfg = EvaluationConfig(K=4, K1=2, rho_mode="tuned", seed=12)
+        assert count_builds(cfg)[:2] == ([ds.n], 1)
+
     def test_kernel_path_evaluate_memory(self):
         # The warm-up's n x n kernel is the one full-size object: the solve
         # adds its factorization inside LAPACK, which tracemalloc does not
@@ -645,16 +683,13 @@ class TestFourierRidge:
         (2, 4, 1e-3, "dual_coefficients"),  # p = 81 > n: the kernel system
         (2, 4, 0.0, "coefficients"),        # lam = 0: least squares
     ], ids=["primal", "primal-3d", "kernel", "lstsq"])
-    @given(alpha=st.floats(-10, 10, allow_subnormal=False),
-           beta=st.floats(-10, 10, allow_subnormal=False),
+    @given(alpha=st.floats(-10, 10), beta=st.floats(-10, 10),
            seeds=st.lists(st.integers(0, 2**32), min_size=6, max_size=6))
     @settings(max_examples=25, deadline=None)
     def test_fit_multi_is_a_linear_smoother(self, d, N, lam, key, alpha, beta, seeds):
         # What `linear_smoother` declares: a column's fit is linear in its
         # responses, to 1e-10 of the terms' size, and does not depend on
-        # its seed, bit for bit.  Subnormal weights are left out: their
-        # predictions carry absolute rounding of about 1e-323, more than
-        # 1e-10 of terms that small.
+        # its seed, bit for bit.
         n = 40
         rng = np.random.default_rng(d + N)
         xs = rng.uniform(0, 1, size=(n, d))
