@@ -35,7 +35,7 @@ from .core import (
     estimate_tau,
     warm_up,
 )
-# Rounds are scored row-wise over a value block (`_refit_scores`), not through
+# Rounds are scored row-wise over a value block (`_sub_scores`), not through
 # `wild_optimism`; the name stays because perfbench's tracer patches it here.
 from .metrics import OptimismPair, empirical_norm, wild_optimism, wild_responses
 from .sampling import Subsample, srswor
@@ -345,10 +345,6 @@ def _sups(scores: np.ndarray, dists: np.ndarray, radius: float) -> Tuple[float, 
     return max(0.0, float(inside.max(initial=0.0))), max(0.0, -float(inside.min(initial=0.0)))
 
 
-def _refits(rounds: Sequence[WildRound]) -> List[PredictorHandle]:
-    return [f for rd in rounds for f in (rd.tilde_f, rd.check_f)]
-
-
 def process_sup_proxy(block: CandidateBlock, radius: float) -> Tuple[float, float]:
     """Candidate-set proxies for the full-data noise complexity at a radius.
 
@@ -362,42 +358,59 @@ def process_sup_proxy(block: CandidateBlock, radius: float) -> Tuple[float, floa
 # Rounds
 # ---------------------------------------------------------------------------
 
+def _refit(dataset: RegressionDataset, trainer: TrainerOracle,
+           batches: Sequence[Tuple[Subsample, Sequence[np.ndarray], Sequence[int]]]):
+    """The engine's one refit step.  A batch is a subsample, its columns'
+    pseudo-responses there (one vector each) and their seeds; all
+    subsamples are of one size.  One `TrainerOracle.fit_multi` call fits
+    every column on its subsample's points of the full data, and one
+    `predict_multi` call per batch predicts its refits there: returns, per
+    batch, the refits and their values on the subsample, one row each."""
+    seeds = [seed for _, _, batch_seeds in batches for seed in batch_seeds]
+    responses = np.empty((batches[0][0].indices.size, len(seeds)))
+    rows = np.empty((len(seeds), len(responses)), dtype=np.intp)
+    for c, (sub, y) in enumerate((sub, y) for sub, ys, _ in batches for y in ys):
+        responses[:, c] = y
+        rows[c] = sub.indices
+    fits = trainer.fit_multi(dataset.xs, responses, seeds, rows)
+    refits = []
+    for sub, _, batch_seeds in batches:
+        batch, fits = fits[:len(batch_seeds)], fits[len(batch_seeds):]
+        refits.append((batch, trainer.predict_multi(batch, dataset.xs[sub.indices])))
+    return refits
+
+
+def _sub_scores(state: RefitState, sub: Subsample, vals: np.ndarray,
+                minus: Sequence[bool]) -> Tuple[np.ndarray, np.ndarray]:
+    """The engine's one round scorer: the subsample-norm distance to breve
+    and the optimism of each row of ``vals``, a refit's values on ``sub``,
+    with the rows flagged in ``minus`` negated (the minus direction mirrors
+    f - breve; negation is exact).  Each row scores bit for bit as
+    `empirical_norm` and `wild_optimism` score it alone."""
+    idx = sub.indices
+    norms, [opts] = _row_scores(vals, state.breve_vals[idx],
+                                [state.signs[idx] * state.residuals[idx]])
+    opts[minus] *= -1.0
+    return norms, opts
+
+
 def _refit_scores(state: RefitState, dataset: RegressionDataset, trainer: TrainerOracle,
                   batches: Sequence[Tuple[Subsample, Sequence[Tuple[float, str, int]]]]):
     """Refit the black box once per column (rho, direction, seed) of every
-    (subsample, columns) batch, the subsamples all of one size, and score
-    every refit on its own subsample: returns, per batch, the refits, their
-    subsample-norm distances to breve and their optimisms, in column order.
-
-    The pseudo-responses of every column go to one `TrainerOracle.fit_multi`
-    call, each column on its subsample's points of the full data.  Each
-    batch's refits are predicted on its subsample in one
-    `TrainerOracle.predict_multi` call.  Every row's optimism and distance
-    are bit for bit what `wild_optimism` and `empirical_norm` give for that
-    row alone.
-    """
-    width = sum(len(columns) for _, columns in batches)
-    responses = np.empty((batches[0][0].indices.size, width))
-    rows = np.empty((width, responses.shape[0]), dtype=np.intp)
-    seeds, subsets = [], []
+    (subsample, columns) batch on the column's wild pseudo-responses
+    (`_refit`), and score each refit on its subsample (`_sub_scores`):
+    returns, per batch, the refits, their subsample-norm distances to
+    breve and their optimisms, in column order."""
+    refit_batches = []
     for sub, columns in batches:
         idx = sub.indices
         breve, signs, residuals = state.breve_vals[idx], state.signs[idx], state.residuals[idx]
-        subsets.append((idx, breve, signs * residuals))
-        for rho, direction, seed in columns:
-            responses[:, len(seeds)] = wild_responses(breve, signs, residuals, rho, direction)
-            rows[len(seeds)] = idx
-            seeds.append(seed)
-    fits = trainer.fit_multi(dataset.xs, responses, seeds, rows)
-    scored = []
-    for (idx, breve, weights), (_, columns) in zip(subsets, batches):
-        batch, fits = fits[:len(columns)], fits[len(columns):]
-        norms, [opts] = _row_scores(trainer.predict_multi(batch, dataset.xs[idx]), breve,
-                                    [weights])
-        # The minus direction mirrors f - breve; negation is exact.
-        opts[[direction == "minus" for _, direction, _ in columns]] *= -1.0
-        scored.append((batch, norms, opts))
-    return scored
+        refit_batches.append((sub, [wild_responses(breve, signs, residuals, rho, direction)
+                                    for rho, direction, _ in columns],
+                              [seed for _, _, seed in columns]))
+    refits = _refit(dataset, trainer, refit_batches)
+    return [(fits, *_sub_scores(state, sub, vals, [d == "minus" for _, d, _ in columns]))
+            for (sub, columns), (fits, vals) in zip(batches, refits)]
 
 
 def _wild_round(trainer: TrainerOracle, k: int, sub: Subsample, rhos, fits, norms,
@@ -424,30 +437,8 @@ def run_round(state: RefitState, dataset: RegressionDataset, trainer: TrainerOra
     Builds the two perturbed pseudo-datasets on the subsample, refits the
     black box on each, and records optimisms and subsample-norm distances.
     """
-    [[rd]] = _subsample_rounds(state, dataset, trainer, [(k, sub)], [(rho1, rho2)], seed)
+    [[rd]] = _run_rounds(state, dataset, trainer, [sub], [(rho1, rho2)], seed, first=k)
     return rd
-
-
-def _subsample_rounds(state: RefitState, dataset: RegressionDataset, trainer: TrainerOracle,
-                      subs: Sequence[Tuple[int, Subsample]],
-                      scales: Sequence[Tuple[float, float]], seed: int) -> List[List[WildRound]]:
-    """Round k on ``sub`` at each (rho1, rho2) of ``scales``, in order, for
-    every (k, sub) of ``subs``: one list of rounds per subsample.
-
-    Every refit is a column of one `_refit_scores` call: the plus and minus
-    refits of every scale, in that order, subsample by subsample.  Round k's
-    plus refits take one seed and its minus refits another.
-    """
-    batches = []
-    for k, sub in subs:
-        seeds = (derive_seed(seed, "refit-tilde", k), derive_seed(seed, "refit-check", k))
-        batches.append((sub, [column for pair in scales
-                              for column in zip(pair, ("plus", "minus"), seeds)]))
-    with _naming_rounds(subs[0][0], subs[-1][0]):
-        scored = _refit_scores(state, dataset, trainer, batches)
-    return [[_wild_round(trainer, k, sub, pair, fits[2 * i:], norms[2 * i:], opts[2 * i:])
-             for i, pair in enumerate(scales)]
-            for (k, sub), (fits, norms, opts) in zip(subs, scored)]
 
 
 @contextlib.contextmanager
@@ -461,27 +452,36 @@ def _naming_rounds(first: int, last: int):
         ) from exc
 
 
-def _run_rounds(state, dataset, trainer, subs, grid, seed) -> List[List[WildRound]]:
-    """Round k on subsample k at each noise scale of ``grid``, both directions.
+def _run_rounds(state, dataset, trainer, subs, scales, seed, first=0) -> List[List[WildRound]]:
+    """Round first + i on subsample i of ``subs`` at each (rho1, rho2) of
+    ``scales``: one list of rounds per scale, in round order.
 
-    Every refit of every subsample goes to the trainer in a single
-    `TrainerOracle.fit_multi` call.  Returns one list of rounds per scale,
-    in k order.
+    Every refit is a column of one `_refit_scores` call: the plus and minus
+    refits of every scale, in that order, subsample by subsample.  Round k's
+    plus refits take one seed and its minus refits another.
     """
-    per_sub = _subsample_rounds(state, dataset, trainer, list(enumerate(subs)),
-                                [(rho, rho) for rho in grid], seed)
-    return [list(rounds) for rounds in zip(*per_sub)]
+    ks = range(first, first + len(subs))
+    batches = []
+    for k, sub in zip(ks, subs):
+        seeds = (derive_seed(seed, "refit-tilde", k), derive_seed(seed, "refit-check", k))
+        batches.append((sub, [column for pair in scales
+                              for column in zip(pair, ("plus", "minus"), seeds)]))
+    with _naming_rounds(ks[0], ks[-1]):
+        scored = _refit_scores(state, dataset, trainer, batches)
+    return [[_wild_round(trainer, k, sub, pair, fits[2 * i:], norms[2 * i:], opts[2 * i:])
+             for k, sub, (fits, norms, opts) in zip(ks, subs, scored)]
+            for i, pair in enumerate(scales)]
 
 
 def _refit_block(state, dataset, trainer, rounds, fstar_vals) -> CandidateBlock:
     """The rounds' refits predicted on the full data in one call, and scored."""
-    return candidate_block(state, trainer.predict_multi(_refits(rounds), dataset.xs),
-                           fstar_vals)
+    refits = [f for rd in rounds for f in (rd.tilde_f, rd.check_f)]
+    return candidate_block(state, trainer.predict_multi(refits, dataset.xs), fstar_vals)
 
 
 def _black_box_scales(state, dataset, trainer, subs, grid, seed, fstar_vals):
     """Each scale's rounds (`_run_rounds`) and their `_refit_block`."""
-    for rounds in _run_rounds(state, dataset, trainer, subs, grid, seed):
+    for rounds in _run_rounds(state, dataset, trainer, subs, [(rho, rho) for rho in grid], seed):
         yield rounds, _refit_block(state, dataset, trainer, rounds, fstar_vals)
 
 
@@ -501,33 +501,29 @@ def _linear_scales(state, dataset, trainer, subs, grid, seed, fstar_vals):
 
     A refit on breve + rho * eps * v is a + rho * b, with a the fit of
     breve and b the fit of eps * v on the subsample (and a - rho * b in the
-    minus direction), so one `fit_multi` call fits a and b for every
-    subsample, all columns of a subsample on one seed.  The full data see
-    each a and b once: every scale's candidate block is affine in rho over
-    their moments.  Each subsample's rounds then predict a and b on it in
-    one call and score the refits' values there as `_refit_scores` does.
+    minus direction), so one `_refit` step fits a and b for every
+    subsample, both on one seed, and predicts them there.  The full data
+    see each a and b once: every scale's candidate block is affine in rho
+    over their moments.  Each subsample's rounds score the refits' values
+    a ± rho * b there with `_sub_scores`.
     """
-    idx = np.stack([sub.indices for sub in subs])
-    responses = np.empty((idx.shape[1], 2 * len(subs)))
-    responses[:, 0::2] = state.breve_vals[idx].T
-    responses[:, 1::2] = (state.signs * state.residuals)[idx].T
-    seeds = [s for k in range(len(subs)) for s in [derive_seed(seed, "refit-tilde", k)] * 2]
+    weights = state.signs * state.residuals
+    batches = [(sub, (state.breve_vals[sub.indices], weights[sub.indices]),
+                [derive_seed(seed, "refit-tilde", k)] * 2) for k, sub in enumerate(subs)]
+    with _naming_rounds(0, len(subs) - 1):
+        pairs = _refit(dataset, trainer, batches)
+        moments = _pair_moments(trainer.predict_multi([f for fits, _ in pairs for f in fits],
+                                                      dataset.xs),
+                                state.breve_vals, _score_weights(state, fstar_vals))
     signed = np.repeat(grid, 2) * np.tile([1.0, -1.0], len(grid))
     per_sub = []
-    with _naming_rounds(0, len(subs) - 1):
-        fits = trainer.fit_multi(dataset.xs, responses, seeds, np.repeat(idx, 2, axis=0))
-        moments = _pair_moments(trainer.predict_multi(fits, dataset.xs), state.breve_vals,
-                                _score_weights(state, fstar_vals))
-        for k, (sub, own) in enumerate(zip(subs, idx)):
-            a, b = fits[2 * k:2 * k + 2]
-            base, slope = trainer.predict_multi([a, b], dataset.xs[own])
-            norms, [opts] = _row_scores(base + signed[:, None] * slope, state.breve_vals[own],
-                                        [state.signs[own] * state.residuals[own]])
-            opts[1::2] *= -1.0   # the minus direction mirrors f - breve; negation is exact
-            refits = [_affine_refit(trainer, a, b, rho) for rho in signed]
-            per_sub.append([_wild_round(trainer, k, sub, (rho, rho), refits[2 * i:],
-                                        norms[2 * i:], opts[2 * i:])
-                            for i, rho in enumerate(grid)])
+    for k, (sub, ((a, b), (base, slope))) in enumerate(zip(subs, pairs)):
+        norms, opts = _sub_scores(state, sub, base + signed[:, None] * slope,
+                                  [False, True] * len(grid))
+        refits = [_affine_refit(trainer, a, b, rho) for rho in signed]
+        per_sub.append([_wild_round(trainer, k, sub, (rho, rho), refits[2 * i:],
+                                    norms[2 * i:], opts[2 * i:])
+                        for i, rho in enumerate(grid)])
     for rho, rounds in zip(grid, zip(*per_sub)):
         yield list(rounds), _affine_block(moments, rho)
 
@@ -779,7 +775,7 @@ def evaluate_with_state(dataset: RegressionDataset, trainer: TrainerOracle,
                                             r, rt, tau, t, fstar_vals))
     else:
         rho0 = config.rho_grid[0] if config.rho_grid else 1.0
-        [warm_rounds] = _run_rounds(state, dataset, trainer, subs[:config.K1], (rho0,),
+        [warm_rounds] = _run_rounds(state, dataset, trainer, subs[:config.K1], [(rho0, rho0)],
                                     config.seed)
         warm_block = _refit_block(state, dataset, trainer, warm_rounds, fstar_vals)
         r, rt = radius(warm_rounds, warm_block)

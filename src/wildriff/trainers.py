@@ -192,6 +192,14 @@ def _holds(entry, build, param, xs: np.ndarray) -> bool:
             and np.array_equal(entry[2], xs))
 
 
+def _fit_hit(build, param, xs: np.ndarray) -> Optional[np.ndarray]:
+    """The fit entry's features if it holds ``build(xs, param)``, else None.
+    The entry is read once: a collection during the comparison may free
+    its last handle and clear it, and a dead reference is a miss."""
+    entry = _fit_entry
+    return entry[3]() if _holds(entry, build, param, xs) else None
+
+
 def _built(build, param, xs: np.ndarray) -> np.ndarray:
     features = build(xs, param)
     features.setflags(write=False)
@@ -206,10 +214,9 @@ def _release_fit_entry(ref) -> None:
 def _fit_features(build, param, xs: np.ndarray, write: bool) -> Optional[np.ndarray]:
     """The fit entry's ``build(xs, param)``: on a miss built into it if ``write``, else None."""
     global _fit_entry
-    if _holds(_fit_entry, build, param, xs):
-        return _fit_entry[3]()
-    if not write:
-        return None
+    features = _fit_hit(build, param, xs)
+    if features is not None or not write:
+        return features
     _fit_entry = None
     features = _built(build, param, xs)
     _fit_entry = (build, param, xs.copy(), weakref.ref(features, _release_fit_entry))
@@ -219,8 +226,9 @@ def _fit_features(build, param, xs: np.ndarray, write: bool) -> Optional[np.ndar
 def _predict_features(build, param, xs: np.ndarray) -> np.ndarray:
     """``build(xs, param)``, read-only: the fit entry's, else the prediction entry's."""
     global _predict_entry
-    if _holds(_fit_entry, build, param, xs):
-        return _fit_entry[3]()
+    features = _fit_hit(build, param, xs)
+    if features is not None:
+        return features
     if not _holds(_predict_entry, build, param, xs):
         _predict_entry = None
         _predict_entry = (build, param, xs.copy(), _built(build, param, xs))

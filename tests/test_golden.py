@@ -6,11 +6,13 @@ The tree cells cover a fixed-grid 1-d tree (the tree_step cell at smaller
 n), a tuned 1-d tree, a 1-d three-tree forest and a 5-d tree.  The
 fourier_ridge cells cover the explicit design with the linear-smoother step
 and refit at every scale, the kernel path, a design warm-up with kernel
-refits, lam = 0, and tuned mode on the design and on the kernel.
+refits, lam = 0, and tuned mode on the design and on the kernel.  The mlp
+cell covers `TrainerOracle.fit_multi`'s loop of one fit per column.
 """
 
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -47,3 +49,30 @@ def test_tree_evaluation_matches_golden(cell):
                          ids=[cell["name"] for cell in CELLS["fourier_ridge"]])
 def test_fourier_ridge_evaluation_matches_golden(cell):
     assert_matches_golden("fourier_ridge", cell)
+
+
+@pytest.mark.parametrize("cell", CELLS["mlp"], ids=[cell["name"] for cell in CELLS["mlp"]])
+def test_mlp_evaluation_matches_golden(cell):
+    assert_matches_golden("mlp", cell)
+
+
+def test_check_reports_each_moved_field(monkeypatch, tmp_path):
+    # `record_golden.py --check` against a golden file whose first report
+    # has one bound one ulp off and one flag renamed: those two fields move
+    # (the bound by one ulp, the flag infinitely), every other field by 0.
+    path, cells = record_golden.GOLDENS["mlp"]
+    golden = json.loads(path.read_text())
+    report = golden["cells"][0]["reports"][0]
+    bound = float.fromhex(report["fixed_design_bound"])
+    report["fixed_design_bound"] = math.nextafter(bound, math.inf).hex()
+    report["pilot_flags"] = report["pilot_flags"] + ["renamed"]
+    moved = tmp_path / "golden.json"
+    moved.write_text(json.dumps(golden))
+    monkeypatch.setitem(record_golden.GOLDENS, "mlp", (moved, cells))
+    worst = record_golden.check("mlp")
+    assert worst["fixed_design_bound"][0] == math.ulp(bound) / math.nextafter(bound, math.inf)
+    assert worst["pilot_flags"][0] == math.inf
+    assert {key for key, (move, _) in worst.items() if move} == {"fixed_design_bound",
+                                                                 "pilot_flags"}
+    monkeypatch.setitem(record_golden.GOLDENS, "mlp", (path, cells))
+    assert record_golden.main(["--check", "mlp"]) == 0

@@ -637,6 +637,29 @@ class TestEvaluate:
                     for k, sub in enumerate(subs)]
             assert [numbers(rd) for rd in report.rounds] == [numbers(rd) for rd in loop]
 
+    @pytest.mark.parametrize("name,params", [("tree", {"max_depth": 4}),
+                                             ("fourier_ridge", {"N": 6, "lam": 1e-6}),
+                                             ("mlp", {"widths": (8,), "max_iter": 30})])
+    def test_run_round_is_the_engines_round(self, name, params):
+        # run_round at a round's subsample, scale, seed and index gives the
+        # round a fixed-grid evaluate records, bit for bit, on its warm-up
+        # state: both optimisms and both norms.
+        ds, _ = generate(ExperimentSpec(id="exp1", n=200, seed=21))
+        trainer = dataclasses.replace(make_trainer(name, params), linear_smoother=False)
+        cfg = EvaluationConfig(K=3, rho_grid=(0.5, 2.0), seed=21)
+        reports, state = evaluate_with_state(ds, trainer, cfg)
+
+        def numbers(rd):
+            return (rd.k, *(float(v).hex() for v in (rd.rho1, rd.rho2, rd.optimism.opt_tilde,
+                                                    rd.optimism.opt_check,
+                                                    rd.norm_tilde, rd.norm_check)))
+
+        for rho, report in zip(cfg.rho_grid, reports):
+            assert len(report.rounds) == cfg.K
+            for rd in report.rounds:
+                own = run_round(state, ds, trainer, rd.sub, rho, rho, cfg.seed, rd.k)
+                assert numbers(own) == numbers(rd)
+
     def test_linear_smoother_fits_each_subsample_once(self, monkeypatch):
         # A linear smoother's fixed-grid evaluate fits two columns per
         # subsample, breve and eps * v there, both on one seed, all in one

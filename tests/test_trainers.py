@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import tracemalloc
 import warnings
 
@@ -37,6 +38,17 @@ def traced_peak(fn, *args):
         return out, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+# An absolute floor for comparing results that may be subnormal.  Below
+# np.finfo(float).tiny every float is a multiple of the smallest subnormal,
+# so each rounding there errs by up to half of one whatever the value's
+# relative size, and a ridge solve and prediction amplify those errors: a
+# relative bound alone fails when alpha or beta is subnormal.  Over 15,000
+# draws of alpha and beta spread log-uniformly across the subnormal range,
+# the largest error above 1e-10 of the terms was 843 of these units (lam =
+# 0); 4096 leaves a margin of almost 5x and is still below 2.1e-320.
+SUBNORMAL_FLOOR = 4096 * np.finfo(float).smallest_subnormal
 
 
 def clear_memo(monkeypatch):
@@ -580,6 +592,43 @@ class TestFourierRidge:
         assert len(trainers._predict_entry[2]) == m
         assert size >= n * 17 * 8 and freed >= size
 
+    @pytest.mark.parametrize("d,N", [(1, 8), (2, 16)], ids=["primal", "kernel"])
+    def test_memo_lookup_survives_a_collection(self, monkeypatch, d, N):
+        # A cyclic collection while the memo compares its key can free the
+        # last handle fit on all of xs, and its weakref callback then clears
+        # the fit entry.  A prediction on xs that was looking the entry up
+        # takes that as a miss and builds its own features.
+        clear_memo(monkeypatch)
+        n, m = 400, 60
+        rng = np.random.default_rng(d)
+        xs = rng.uniform(0, 1, size=(n, d))
+        trainer = fourier_ridge_trainer(FourierRidgeSpec(N=N))
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            owner = trainer.fit_multi(xs, rng.normal(size=(n, 1)), [0])
+            refit = trainer.fit_multi(xs, rng.normal(size=(m, 1)), [1],
+                                      rng.choice(n, size=(1, m), replace=False))
+            want = trainer.predict_multi(refit, xs)
+            owner[0].meta["cycle"] = owner   # only the cyclic collector frees it
+            del owner
+            array_equal = np.array_equal
+
+            def collecting(a, b):
+                # Collect while the fit entry's key is being compared.
+                if trainers._fit_entry is not None and a is trainers._fit_entry[2]:
+                    gc.collect()
+                return array_equal(a, b)
+
+            monkeypatch.setattr(np, "array_equal", collecting)
+            got = trainer.predict_multi(refit, xs)
+        finally:
+            if enabled:
+                gc.enable()
+        assert ("dual_coefficients" in refit[0].meta) == (d == 2)
+        assert trainers._fit_entry is None
+        np.testing.assert_array_equal(got, want)
+
     def test_full_data_design_built_once_per_report(self, monkeypatch):
         ds, _ = generate(ExperimentSpec(id="exp1", n=300, seed=5))
         builds = []
@@ -688,8 +737,8 @@ class TestFourierRidge:
     @settings(max_examples=25, deadline=None)
     def test_fit_multi_is_a_linear_smoother(self, d, N, lam, key, alpha, beta, seeds):
         # What `linear_smoother` declares: a column's fit is linear in its
-        # responses, to 1e-10 of the terms' size, and does not depend on
-        # its seed, bit for bit.
+        # responses, to 1e-10 of the terms' size plus `SUBNORMAL_FLOOR`,
+        # and does not depend on its seed, bit for bit.
         n = 40
         rng = np.random.default_rng(d + N)
         xs = rng.uniform(0, 1, size=(n, d))
@@ -703,7 +752,8 @@ class TestFourierRidge:
         for pts in (xs, probes):
             f_y, f_z, f_mix = trainer.predict_multi(first, pts)
             scale = np.max(np.abs(alpha * f_y) + np.abs(beta * f_z))
-            assert np.max(np.abs(f_mix - (alpha * f_y + beta * f_z))) <= 1e-10 * scale
+            assert (np.max(np.abs(f_mix - (alpha * f_y + beta * f_z)))
+                    <= 1e-10 * scale + SUBNORMAL_FLOOR)
             np.testing.assert_array_equal(trainer.predict_multi(second, pts), [f_y, f_z, f_mix])
 
     def test_prediction_totality(self):

@@ -2,6 +2,7 @@
 
     python3 tools/record_golden.py                 # every trainer's golden file
     python3 tools/record_golden.py fourier_ridge   # tests/golden_fourier_ridge.json only
+    python3 tools/record_golden.py --check         # compare, write nothing
 
 Runs every cell of a trainer's `GOLDENS` entry with the wildriff sources of
 the checkout this file sits in, and writes each cell's inputs together with
@@ -9,13 +10,17 @@ its outputs:
 every report field, every round's noise scales, optimism and norms, and a
 SHA-256 of the rounds' subsample indices.  Floats are stored as
 `float.hex`, so the test compares them exactly.  Re-recording is an intended
-output change: compare the old and new files field by field first.
+output change: run ``--check`` first, which re-runs the cells, prints each
+field's largest relative move against the checked-in goldens, writes
+nothing, and exits 1 on any difference.
 """
 
 import dataclasses
 import hashlib
 import json
+import math
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -77,10 +82,20 @@ FOURIER_RIDGE_CELLS = [
      "fstar": False},
 ]
 
+# mlp has no fit_multi_fn, so its refits go through TrainerOracle.fit_multi's
+# loop of one L-BFGS fit per column.
+MLP_CELLS = [
+    {"name": "fixed-grid-exp1-lbfgs", "experiment": "exp1", "n": 200, "seed": 4,
+     "trainer": {"widths": [8, 8], "max_iter": 40},
+     "evaluation": {"K": 3, "rho_grid": [0.5, 2.0]},
+     "fstar": True},
+]
+
 # Per trainer: its golden file and its cells.
 GOLDENS = {
     "tree": (ROOT / "tests" / "golden_trees.json", TREE_CELLS),
     "fourier_ridge": (ROOT / "tests" / "golden_fourier_ridge.json", FOURIER_RIDGE_CELLS),
+    "mlp": (ROOT / "tests" / "golden_mlp.json", MLP_CELLS),
 }
 
 ROUND_FIELDS = ("k", "rho1", "rho2", "norm_tilde", "norm_check", "trainer_tol")
@@ -128,14 +143,64 @@ def run_cell(trainer_name: str, cell: dict) -> list:
     return out
 
 
+def relative_move(old, new) -> float:
+    """How far a recorded value moved: 0 if equal, the relative difference
+    of two hex floats, and infinite for any other difference."""
+    if old == new:
+        return 0.0
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        return max(map(relative_move, old, new))
+    try:
+        a, b = float.fromhex(old), float.fromhex(new)
+    except (TypeError, ValueError):
+        return math.inf
+    diff = abs(a - b) / max(abs(a), abs(b))
+    return math.inf if math.isnan(diff) else diff
+
+
+def check(trainer_name: str) -> dict:
+    """Each field's largest move, with the cell and report where it occurs,
+    between the trainer's golden file and a fresh run of its cells."""
+    path, cells = GOLDENS[trainer_name]
+    recorded = {cell["name"]: cell for cell in json.loads(path.read_text())["cells"]}
+    worst = defaultdict(lambda: (0.0, ""))
+    for cell in cells:
+        if cell["name"] not in recorded:
+            worst["cells"] = (math.inf, cell["name"])
+            continue
+        want = recorded[cell["name"]]["reports"]
+        got = run_cell(trainer_name, cell)
+        if [r["label"] for r in got] != [r["label"] for r in want]:
+            worst["label"] = (math.inf, cell["name"])
+            continue
+        for old, new in zip(want, got):
+            pairs = [(key, old.get(key), new.get(key)) for key in old.keys() | new.keys()
+                     if key != "rounds"]
+            pairs += [(f"rounds.{key}", old["rounds"].get(key), new["rounds"].get(key))
+                      for key in old["rounds"].keys() | new["rounds"].keys()]
+            for key, a, b in pairs:
+                move = relative_move(a, b)
+                if move > worst[key][0]:
+                    worst[key] = (move, f"{cell['name']} label {new['label']}")
+    return worst
+
+
 def main(argv) -> int:
     sys.path.insert(0, str(ROOT / "src"))
-    for trainer_name in argv or GOLDENS:
-        path, cells = GOLDENS[trainer_name]
-        cells = [dict(cell, reports=run_cell(trainer_name, cell)) for cell in cells]
-        path.write_text(json.dumps({"cells": cells}, indent=1) + "\n")
-        print(f"wrote {len(cells)} cells to {path}")
-    return 0
+    names = [arg for arg in argv if arg != "--check"] or list(GOLDENS)
+    if "--check" not in argv:
+        for trainer_name in names:
+            path, cells = GOLDENS[trainer_name]
+            cells = [dict(cell, reports=run_cell(trainer_name, cell)) for cell in cells]
+            path.write_text(json.dumps({"cells": cells}, indent=1) + "\n")
+            print(f"wrote {len(cells)} cells to {path}")
+        return 0
+    moved = False
+    for trainer_name in names:
+        for key, (move, where) in sorted(check(trainer_name).items()):
+            print(f"{trainer_name:14s} {key:28s} {move:.3g}" + (f"  {where}" if move else ""))
+            moved |= move > 0
+    return 1 if moved else 0
 
 
 if __name__ == "__main__":
