@@ -112,7 +112,8 @@ class RunConfig:
             raise ConfigError("n and seeds each need an entry, and sample sizes must be >= 1")
 
         evaluation = _parse("evaluation", dict, raw.get("evaluation", {}))
-        evaluation["seed"] = seed
+        if "seed" in evaluation:
+            raise ConfigError("evaluation.seed: set the seed with 'seed', 'seeds' or --seed")
 
         formats = formats_override or raw.get("formats", ["csv", "json"])
         if not (isinstance(formats, list) and formats) or set(map(str, formats)) - {"csv", "json"}:

@@ -22,6 +22,7 @@ __all__ = [
     "EmptyInputError",
     "InvalidDataError",
     "BadConfigError",
+    "ConvergenceWarning",
     "RegressionDataset",
     "PredictorHandle",
     "TrainerOracle",
@@ -68,6 +69,10 @@ class EmptyInputError(ConfigError):
 
 class InvalidDataError(ConfigError):
     """Input data of the wrong shape or outside the unit cube."""
+
+
+class ConvergenceWarning(UserWarning):
+    """A trainer's iterative solver stopped before its convergence test held."""
 
 
 def check_real(name: str, value, error: type = ConfigError) -> None:
@@ -359,6 +364,13 @@ class EvaluationConfig:
     case the residual-maximum estimate is used wherever the noise bound
     appears.  ``t`` defaults to ``refit.default_t(tau)``, that is
     ``max(3, 4*tau) + 0.1``, when omitted.
+
+    Each engine reads its own settings.  Fixed-grid mode runs every scale
+    of ``rho_grid`` and reads no ``K1``, ``tol_rho`` or ``tune_max_iter``.
+    Tuned mode runs its ``K1`` radius rounds at ``rho_grid[0]``, or at 1.0
+    when the grid is empty, and reads no later grid entry.  Every round's
+    subsample is a uniform draw without replacement, by partial
+    Fisher-Yates, seeded from ``seed``.
     """
 
     K: int = 30
@@ -375,7 +387,6 @@ class EvaluationConfig:
     M_v: float = 0.0
     tol_rho: float = 0.05
     seed: int = 0
-    srswor_strategy: str = "permutation"
     radius_constant: float = 1.0          # unnamed constant in the radius additives
     log_term_constant: float = 1.0
     tune_max_iter: int = 40

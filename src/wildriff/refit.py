@@ -747,8 +747,7 @@ def evaluate_with_state(dataset: RegressionDataset, trainer: TrainerOracle,
     """Like `evaluate`, additionally returning the warm-up state."""
     n = dataset.n
     m = config.subsample_size(n)
-    # Drawn first, so a bad sampling setting stops the run before any fit.
-    subs = [srswor(n, m, config.srswor_strategy, derive_seed(config.seed, "subsample", k))
+    subs = [srswor(n, m, "permutation", derive_seed(config.seed, "subsample", k))
             for k in range(config.K)]
     state = warm_up(dataset, trainer, pilot, config.seed)
     tau = _resolve_tau(config, state)

@@ -13,14 +13,16 @@ from __future__ import annotations
 
 import functools
 import itertools
+import warnings
 import weakref
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional
 
 import numpy as np
 
-from .core import (ConfigError, InvalidDataError, PredictorHandle, RegressionDataset,
-                   TrainerFailedError, TrainerOracle, check_integer, check_real, derive_rng)
+from .core import (ConfigError, ConvergenceWarning, InvalidDataError, PredictorHandle,
+                   RegressionDataset, TrainerFailedError, TrainerOracle, check_integer,
+                   check_real, derive_rng)
 
 __all__ = [
     "TrainerError",
@@ -229,10 +231,12 @@ def _predict_features(build, param, xs: np.ndarray) -> np.ndarray:
     features = _fit_hit(build, param, xs)
     if features is not None:
         return features
-    if not _holds(_predict_entry, build, param, xs):
-        _predict_entry = None
-        _predict_entry = (build, param, xs.copy(), _built(build, param, xs))
-    return _predict_entry[3]
+    # The entry is read once: another call may replace it after the check.
+    entry = _predict_entry
+    if not _holds(entry, build, param, xs):
+        entry = _predict_entry = None
+        entry = _predict_entry = (build, param, xs.copy(), _built(build, param, xs))
+    return entry[3]
 
 
 def _build_design(xs: np.ndarray, freqs: np.ndarray) -> np.ndarray:
@@ -420,7 +424,6 @@ class MlpSpec:
     """
 
     widths: tuple = (32, 32)
-    activation: str = "relu"
     optimizer: str = "lbfgs"
     max_iter: int = 200
     learning_rate: float = 0.05
@@ -436,8 +439,6 @@ class MlpSpec:
             raise TrainerError("layer widths must be >= 1")
         if self.max_iter < 1:
             raise TrainerError("max_iter must be >= 1")
-        if self.activation != "relu":
-            raise TrainerError(f"unsupported activation {self.activation!r}")
         if self.optimizer not in ("lbfgs", "gd"):
             raise TrainerError(f"unsupported optimizer {self.optimizer!r}")
         object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
@@ -502,7 +503,13 @@ def _mlp_loss_grad(theta, shapes, xs, y):
 
 
 def mlp_fit(dataset: RegressionDataset, spec: MlpSpec = MlpSpec(), seed: int = 0) -> PredictorHandle:
-    """Deterministic full-batch MLP fit; approximate empirical risk minimizer."""
+    """Deterministic full-batch MLP fit; approximate empirical risk minimizer.
+
+    An L-BFGS fit that stops before scipy's convergence test holds, such as
+    one that spends ``max_iter`` iterations, warns with `ConvergenceWarning`
+    and returns its last iterate.  Gradient descent always runs ``max_iter``
+    steps and does not warn.
+    """
     d = dataset.d
     shapes = _mlp_shapes(d, spec.widths)
     rng = derive_rng(seed, "mlp-init")
@@ -518,6 +525,9 @@ def mlp_fit(dataset: RegressionDataset, spec: MlpSpec = MlpSpec(), seed: int = 0
             _mlp_loss_grad, theta0, args=(shapes, xs, y), jac=True, method="L-BFGS-B",
             options={"maxiter": spec.max_iter, "ftol": 1e-14, "gtol": 1e-12},
         )
+        if not result.success:
+            warnings.warn(f"mlp L-BFGS stopped after {result.nit} iterations: {result.message}",
+                          ConvergenceWarning, stacklevel=2)
         theta = result.x
         final_loss = float(result.fun)
     else:

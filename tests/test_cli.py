@@ -234,6 +234,24 @@ class TestCmdEvaluate:
         assert cmd_evaluate(write_config(tmp_path, **overrides)) == 2
         assert f": {key}: " in capsys.readouterr().err
 
+    def test_seed_inside_evaluation_exit_2(self, tmp_path, capsys):
+        # A run's seed is set by `seed`, `seeds` or --seed, and nowhere else.
+        path = write_config(tmp_path, evaluation={"K": 2, "rho_grid": [1.0], "seed": 7})
+        assert cmd_evaluate(path) == 2
+        assert ": evaluation.seed: " in capsys.readouterr().err
+        assert cmd_sweep(path) == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_summary_echoes_only_the_runs_seed(self, tmp_path):
+        path = write_config(tmp_path, seeds=[5])
+        config = json.loads(path.read_text())
+        del config["seed"]
+        path.write_text(json.dumps(config))
+        assert cmd_evaluate(path) == 0
+        echo = json.loads((tmp_path / "out" / "summary.json").read_text())["config"]
+        assert echo["seed"] == 5
+        assert echo["evaluation"] == config["evaluation"]
+
     @pytest.mark.parametrize("experiment", ["exp3", "exp4"])
     def test_default_ridge_on_5d_experiments(self, tmp_path, experiment):
         # N=8 in 5-d is p = 17^5 features; the kernel path fits it in n x n.

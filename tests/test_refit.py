@@ -35,7 +35,7 @@ from wildriff.refit import (
     run_round,
     tune_noise_scale,
 )
-from wildriff.sampling import STRATEGIES, SamplingError, srswor
+from wildriff.sampling import srswor
 from wildriff.synth import ExperimentSpec, generate
 from wildriff.trainers import FourierRidgeSpec, fourier_ridge_trainer, make_trainer
 from wildriff.verify import suite_radius
@@ -979,23 +979,13 @@ class TestEvaluate:
         with pytest.raises(TrainerFailedError, match=f"bad {role}: expected {ds.n}"):
             run(lambda xs: np.zeros(xs.shape[0] - 1))
 
-    def test_unknown_strategy_rejected_before_any_fit(self):
-        def fit(dataset, seed):
-            pytest.fail("fit before the sampling strategy was checked")
-
-        ds, _ = generate(ExperimentSpec(id="exp1", n=100, seed=26))
-        cfg = EvaluationConfig(K=2, rho_grid=(1.0,), srswor_strategy="bogus")
-        with pytest.raises(SamplingError, match="bogus"):
-            evaluate(ds, TrainerOracle(name="never", fit_fn=fit), cfg)
-
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_rounds_draw_with_the_configured_strategy(self, strategy):
+    def test_rounds_draw_by_permutation(self):
         ds, _ = generate(ExperimentSpec(id="exp1", n=200, seed=27))
-        cfg = EvaluationConfig(K=3, rho_grid=(1.0,), seed=27, srswor_strategy=strategy)
+        cfg = EvaluationConfig(K=3, rho_grid=(1.0,), seed=27)
         [report] = evaluate(ds, make_trainer("tree", {"max_depth": 3}), cfg)
         m = cfg.subsample_size(ds.n)
         assert [rd.sub.indices.tolist() for rd in report.rounds] == [
-            srswor(ds.n, m, strategy, derive_seed(cfg.seed, "subsample", k)).indices.tolist()
+            srswor(ds.n, m, "permutation", derive_seed(cfg.seed, "subsample", k)).indices.tolist()
             for k in range(cfg.K)]
 
     def test_shared_subsamples_across_grid(self):
@@ -1047,6 +1037,26 @@ class TestEvaluate:
         norms = [norm for rd in report.rounds for norm in (rd.norm_tilde, rd.norm_check)]
         assert all(abs(norm - target) > 0.05 * target for norm in norms)
         assert f"tune-unconverged:{len(norms)}/{len(norms)}" in report.pilot_flags
+
+    def test_tuned_mode_reads_only_the_first_grid_entry(self):
+        # Tuned mode's K1 radius rounds run at rho_grid[0], or at 1.0 on an
+        # empty grid; later entries are unused.
+        ds, _ = generate(ExperimentSpec(id="exp1", n=200, seed=23))
+        trainer = make_trainer("tree", {"max_depth": 3})
+
+        def tuned(grid):
+            cfg = EvaluationConfig(K=4, K1=2, rho_mode="tuned", rho_grid=grid, seed=23)
+            [report] = evaluate(ds, trainer, cfg)
+            scalars = [getattr(report, f.name) for f in dataclasses.fields(report)
+                       if f.name not in ("rounds", "config")]
+            rounds = [(rd.k, rd.sub.indices.tolist(), rd.rho1, rd.rho2, rd.optimism,
+                       rd.norm_tilde, rd.norm_check) for rd in report.rounds]
+            return scalars, rounds
+
+        assert tuned((0.3,)) == tuned((0.3, 0.7))
+        assert tuned(()) == tuned((1.0,))
+        # The first entry is read: at 5.0 the warm rounds move the radius.
+        assert tuned((0.3,)) != tuned((5.0,))
 
     def test_candidates_predicted_once_per_report_fixed_grid(self):
         ds, truth = generate(ExperimentSpec(id="exp1", n=300, seed=15))

@@ -1,3 +1,4 @@
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -18,3 +19,46 @@ def test_report_drift_of_a_checkout_against_itself_is_zero():
     for line in lines:
         field, drift = line.split()
         assert float(drift) == 0.0, line
+
+
+def load_ab_pairs():
+    spec = importlib.util.spec_from_file_location("ab_pairs", ROOT / "tools" / "ab_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# Ten parent runs: median 1.045, interquartile range 0.045 (4.3% of it).
+PARENT = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]
+
+
+def test_ab_verdict_against_the_bound():
+    verdict = load_ab_pairs().verdict
+    slower = [1.3 * v for v in PARENT]
+    assert verdict(PARENT, [1.1 * v for v in PARENT], True, 0.25).startswith("within bound")
+    assert verdict(PARENT, slower, True, 0.25).startswith("worse by 30.0%")
+    # Higher is better: 30% lower is worse, 30% higher within bound.
+    assert verdict(PARENT, [0.7 * v for v in PARENT], False, 0.25).startswith("worse by 30.0%")
+    assert verdict(PARENT, slower, False, 0.25).startswith("within bound")
+    # A parent spread wider than the bound leaves the metric unresolved,
+    # unless every change run beats every parent run.
+    assert verdict(PARENT, PARENT, True, 0.02).startswith("unresolved")
+    assert verdict(PARENT, slower, True, 0.02).startswith("unresolved")
+    assert verdict(PARENT, [0.5 * v for v in PARENT], True, 0.02).startswith("within bound")
+    assert verdict(PARENT, [2.0 * v for v in PARENT], False, 0.02).startswith("within bound")
+
+
+def test_ab_gain_needs_nine_tenths_of_the_pairs_and_a_shift_past_the_iqr():
+    gain = load_ab_pairs().gain
+    faster = [v - 0.1 for v in PARENT]
+    assert gain(PARENT, faster, 9, True).startswith("gain (9/10 wins, need 9;")
+    assert gain(PARENT, faster, 8, True).startswith("no gain")
+    # A tie counts for neither side: nine wins and a tie are a gain, eight
+    # wins and two ties are not.
+    assert gain(PARENT, faster[:9] + PARENT[9:], 9, True).startswith("gain")
+    assert gain(PARENT, faster[:8] + PARENT[8:], 8, True).startswith("no gain")
+    # Winning every pair by less than the parent's IQR is no gain.
+    assert gain(PARENT, [v - 0.01 for v in PARENT], 10, True).startswith("no gain")
+    # Higher is better.
+    assert gain(PARENT, [v + 0.1 for v in PARENT], 10, False).startswith("gain")
+    assert gain(PARENT, faster, 0, False).startswith("no gain")

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wildriff.trainers as trainers
+from wildriff import ConvergenceWarning
 from wildriff.core import EvaluationConfig, InvalidDataError, PredictorHandle, RegressionDataset
 from wildriff.refit import evaluate
 from wildriff.synth import ExperimentSpec, generate
@@ -629,6 +630,37 @@ class TestFourierRidge:
         assert trainers._fit_entry is None
         np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("d,N", [(1, 8), (2, 16)], ids=["primal", "kernel"])
+    def test_prediction_returns_the_entry_it_checked(self, monkeypatch, d, N):
+        # Another call may replace the prediction entry between this call's
+        # key check and its read, as a second thread predicting elsewhere
+        # would; the features returned are still those of the points asked.
+        clear_memo(monkeypatch)
+        n, m = 400, 60
+        rng = np.random.default_rng(d)
+        xs = rng.uniform(0, 1, size=(n, d))
+        pts, elsewhere = rng.uniform(0, 1, size=(2, 50, d))
+        trainer = fourier_ridge_trainer(FourierRidgeSpec(N=N))
+        refit = trainer.fit_multi(xs, rng.normal(size=(m, 1)), [0],
+                                  rng.choice(n, size=(1, m), replace=False))
+        trainer.predict_multi(refit, elsewhere)
+        other = trainers._predict_entry
+        want = trainer.predict_multi(refit, pts)
+        array_equal = np.array_equal
+
+        def replacing(a, b):
+            # Replace the entry once this call has found it holds ``pts``.
+            equal = array_equal(a, b)
+            if equal and trainers._predict_entry is not other and a is trainers._predict_entry[2]:
+                trainers._predict_entry = other
+            return equal
+
+        monkeypatch.setattr(np, "array_equal", replacing)
+        got = trainer.predict_multi(refit, pts)
+        assert trainers._predict_entry is other
+        assert ("dual_coefficients" in refit[0].meta) == (d == 2)
+        np.testing.assert_array_equal(got, want)
+
     def test_full_data_design_built_once_per_report(self, monkeypatch):
         ds, _ = generate(ExperimentSpec(id="exp1", n=300, seed=5))
         builds = []
@@ -792,6 +824,17 @@ class TestMlp:
         y_hold = truth.fstar.predict(holdout) + noise
         mse = float(np.mean((f.predict(holdout) - y_hold) ** 2))
         assert mse < 2 * 0.2 ** 2
+
+    def test_lbfgs_warns_when_it_stops_short(self):
+        ds, _ = generate(ExperimentSpec(id="exp1", n=200, seed=0))
+        with pytest.warns(ConvergenceWarning, match="TOTAL NO. OF ITERATIONS REACHED LIMIT"):
+            mlp_fit(ds, MlpSpec(widths=(8, 8), max_iter=5), seed=0)
+        # L-BFGS converges after 102 iterations; gradient descent runs its
+        # fixed step count.  Neither warns.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ConvergenceWarning)
+            mlp_fit(ds, MlpSpec(widths=(8, 8), max_iter=200), seed=0)
+            mlp_fit(ds, MlpSpec(widths=(8, 8), optimizer="gd", max_iter=5), seed=0)
 
     def test_gd_optimizer_runs(self):
         ds = uniform_dataset(60, seed=3, fn=lambda xs: xs[:, 0])
