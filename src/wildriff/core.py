@@ -238,6 +238,18 @@ class TrainerOracle:
     residuals, and derives every noise scale's refits from that pair.  The
     engine does not check the declaration: a trainer that declares it
     falsely gets wrong bounds.
+
+    ``pair_moments_fn(base, handles, xs, weights)``, optional, serves a
+    linear smoother's fixed-grid evaluate.  ``handles`` is
+    [a_1, b_1, ..., a_K, b_K] and ``weights`` a (w x n) array.  With
+    D_k = a_k - base and B_k = b_k on ``xs``, it returns the five arrays
+    (wd, wb, dd, db, bb): the means over ``xs`` of weights * D_k and
+    weights * B_k, each of shape (w, K), and of D_k * D_k, D_k * B_k and
+    B_k * B_k, each of shape (K,).  It may return None to decline, and the
+    engine then predicts the 2K handles on ``xs`` and takes the means from
+    their values.  `pair_moments` checks the shapes and finiteness only:
+    a hook whose moments are not those of its handles gets wrong bounds,
+    as a false ``linear_smoother`` does.
     """
 
     name: str
@@ -247,6 +259,8 @@ class TrainerOracle:
                                                                           repr=False)
     predict_multi_fn: Optional[Callable[..., np.ndarray]] = field(default=None, repr=False)
     linear_smoother: bool = False
+    pair_moments_fn: Optional[Callable[..., Optional[Sequence[np.ndarray]]]] = field(
+        default=None, repr=False)
 
     def fit(self, dataset: RegressionDataset, seed: int) -> PredictorHandle:
         return self._call(self.fit_fn, dataset, int(seed))
@@ -307,6 +321,41 @@ class TrainerOracle:
             raise NonFiniteDataError(f"trainer {self.name!r} predicted non-finite values")
         # Each row of a C-ordered block reduces bit for bit as it would alone.
         return np.ascontiguousarray(vals)
+
+    def pair_moments(self, base: PredictorHandle, handles: Sequence[PredictorHandle], xs,
+                     weights) -> Optional[tuple]:
+        """``pair_moments_fn``'s five moment arrays for the pairs
+        (``handles[2k]`` - ``base``, ``handles[2k + 1]``) on ``xs``, or None
+        when the hook is unset or declines.
+
+        Errors follow `predict_multi`: a foreign exception or a result of
+        the wrong shape becomes a `TrainerFailedError`, and a non-finite
+        moment raises `NonFiniteDataError`.
+        """
+        if self.pair_moments_fn is None:
+            return None
+        handles = list(handles)
+        if len(handles) % 2:
+            raise InvalidDataError(f"need handles in pairs, got {len(handles)}")
+        xs = np.atleast_2d(np.asarray(xs, dtype=float))
+        weights = np.atleast_2d(np.asarray(weights, dtype=float))
+        moments = self._call(self.pair_moments_fn, base, handles, xs, weights)
+        if moments is None:
+            return None
+        pairs = len(handles) // 2
+        shapes = [(len(weights), pairs)] * 2 + [(pairs,)] * 3
+        try:
+            moments = tuple(np.asarray(m, dtype=float) for m in moments)
+        except (TypeError, ValueError) as exc:
+            raise TrainerFailedError(
+                f"trainer {self.name!r} returned pair moments that are not arrays: {exc}") from exc
+        if [m.shape for m in moments] != shapes:
+            raise TrainerFailedError(
+                f"trainer {self.name!r} returned pair moments of shapes "
+                f"{[m.shape for m in moments]}, expected {shapes}")
+        if not all(np.all(np.isfinite(m)) for m in moments):
+            raise NonFiniteDataError(f"trainer {self.name!r} returned non-finite pair moments")
+        return moments
 
     def _call(self, fn, *args):
         try:

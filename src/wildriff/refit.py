@@ -502,19 +502,23 @@ def _linear_scales(state, dataset, trainer, subs, grid, seed, fstar_vals):
     A refit on breve + rho * eps * v is a + rho * b, with a the fit of
     breve and b the fit of eps * v on the subsample (and a - rho * b in the
     minus direction), so one `_refit` step fits a and b for every
-    subsample, both on one seed, and predicts them there.  The full data
-    see each a and b once: every scale's candidate block is affine in rho
-    over their moments.  Each subsample's rounds score the refits' values
-    a ± rho * b there with `_sub_scores`.
+    subsample, both on one seed, and predicts them there.  Every scale's
+    candidate block is affine in rho over the pairs' full-data moments,
+    which `TrainerOracle.pair_moments` gives when the trainer can, and one
+    `predict_multi` call of every a and b on the full data otherwise.  Each
+    subsample's rounds score the refits' values a ± rho * b there with
+    `_sub_scores`.
     """
     weights = state.signs * state.residuals
     batches = [(sub, (state.breve_vals[sub.indices], weights[sub.indices]),
                 [derive_seed(seed, "refit-tilde", k)] * 2) for k, sub in enumerate(subs)]
     with _naming_rounds(0, len(subs) - 1):
         pairs = _refit(dataset, trainer, batches)
-        moments = _pair_moments(trainer.predict_multi([f for fits, _ in pairs for f in fits],
-                                                      dataset.xs),
-                                state.breve_vals, _score_weights(state, fstar_vals))
+        handles = [f for fits, _ in pairs for f in fits]
+        full_weights = _score_weights(state, fstar_vals)
+        moments = trainer.pair_moments(state.breve_f, handles, dataset.xs, full_weights)
+        moments = (_pair_moments(trainer.predict_multi(handles, dataset.xs), state.breve_vals,
+                                 full_weights) if moments is None else _PairMoments(*moments))
     signed = np.repeat(grid, 2) * np.tile([1.0, -1.0], len(grid))
     per_sub = []
     for k, (sub, ((a, b), (base, slope))) in enumerate(zip(subs, pairs)):
@@ -753,9 +757,10 @@ def evaluate_with_state(dataset: RegressionDataset, trainer: TrainerOracle,
     tau = _resolve_tau(config, state)
     t = config.t if config.t is not None else default_t(tau)
 
-    # Each refit, or each fitted pair of a linear smoother, is predicted on
-    # the full data once and only its scores are kept; the pilot's values
-    # come from the warm-up, the truth's are predicted here, once.
+    # Each refit, or each fitted pair of a linear smoother whose trainer
+    # gives no pair moments, is predicted on the full data once and only
+    # its scores are kept; the pilot's values come from the warm-up, the
+    # truth's are predicted here, once.
     fstar_vals = None if fstar is None else trainer.predict_multi([fstar], dataset.xs)[0]
 
     def radius(rounds, block):

@@ -240,8 +240,17 @@ def _predict_features(build, param, xs: np.ndarray) -> np.ndarray:
 
 
 def _build_design(xs: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    phase = 2.0 * np.pi * (xs @ freqs.T)
-    return np.hstack([np.ones((xs.shape[0], 1)), np.cos(phase), np.sin(phase)])
+    """The (n, p) design: a constant column, then cos and then sin of the
+    phases 2 pi xs freqs^T, written in place; the (n, len(freqs)) phase
+    block is its one temporary."""
+    k = len(freqs)
+    design = np.empty((xs.shape[0], 1 + 2 * k))
+    design[:, 0] = 1.0
+    phase = xs @ freqs.T
+    phase *= 2.0 * np.pi
+    np.cos(phase, out=design[:, 1:k + 1])
+    np.sin(phase, out=design[:, k + 1:])
+    return design
 
 
 def _dirichlet_features(xs: np.ndarray, N: int) -> np.ndarray:
@@ -312,28 +321,35 @@ def _fourier_fits(xs: np.ndarray, features: np.ndarray, Y: np.ndarray, spec: Fou
             coef = np.linalg.solve(kernel, Y)
             kernel[np.diag_indices(n)] = diagonal
         elif spec.lam > 0:
-            gram = features.T @ features / n + spec.lam * np.eye(features.shape[1])
-            coef = np.linalg.solve(gram, features.T @ Y / n)
+            gram = features.T @ features / n
+            coef = np.linalg.solve(gram + spec.lam * np.eye(features.shape[1]),
+                                   features.T @ Y / n)
         else:
+            gram = None
             coef = np.linalg.lstsq(features, Y, rcond=None)[0]
     except np.linalg.LinAlgError as exc:
         raise IllConditionedError(f"ridge system singular: {exc}") from exc
     if not np.all(np.isfinite(coef)):
         raise IllConditionedError("non-finite ridge coefficients")
-    # One contiguous row per column, and on the kernel path its fitted values.
+    # One contiguous row per column, and its fitted values.
     coefs = np.ascontiguousarray(coef.T)
     if dual:
         fill = _KernelRows(xs, features, coefs, np.ascontiguousarray((kernel @ coef).T), spec.N)
+        items = range(len(coefs))
         solutions = [{"dual_coefficients": row} for row in coefs]
     else:
         fill = _PrimalRows(spec.N, d)
+        fitted = np.empty((len(coefs), n))
+        _tiled_product(coefs, features, fitted)
+        fit = _PrimalFit(xs, coefs, fitted, gram if whole else None)
+        items = [(fit, c) for c in range(len(coefs))]
         freqs = _half_space_frequencies(spec.N, d)
         solutions = [{"coefficients": row, "frequencies": freqs} for row in coefs]
     name = f"fourier_ridge(N={spec.N}, lam={spec.lam:g})"
-    return [_BatchHandle(fill, c if dual else coefs[c], name,
+    return [_BatchHandle(fill, item, name,
                          {"kind": "fourier_ridge", **solution, "lam": spec.lam, "N": spec.N},
                          features if whole else None)
-            for c, solution in enumerate(solutions)]
+            for item, solution in zip(items, solutions)]
 
 
 def _fourier_multi(xs: np.ndarray, Y: np.ndarray, rows: np.ndarray,
@@ -363,19 +379,91 @@ def _fourier_multi(xs: np.ndarray, Y: np.ndarray, rows: np.ndarray,
     return fits
 
 
+class _PrimalFit(NamedTuple):
+    """One primal fit call's training points, coefficient rows (c x p) and
+    fitted values (c x m), the product of those rows with the design rows
+    the call solved on.  A call on all of its points with lam > 0 also keeps
+    its design^T design / m."""
+
+    xs: np.ndarray
+    coefs: np.ndarray
+    fitted: np.ndarray
+    gram: Optional[np.ndarray]
+
+
 @dataclass(frozen=True)
 class _PrimalRows:
-    """Explicit-design handles on the (N, d) frequency table.  An item is a
-    coefficient row; one tiled product against the design of the points
-    predicts every handle asked for."""
+    """Explicit-design handles on the (N, d) frequency table, from any
+    number of fit calls.  An item is (`_PrimalFit`, column).  Handles
+    predicted on exactly their training points read their fitted values;
+    one tiled product against the design of the points predicts all others."""
 
     N: int
     d: int
 
-    def __call__(self, coefs, xs: np.ndarray, out: np.ndarray) -> None:
+    def __call__(self, items, xs: np.ndarray, out: np.ndarray) -> None:
         _check_dimension(xs, self.d)
+        rest = []
+        for i, (fit, c) in enumerate(items):
+            if np.array_equal(fit.xs, xs):
+                out[i] = fit.fitted[c]
+            else:
+                rest.append(i)
+        if not rest:
+            return
         design = _predict_features(_build_design, _half_space_frequencies(self.N, self.d), xs)
-        _tiled_product(np.stack(coefs), design, out)
+        coefs = np.stack([fit.coefs[c] for fit, c in (items[i] for i in rest)])
+        if len(rest) == len(items):
+            _tiled_product(coefs, design, out)
+        else:
+            block = np.empty((len(rest), xs.shape[0]))
+            _tiled_product(coefs, design, block)
+            out[rest] = block
+
+
+def _tiled_gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a.T @ b``, summed over row tiles of at most `_PRODUCT_BUDGET`
+    multiply-adds each."""
+    rows = max(1, _PRODUCT_BUDGET // (a.shape[1] * b.shape[1]))
+    out = np.zeros((a.shape[1], b.shape[1]))
+    for r in range(0, a.shape[0], rows):
+        out += a[r:r + rows].T @ b[r:r + rows]
+    return out
+
+
+def _fourier_pair_moments(base: PredictorHandle, handles, xs: np.ndarray,
+                          weights: np.ndarray):
+    """`TrainerOracle.pair_moments_fn` of ``fourier_ridge``: the moments of
+    the pairs (a_k - base, b_k) on ``xs`` from their coefficients, when
+    ``base`` and every handle are primal handles on one frequency table;
+    None otherwise.
+
+    With A the rows theta_a - theta_base (differences taken before any
+    quadratic form), B the rows theta_b, G = Phi^T Phi / n and W = weights
+    Phi / n: wd = W A^T, wb = W B^T, and dd, db, bb are the diagonals of
+    A G A^T, A G B^T and B G B^T.  G is the warm-up's own when ``base`` was
+    fit with lam > 0 on exactly ``xs``; the design of ``xs`` comes from the
+    feature memo.
+    """
+    fill = base.fill if isinstance(base, _BatchHandle) else None
+    if not isinstance(fill, _PrimalRows) or not all(
+            isinstance(h, _BatchHandle) and h.fill == fill for h in handles):
+        return None
+    _check_dimension(xs, fill.d)
+    n = xs.shape[0]
+    base_fit, base_c = base.item
+    theta = np.stack([fit.coefs[c] for fit, c in (h.item for h in handles)])
+    diff, slope = theta[0::2] - base_fit.coefs[base_c], theta[1::2]
+    design = _predict_features(_build_design, _half_space_frequencies(fill.N, fill.d), xs)
+    gram = (base_fit.gram if base_fit.gram is not None and np.array_equal(base_fit.xs, xs)
+            else _tiled_gram(design, design) / n)
+    w = _tiled_gram(weights.T, design) / n
+    # G is symmetric, so the tiled products A G^T and B G^T are A G and B G.
+    diff_g, slope_g = np.empty((2,) + diff.shape)
+    _tiled_product(diff, gram, diff_g)
+    _tiled_product(slope, gram, slope_g)
+    return (w @ diff.T, w @ slope.T, np.einsum("ij,ij->i", diff_g, diff),
+            np.einsum("ij,ij->i", diff_g, slope), np.einsum("ij,ij->i", slope_g, slope))
 
 
 class _KernelRows:
@@ -920,6 +1008,7 @@ def fourier_ridge_trainer(spec: FourierRidgeSpec = FourierRidgeSpec()) -> Traine
         fit_fn=lambda ds, seed: fourier_ridge_fit(ds, spec, seed),
         fit_multi_fn=lambda xs, Y, seeds, rows: _fourier_multi(xs, Y, rows, spec),
         predict_multi_fn=_predict_multi,
+        pair_moments_fn=_fourier_pair_moments,
         optimization_tol=1e-10,
         linear_smoother=True,
     )

@@ -18,6 +18,7 @@ from wildriff.core import (
     estimate_tau,
     warm_up,
 )
+from wildriff.refit import evaluate
 from wildriff.synth import ExperimentSpec, generate
 from wildriff.trainers import FourierRidgeSpec, MlpSpec, TreeSpec, make_trainer
 
@@ -336,6 +337,86 @@ class TestPredictMulti:
         vals = fortran.predict_multi(self.handles(), probe)
         assert vals.flags.c_contiguous
         np.testing.assert_array_equal(vals, np.stack([h.predict(probe) for h in self.handles()]))
+
+
+def moments_trainer(hook):
+    """A constant trainer whose pair_moments_fn is ``hook``."""
+    return dataclasses.replace(constant_trainer(), name="moments", pair_moments_fn=hook)
+
+
+class TestPairMoments:
+    def args(self, pairs=3, w=2, n=5):
+        handles = [PredictorHandle(lambda xs, a=a: a * xs[:, 0]) for a in range(2 * pairs)]
+        return handles[0], handles, np.linspace(0, 1, n)[:, None], np.ones((w, n))
+
+    def test_unset_hook_gives_none(self):
+        assert constant_trainer().pair_moments(*self.args()) is None
+
+    def test_result_passes_through_as_arrays(self):
+        seen = []
+
+        def hook(base, handles, xs, weights):
+            seen.append((base, handles, xs.shape, weights.shape))
+            return [np.zeros((2, 3)), np.ones((2, 3)), [1.0, 2.0, 3.0], np.zeros(3), np.ones(3)]
+
+        base, handles, xs, weights = self.args()
+        moments = moments_trainer(hook).pair_moments(base, handles, xs, list(weights))
+        assert [m.shape for m in moments] == [(2, 3), (2, 3), (3,), (3,), (3,)]
+        np.testing.assert_array_equal(moments[2], [1.0, 2.0, 3.0])
+        assert seen == [(base, handles, (5, 1), (2, 5))]
+
+    @pytest.mark.parametrize("result", [
+        [np.zeros((2, 3))] * 2 + [np.zeros(3)] * 2,           # four arrays
+        [np.zeros((2, 3)), np.zeros((1, 3))] + [np.zeros(3)] * 3,
+        [np.zeros((2, 3))] * 2 + [np.zeros(3), np.zeros(4), np.zeros(3)],
+        [np.zeros((2, 3))] * 2 + [np.zeros((3, 1))] * 3,
+        [[0.0, [1.0]]] * 5,                                  # ragged
+        7.0,                                                 # not a sequence
+    ])
+    def test_wrong_shape_rejected(self, result):
+        with pytest.raises(TrainerFailedError, match="'moments' returned pair moments"):
+            moments_trainer(lambda *args: result).pair_moments(*self.args())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        result = [np.zeros((2, 3))] * 2 + [np.zeros(3), np.array([0.0, bad, 0.0]), np.zeros(3)]
+        with pytest.raises(NonFiniteDataError, match="trainer 'moments' returned non-finite"):
+            moments_trainer(lambda *args: result).pair_moments(*self.args())
+
+    def test_foreign_exception_wrapped(self):
+        def boom(*args):
+            raise KeyError("nope")
+
+        with pytest.raises(TrainerFailedError, match="'moments' failed: 'nope'"):
+            moments_trainer(boom).pair_moments(*self.args())
+
+    def test_odd_handle_count_rejected(self):
+        base, handles, xs, weights = self.args()
+        with pytest.raises(InvalidDataError, match="pairs"):
+            moments_trainer(lambda *args: None).pair_moments(base, handles[:5], xs, weights)
+
+    def test_declining_hook_matches_no_hook(self):
+        # A hook that returns None leaves the engine on the predicted
+        # moments: reports bit-identical to the trainer without a hook.
+        ds, truth = generate(ExperimentSpec(id="exp1", n=300, seed=4))
+        trainer = make_trainer("fourier_ridge", {"N": 6})
+        calls = []
+        declining = dataclasses.replace(
+            trainer, pair_moments_fn=lambda *args: calls.append(len(args[1])))
+        none = dataclasses.replace(trainer, pair_moments_fn=None)
+        cfg = EvaluationConfig(K=4, rho_grid=(0.5, 2.0), seed=4)
+
+        def numbers(reports):
+            return [(vars(r) | {"rounds": [(rd.optimism, rd.norm_tilde, rd.norm_check)
+                                           for rd in r.rounds], "config": None})
+                    for r in reports]
+
+        want = numbers(evaluate(ds, none, cfg, fstar=truth.fstar))
+        assert numbers(evaluate(ds, declining, cfg, fstar=truth.fstar)) == want
+        assert calls == [2 * cfg.K]
+        # The built-in hook's moments round apart from the predicted ones,
+        # so this comparison would see a hook that did not decline.
+        assert numbers(evaluate(ds, trainer, cfg, fstar=truth.fstar)) != want
 
 
 class TestSigns:

@@ -661,27 +661,45 @@ class TestEvaluate:
                 assert numbers(own) == numbers(rd)
 
     def test_linear_smoother_fits_each_subsample_once(self, monkeypatch):
-        # A linear smoother's fixed-grid evaluate fits two columns per
-        # subsample, breve and eps * v there, both on one seed, all in one
-        # fit_multi call after the warm-up's, and predicts each of those
-        # 2K refits on the full data once, whatever the grid's size.
-        ds, truth = generate(ExperimentSpec(id="exp1", n=300, seed=15))
-        trainer, handles = full_data_counting(
-            make_trainer("fourier_ridge", {"N": 6, "lam": 1e-6}), ds.n)
-        assert trainer.linear_smoother
+        # Primal refits (p = 13 <= m): their full-data moments come from
+        # their coefficients, so they are never predicted on the full data.
+        self.assert_fits_each_subsample_once(monkeypatch, "exp1", {"N": 6, "lam": 1e-6}, 0)
+
+    def test_linear_smoother_kernel_refits_predicted_once(self, monkeypatch):
+        # Kernel refits (p = 3125 > n): fourier_ridge's pair_moments_fn
+        # declines, and each refit is predicted on the full data once.
+        self.assert_fits_each_subsample_once(monkeypatch, "exp3", {"N": 2, "lam": 1e-6}, 1)
+
+    @staticmethod
+    def assert_fits_each_subsample_once(monkeypatch, experiment, params, refit_full_predicts):
+        """A linear smoother's fixed-grid evaluate fits two columns per
+        subsample, breve and eps * v there, both on one seed, all in one
+        fit_multi call after the warm-up's, and predicts each refit on the
+        full data ``refit_full_predicts`` times, whatever the grid's size;
+        the trained predictor and the truth are predicted there once."""
+        ds, truth = generate(ExperimentSpec(id=experiment, n=300, seed=15))
+        base = make_trainer("fourier_ridge", params)
+        assert base.linear_smoother
+        predicted = []   # (ids of the handles, number of points) per predict_multi_fn call
+
+        def counting_predict(handles, xs):
+            predicted.append(([id(h) for h in handles], xs.shape[0]))
+            return base.predict_multi_fn(handles, xs)
+
+        trainer = dataclasses.replace(base, predict_multi_fn=counting_predict)
         calls = []
         fit_multi = TrainerOracle.fit_multi
 
         def counting_fit_multi(trainer, xs, Y, seeds, rows=None):
-            calls.append((np.array(Y), list(seeds), rows))
-            return fit_multi(trainer, xs, Y, seeds, rows)
+            calls.append((np.array(Y), list(seeds), rows,
+                          fit_multi(trainer, xs, Y, seeds, rows)))
+            return calls[-1][-1]
 
         monkeypatch.setattr(TrainerOracle, "fit_multi", counting_fit_multi)
-        fstar = counting(truth.fstar, ds.n, None)
         cfg = EvaluationConfig(K=3, rho_grid=(0.5, 1.0, 2.0), seed=15)
-        reports, state = evaluate_with_state(ds, trainer, cfg, fstar=fstar)
+        reports, state = evaluate_with_state(ds, trainer, cfg, fstar=truth.fstar)
         assert len(reports) == len(cfg.rho_grid) and len(calls) == 2
-        Y, seeds, rows = calls[1]
+        Y, seeds, rows, refits = calls[1]
         subs = [rd.sub.indices for rd in reports[0].rounds]
         assert Y.shape == (cfg.subsample_size(ds.n), 2 * cfg.K)
         np.testing.assert_array_equal(rows, np.repeat(subs, 2, axis=0))
@@ -689,11 +707,12 @@ class TestEvaluate:
         for k, idx in enumerate(subs):
             np.testing.assert_array_equal(Y[:, 2 * k], state.breve_vals[idx])
             np.testing.assert_array_equal(Y[:, 2 * k + 1], state.signs[idx] * state.residuals[idx])
-        breve, refits = handles[0], handles[1:]
         assert len(refits) == 2 * cfg.K
-        assert [f.meta["full_predicts"] for f in refits] == [1] * len(refits)
-        assert breve.meta["full_predicts"] == 1
-        assert fstar.meta["full_predicts"] == 1
+        assert ("dual_coefficients" in refits[0].meta) == (experiment == "exp3")
+        full = [i for ids, points in predicted if points == ds.n for i in ids]
+        assert [full.count(id(f)) for f in refits] == [refit_full_predicts] * len(refits)
+        assert full.count(id(calls[0][-1][0])) == 1
+        assert full.count(id(truth.fstar)) == 1
 
     # Largest relative gaps measured between the two paths over seeds 0-5
     # (exp1 n=400 K=6, five scales; exp3 n=300 K=3, two scales): 6.6e-13

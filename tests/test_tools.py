@@ -6,12 +6,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_report_drift_of_a_checkout_against_itself_is_zero():
-    # The drift tool that shows a change leaves outputs alone: this checkout
-    # against itself on one tree_step operation drifts by 0 in every field.
+def assert_no_drift_against_itself(workload):
+    """This checkout against itself on one operation of ``workload`` drifts
+    by 0 in every field."""
     proc = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "report_drift.py"), str(ROOT), str(ROOT),
-         "--workload", "tree_step", "--ops", "1", "--max-rel", "0"],
+         "--workload", workload, "--ops", "1", "--max-rel", "0"],
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
@@ -19,6 +19,18 @@ def test_report_drift_of_a_checkout_against_itself_is_zero():
     for line in lines:
         field, drift = line.split()
         assert float(drift) == 0.0, line
+
+
+def test_report_drift_of_a_checkout_against_itself_is_zero():
+    # The drift tool that shows a change leaves outputs alone, here on the
+    # tree path.
+    assert_no_drift_against_itself("tree_step")
+
+
+def test_linear_smoother_path_is_deterministic():
+    # ridge1d_bign runs fourier_ridge's linear-smoother path, whose moments
+    # come from coefficients: two runs of it agree bit for bit.
+    assert_no_drift_against_itself("ridge1d_bign")
 
 
 def load_ab_pairs():

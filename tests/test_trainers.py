@@ -5,8 +5,9 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import wildriff.refit as refit
 import wildriff.trainers as trainers
 from wildriff import ConvergenceWarning
 from wildriff.core import EvaluationConfig, InvalidDataError, PredictorHandle, RegressionDataset
@@ -67,6 +68,33 @@ def untiled_kernel(psi_a, psi_b):
     gram += 1.0
     gram *= 0.5
     return gram
+
+
+def stacked_design(xs, freqs):
+    """The design as its three column blocks stacked: the reference for the
+    in-place build."""
+    phase = 2.0 * np.pi * (xs @ freqs.T)
+    return np.hstack([np.ones((xs.shape[0], 1)), np.cos(phase), np.sin(phase)])
+
+
+def linear_pairs(d, N, lam, near, w, seed, n=200, m=60, K=3):
+    """A trained predictor on n points and K pairs (a_k, b_k) fit as a
+    linear smoother's evaluate fits them: a_k on the trained predictor's
+    values at a subsample plus ``near`` times noise, b_k on noise there.
+    Returns the trainer, the predictor, the 2K handles, the points and w
+    weight rows."""
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(0, 1, size=(n, d))
+    trainer = fourier_ridge_trainer(FourierRidgeSpec(N=N, lam=lam))
+    [base] = trainer.fit_multi(xs, (np.sin(2 * np.pi * xs.sum(axis=1))
+                                    + rng.normal(0, 0.3, size=n))[:, None], [0])
+    breve = trainer.predict_multi([base], xs)[0]
+    subs = np.stack([rng.choice(n, size=m, replace=False) for _ in range(K)])
+    Y = np.empty((m, 2 * K))
+    Y[:, 0::2] = breve[subs.T] + near * rng.normal(size=(m, K))
+    Y[:, 1::2] = rng.normal(size=(m, K))
+    handles = trainer.fit_multi(xs, Y, [0] * (2 * K), np.repeat(subs, 2, axis=0))
+    return trainer, base, handles, xs, rng.normal(size=(w, n))
 
 
 def uniform_dataset(n, d=1, seed=0, fn=None, noise=0.0):
@@ -682,14 +710,145 @@ class TestFourierRidge:
         # The warm-up fit builds the full design, which lives as long as its
         # handle: every refit gathers its rows from it, and every prediction
         # on the full data reads it, whatever the order of the calls.  Each
-        # subsample's refits are scored on one more build, which a tuned
-        # search's steps on that subsample share.
+        # subsample's refits are scored on their fitted values, so no
+        # subsample design is built.
         cfg = EvaluationConfig(K=30, rho_grid=(0.1, 0.5, 1.0, 2.0, 5.0), seed=5)
-        assert count_builds(cfg) == (1, cfg.K + 1)
+        assert count_builds(cfg) == (1, 1)
         trainer = dataclasses.replace(trainer, linear_smoother=False)
-        assert count_builds(cfg) == (1, cfg.K + 1)
+        assert count_builds(cfg) == (1, 1)
         cfg = EvaluationConfig(K=12, K1=4, rho_mode="tuned", seed=5)
-        assert count_builds(cfg) == (1, cfg.K + 1)
+        assert count_builds(cfg) == (1, 1)
+
+    @pytest.mark.parametrize("d,N", [(1, 8), (1, 0), (3, 2), (3, 0)])
+    def test_design_built_in_place(self, d, N):
+        # The constant, cos and sin blocks are written into one array: bit
+        # for bit the stacked blocks, with the (n, k) phase block as the one
+        # temporary that grows with n.  The rest is the frequencies cast to
+        # float and numpy's ufunc buffer of 8192 values for the strided
+        # cos and sin outputs.
+        n = 4000
+        xs = np.random.default_rng(d + N).uniform(0, 1, size=(n, d))
+        freqs = _half_space_frequencies(N, d)
+        design, peak = traced_peak(_build_design, xs, freqs)
+        np.testing.assert_array_equal(design, stacked_design(xs, freqs))
+        assert design.shape == (n, (2 * N + 1) ** d) and design.flags.c_contiguous
+        assert peak <= design.nbytes + n * len(freqs) * 8 + freqs.size * 8 + 8192 * 8 + 4096
+
+    @pytest.mark.parametrize("d,N,lam", [(1, 8, 1e-6), (3, 1, 1e-6), (1, 4, 0.0)],
+                             ids=["primal", "primal-3d", "lstsq"])
+    def test_primal_fitted_values(self, monkeypatch, d, N, lam):
+        # A primal handle predicted on exactly its training points reads
+        # the fitted values its fit call computed, with no design built:
+        # bit for bit its fit call's coefficient rows times a freshly built
+        # design of those points.  Elsewhere it predicts through the design.
+        rng = np.random.default_rng(d + N)
+        n, m, cols = 300, 60, 3
+        xs = rng.uniform(0, 1, size=(n, d))
+        trainer = fourier_ridge_trainer(FourierRidgeSpec(N=N, lam=lam))
+        owner = trainer.fit_multi(xs, rng.normal(size=(n, 1)), [0])
+        sub = rng.choice(n, size=m, replace=False)
+        fits = trainer.fit_multi(xs, rng.normal(size=(m, cols)), [0] * cols,
+                                 np.repeat(sub[None], cols, axis=0))
+        assert all("coefficients" in f.meta for f in owner + fits)
+        pts = xs[sub]
+        want = np.empty((cols, m))
+        trainers._tiled_product(np.stack([f.meta["coefficients"] for f in fits]),
+                                stacked_design(pts, _half_space_frequencies(N, d)), want)
+        builds, build = [], trainers._build_design
+        monkeypatch.setattr(trainers, "_build_design",
+                            lambda pts, freqs: builds.append(len(pts)) or build(pts, freqs))
+        np.testing.assert_array_equal(trainer.predict_multi(fits, np.array(pts)), want)
+        np.testing.assert_array_equal(fits[1].predict(pts), want[1])
+        assert builds == []
+        # Mixed with a handle fit elsewhere, the others take one product.
+        vals = trainer.predict_multi([fits[0], *owner, fits[2]], pts)
+        np.testing.assert_array_equal(vals[[0, 2]], want[[0, 2]])
+        np.testing.assert_array_equal(vals[1], owner[0].predict(np.array(pts)))
+        assert builds == [m]
+
+    def test_runs_predict_in_one_fill_call(self, monkeypatch):
+        # Handles from many fit calls share one fill per frequency table,
+        # so K runs' 2K handles predict on the full data in one product.
+        rng = np.random.default_rng(4)
+        n, m, K = 400, 50, 6
+        xs = rng.uniform(0, 1, size=(n, 1))
+        trainer = fourier_ridge_trainer(FourierRidgeSpec(N=4))
+        handles = [f for _ in range(K) for f in trainer.fit_multi(
+            xs, rng.normal(size=(m, 2)), [0, 0], np.repeat(rng.choice(n, (1, m), False), 2, 0))]
+        calls, fill = [], trainers._PrimalRows.__call__
+        monkeypatch.setattr(trainers._PrimalRows, "__call__",
+                            lambda self, items, pts, out: calls.append(len(items))
+                            or fill(self, items, pts, out))
+        vals = trainer.predict_multi(handles, xs)
+        assert calls == [2 * K]
+        for f, row in zip(handles, vals):
+            np.testing.assert_allclose(row, f.predict(xs), rtol=0, atol=1e-13)
+
+    # Each moment's gap from predict_multi plus _pair_moments is measured
+    # in units of its scale: for a moment of the factors u and v, |u| s_v +
+    # |v| s_u, with |.| an RMS over the points, s_D the RMS of the a_k and
+    # the trained predictor's values, s_B = |B| and s_w = |w|.  Over 60
+    # draws like these, with near down to 1e-12, the largest gap was
+    # 6.5e-16 of that scale.  Forming dd as <a,a> - 2<a,base> + <base,base>
+    # from the coefficients' quadratic forms instead missed by up to 2.4e-4.
+    PAIR_MOMENT_RTOL = 1e-13
+
+    @given(case=st.sampled_from([(1, 8, 1e-6), (3, 1, 1e-6), (1, 8, 0.0), (3, 1, 0.0)]),
+           near=st.floats(-12.0, 0.0).map(lambda e: 10.0 ** e), w=st.integers(1, 2),
+           seed=st.integers(0, 2 ** 16))
+    @example(case=(3, 1, 0.0), near=1e-10, w=1, seed=0)
+    @example(case=(1, 8, 1e-6), near=0.0, w=2, seed=1)
+    @settings(max_examples=30, deadline=None)
+    def test_pair_moments_match_predicted_moments(self, case, near, w, seed):
+        # fourier_ridge's pair_moments_fn (primal, primal-3d and lstsq)
+        # gives the moments the engine takes from the handles' predicted
+        # values, also when the a_k nearly reproduce the trained predictor.
+        d, N, lam = case
+        trainer, base, handles, xs, weights = linear_pairs(d, N, lam, near, w, seed)
+        got = trainer.pair_moments(base, handles, xs, weights)
+        assert got is not None
+        vals = trainer.predict_multi(handles, xs)
+        breve = trainer.predict_multi([base], xs)[0]
+        want = refit._pair_moments(vals, breve, list(weights))
+
+        def rms(a):
+            return np.sqrt(np.mean(np.square(a), axis=-1))
+
+        s_d = rms(np.concatenate([vals[0::2], breve[None]]).ravel())
+        d_, b_, w_ = rms(vals[0::2] - breve), rms(vals[1::2]), rms(weights)[:, None]
+        scales = [w_ * (s_d + d_), 2 * w_ * b_, 2 * d_ * s_d, d_ * b_ + b_ * s_d, 2 * b_ * b_]
+        for name, g, r, scale in zip(want._fields, got, want, scales):
+            assert g.shape == r.shape
+            assert np.all(np.abs(g - r) <= self.PAIR_MOMENT_RTOL * scale), name
+
+    @pytest.mark.parametrize("base_N,N", [(4, 4), (1, 4)], ids=["kernel", "design-warm-up"])
+    def test_pair_moments_decline_kernel_handles(self, base_N, N):
+        # Kernel-path handles (p = 81 > m = 40) keep the predicted moments,
+        # whichever path the trained predictor took.
+        rng = np.random.default_rng(N)
+        n, m = 60, 40
+        xs = rng.uniform(0, 1, size=(n, 2))
+        [base] = fourier_ridge_trainer(FourierRidgeSpec(N=base_N, lam=1e-3)).fit_multi(
+            xs, rng.normal(size=(n, 1)), [0])
+        trainer = fourier_ridge_trainer(FourierRidgeSpec(N=N, lam=1e-3))
+        handles = trainer.fit_multi(xs, rng.normal(size=(m, 2)), [0, 0],
+                                    np.repeat(rng.choice(n, (1, m), False), 2, 0))
+        assert ("dual_coefficients" in base.meta) == (base_N == 4)
+        assert all("dual_coefficients" in f.meta for f in handles)
+        assert trainer.pair_moments(base, handles, xs, rng.normal(size=(1, n))) is None
+        plain = [PredictorHandle(f.predict) for f in handles]
+        assert trainer.pair_moments(base, plain, xs, rng.normal(size=(1, n))) is None
+
+    def test_evaluate_memory_below_candidate_block(self):
+        # A ridge1d_bign-shaped evaluate (exp1, n = 8000, K = 30, truth
+        # given) takes its pair moments from coefficients and reads the
+        # refits' fitted values, so its peak stays below the (2K, n) block
+        # of every refit predicted on the full data (3.84 MB).
+        ds, truth = generate(ExperimentSpec(id="exp1", n=8000, seed=0))
+        trainer = make_trainer("fourier_ridge", {"N": 8, "lam": 1e-6})
+        cfg = EvaluationConfig(K=30, beta=0.6, seed=0)
+        _, peak = traced_peak(evaluate, ds, trainer, cfg, None, truth.fstar)
+        assert peak < 2 * cfg.K * ds.n * 8
 
     @pytest.mark.parametrize("d,N,lam,key", [
         (1, 4, 1e-6, "coefficients"),      # p = 9 <= n: the p x p normal equations
