@@ -251,8 +251,7 @@ def cmd_evaluate(config_path, out_dir=None, seed=None, formats=None) -> int:
     if len(run.n) > 1 or len(run.seeds) > 1:
         raise ConfigError(f"evaluate runs one cell, not n {run.n} x seeds {run.seeds}; use sweep")
     start = time.perf_counter()
-    n = run.n[0]
-    dataset, truth, reports, state = _run_cell(run, n, run.seeds[0])
+    dataset, truth, reports, state = _run_cell(run, run.n[0], run.seeds[0])
     wall = time.perf_counter() - start
 
     out = run.output_dir
@@ -265,7 +264,7 @@ def cmd_evaluate(config_path, out_dir=None, seed=None, formats=None) -> int:
             "config": {
                 "experiment": run.experiment,
                 "dataset_file": run.dataset_file,
-                "n": n,
+                "n": dataset.n,
                 "seed": run.seeds[0],
                 "trainer": {"name": run.trainer_name, "params": run.trainer_params},
                 "evaluation": run.evaluation,

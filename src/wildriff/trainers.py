@@ -3,7 +3,7 @@
 * ``fourier_ridge`` -- exact minimizer of penalized mean squared error over
   real trigonometric polynomials; the reference exact solver.
 * ``mlp``           -- small fully-connected ReLU network trained full-batch
-  with L-BFGS (or plain gradient descent).
+  with L-BFGS.
 * ``tree``          -- CART regression tree(s) with variance-reduction splits.
 
 All trainers are deterministic given (dataset, seed).
@@ -321,9 +321,9 @@ def _fourier_fits(xs: np.ndarray, features: np.ndarray, Y: np.ndarray, spec: Fou
             coef = np.linalg.solve(kernel, Y)
             kernel[np.diag_indices(n)] = diagonal
         elif spec.lam > 0:
-            gram = features.T @ features / n
+            gram = _tiled_gram(features, features) / n
             coef = np.linalg.solve(gram + spec.lam * np.eye(features.shape[1]),
-                                   features.T @ Y / n)
+                                   _tiled_gram(features, Y) / n)
         else:
             gram = None
             coef = np.linalg.lstsq(features, Y, rcond=None)[0]
@@ -505,30 +505,20 @@ def fourier_ridge_fit(dataset: RegressionDataset, spec: FourierRidgeSpec = Fouri
 
 @dataclass(frozen=True)
 class MlpSpec:
-    """Fully-connected ReLU regressor trained full-batch.
-
-    ``optimizer`` is "lbfgs" (quasi-Newton with a fixed iteration budget)
-    or "gd" (plain full-batch gradient descent at ``learning_rate``).
-    """
+    """Fully-connected ReLU regressor with hidden layers of ``widths``,
+    trained full-batch with L-BFGS for at most ``max_iter`` iterations."""
 
     widths: tuple = (32, 32)
-    optimizer: str = "lbfgs"
     max_iter: int = 200
-    learning_rate: float = 0.05
 
     def __post_init__(self):
         for w in self.widths:
             check_integer("widths entries", w, TrainerError)
         check_integer("max_iter", self.max_iter, TrainerError)
-        check_real("learning_rate", self.learning_rate, TrainerError)
-        if self.learning_rate <= 0:
-            raise TrainerError("learning_rate must be > 0")
         if any(w < 1 for w in self.widths):
             raise TrainerError("layer widths must be >= 1")
         if self.max_iter < 1:
             raise TrainerError("max_iter must be >= 1")
-        if self.optimizer not in ("lbfgs", "gd"):
-            raise TrainerError(f"unsupported optimizer {self.optimizer!r}")
         object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
 
 
@@ -593,44 +583,30 @@ def _mlp_loss_grad(theta, shapes, xs, y):
 def mlp_fit(dataset: RegressionDataset, spec: MlpSpec = MlpSpec(), seed: int = 0) -> PredictorHandle:
     """Deterministic full-batch MLP fit; approximate empirical risk minimizer.
 
-    An L-BFGS fit that stops before scipy's convergence test holds, such as
-    one that spends ``max_iter`` iterations, warns with `ConvergenceWarning`
-    and returns its last iterate.  Gradient descent always runs ``max_iter``
-    steps and does not warn.
+    A fit that stops before scipy's convergence test holds, such as one
+    that spends ``max_iter`` iterations, warns with `ConvergenceWarning` and
+    returns its last iterate; a non-finite result raises `DivergedError`.
     """
+    # Imported here: scipy.optimize takes most of a cold `import wildriff`,
+    # and only this fit uses it.
+    from scipy.optimize import minimize
+
     d = dataset.d
     shapes = _mlp_shapes(d, spec.widths)
-    rng = derive_rng(seed, "mlp-init")
-    theta0 = _pack(_mlp_init(shapes, rng))
-    xs, y = dataset.xs, dataset.ys
-
-    if spec.optimizer == "lbfgs":
-        # Imported here: scipy.optimize takes most of a cold `import wildriff`,
-        # and only this branch uses it.
-        from scipy.optimize import minimize
-
-        result = minimize(
-            _mlp_loss_grad, theta0, args=(shapes, xs, y), jac=True, method="L-BFGS-B",
-            options={"maxiter": spec.max_iter, "ftol": 1e-14, "gtol": 1e-12},
-        )
-        if not result.success:
-            warnings.warn(f"mlp L-BFGS stopped after {result.nit} iterations: {result.message}",
-                          ConvergenceWarning, stacklevel=2)
-        theta = result.x
-        final_loss = float(result.fun)
-    else:
-        theta = theta0
-        final_loss = np.inf
-        for _ in range(spec.max_iter):
-            final_loss, grad = _mlp_loss_grad(theta, shapes, xs, y)
-            if not np.isfinite(final_loss):
-                raise DivergedError(f"gradient descent diverged (loss={final_loss})")
-            theta = theta - spec.learning_rate * grad
-
+    theta0 = _pack(_mlp_init(shapes, derive_rng(seed, "mlp-init")))
+    result = minimize(
+        _mlp_loss_grad, theta0, args=(shapes, dataset.xs, dataset.ys), jac=True,
+        method="L-BFGS-B", options={"maxiter": spec.max_iter, "ftol": 1e-14, "gtol": 1e-12},
+    )
+    if not result.success:
+        warnings.warn(f"mlp L-BFGS stopped after {result.nit} iterations: {result.message}",
+                      ConvergenceWarning, stacklevel=2)
+    theta = result.x
+    final_loss = float(result.fun)
     if not (np.isfinite(final_loss) and np.all(np.isfinite(theta))):
         raise DivergedError("training produced non-finite parameters")
 
-    params = _unpack(theta.copy(), shapes)
+    params = _unpack(theta, shapes)
     weights = [params[i] for i in range(0, len(params), 2)]
     biases = [params[i + 1] for i in range(0, len(params), 2)]
 
@@ -641,7 +617,7 @@ def mlp_fit(dataset: RegressionDataset, spec: MlpSpec = MlpSpec(), seed: int = 0
 
     return PredictorHandle(
         predict,
-        name=f"mlp(widths={spec.widths}, opt={spec.optimizer})",
+        name=f"mlp(widths={spec.widths})",
         meta={"kind": "mlp", "weights": weights, "biases": biases,
               "train_mse": final_loss, "spec": spec},
     )

@@ -171,10 +171,6 @@ class TestCmdEvaluate:
         {"trainer": {"name": "fourier_ridge", "params": {"lam": float("nan")}}},
         {"trainer": {"name": "fourier_ridge", "params": {"lam": float("inf")}}},
         {"trainer": {"name": "fourier_ridge", "params": {"lam": True}}},
-        {"trainer": {"name": "mlp", "params": {"optimizer": "gd", "learning_rate": float("nan")}}},
-        {"trainer": {"name": "mlp", "params": {"optimizer": "gd", "learning_rate": 0}}},
-        {"trainer": {"name": "mlp", "params": {"optimizer": "gd", "learning_rate": -0.05}}},
-        {"trainer": {"name": "mlp", "params": {"optimizer": "gd", "learning_rate": True}}},
         {"trainer": {"name": "tree", "params": {"feature_fraction": True}}},
         # Real evaluation settings that are booleans or not finite, and
         # negative bound constants.
@@ -204,8 +200,7 @@ class TestCmdEvaluate:
             "wide_csv_row", "v_zero", "tree_n_trees_float", "tree_max_depth_float",
             "tree_min_samples_leaf_float", "tree_max_depth_bool", "ridge_N_float",
             "ridge_max_features_float", "mlp_max_iter_float", "mlp_widths_float",
-            "ridge_lam_nan", "ridge_lam_inf", "ridge_lam_bool", "mlp_lr_nan", "mlp_lr_zero",
-            "mlp_lr_negative", "mlp_lr_bool", "tree_feature_fraction_bool",
+            "ridge_lam_nan", "ridge_lam_inf", "ridge_lam_bool", "tree_feature_fraction_bool",
             "radius_constant_inf", "radius_constant_nan", "radius_constant_negative",
             "log_term_constant_nan", "log_term_constant_negative", "w_under_nan", "w_bar_inf",
             "M_v_nan", "v_nan", "tau_bool", "tau_inf", "t_nan", "beta_nan", "delta_bool",
@@ -229,7 +224,11 @@ class TestCmdEvaluate:
         ({"oracle": {"n_mc": "many"}}, "oracle.n_mc"),
         ({"evaluation": {"K": 2, "beta": "half"}}, "evaluation"),
         ({"trainer": {"name": "tree", "params": {"max_depth": "deep"}}}, "trainer.params"),
-    ], ids=["n", "seeds", "n_mc", "evaluation", "trainer_params"])
+        # The MLP trains with L-BFGS only: neither key is a trainer setting.
+        ({"trainer": {"name": "mlp", "params": {"optimizer": "lbfgs"}}}, "trainer.params"),
+        ({"trainer": {"name": "mlp", "params": {"learning_rate": 0.05}}}, "trainer.params"),
+    ], ids=["n", "seeds", "n_mc", "evaluation", "trainer_params", "mlp_optimizer",
+            "mlp_learning_rate"])
     def test_parse_error_names_key(self, tmp_path, capsys, overrides, key):
         assert cmd_evaluate(write_config(tmp_path, **overrides)) == 2
         assert f": {key}: " in capsys.readouterr().err
@@ -264,12 +263,15 @@ class TestCmdEvaluate:
                        ("wild_optimism_bound", "fixed_design_bound", "random_design_bound"))
 
     def test_runtime_error_exit_3(self, tmp_path, capsys):
+        # One tuning step cannot bracket the noise scale to within 1e-9.
         cfg = write_config(tmp_path, n=100,
-                           trainer={"name": "mlp",
-                                    "params": {"optimizer": "gd", "learning_rate": 1e6,
-                                               "max_iter": 50, "widths": [4]}})
+                           trainer={"name": "tree", "params": {"max_depth": 3}},
+                           evaluation={"K": 3, "K1": 1, "rho_mode": "tuned",
+                                       "tune_max_iter": 1, "tol_rho": 1e-9})
         assert cmd_evaluate(cfg) == 3
-        assert "evaluation error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "evaluation error:" in err
+        assert "Traceback" not in err
 
     def test_dataset_file_source(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -287,8 +289,11 @@ class TestCmdEvaluate:
         cfg.write_text(json.dumps(raw))
         assert cmd_evaluate(cfg) == 0
         out = tmp_path / "out"
-        assert (out / "summary.json").exists()
         assert not (out / "oracle.json").exists()  # no ground truth
+        # n is the file's row count; the config's n = 200 is not echoed.
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["config"]["n"] == 60
+        assert all(bounds["n"] == 60 for bounds in summary["bounds"].values())
 
     def test_dataset_file_outside_unit_cube_exit_2(self, tmp_path, capsys):
         data = tmp_path / "data.csv"

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -33,11 +35,25 @@ def test_linear_smoother_path_is_deterministic():
     assert_no_drift_against_itself("ridge1d_bign")
 
 
-def load_ab_pairs():
-    spec = importlib.util.spec_from_file_location("ab_pairs", ROOT / "tools" / "ab_pairs.py")
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.mark.parametrize("argv", [["mlp", "--chek"], ["mpl"], ["--check", "boost"]])
+def test_record_golden_bad_argument_exits_2_and_writes_nothing(argv, capsys):
+    # A mistyped flag or trainer name stops before any cell runs, so no
+    # golden is re-recorded by accident.
+    record_golden = load_tool("record_golden")
+    paths = [path for path, _ in record_golden.GOLDENS.values()]
+    before = [path.read_bytes() for path in paths]
+    with pytest.raises(SystemExit) as exc:
+        record_golden.main(argv)
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+    assert [path.read_bytes() for path in paths] == before
 
 
 # Ten parent runs: median 1.045, interquartile range 0.045 (4.3% of it).
@@ -45,7 +61,7 @@ PARENT = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]
 
 
 def test_ab_verdict_against_the_bound():
-    verdict = load_ab_pairs().verdict
+    verdict = load_tool("ab_pairs").verdict
     slower = [1.3 * v for v in PARENT]
     assert verdict(PARENT, [1.1 * v for v in PARENT], True, 0.25).startswith("within bound")
     assert verdict(PARENT, slower, True, 0.25).startswith("worse by 30.0%")
@@ -61,7 +77,7 @@ def test_ab_verdict_against_the_bound():
 
 
 def test_ab_gain_needs_nine_tenths_of_the_pairs_and_a_shift_past_the_iqr():
-    gain = load_ab_pairs().gain
+    gain = load_tool("ab_pairs").gain
     faster = [v - 0.1 for v in PARENT]
     assert gain(PARENT, faster, 9, True).startswith("gain (9/10 wins, need 9;")
     assert gain(PARENT, faster, 8, True).startswith("no gain")

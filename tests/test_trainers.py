@@ -988,17 +988,10 @@ class TestMlp:
         ds, _ = generate(ExperimentSpec(id="exp1", n=200, seed=0))
         with pytest.warns(ConvergenceWarning, match="TOTAL NO. OF ITERATIONS REACHED LIMIT"):
             mlp_fit(ds, MlpSpec(widths=(8, 8), max_iter=5), seed=0)
-        # L-BFGS converges after 102 iterations; gradient descent runs its
-        # fixed step count.  Neither warns.
+        # L-BFGS converges after 102 iterations and does not warn.
         with warnings.catch_warnings():
             warnings.simplefilter("error", ConvergenceWarning)
             mlp_fit(ds, MlpSpec(widths=(8, 8), max_iter=200), seed=0)
-            mlp_fit(ds, MlpSpec(widths=(8, 8), optimizer="gd", max_iter=5), seed=0)
-
-    def test_gd_optimizer_runs(self):
-        ds = uniform_dataset(60, seed=3, fn=lambda xs: xs[:, 0])
-        f = mlp_fit(ds, MlpSpec(optimizer="gd", max_iter=200, learning_rate=0.05), seed=0)
-        assert np.all(np.isfinite(f.predict(ds.xs)))
 
     def test_weights_exposed(self):
         ds = uniform_dataset(40, seed=0, fn=lambda xs: xs[:, 0])

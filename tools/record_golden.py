@@ -15,6 +15,7 @@ field's largest relative move against the checked-in goldens, writes
 nothing, and exits 1 on any difference.
 """
 
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -186,9 +187,18 @@ def check(trainer_name: str) -> dict:
 
 
 def main(argv) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="print each field's largest move; exit 1 on any")
+    parser.add_argument("trainers", nargs="*", metavar="TRAINER",
+                        help=f"any of {', '.join(GOLDENS)} (default: all)")
+    args = parser.parse_args(argv)
+    unknown = [name for name in args.trainers if name not in GOLDENS]
+    if unknown:
+        parser.error(f"unknown trainer {unknown[0]!r}; pick from {', '.join(GOLDENS)}")
+    names = args.trainers or list(GOLDENS)
     sys.path.insert(0, str(ROOT / "src"))
-    names = [arg for arg in argv if arg != "--check"] or list(GOLDENS)
-    if "--check" not in argv:
+    if not args.check:
         for trainer_name in names:
             path, cells = GOLDENS[trainer_name]
             cells = [dict(cell, reports=run_cell(trainer_name, cell)) for cell in cells]
