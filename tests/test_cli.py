@@ -171,6 +171,12 @@ class TestCmdEvaluate:
         {"trainer": {"name": "fourier_ridge", "params": {"lam": float("nan")}}},
         {"trainer": {"name": "fourier_ridge", "params": {"lam": float("inf")}}},
         {"trainer": {"name": "fourier_ridge", "params": {"lam": True}}},
+        # A gradient-descent MLP with a bad learning rate: neither key is an
+        # MLP setting any more, so each config fails as an unknown key.
+        {"trainer": {"name": "mlp", "params": {"optimizer": "gd", "learning_rate": float("nan")}}},
+        {"trainer": {"name": "mlp", "params": {"optimizer": "gd", "learning_rate": 0}}},
+        {"trainer": {"name": "mlp", "params": {"optimizer": "gd", "learning_rate": -0.05}}},
+        {"trainer": {"name": "mlp", "params": {"optimizer": "gd", "learning_rate": True}}},
         {"trainer": {"name": "tree", "params": {"feature_fraction": True}}},
         # Real evaluation settings that are booleans or not finite, and
         # negative bound constants.
@@ -200,7 +206,8 @@ class TestCmdEvaluate:
             "wide_csv_row", "v_zero", "tree_n_trees_float", "tree_max_depth_float",
             "tree_min_samples_leaf_float", "tree_max_depth_bool", "ridge_N_float",
             "ridge_max_features_float", "mlp_max_iter_float", "mlp_widths_float",
-            "ridge_lam_nan", "ridge_lam_inf", "ridge_lam_bool", "tree_feature_fraction_bool",
+            "ridge_lam_nan", "ridge_lam_inf", "ridge_lam_bool", "mlp_lr_nan", "mlp_lr_zero",
+            "mlp_lr_negative", "mlp_lr_bool", "tree_feature_fraction_bool",
             "radius_constant_inf", "radius_constant_nan", "radius_constant_negative",
             "log_term_constant_nan", "log_term_constant_negative", "w_under_nan", "w_bar_inf",
             "M_v_nan", "v_nan", "tau_bool", "tau_inf", "t_nan", "beta_nan", "delta_bool",
