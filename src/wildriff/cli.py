@@ -55,6 +55,9 @@ ROUNDS_COLUMNS = ["k", "m", "rho1", "rho2", "opt_tilde", "opt_check",
                   "norm_tilde", "norm_check", "trainer_tol"]
 SWEEP_COLUMNS = ["n", "rho", "seed", "bound", "oracle_excess_risk", "ratio"]
 
+CONFIG_KEYS = ("experiment", "dataset_file", "n", "seed", "seeds", "trainer", "evaluation",
+               "oracle", "formats", "output_dir")
+
 
 @dataclass
 class RunConfig:
@@ -87,6 +90,7 @@ class RunConfig:
 
     @staticmethod
     def from_dict(raw: dict, out_override=None, seed_override=None, formats_override=None) -> "RunConfig":
+        _check_keys("", raw, CONFIG_KEYS)
         experiment = raw.get("experiment")
         dataset_file = raw.get("dataset_file")
         if (experiment is None) == (dataset_file is None):
@@ -101,6 +105,7 @@ class RunConfig:
         trainer = raw.get("trainer", {})
         if not isinstance(trainer, dict) or "name" not in trainer:
             raise ConfigError("config needs trainer: {name, params}")
+        _check_keys("trainer: ", trainer, ("name", "params"))
         trainer_params = _parse("trainer.params", dict, trainer.get("params", {}))
 
         seed = _parse("seed", _integer, seed_override if seed_override is not None
@@ -119,8 +124,9 @@ class RunConfig:
         if not (isinstance(formats, list) and formats) or set(map(str, formats)) - {"csv", "json"}:
             raise ConfigError(f"formats: need a non-empty list of csv and json, got {formats!r}")
 
-        n_mc = _parse("oracle.n_mc", lambda o: _integer(o.get("n_mc", 10000)),
-                      raw.get("oracle", {}))
+        oracle = _parse("oracle", dict, raw.get("oracle", {}))
+        _check_keys("oracle: ", oracle, ("n_mc",))
+        n_mc = _parse("oracle.n_mc", _integer, oracle.get("n_mc", 10000))
         if n_mc < 2:
             raise ConfigError("oracle.n_mc must be >= 2")
 
@@ -149,6 +155,14 @@ class RunConfig:
             dataset, truth = generate(ExperimentSpec(id=self.experiment, n=n, seed=seed))
             return dataset, truth
         return _read_dataset_csv(self.dataset_file), None
+
+
+def _check_keys(where: str, block, known) -> None:
+    """A `ConfigError` naming the first key of ``block`` that is not in
+    ``known``: a config key nothing reads is a mistake, not a no-op."""
+    unknown = [key for key in block if key not in known]
+    if unknown:
+        raise ConfigError(f"{where}unknown key {unknown[0]!r}; pick from {', '.join(known)}")
 
 
 def _parse(key: str, convert, value):
@@ -248,7 +262,12 @@ def _exit_codes(command):
 def cmd_evaluate(config_path, out_dir=None, seed=None, formats=None) -> int:
     """Run one evaluation and write rounds.csv / summary.json / oracle.json."""
     run = RunConfig.from_file(config_path, out_dir, seed, formats)
-    if len(run.n) > 1 or len(run.seeds) > 1:
+    if run.experiment is None:
+        # A file's n is its row count, so only the seeds can make more cells.
+        if len(run.seeds) > 1:
+            raise ConfigError(
+                f"evaluate runs one seed, not seeds {run.seeds}; pick one with --seed")
+    elif len(run.n) > 1 or len(run.seeds) > 1:
         raise ConfigError(f"evaluate runs one cell, not n {run.n} x seeds {run.seeds}; use sweep")
     start = time.perf_counter()
     dataset, truth, reports, state = _run_cell(run, run.n[0], run.seeds[0])

@@ -4,7 +4,7 @@
   real trigonometric polynomials; the reference exact solver.
 * ``mlp``           -- small fully-connected ReLU network trained full-batch
   with L-BFGS.
-* ``tree``          -- CART regression tree(s) with variance-reduction splits.
+* ``tree``          -- CART regression tree with variance-reduction splits.
 
 All trainers are deterministic given (dataset, seed).
 """
@@ -629,36 +629,26 @@ def mlp_fit(dataset: RegressionDataset, spec: MlpSpec = MlpSpec(), seed: int = 0
 
 @dataclass(frozen=True)
 class TreeSpec:
-    """Regression tree / small forest with variance-reduction splits.
-
-    A forest averages ``n_trees`` trees, each grown on the full data with
-    per-split feature subsampling at ``feature_fraction``.
-    """
+    """Regression tree with variance-reduction splits."""
 
     max_depth: int = 5
     min_samples_leaf: int = 1
-    n_trees: int = 1
-    feature_fraction: float = 1.0
 
     def __post_init__(self):
-        for name in ("max_depth", "min_samples_leaf", "n_trees"):
+        for name in ("max_depth", "min_samples_leaf"):
             check_integer(name, getattr(self, name), TrainerError)
-        check_real("feature_fraction", self.feature_fraction, TrainerError)
         if self.max_depth < 1:
             raise TrainerError("max_depth must be >= 1")
         if self.min_samples_leaf < 1:
             raise TrainerError("min_samples_leaf must be >= 1")
-        if self.n_trees < 1:
-            raise TrainerError("n_trees must be >= 1")
-        if not (0.0 < self.feature_fraction <= 1.0):
-            raise TrainerError("feature_fraction must lie in (0, 1]")
 
 
 class _Trees(NamedTuple):
     """Every tree of one `_grow_trees` call as flat node arrays.
 
-    Tree g's root is node g.  A leaf points to itself both ways, so routing
-    a point ``levels`` times from a root always ends on its leaf.
+    Column c's tree has its root at node c.  A leaf points to itself both
+    ways, so routing a point ``levels`` times from a root always ends on its
+    leaf.
     """
 
     feature: np.ndarray
@@ -666,7 +656,7 @@ class _Trees(NamedTuple):
     left: np.ndarray
     right: np.ndarray
     value: np.ndarray
-    tree: np.ndarray       # per node, the tree it belongs to
+    tree: np.ndarray       # per node, the column whose tree it belongs to
     n_leaves: np.ndarray   # per tree
     levels: int
 
@@ -685,7 +675,7 @@ class _Padded(NamedTuple):
 # most this many (node x row) entries, so memory stays bounded however
 # unevenly the rows spread over the nodes.  Prediction keeps its (tree x
 # point) temporaries within it too: d > 1 routes points in tiles of at most
-# this many entries, and d = 1 cuts sorted points for as many forests at a
+# this many entries, and d = 1 cuts sorted points for as many trees at a
 # time as fit (one at the least).
 _LEVEL_BLOCK_ENTRIES = 2 ** 12
 
@@ -721,27 +711,18 @@ def _node_sums(y: np.ndarray, starts: np.ndarray, sizes: np.ndarray):
     return sums
 
 
-def _grow_trees(xs: np.ndarray, Y: np.ndarray, seeds, spec: TreeSpec,
-                rows: np.ndarray) -> _Trees:
-    """CART on every column of ``Y`` (spec.n_trees trees each), level by level.
+def _grow_trees(xs: np.ndarray, Y: np.ndarray, spec: TreeSpec, rows: np.ndarray) -> _Trees:
+    """CART on every column of ``Y``, one tree each, level by level.
 
     Column c fits the points ``xs[rows[c]]``.  The columns' rows are stacked:
     column c's i-th row is stacked row c * m + i, and one stable rank per
     feature over the stacked rows orders every column's rows as a rank over
-    that column alone would.  Tree g = c * n_trees + t fits column c and
-    draws its feature subsets from (seeds[c], t), in level order.  A node
-    with constant responses, fewer than 2 * min_samples_leaf rows, or at
-    max_depth is a leaf, as is one with no split above the gain floor
-    (`_block_splits`).
+    that column alone would.  A node with constant responses, fewer than
+    2 * min_samples_leaf rows, or at max_depth is a leaf, as is one with no
+    split above the gain floor (`_block_splits`).
     """
     m, n_cols = Y.shape
     d = xs.shape[1]
-    n_trees = spec.n_trees
-    n_groups = n_cols * n_trees
-    subsample = spec.feature_fraction < 1.0 and d > 1
-    n_feats = max(1, int(round(spec.feature_fraction * d))) if subsample else d
-    rngs = [derive_rng(seed, "tree-features", t) for seed in seeds
-            for t in range(n_trees)] if subsample else None
 
     stacked = xs[rows.ravel()]
     size = stacked.shape[0]
@@ -753,9 +734,9 @@ def _grow_trees(xs: np.ndarray, Y: np.ndarray, seeds, spec: TreeSpec,
 
     # The current level: each node's stacked rows in their original order,
     # nodes one after the other, and the tree of each node.
-    tree = np.arange(n_groups)
-    sizes = np.full(n_groups, m)
-    rows = np.repeat(np.arange(n_cols) * m, n_trees * m) + np.tile(np.arange(m), n_groups)
+    tree = np.arange(n_cols)
+    sizes = np.full(n_cols, m)
+    rows = np.arange(n_cols * m)
     levels = []   # per level: (feature, threshold, left, right, value, is_leaf, tree)
     base = 0
     while sizes.size:
@@ -767,20 +748,13 @@ def _grow_trees(xs: np.ndarray, Y: np.ndarray, seeds, spec: TreeSpec,
                 & (np.maximum.reduceat(y, starts) != np.minimum.reduceat(y, starts))
                 & (len(levels) < spec.max_depth))
 
-        nodes = np.flatnonzero(grow)
-        if subsample:
-            feats = np.zeros((count, n_feats), dtype=np.intp)
-            for a in nodes:
-                feats[a] = np.sort(rngs[tree[a]].choice(d, size=n_feats, replace=False))
-        else:
-            feats = np.tile(np.arange(d), (count, 1))
         feature = np.zeros(count, dtype=np.intp)
         threshold = np.zeros(count)
         gain = np.full(count, -np.inf)
-        for block in _size_blocks(nodes, sizes):
+        for block in _size_blocks(np.flatnonzero(grow), sizes):
             feature[block], threshold[block], gain[block] = _block_splits(
                 pad, spec.min_samples_leaf, rows, starts[block], sizes[block], total[block],
-                sq_total[block], feats[block])
+                sq_total[block])
 
         split = gain > -np.inf
         child = np.cumsum(split) - 1
@@ -803,19 +777,19 @@ def _grow_trees(xs: np.ndarray, Y: np.ndarray, seeds, spec: TreeSpec,
     feature, threshold, left, right, value, is_leaf, owner = (
         np.concatenate(parts) for parts in zip(*levels))
     return _Trees(feature, threshold, left, right, value, owner,
-                  np.bincount(owner[is_leaf], minlength=n_groups), len(levels) - 1)
+                  np.bincount(owner[is_leaf], minlength=n_cols), len(levels) - 1)
 
 
 def _block_splits(pad: _Padded, min_leaf: int, rows: np.ndarray, starts: np.ndarray,
-                  n: np.ndarray, total: np.ndarray, sq_total: np.ndarray, feats: np.ndarray):
+                  n: np.ndarray, total: np.ndarray, sq_total: np.ndarray):
     """The best split of each node of a block: (feature, threshold, gain).
 
     Node a holds the stacked rows rows[starts[a]:starts[a] + n[a]]; its
     rows, sorted by a feature and padded to the block's width, are one row
     of a matrix, and one cumulative sum scores every split position.  The
     split maximizes the SSE drop, ties going to the first position and then
-    to the first of the node's features ``feats[a]``, and counts only above
-    1e-12 * max(node SSE, 1); a node without one gets gain -inf.
+    to the first feature, and counts only above 1e-12 * max(node SSE, 1); a
+    node without one gets gain -inf.
     """
     pos = np.arange(int(n.max()))
     size = n[:, None]
@@ -829,10 +803,9 @@ def _block_splits(pad: _Padded, min_leaf: int, rows: np.ndarray, starts: np.ndar
     feature = np.zeros(n.size, dtype=np.intp)
     threshold = np.zeros(n.size)
     gain = np.full(n.size, -np.inf)
-    for j in feats.T:
-        order = np.take_along_axis(padded, np.argsort(pad.rank[j[:, None], padded], axis=1),
-                                   axis=1)
-        xj = pad.xs[order, j[:, None]]
+    for j in range(pad.rank.shape[0]):
+        order = np.take_along_axis(padded, np.argsort(pad.rank[j, padded], axis=1), axis=1)
+        xj = pad.xs[order, j]
         left_sum = np.cumsum(pad.y[order], axis=1)[:, :-1]
         valid = (xj[:, :-1] < xj[:, 1:]) & (left_sizes >= min_leaf) & (right_sizes >= min_leaf)
         sse_drop = (left_sum ** 2 / left_sizes
@@ -846,22 +819,21 @@ def _block_splits(pad: _Padded, min_leaf: int, rows: np.ndarray, starts: np.ndar
         # The midpoint rounds onto hi when hi is the next float after lo and
         # lo's last bit is odd; lo then still separates the two sides.
         mid = 0.5 * (lo + hi)
-        feature[better] = j[better]
+        feature[better] = j
         threshold[better] = np.where(mid < hi, mid, lo)[better]
         gain[better] = best[better]
     return feature, threshold, gain
 
 
-def _tree_fits(xs: np.ndarray, Y: np.ndarray, seeds, spec: TreeSpec,
+def _tree_fits(xs: np.ndarray, Y: np.ndarray, spec: TreeSpec,
                rows: np.ndarray) -> List[PredictorHandle]:
-    """One tree (or forest) handle per column of ``Y``, column c fit on
-    ``xs[rows[c]]``, all grown together."""
-    trees = _grow_trees(xs, Y, seeds, spec, rows)
+    """One tree handle per column of ``Y``, column c fit on ``xs[rows[c]]``,
+    all grown together."""
+    trees = _grow_trees(xs, Y, spec, rows)
     steps = _leaf_steps(trees) if xs.shape[1] == 1 else None
-    fill = _TreeRows(trees, steps, spec.n_trees, xs.shape[1])
-    leaves = trees.n_leaves.reshape(Y.shape[1], spec.n_trees).sum(axis=1)
-    return [_BatchHandle(fill, c, f"tree(depth={spec.max_depth}, trees={spec.n_trees})",
-                         {"kind": "tree", "n_leaves": int(leaves[c]), "spec": spec})
+    fill = _TreeRows(trees, steps, xs.shape[1])
+    return [_BatchHandle(fill, c, f"tree(depth={spec.max_depth})",
+                         {"kind": "tree", "n_leaves": int(trees.n_leaves[c]), "spec": spec})
             for c in range(Y.shape[1])]
 
 
@@ -901,19 +873,17 @@ def _leaf_steps(trees: _Trees) -> _Steps:
 
 
 class _TreeRows:
-    """The handles of one `_grow_trees` call.  Item c is column c's forest,
-    roots c * n_trees onward.  Every root asked for is predicted in one
-    pass, 1-d trees from their `_Steps` and others by routing, and a
-    forest's trees are summed in root order into zeros, as one handle alone
-    sums them.
+    """The handles of one `_grow_trees` call.  Item c is column c's tree,
+    root c.  Every root asked for is predicted in one pass, 1-d trees from
+    their `_Steps` and others by routing.
     """
 
-    def __init__(self, trees: _Trees, steps: Optional[_Steps], n_trees: int, d: int):
-        self.trees, self.steps, self.n_trees, self.d = trees, steps, n_trees, d
+    def __init__(self, trees: _Trees, steps: Optional[_Steps], d: int):
+        self.trees, self.steps, self.d = trees, steps, d
 
     def __call__(self, columns, pts: np.ndarray, out: np.ndarray) -> None:
         _check_dimension(pts, self.d)
-        roots = np.add.outer(np.asarray(columns) * self.n_trees, np.arange(self.n_trees))
+        roots = np.asarray(columns)
         if self.steps is None:
             self._route(roots, pts, out)
         else:
@@ -926,52 +896,43 @@ class _TreeRows:
         for start in range(0, pts.shape[0], step):
             tile = pts[start:start + step]
             at = np.arange(tile.shape[0])
-            node = np.repeat(roots[:, :, None], tile.shape[0], axis=2)
+            node = np.repeat(roots[:, None], tile.shape[0], axis=1)
             for _ in range(trees.levels):
                 node = np.where(tile[at, trees.feature[node]] <= trees.threshold[node],
                                 trees.left[node], trees.right[node])
-            acc = np.zeros((roots.shape[0], tile.shape[0]))
-            for t in range(self.n_trees):
-                acc += trees.value[node[:, t]]
-            out[:, start:start + step] = acc / self.n_trees
+            out[:, start:start + step] = trees.value[node]
 
     def _cut(self, roots: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
         """The points sorted once and cut at every selected tree's leaf
         edges; each leaf's value repeated over its run of sorted points,
-        for as many forests at a time as the entry budget allows, then put
+        for as many trees at a time as the entry budget allows, then put
         back in point order."""
         steps, n = self.steps, x.size
         order = np.argsort(x, kind="stable")
         rank = np.empty_like(order)
         rank[order] = np.arange(n)
-        g = roots.ravel()
-        sizes = steps.start[g + 1] - steps.start[g]
+        sizes = steps.start[roots + 1] - steps.start[roots]
         ends = np.cumsum(sizes)
         begins = ends - sizes   # where each tree's leaves start in `leaf`
-        leaf = np.repeat(steps.start[g] - begins, sizes) + np.arange(ends[-1])
+        leaf = np.repeat(steps.start[roots] - begins, sizes) + np.arange(ends[-1])
         cuts = np.searchsorted(x[order], steps.edge[leaf], side="right")
         counts = np.diff(cuts, prepend=0)
         counts[begins] = cuts[begins]   # each tree's first run starts at point 0
         values = steps.value[leaf]
-        bounds = np.append(0, ends[self.n_trees - 1::self.n_trees])   # per forest
-        per = max(1, _LEVEL_BLOCK_ENTRIES // max(1, roots.shape[1] * n))
-        for a in range(0, roots.shape[0], per):
-            b = min(a + per, roots.shape[0])
+        bounds = np.append(0, ends)
+        per = max(1, _LEVEL_BLOCK_ENTRIES // max(1, n))
+        for a in range(0, roots.size, per):
+            b = min(a + per, roots.size)
             runs = np.repeat(values[bounds[a]:bounds[b]], counts[bounds[a]:bounds[b]])
-            runs = runs.reshape(b - a, self.n_trees, n)
-            acc = np.zeros((b - a, n))
-            for t in range(self.n_trees):
-                acc += runs[:, t]
-            acc /= self.n_trees
             # Every rank is in range; "clip" writes straight into ``out``,
             # where the default mode would gather into a buffer first.
-            np.take(acc, rank, axis=1, out=out[a:b], mode="clip")
+            np.take(runs.reshape(b - a, n), rank, axis=1, out=out[a:b], mode="clip")
 
 
 def tree_fit(dataset: RegressionDataset, spec: TreeSpec = TreeSpec(), seed: int = 0) -> PredictorHandle:
-    """CART regression fit; a forest when spec.n_trees > 1."""
-    return _tree_fits(dataset.xs, dataset.ys[:, None], [seed], spec,
-                      np.arange(dataset.n)[None])[0]
+    """CART regression fit.  The seed is ignored: the tree is a pure
+    function of the data and ``spec``."""
+    return _tree_fits(dataset.xs, dataset.ys[:, None], spec, np.arange(dataset.n)[None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1002,7 +963,7 @@ def tree_trainer(spec: TreeSpec = TreeSpec()) -> TrainerOracle:
     return TrainerOracle(
         name="tree",
         fit_fn=lambda ds, seed: tree_fit(ds, spec, seed),
-        fit_multi_fn=lambda xs, Y, seeds, rows: _tree_fits(xs, Y, seeds, spec, rows),
+        fit_multi_fn=lambda xs, Y, seeds, rows: _tree_fits(xs, Y, spec, rows),
         predict_multi_fn=_predict_multi,
         optimization_tol=float("inf"),
     )

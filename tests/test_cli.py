@@ -201,6 +201,10 @@ class TestCmdEvaluate:
         # Scales whose report labels (6 significant digits) would collide.
         {"evaluation": {"K": 2, "rho_grid": [0.1234567, 1.0, 1.0000001]}},
         {"evaluation": {"K": 2, "rho_grid": [0.5, 0.5]}},
+        # Keys nothing reads: misspelled top-level, trainer and oracle keys.
+        {"evalution": {"K": 99}, "ouput_dir": "elsewhere", "sed": 3},
+        {"trainer": {"name": "tree", "param": {"max_depth": 1}}},
+        {"oracle": {"nmc": 5}},
     ], ids=["srswor_strategy", "t", "w_under", "M_v", "tune_max_iter", "rho_grid", "n",
             "seeds", "n_mc", "K_float", "max_features", "header_only_csv", "narrow_csv_row",
             "wide_csv_row", "v_zero", "tree_n_trees_float", "tree_max_depth_float",
@@ -212,7 +216,8 @@ class TestCmdEvaluate:
             "log_term_constant_nan", "log_term_constant_negative", "w_under_nan", "w_bar_inf",
             "M_v_nan", "v_nan", "tau_bool", "tau_inf", "t_nan", "beta_nan", "delta_bool",
             "tol_rho_inf", "rho_grid_nan", "rho_grid_inf", "rho_grid_bool",
-            "rho_grid_label_collision", "rho_grid_duplicate"])
+            "rho_grid_label_collision", "rho_grid_duplicate", "unknown_top_level_keys",
+            "unknown_trainer_key", "unknown_oracle_key"])
     def test_config_mistake_exit_2(self, tmp_path, capsys, overrides):
         # Raised before, during or after the run, a config error exits 2.
         overrides = dict(overrides)
@@ -224,6 +229,20 @@ class TestCmdEvaluate:
         err = capsys.readouterr().err
         assert "config error:" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("overrides,message", [
+        ({"evalution": {"K": 99}}, "unknown key 'evalution'"),
+        ({"trainer": {"name": "tree", "param": {"max_depth": 1}}},
+         "trainer: unknown key 'param'"),
+        ({"oracle": {"nmc": 5}}, "oracle: unknown key 'nmc'"),
+    ], ids=["top_level", "trainer", "oracle"])
+    def test_unknown_key_named(self, tmp_path, capsys, overrides, message):
+        path = write_config(tmp_path, **overrides)
+        assert cmd_evaluate(path) == 2
+        assert cmd_sweep(path) == 2
+        assert capsys.readouterr().err.count(message) == 2
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("overrides,key", [
         ({"n": "abc"}, "n"),
@@ -301,6 +320,26 @@ class TestCmdEvaluate:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["config"]["n"] == 60
         assert all(bounds["n"] == 60 for bounds in summary["bounds"].values())
+
+    def test_dataset_file_evaluate_counts_only_seeds(self, tmp_path, capsys):
+        # A file's n is its row count, so an n list still names one cell;
+        # several seeds do not, and --seed picks one (sweep takes no file).
+        data = tmp_path / "data.csv"
+        rng = np.random.default_rng(1)
+        with open(data, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["x0", "y"])
+            writer.writerows(zip(rng.uniform(0, 1, 60), rng.normal(size=60)))
+        source = {"experiment": None, "dataset_file": str(data)}
+        assert cmd_evaluate(write_config(tmp_path, n=[4, 8], **source)) == 0
+        assert json.loads((tmp_path / "out" / "summary.json").read_text())["config"]["n"] == 60
+        for n in ([4, 8], 8):
+            path = write_config(tmp_path, n=n, seeds=[0, 1], **source)
+            assert cmd_evaluate(path) == 2
+            err = capsys.readouterr().err
+            assert "--seed" in err and "sweep" not in err
+        assert cmd_evaluate(path, seed=1) == 0
+        assert json.loads((tmp_path / "out" / "summary.json").read_text())["config"]["seed"] == 1
 
     def test_dataset_file_outside_unit_cube_exit_2(self, tmp_path, capsys):
         data = tmp_path / "data.csv"

@@ -529,7 +529,6 @@ INTEGER_SETTINGS = {
     "MlpSpec.max_iter": (lambda v: MlpSpec(max_iter=v), "max_iter"),
     "TreeSpec.max_depth": (lambda v: TreeSpec(max_depth=v), "max_depth"),
     "TreeSpec.min_samples_leaf": (lambda v: TreeSpec(min_samples_leaf=v), "min_samples_leaf"),
-    "TreeSpec.n_trees": (lambda v: TreeSpec(n_trees=v), "n_trees"),
     "ExperimentSpec.n": (lambda v: ExperimentSpec(id="exp1", n=v), "n"),
     "ExperimentSpec.seed": (lambda v: ExperimentSpec(id="exp1", n=10, seed=v), "seed"),
 }

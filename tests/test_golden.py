@@ -3,11 +3,11 @@
 Each cell of a trainer's golden file holds its inputs and its outputs; the
 cell is run again and every output must match exactly, floats bit for bit.
 The tree cells cover a fixed-grid 1-d tree (the tree_step cell at smaller
-n), a tuned 1-d tree, a 1-d three-tree forest and a 5-d tree.  The
-fourier_ridge cells cover the explicit design with the linear-smoother step
-and refit at every scale, the kernel path, a design warm-up with kernel
-refits, lam = 0, and tuned mode on the design and on the kernel.  The mlp
-cell covers `TrainerOracle.fit_multi`'s loop of one fit per column.
+n), a tuned 1-d tree and a 5-d tree.  The fourier_ridge cells cover the
+explicit design with the linear-smoother step and refit at every scale, the
+kernel path, a design warm-up with kernel refits, lam = 0, and tuned mode on
+the design and on the kernel.  The mlp cell covers
+`TrainerOracle.fit_multi`'s loop of one fit per column.
 """
 
 import importlib.util
@@ -76,3 +76,12 @@ def test_check_reports_each_moved_field(monkeypatch, tmp_path):
                                                                  "pilot_flags"}
     monkeypatch.setitem(record_golden.GOLDENS, "mlp", (path, cells))
     assert record_golden.main(["--check", "mlp"]) == 0
+
+
+def test_check_reports_a_stale_cell(monkeypatch):
+    # A cell still in the golden file but no longer defined moves `cells`
+    # infinitely, as a defined cell missing from the file does.
+    path, cells = record_golden.GOLDENS["mlp"]
+    monkeypatch.setitem(record_golden.GOLDENS, "mlp", (path, []))
+    assert dict(record_golden.check("mlp")) == {"cells": (math.inf, cells[0]["name"])}
+    assert record_golden.main(["--check", "mlp"]) == 1

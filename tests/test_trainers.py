@@ -107,7 +107,7 @@ def uniform_dataset(n, d=1, seed=0, fn=None, noise=0.0):
 
 
 # The depth-first recursive CART grower that the level-wise one replaced,
-# kept as the reference it must match bit for bit at feature_fraction = 1.
+# kept as the reference it must match bit for bit.
 
 class _RefNode:
     __slots__ = ("feature", "threshold", "left", "right", "value")
@@ -178,18 +178,15 @@ def _ref_leaves(node):
 
 
 def reference_tree(xs, ys, spec):
-    """(predict, n_leaves) of the recursive grower; feature_fraction = 1 only."""
-    roots = [_ref_grow(xs, ys, 0, spec) for _ in range(spec.n_trees)]
+    """(predict, n_leaves) of the recursive grower."""
+    root = _ref_grow(xs, ys, 0, spec)
 
     def predict(pts):
-        acc = np.zeros(pts.shape[0])
-        for root in roots:
-            out = np.empty(pts.shape[0])
-            _ref_predict(root, pts, out, np.arange(pts.shape[0]))
-            acc += out
-        return acc / len(roots)
+        out = np.empty(pts.shape[0])
+        _ref_predict(root, pts, out, np.arange(pts.shape[0]))
+        return out
 
-    return predict, sum(_ref_leaves(r) for r in roots)
+    return predict, _ref_leaves(root)
 
 
 def subsample_rows(rng, n, K, m, cols):
@@ -1036,11 +1033,6 @@ class TestTree:
         # at most n / min_leaf leaves
         assert f.meta["n_leaves"] <= 5
 
-    def test_forest_averages(self):
-        ds, _ = generate(ExperimentSpec(id="exp3", n=200, seed=1))
-        f = tree_fit(ds, TreeSpec(max_depth=4, n_trees=4, feature_fraction=0.6), seed=3)
-        assert np.all(np.isfinite(f.predict(ds.xs)))
-
     def test_prediction_totality(self):
         ds, _ = generate(ExperimentSpec(id="exp2", n=500, seed=0))
         f = tree_fit(ds, TreeSpec(max_depth=6))
@@ -1049,19 +1041,18 @@ class TestTree:
 
     @given(d=st.sampled_from([1, 5]), n=st.integers(1, 300), x_levels=st.integers(0, 6),
            y_levels=st.integers(0, 4), depth=st.integers(1, 7), leaf=st.integers(1, 4),
-           n_trees=st.integers(1, 3), cols=st.integers(1, 4), seed=st.integers(0, 2**16))
+           cols=st.integers(1, 4), seed=st.integers(0, 2**16))
     @settings(max_examples=120, deadline=None)
-    def test_matches_recursive_grower(self, d, n, x_levels, y_levels, depth, leaf, n_trees,
-                                      cols, seed):
+    def test_matches_recursive_grower(self, d, n, x_levels, y_levels, depth, leaf, cols, seed):
         # Level by level and batched over columns, the trees are the
         # recursive grower's, bit for bit: ties in x (few levels) and in y
-        # (few values), leaf minimums and averaged identical forest trees.
+        # (few values), and leaf minimums.
         rng = np.random.default_rng(seed)
         xs = (rng.integers(0, x_levels + 2, size=(n, d)) / (x_levels + 1) if x_levels
               else rng.uniform(0, 1, size=(n, d)))
         Y = (rng.integers(0, y_levels + 1, size=(n, cols)).astype(float) if y_levels
              else rng.normal(size=(n, cols)) * 10.0 ** rng.uniform(-3, 3))
-        spec = TreeSpec(max_depth=depth, min_samples_leaf=leaf, n_trees=n_trees)
+        spec = TreeSpec(max_depth=depth, min_samples_leaf=leaf)
         probes = np.vstack([xs, rng.uniform(0, 1, size=(40, d))])
         batched = tree_trainer(spec).fit_multi(xs, Y, list(range(cols)))
         for c in range(cols):
@@ -1072,10 +1063,9 @@ class TestTree:
                 assert f.meta["n_leaves"] == leaves
 
     @pytest.mark.parametrize("spec,d", [
-        (TreeSpec(max_depth=4, n_trees=3), 1),
-        (TreeSpec(max_depth=4, n_trees=2, feature_fraction=0.5), 3),
+        (TreeSpec(max_depth=4), 1),
         (TreeSpec(max_depth=6, min_samples_leaf=2), 2),
-    ], ids=["forest", "feature-fraction", "min-leaf"])
+    ], ids=["one-d", "min-leaf"])
     def test_rows_fit_matches_per_subsample_fits(self, spec, d):
         # One grow over every subsample's columns, in stacked row space,
         # grows the trees one call per subsample grows, bit for bit: ties
@@ -1118,17 +1108,16 @@ class TestTree:
         assert peak < 5e6
 
     @given(d=st.sampled_from([1, 3]), n=st.integers(1, 120), depth=st.integers(1, 7),
-           n_trees=st.integers(1, 3), calls=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+           calls=st.lists(st.integers(1, 4), min_size=1, max_size=3),
            entries=st.sampled_from([1, 5, 64, 2 ** 15]), seed=st.integers(0, 2**16))
     @settings(max_examples=80, deadline=None)
-    def test_predict_multi_bit_identical_to_per_handle(self, d, n, depth, n_trees, calls,
-                                                       entries, seed):
+    def test_predict_multi_bit_identical_to_per_handle(self, d, n, depth, calls, entries, seed):
         # Handles of several fit_multi calls, shuffled: every root of one
         # call is routed at once, in point tiles of `entries`, and each row
         # equals the handle's own prediction bit for bit.
         rng = np.random.default_rng(seed)
         xs = rng.uniform(0, 1, size=(n, d))
-        trainer = tree_trainer(TreeSpec(max_depth=depth, n_trees=n_trees))
+        trainer = tree_trainer(TreeSpec(max_depth=depth))
         handles = [f for cols in calls for f in trainer.fit_multi(
             xs, rng.normal(size=(n, cols)), list(range(cols)))]
         handles = [handles[i] for i in rng.permutation(len(handles))]
@@ -1140,25 +1129,24 @@ class TestTree:
         np.testing.assert_array_equal(got, want)
 
     @given(n=st.integers(1, 150), x_levels=st.integers(0, 6), depth=st.integers(1, 6),
-           leaf=st.integers(1, 3), n_trees=st.sampled_from([1, 3]),
-           calls=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+           leaf=st.integers(1, 3), calls=st.lists(st.integers(1, 3), min_size=1, max_size=3),
            entries=st.sampled_from([1, 50, 2 ** 12]), seed=st.integers(0, 2**16))
     @settings(max_examples=60, deadline=None)
-    def test_one_d_steps_match_recursive_routing(self, n, x_levels, depth, leaf, n_trees,
-                                                 calls, entries, seed):
+    def test_one_d_steps_match_recursive_routing(self, n, x_levels, depth, leaf, calls, entries,
+                                                 seed):
         # 1-d handles predict from sorted leaf edges.  The recursive grower's
         # routing is the reference, bit for bit, on the points routing
         # treats specially: NaN (right at every node), -inf, +inf, -0.0,
         # every threshold and its float neighbours, and duplicated training
         # points.  Each call's first column is 0 but for one -5e-324, too
-        # small to split on, so its trees are one leaf whose value (for
-        # n >= 2) is -0.0, which the sum into zeros turns into 0.0.  Handles
-        # come from several calls, shuffled, and are cut in chunks under an
-        # entry budget of `entries`.
+        # small to split on, so its tree is one leaf whose value (for
+        # n >= 2) is -0.0, which both paths keep.  Handles come from several
+        # calls, shuffled, and are cut in chunks under an entry budget of
+        # `entries`.
         rng = np.random.default_rng(seed)
         xs = (rng.integers(0, x_levels + 2, size=(n, 1)) / (x_levels + 1) if x_levels
               else rng.uniform(0, 1, size=(n, 1)))
-        spec = TreeSpec(max_depth=depth, min_samples_leaf=leaf, n_trees=n_trees)
+        spec = TreeSpec(max_depth=depth, min_samples_leaf=leaf)
         trainer = tree_trainer(spec)
         handles, refs, thresholds = [], [], []
         for cols in calls:
@@ -1191,23 +1179,22 @@ class TestTree:
     def test_zero_points_predict_empty_rows(self, d):
         # Both prediction paths give one empty row per handle on no points.
         rng = np.random.default_rng(d)
-        trainer = tree_trainer(TreeSpec(max_depth=3, n_trees=3))
+        trainer = tree_trainer(TreeSpec(max_depth=3))
         handles = trainer.fit_multi(rng.uniform(0, 1, size=(40, d)), rng.normal(size=(40, 4)),
                                     [0, 1, 2, 3])
         assert (handles[0].fill.steps is None) == (d > 1)
         assert trainer.predict_multi(handles[::-1], np.empty((0, d))).shape == (4, 0)
 
-    @pytest.mark.parametrize("n_trees", [1, 3])
-    def test_one_d_prediction_memory_bounded(self, n_trees):
+    def test_one_d_prediction_memory_bounded(self):
         # Beyond its output, a 1-d prediction holds the points' order, rank
-        # and sorted copy, and per chunk one forest's runs or the entry
+        # and sorted copy, and per chunk one tree's runs or the entry
         # budget's worth: well under the output's size, which one (root x
         # point) temporary alone would reach.
-        rng = np.random.default_rng(n_trees)
+        rng = np.random.default_rng(1)
         n, m, cols = 2000, 50, 40
         xs = rng.uniform(0, 1, size=(n, 1))
         rows = np.stack([np.sort(rng.choice(n, m, replace=False)) for _ in range(cols)])
-        trainer = tree_trainer(TreeSpec(max_depth=4, n_trees=n_trees))
+        trainer = tree_trainer(TreeSpec(max_depth=4))
         handles = trainer.fit_multi(xs, rng.normal(size=(m, cols)), list(range(cols)), rows)
         got, peak = traced_peak(trainer.predict_multi, handles, xs)
         assert peak - got.nbytes < got.nbytes / 2

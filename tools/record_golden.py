@@ -36,10 +36,6 @@ TREE_CELLS = [
      "trainer": {"max_depth": 5},
      "evaluation": {"K": 6, "K1": 2, "rho_mode": "tuned"},
      "fstar": False},
-    {"name": "fixed-grid-exp1-forest3", "experiment": "exp1", "n": 300, "seed": 7,
-     "trainer": {"max_depth": 4, "n_trees": 3},
-     "evaluation": {"K": 8, "rho_grid": [0.1, 0.5, 2.0]},
-     "fstar": False},
     # A 5-d tree, which predicts by routing points down the nodes.
     {"name": "fixed-grid-exp3-d5", "experiment": "exp3", "n": 300, "seed": 11,
      "trainer": {"max_depth": 5},
@@ -161,10 +157,15 @@ def relative_move(old, new) -> float:
 
 def check(trainer_name: str) -> dict:
     """Each field's largest move, with the cell and report where it occurs,
-    between the trainer's golden file and a fresh run of its cells."""
+    between the trainer's golden file and a fresh run of its cells.  A cell
+    defined but not recorded, or recorded but no longer defined, moves
+    ``cells`` infinitely."""
     path, cells = GOLDENS[trainer_name]
     recorded = {cell["name"]: cell for cell in json.loads(path.read_text())["cells"]}
     worst = defaultdict(lambda: (0.0, ""))
+    stale = recorded.keys() - {cell["name"] for cell in cells}
+    if stale:
+        worst["cells"] = (math.inf, min(stale))
     for cell in cells:
         if cell["name"] not in recorded:
             worst["cells"] = (math.inf, cell["name"])
