@@ -22,6 +22,9 @@ __all__ = [
     "EmptyInputError",
     "InvalidDataError",
     "BadConfigError",
+    "BoundError",
+    "BadParamError",
+    "DecayRegimeError",
     "ConvergenceWarning",
     "RegressionDataset",
     "PredictorHandle",
@@ -30,6 +33,7 @@ __all__ = [
     "EvaluationConfig",
     "check_real",
     "check_integer",
+    "check_t",
     "derive_rng",
     "derive_seed",
     "warm_up",
@@ -71,6 +75,18 @@ class InvalidDataError(ConfigError):
     """Input data of the wrong shape or outside the unit cube."""
 
 
+class BoundError(ConfigError):
+    """Base class for bound-assembly failures."""
+
+
+class BadParamError(BoundError):
+    pass
+
+
+class DecayRegimeError(BoundError):
+    """Decay exponent too small for the requested dimension."""
+
+
 class ConvergenceWarning(UserWarning):
     """A trainer's iterative solver stopped before its convergence test held."""
 
@@ -86,6 +102,13 @@ def check_integer(name: str, value, error: type = ConfigError) -> None:
     """Raise ``error`` unless ``value`` is an int; a bool or a whole float is not."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise error(f"{name} must be an integer, got {value!r}")
+
+
+def check_t(t: float, tau: float) -> None:
+    """Raise `BadParamError` unless the radius confidence parameter t
+    exceeds max(3, 4 tau), as the radius estimate requires."""
+    if not (t > 4.0 * tau and t > 3.0):
+        raise BadParamError(f"need t > max(3, 4*tau) = {max(3.0, 4.0 * tau)}, got t={t}")
 
 
 _SEED_MASK = (1 << 64) - 1
@@ -412,7 +435,9 @@ class EvaluationConfig:
     ``tau`` may be a positive float or the string ``"estimate"``, in which
     case the residual-maximum estimate is used wherever the noise bound
     appears.  ``t`` defaults to ``refit.default_t(tau)``, that is
-    ``max(3, 4*tau) + 0.1``, when omitted.
+    ``max(3, 4*tau) + 0.1``, when omitted.  A given ``t`` must exceed
+    max(3, 4*tau): it is checked here against a given tau, and against an
+    estimated one right after the warm-up fit, before any refit.
 
     Each engine reads its own settings.  Fixed-grid mode runs every scale
     of ``rho_grid`` and reads no ``K1``, ``tol_rho`` or ``tune_max_iter``.
@@ -480,6 +505,12 @@ class EvaluationConfig:
             raise BadConfigError("tau must be a positive number or 'estimate'")
         if self.v <= 0:
             raise BadConfigError("v must be positive")
+        if self.t is not None:
+            # An estimated tau is checked once the warm-up has measured it.
+            check_t(self.t, 0.0 if self.tau == "estimate" else self.tau)
+        if self.w_under <= 0 or self.w_bar < self.w_under:
+            raise BadParamError(
+                f"need 0 < w_under <= w_bar; got w_under={self.w_under}, w_bar={self.w_bar}")
         if self.tol_rho <= 0:
             raise BadConfigError("tol_rho must be positive")
         if self.tune_max_iter < 1:

@@ -23,7 +23,9 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import (
-    ConfigError,
+    BadParamError,
+    BoundError,
+    DecayRegimeError,
     EvaluationError,
     TrainerFailedError,
     EvaluationConfig,
@@ -31,6 +33,7 @@ from .core import (
     RefitState,
     RegressionDataset,
     TrainerOracle,
+    check_t,
     derive_seed,
     estimate_tau,
     warm_up,
@@ -64,18 +67,6 @@ __all__ = [
     "evaluate",
     "evaluate_with_state",
 ]
-
-
-class BoundError(ConfigError):
-    """Base class for bound-assembly failures."""
-
-
-class BadParamError(BoundError):
-    pass
-
-
-class DecayRegimeError(BoundError):
-    """Decay exponent too small for the requested dimension."""
 
 
 class TuneError(EvaluationError):
@@ -502,16 +493,17 @@ def _linear_scales(state, dataset, trainer, subs, grid, seed, fstar_vals):
     A refit on breve + rho * eps * v is a + rho * b, with a the fit of
     breve and b the fit of eps * v on the subsample (and a - rho * b in the
     minus direction), so one `_refit` step fits a and b for every
-    subsample, both on one seed, and predicts them there.  Every scale's
-    candidate block is affine in rho over the pairs' full-data moments,
-    which `TrainerOracle.pair_moments` gives when the trainer can, and one
-    `predict_multi` call of every a and b on the full data otherwise.  Each
-    subsample's rounds score the refits' values a ± rho * b there with
-    `_sub_scores`.
+    subsample and predicts them there.  A linear smoother's fit ignores its
+    seed, so each pair takes its round index k and ``seed`` goes unread.
+    Every scale's candidate block is affine in rho over the pairs' full-data
+    moments, which `TrainerOracle.pair_moments` gives when the trainer can,
+    and one `predict_multi` call of every a and b on the full data
+    otherwise.  Each subsample's rounds score the refits' values
+    a ± rho * b there with `_sub_scores`.
     """
     weights = state.signs * state.residuals
     batches = [(sub, (state.breve_vals[sub.indices], weights[sub.indices]),
-                [derive_seed(seed, "refit-tilde", k)] * 2) for k, sub in enumerate(subs)]
+                [k, k]) for k, sub in enumerate(subs)]
     with _naming_rounds(0, len(subs) - 1):
         pairs = _refit(dataset, trainer, batches)
         handles = [f for fits, _ in pairs for f in fits]
@@ -618,8 +610,7 @@ def estimate_radius(state: RefitState, rounds: Sequence[WildRound], block: Candi
     """
     if len(rounds) < 1:
         raise BadParamError("radius estimation needs at least one round")
-    if not (t > 4.0 * tau and t > 3.0):
-        raise BadParamError(f"need t > max(3, 4*tau) = {max(3.0, 4.0 * tau)}, got t={t}")
+    check_t(t, tau)
     sqrt_n = math.sqrt(state.n)
 
     r_diamond = float(np.mean([rd.norm_tilde for rd in rounds]))
@@ -750,12 +741,16 @@ def evaluate_with_state(dataset: RegressionDataset, trainer: TrainerOracle,
                         fstar: Optional[PredictorHandle] = None):
     """Like `evaluate`, additionally returning the warm-up state."""
     n = dataset.n
+    # The inflated radius's settings against the data's dimension, and an
+    # explicit t against the estimated tau, are checked before any refit.
+    r_tilde(0.0, n, config.beta, dataset.d, config.v, config.M_v, config.w_bar, config.w_under)
     m = config.subsample_size(n)
     subs = [srswor(n, m, "permutation", derive_seed(config.seed, "subsample", k))
             for k in range(config.K)]
     state = warm_up(dataset, trainer, pilot, config.seed)
     tau = _resolve_tau(config, state)
     t = config.t if config.t is not None else default_t(tau)
+    check_t(t, tau)
 
     # Each refit, or each fitted pair of a linear smoother whose trainer
     # gives no pair moments, is predicted on the full data once and only

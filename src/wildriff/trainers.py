@@ -66,10 +66,12 @@ def _check_dimension(xs: np.ndarray, d: int) -> None:
 # Batched prediction
 # ---------------------------------------------------------------------------
 
-# Every matrix product of a prediction is cut to at most this many
-# multiply-adds.  OpenBLAS runs a product this small on one thread; a larger
-# one wakes its other threads, which then spin between the many small
-# products of an evaluate and cost CPU time without saving wall time.
+# Every product that forms prediction values (`_PrimalRows`, the fitted
+# values that stand in for predictions, `_dirichlet_kernel`'s coefficient
+# tiles) is cut to at most this many multiply-adds.  OpenBLAS runs a product
+# this small on one thread; a larger one wakes its other threads, which then
+# spin between the many small predictions of an evaluate and cost CPU time
+# without saving wall time.  A sum over the data's points is one product.
 _PRODUCT_BUDGET = 2 ** 18
 
 
@@ -321,9 +323,9 @@ def _fourier_fits(xs: np.ndarray, features: np.ndarray, Y: np.ndarray, spec: Fou
             coef = np.linalg.solve(kernel, Y)
             kernel[np.diag_indices(n)] = diagonal
         elif spec.lam > 0:
-            gram = _tiled_gram(features, features) / n
+            gram = features.T @ features / n
             coef = np.linalg.solve(gram + spec.lam * np.eye(features.shape[1]),
-                                   _tiled_gram(features, Y) / n)
+                                   features.T @ Y / n)
         else:
             gram = None
             coef = np.linalg.lstsq(features, Y, rcond=None)[0]
@@ -421,16 +423,6 @@ class _PrimalRows:
             out[rest] = block
 
 
-def _tiled_gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a.T @ b``, summed over row tiles of at most `_PRODUCT_BUDGET`
-    multiply-adds each."""
-    rows = max(1, _PRODUCT_BUDGET // (a.shape[1] * b.shape[1]))
-    out = np.zeros((a.shape[1], b.shape[1]))
-    for r in range(0, a.shape[0], rows):
-        out += a[r:r + rows].T @ b[r:r + rows]
-    return out
-
-
 def _fourier_pair_moments(base: PredictorHandle, handles, xs: np.ndarray,
                           weights: np.ndarray):
     """`TrainerOracle.pair_moments_fn` of ``fourier_ridge``: the moments of
@@ -443,7 +435,8 @@ def _fourier_pair_moments(base: PredictorHandle, handles, xs: np.ndarray,
     Phi / n: wd = W A^T, wb = W B^T, and dd, db, bb are the diagonals of
     A G A^T, A G B^T and B G B^T.  G is the warm-up's own when ``base`` was
     fit with lam > 0 on exactly ``xs``; the design of ``xs`` comes from the
-    feature memo.
+    feature memo.  Each of G, W, A G and B G is one product: none forms a
+    prediction, so none is cut to `_PRODUCT_BUDGET`.
     """
     fill = base.fill if isinstance(base, _BatchHandle) else None
     if not isinstance(fill, _PrimalRows) or not all(
@@ -456,12 +449,9 @@ def _fourier_pair_moments(base: PredictorHandle, handles, xs: np.ndarray,
     diff, slope = theta[0::2] - base_fit.coefs[base_c], theta[1::2]
     design = _predict_features(_build_design, _half_space_frequencies(fill.N, fill.d), xs)
     gram = (base_fit.gram if base_fit.gram is not None and np.array_equal(base_fit.xs, xs)
-            else _tiled_gram(design, design) / n)
-    w = _tiled_gram(weights.T, design) / n
-    # G is symmetric, so the tiled products A G^T and B G^T are A G and B G.
-    diff_g, slope_g = np.empty((2,) + diff.shape)
-    _tiled_product(diff, gram, diff_g)
-    _tiled_product(slope, gram, slope_g)
+            else design.T @ design / n)
+    w = weights @ design / n
+    diff_g, slope_g = diff @ gram, slope @ gram
     return (w @ diff.T, w @ slope.T, np.einsum("ij,ij->i", diff_g, diff),
             np.einsum("ij,ij->i", diff_g, slope), np.einsum("ij,ij->i", slope_g, slope))
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from wildriff.core import (
+    BadParamError,
     EmptyInputError,
     ConfigError,
     EvaluationConfig,
@@ -488,6 +489,20 @@ class TestEvaluationConfig:
     def test_bad_v(self, v):
         with pytest.raises(BadConfigError, match="v must be positive"):
             EvaluationConfig(v=v)
+
+    @pytest.mark.parametrize("settings", [
+        {"t": 3.0}, {"t": 2.0, "tau": 0.1}, {"t": 4.0, "tau": 1.0},
+        {"w_under": 0.0}, {"w_under": -1.0}, {"w_bar": 0.5}, {"w_bar": 2.0, "w_under": 3.0},
+    ], ids=["t_3", "t_below_3", "t_4tau", "w_under_zero", "w_under_negative",
+            "w_bar_below_default_w_under", "w_bar_below_w_under"])
+    def test_data_free_bound_settings_rejected(self, settings):
+        # The radius and inflated-radius settings that need no data fail
+        # when the config is built, as the bound-assembly error they raise
+        # later; an estimated tau leaves only t > 3 to check here.
+        with pytest.raises(BadParamError):
+            EvaluationConfig(**settings)
+        assert EvaluationConfig(t=3.5).t == 3.5
+        assert EvaluationConfig(t=4.5, tau=1.0).t == 4.5
 
     def test_bad_tune_max_iter(self):
         with pytest.raises(BadConfigError):

@@ -583,6 +583,27 @@ class TestEvaluate:
         assert report.confidence_fixed == pytest.approx(1 - 5 * cfg.delta)
         assert report.confidence_random == pytest.approx(1 - 6 * cfg.delta)
 
+    @pytest.mark.parametrize("settings,error,columns", [
+        ({"M_v": 1.0, "v": 2.5}, DecayRegimeError, []),   # v <= d/2 = 2.5
+        ({"t": 4.0}, BadParamError, [1]),                  # t <= 4 * tau, tau about 1.66
+    ], ids=["decay", "t_below_estimated_tau"])
+    def test_setting_mistakes_stop_before_any_refit(self, monkeypatch, settings, error,
+                                                    columns):
+        # A setting that fails against the data stops before the warm-up,
+        # or, against the estimated noise bound, right after it: no refit.
+        ds, _ = generate(ExperimentSpec(id="exp3", n=500, seed=0))
+        fitted = []
+        fit_multi = TrainerOracle.fit_multi
+
+        def counting_fit_multi(trainer, xs, Y, seeds, rows=None):
+            fitted.append(Y.shape[1])
+            return fit_multi(trainer, xs, Y, seeds, rows)
+
+        monkeypatch.setattr(TrainerOracle, "fit_multi", counting_fit_multi)
+        with pytest.raises(error):
+            evaluate(ds, make_trainer("tree", {}), EvaluationConfig(K=30, seed=0, **settings))
+        assert fitted == columns
+
     @pytest.mark.parametrize("experiment", ["exp3", "exp4"])
     @pytest.mark.parametrize("name", ["fourier_ridge", "tree", "mlp"])
     def test_five_dimensional_defaults(self, experiment, name):
@@ -676,7 +697,9 @@ class TestEvaluate:
         subsample, breve and eps * v there, both on one seed, all in one
         fit_multi call after the warm-up's, and predicts each refit on the
         full data ``refit_full_predicts`` times, whatever the grid's size;
-        the trained predictor and the truth are predicted there once."""
+        the trained predictor and the truth are predicted there once.  The
+        fit ignores its seeds, so none is derived for a refit: each pair
+        takes its round index."""
         ds, truth = generate(ExperimentSpec(id=experiment, n=300, seed=15))
         base = make_trainer("fourier_ridge", params)
         assert base.linear_smoother
@@ -695,7 +718,15 @@ class TestEvaluate:
                           fit_multi(trainer, xs, Y, seeds, rows)))
             return calls[-1][-1]
 
+        tags = []
+        derive_seed = refit.derive_seed
+
+        def counting_derive_seed(seed, tag, *indices):
+            tags.append(tag)
+            return derive_seed(seed, tag, *indices)
+
         monkeypatch.setattr(TrainerOracle, "fit_multi", counting_fit_multi)
+        monkeypatch.setattr(refit, "derive_seed", counting_derive_seed)
         cfg = EvaluationConfig(K=3, rho_grid=(0.5, 1.0, 2.0), seed=15)
         reports, state = evaluate_with_state(ds, trainer, cfg, fstar=truth.fstar)
         assert len(reports) == len(cfg.rho_grid) and len(calls) == 2
@@ -704,6 +735,8 @@ class TestEvaluate:
         assert Y.shape == (cfg.subsample_size(ds.n), 2 * cfg.K)
         np.testing.assert_array_equal(rows, np.repeat(subs, 2, axis=0))
         assert seeds[0::2] == seeds[1::2] and len(set(seeds)) == cfg.K
+        assert tags.count("subsample") == cfg.K
+        assert [tag for tag in tags if tag.startswith("refit-")] == []
         for k, idx in enumerate(subs):
             np.testing.assert_array_equal(Y[:, 2 * k], state.breve_vals[idx])
             np.testing.assert_array_equal(Y[:, 2 * k + 1], state.signs[idx] * state.residuals[idx])

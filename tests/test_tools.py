@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -90,3 +91,24 @@ def test_ab_gain_needs_nine_tenths_of_the_pairs_and_a_shift_past_the_iqr():
     # Higher is better.
     assert gain(PARENT, [v + 0.1 for v in PARENT], 10, False).startswith("gain")
     assert gain(PARENT, faster, 0, False).startswith("no gain")
+
+
+def test_ab_reads_each_runs_machine():
+    # Every comparison states the cores, the thread variables and the
+    # steal share its runs saw, from the `env` line run.py prints.
+    ab_pairs = load_tool("ab_pairs")
+    env = {"cpu_count": 4, "cpu_affinity": 2, "steal_share": 0.01,
+           "thread_env": {"OMP_NUM_THREADS": None, "OPENBLAS_NUM_THREADS": "1"}}
+    stdout = "\n".join([
+        "workload ridge1d_bign seed 7 trace 0: 3 operations in 1.00 s",
+        "env " + json.dumps(env, sort_keys=True),
+        json.dumps({"correct": True, "attempted": 3, "failed": 0,
+                    "metrics": {"eval_s_p50": {"value": 0.5, "unit": "s"}}})])
+    assert ab_pairs.parse_run(stdout, "change") == ({"eval_s_p50": 0.5}, env)
+    envs = {"parent": [dict(env, steal_share=s) for s in (0.01, 0.04, 0.02)],
+            "change": [{k: v for k, v in env.items() if k != "steal_share"}]}
+    assert ab_pairs.machine(envs) == ("cores 2 of 4; OPENBLAS_NUM_THREADS=1; "
+                                      "median steal share parent 2.00%, change n/a")
+    unset = dict(env, thread_env={"OMP_NUM_THREADS": None})
+    assert ab_pairs.machine({"parent": [unset], "change": [unset]}) == (
+        "cores 2 of 4; no thread variable set; median steal share parent 1.00%, change 1.00%")

@@ -763,6 +763,19 @@ class TestFourierRidge:
         np.testing.assert_array_equal(vals[1], owner[0].predict(np.array(pts)))
         assert builds == [m]
 
+    def test_warm_up_gram_is_one_product(self):
+        # p = 441 > 362: a row tile of at most 2^18 multiply-adds would hold
+        # one row, and the gram would be n rank-1 updates.  The gram the
+        # warm-up keeps is one design^T design / n product, bit for bit.
+        rng = np.random.default_rng(31)
+        n, d, N = 600, 2, 10
+        xs = rng.uniform(0, 1, size=(n, d))
+        [fit] = fourier_ridge_trainer(FourierRidgeSpec(N=N, lam=1e-6)).fit_multi(
+            xs, rng.normal(size=(n, 1)), [0])
+        design = stacked_design(xs, _half_space_frequencies(N, d))
+        assert design.shape == (n, 441)
+        np.testing.assert_array_equal(fit.item[0].gram, design.T @ design / n)
+
     def test_runs_predict_in_one_fill_call(self, monkeypatch):
         # Handles from many fit calls share one fill per frequency table,
         # so K runs' 2K handles predict on the full data in one product.

@@ -9,7 +9,9 @@ change's BENCHMARK.json when none is.  Pair i of a workload runs
 pairs and the change first in odd ones.  Each checkout's `src/`,
 `perfbench/` and `BENCHMARK.json` are copied into a temporary directory and
 run there without writing bytecode, so neither checkout's files change.
-Prints every end-to-end metric's per-pair values, both medians, the
+Prints, per workload, the core count, the thread variables set and each
+side's median steal share, from the `env` line every run prints, then
+every end-to-end metric's per-pair values, both medians, the
 parent's interquartile range and the change's win count (a tie counts for
 neither side), with "better" and "bound" read from the change's
 BENCHMARK.json.  Each metric then gets a verdict against its relative
@@ -48,7 +50,8 @@ def copy_checkout(checkout: Path, dest: Path) -> Path:
     return dest
 
 
-def run_once(root: Path, workload: str, args) -> dict:
+def run_once(root: Path, workload: str, args):
+    """One run's end-to-end metric values and its environment block."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
          str(args.seed), "--seconds", str(args.seconds), "--trace", "0"],
@@ -56,11 +59,33 @@ def run_once(root: Path, workload: str, args) -> dict:
         env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
     if proc.returncode != 0:
         raise RuntimeError(f"{root.name}: run.py exited {proc.returncode}: {proc.stderr.strip()}")
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    return parse_run(proc.stdout, root.name)
+
+
+def parse_run(stdout: str, name: str):
+    """The metric values of run.py's last line and the block of its `env` line."""
+    lines = stdout.strip().splitlines()
+    result = json.loads(lines[-1])
     if not result["correct"]:
-        raise RuntimeError(f"{root.name}: {result['failed']}/{result['attempted']} operations "
+        raise RuntimeError(f"{name}: {result['failed']}/{result['attempted']} operations "
                            "failed their check")
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    env = next(json.loads(line[4:]) for line in lines if line.startswith("env "))
+    return {metric: m["value"] for metric, m in result["metrics"].items()}, env
+
+
+def machine(envs: dict) -> str:
+    """The cores, thread variables and median steal share of each side's
+    runs ({side: [env, ...]}), as `perfbench/run.py` records them."""
+    every = [env for runs in envs.values() for env in runs]
+    cores = ", ".join(sorted({f"{env['cpu_affinity']} of {env['cpu_count']}" for env in every}))
+    threads = ", ".join(sorted({f"{name}={value}" for env in every
+                                for name, value in env["thread_env"].items()
+                                if value is not None})) or "no thread variable set"
+    steal = []
+    for side, runs in envs.items():
+        shares = [env["steal_share"] for env in runs if "steal_share" in env]
+        steal.append(f"{side} {statistics.median(shares):.2%}" if shares else f"{side} n/a")
+    return f"cores {cores}; {threads}; median steal share {', '.join(steal)}"
 
 
 def quartiles(values):
@@ -98,15 +123,19 @@ def gain(before, after, wins: int, lower_is_better: bool) -> str:
 
 def compare(workload: str, roots: dict, metrics: dict, args) -> None:
     runs = {"parent": [], "change": []}
+    envs = {"parent": [], "change": []}
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            runs[side].append(run_once(roots[side], workload, args))
+            values, env = run_once(roots[side], workload, args)
+            runs[side].append(values)
+            envs[side].append(env)
         print(f"{workload} pair {i}: " + "  ".join(
             f"{name} {runs['parent'][-1][name]:.4g} -> {runs['change'][-1][name]:.4g}"
             for name in metrics), flush=True)
 
     print(f"\n{workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s runs")
+    print(machine(envs))
     for name, metric in metrics.items():
         lower_is_better = metric["better"] == "lower"
         before = [r[name] for r in runs["parent"]]
