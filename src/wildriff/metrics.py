@@ -6,6 +6,7 @@ operations are pure functions over numpy vectors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,7 @@ class OptimismPair:
     opt_check: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.opt_tilde) and np.isfinite(self.opt_check)):
+        if not (math.isfinite(self.opt_tilde) and math.isfinite(self.opt_check)):
             raise NonFiniteDataError("optimism values must be finite")
 
     @property

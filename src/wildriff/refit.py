@@ -38,10 +38,11 @@ from .core import (
     estimate_tau,
     warm_up,
 )
-# Rounds are scored row-wise over a value block (`_sub_scores`), not through
-# `wild_optimism`; the name stays because perfbench's tracer patches it here.
+# Two names stay only because perfbench's tracer patches them here: rounds
+# are scored over a value block (`_sub_scores`), not through `wild_optimism`,
+# and the subsamples are drawn together by `srswor_each`, not by `srswor`.
 from .metrics import OptimismPair, empirical_norm, wild_optimism, wild_responses
-from .sampling import Subsample, srswor
+from .sampling import Subsample, srswor, srswor_each
 
 __all__ = [
     "BoundError",
@@ -236,26 +237,32 @@ def _log_term(n: int, d: int, v: float, delta: float, w_bar: float, w_under: flo
 # Candidate-set suprema
 # ---------------------------------------------------------------------------
 
-_SCORE_TILE_ENTRIES = 1 << 14   # values per row tile of `_row_scores`
+_SCORE_TILE_ENTRIES = 1 << 14   # values per tile of `_row_scores`
 
 
 def _row_scores(vals: np.ndarray, breve: np.ndarray,
                 weights: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
-    """Each row's RMS distance to ``breve`` and, per weight vector w, its
-    mean of w * (row - breve): shapes (c,) and (len(weights), c).
+    """Each row's RMS distance to breve and, per weight vector w, its mean
+    of w * (row - breve), for the rows of a stack ``vals`` (K x c x m), the
+    rows of ``vals[k]`` against ``breve[k]`` and ``w[k]``: shapes (K, c) and
+    (len(weights), K, c).
 
-    Row tiles reduce along axis 1, bit for bit as `empirical_norm` and a
-    one-row `np.mean` do, and never write ``vals``, which a trainer's
-    ``predict_multi_fn`` may keep.
+    Tiles of whole stack items, or of one item's rows, reduce along the
+    last axis, bit for bit as `empirical_norm` and a one-row `np.mean` do,
+    and never write ``vals``, which a trainer's ``predict_multi_fn`` may keep.
     """
-    dists = np.empty(len(vals))
-    scores = np.empty((len(weights), len(vals)))
-    step = max(1, _SCORE_TILE_ENTRIES // vals.shape[1])
-    for lo in range(0, len(vals), step):
-        diff = vals[lo:lo + step] - breve
-        for out, w in zip(scores, weights):
-            out[lo:lo + step] = np.mean(w * diff, axis=1)
-        dists[lo:lo + step] = np.sqrt(np.mean(np.square(diff, out=diff), axis=1))
+    K, c, m = vals.shape
+    dists = np.empty((K, c))
+    scores = np.empty((len(weights), K, c))
+    rows = max(1, _SCORE_TILE_ENTRIES // m)   # rows per tile
+    items = max(1, rows // c)                 # stack items per tile
+    for k in range(0, K, items):
+        for lo in range(0, c, rows):
+            tile = (slice(k, k + items), slice(lo, lo + rows))
+            diff = vals[tile] - breve[k:k + items, None]
+            for out, w in zip(scores, weights):
+                out[tile] = np.mean(w[k:k + items, None] * diff, axis=2)
+            dists[tile] = np.sqrt(np.mean(np.square(diff, out=diff), axis=2))
     return dists, scores
 
 
@@ -272,8 +279,9 @@ def candidate_block(state: RefitState, vals: np.ndarray,
                     fstar_vals: Optional[np.ndarray] = None) -> CandidateBlock:
     """Score candidates from their full-data values, one row of ``vals``
     each; with the truth's values ``fstar_vals``, pilot scores too."""
-    dists, scores = _row_scores(vals, state.breve_vals, _score_weights(state, fstar_vals))
-    return CandidateBlock(dists, *scores)
+    dists, scores = _row_scores(vals[None], state.breve_vals[None],
+                                [w[None] for w in _score_weights(state, fstar_vals)])
+    return CandidateBlock(dists[0], *scores[:, 0])
 
 
 class _PairMoments(NamedTuple):
@@ -371,17 +379,18 @@ def _refit(dataset: RegressionDataset, trainer: TrainerOracle,
     return refits
 
 
-def _sub_scores(state: RefitState, sub: Subsample, vals: np.ndarray,
-                minus: Sequence[bool]) -> Tuple[np.ndarray, np.ndarray]:
+def _sub_scores(state: RefitState, subs: Sequence[Subsample], vals: np.ndarray,
+                minus) -> Tuple[np.ndarray, np.ndarray]:
     """The engine's one round scorer: the subsample-norm distance to breve
-    and the optimism of each row of ``vals``, a refit's values on ``sub``,
-    with the rows flagged in ``minus`` negated (the minus direction mirrors
-    f - breve; negation is exact).  Each row scores bit for bit as
-    `empirical_norm` and `wild_optimism` score it alone."""
-    idx = sub.indices
+    and the optimism of each row of ``vals[k]``, a refit's values on
+    ``subs[k]`` (``vals`` is K x c x m), with the rows flagged in ``minus``
+    (broadcast to (K, c)) negated: the minus direction mirrors f - breve,
+    and negation is exact.  Each row scores bit for bit as `empirical_norm`
+    and `wild_optimism` score it alone; shapes (K, c) and (K, c)."""
+    idx = np.stack([sub.indices for sub in subs])
     norms, [opts] = _row_scores(vals, state.breve_vals[idx],
                                 [state.signs[idx] * state.residuals[idx]])
-    opts[minus] *= -1.0
+    opts *= np.where(minus, -1.0, 1.0)
     return norms, opts
 
 
@@ -389,9 +398,10 @@ def _refit_scores(state: RefitState, dataset: RegressionDataset, trainer: Traine
                   batches: Sequence[Tuple[Subsample, Sequence[Tuple[float, str, int]]]]):
     """Refit the black box once per column (rho, direction, seed) of every
     (subsample, columns) batch on the column's wild pseudo-responses
-    (`_refit`), and score each refit on its subsample (`_sub_scores`):
-    returns, per batch, the refits, their subsample-norm distances to
-    breve and their optimisms, in column order."""
+    (`_refit`), and score every refit on its subsample in one `_sub_scores`
+    call: returns, per batch, the refits, their subsample-norm distances to
+    breve and their optimisms, in column order.  Every batch has as many
+    columns."""
     refit_batches = []
     for sub, columns in batches:
         idx = sub.indices
@@ -400,8 +410,10 @@ def _refit_scores(state: RefitState, dataset: RegressionDataset, trainer: Traine
                                     for rho, direction, _ in columns],
                               [seed for _, _, seed in columns]))
     refits = _refit(dataset, trainer, refit_batches)
-    return [(fits, *_sub_scores(state, sub, vals, [d == "minus" for _, d, _ in columns]))
-            for (sub, columns), (fits, vals) in zip(batches, refits)]
+    norms, opts = _sub_scores(state, [sub for sub, _ in batches],
+                              np.stack([vals for _, vals in refits]),
+                              [[d == "minus" for _, d, _ in columns] for _, columns in batches])
+    return [(fits, n, o) for (fits, _), n, o in zip(refits, norms, opts)]
 
 
 def _wild_round(trainer: TrainerOracle, k: int, sub: Subsample, rhos, fits, norms,
@@ -512,10 +524,12 @@ def _linear_scales(state, dataset, trainer, subs, grid, seed, fstar_vals):
         moments = (_pair_moments(trainer.predict_multi(handles, dataset.xs), state.breve_vals,
                                  full_weights) if moments is None else _PairMoments(*moments))
     signed = np.repeat(grid, 2) * np.tile([1.0, -1.0], len(grid))
+    values = np.stack([vals for _, vals in pairs])   # (K, 2, m): each a, then b
+    refit_vals = signed[:, None] * values[:, 1:]
+    refit_vals += values[:, :1]
+    all_norms, all_opts = _sub_scores(state, subs, refit_vals, [False, True] * len(grid))
     per_sub = []
-    for k, (sub, ((a, b), (base, slope))) in enumerate(zip(subs, pairs)):
-        norms, opts = _sub_scores(state, sub, base + signed[:, None] * slope,
-                                  [False, True] * len(grid))
+    for k, (sub, ((a, b), _), norms, opts) in enumerate(zip(subs, pairs, all_norms, all_opts)):
         refits = [_affine_refit(trainer, a, b, rho) for rho in signed]
         per_sub.append([_wild_round(trainer, k, sub, (rho, rho), refits[2 * i:],
                                     norms[2 * i:], opts[2 * i:])
@@ -671,8 +685,8 @@ def pilot_error_proxy(state: RefitState, refit_blocks: Sequence[CandidateBlock],
     if any(block.pilot_scores is None for block in refit_blocks):
         raise BadParamError("pilot_error_proxy needs candidate blocks scored with a truth")
     weights = state.signs * (state.pilot_vals - fstar_vals)
-    dists, [scores] = _row_scores(np.stack([state.pilot_vals, fstar_vals]), state.breve_vals,
-                                  [weights])
+    [dists], [[scores]] = _row_scores(np.stack([state.pilot_vals, fstar_vals])[None],
+                                      state.breve_vals[None], [weights[None]])
     return sum(_sups(np.concatenate([*(block.pilot_scores for block in refit_blocks), scores]),
                      np.concatenate([*(block.dists for block in refit_blocks), dists]), radius))
 
@@ -745,8 +759,7 @@ def evaluate_with_state(dataset: RegressionDataset, trainer: TrainerOracle,
     # explicit t against the estimated tau, are checked before any refit.
     r_tilde(0.0, n, config.beta, dataset.d, config.v, config.M_v, config.w_bar, config.w_under)
     m = config.subsample_size(n)
-    subs = [srswor(n, m, "permutation", derive_seed(config.seed, "subsample", k))
-            for k in range(config.K)]
+    subs = srswor_each(n, m, [derive_seed(config.seed, "subsample", k) for k in range(config.K)])
     state = warm_up(dataset, trainer, pilot, config.seed)
     tau = _resolve_tau(config, state)
     t = config.t if config.t is not None else default_t(tau)

@@ -9,13 +9,16 @@ size-m subsets of {0, ..., n-1}:
 
 The strategies need not agree index-for-index at equal seeds.  Batched
 drawing (`srswor_batch`) runs the same algorithms vectorized across draws;
-the scalar `srswor` is the batch of size one.
+the scalar `srswor` is the batch of size one.  A permutation draw takes all
+of its m swap targets at once, and one vectorized pass resolves the
+shuffles of any number of draws (`_resolve_swaps`), so `srswor_each`, the
+``permutation`` draws of many seeds, gives each seed's `srswor` draw.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Union
+from typing import Iterable, List, Sequence, Union
 
 import numpy as np
 
@@ -28,6 +31,7 @@ __all__ = [
     "Subsample",
     "srswor",
     "srswor_batch",
+    "srswor_each",
     "reservoir_sample",
     "membership_indicator",
     "STRATEGIES",
@@ -56,14 +60,13 @@ class Subsample:
     n: int
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=int)
+        idx = np.array(self.indices, dtype=int)
         if idx.size == 0:
             raise BadSizeError("a subsample must contain at least one index")
-        if np.any(np.diff(idx) <= 0):
+        if not (idx[1:] > idx[:-1]).all():
             raise SamplingError("indices must be strictly increasing")
         if idx[0] < 0 or idx[-1] >= self.n:
             raise IndexOutOfRangeError("index outside [0, n)")
-        idx = idx.copy()
         idx.setflags(write=False)
         object.__setattr__(self, "indices", idx)
 
@@ -84,27 +87,58 @@ def _as_rng(seed_or_rng: Union[int, np.random.Generator], strategy: str) -> np.r
     return derive_rng(int(seed_or_rng), f"srswor-{strategy}")
 
 
+def _resolve_swaps(targets: np.ndarray, n: int) -> np.ndarray:
+    """The sorted first m slots of partial Fisher-Yates shuffles of
+    {0, ..., n-1}, one per row of ``targets`` (count x m): step t swaps
+    slot t with slot targets[i, t], which lies in [t, n).
+
+    No later step touches slot t, so it keeps what slot targets[i, t] held
+    just before step t: the target itself if no earlier step targeted it,
+    else a(s) for the last earlier step s that did, where a(s) is what
+    slot s held just before step s.  a(t) is t if no earlier step targeted
+    slot t, else a of the last one that did; pointer doubling follows those
+    chains to their ends.  Resolved in chunks of `_RESOLVE_ENTRIES` slots.
+    """
+    count, m = targets.shape
+    out = np.empty((count, m), dtype=np.int64)
+    per = max(1, _RESOLVE_ENTRIES // m)
+    steps = np.arange(m)
+    for lo in range(0, count, per):
+        chunk = targets[lo:lo + per]
+        base = np.arange(0, chunk.size, m)[:, None]
+        # Per row, steps by (target, step): ties are steps with one target.
+        keys = np.sort(chunk * m + steps, axis=1)
+        target = keys // m
+        step = keys - target * m + base   # flat step index, row * m + step
+        tie = target[:, 1:] == target[:, :-1]
+        same = np.full(chunk.size, -1)    # each step's last earlier step with its target
+        same[step[:, 1:][tie]] = step[:, :-1][tie]
+        # Slot t < m's last earlier targeting step ends its target group,
+        # unless that step is t itself, whose `same` it then is.
+        link = np.ones(keys.shape, dtype=bool)
+        link[:, :-1] = ~tie
+        slot = target + base
+        link &= (target < m) & (slot != step)
+        ptr = np.arange(chunk.size)
+        ptr[slot[link]] = step[link]
+        own = (chunk == steps).ravel() & (same >= 0)
+        ptr[own] = same[own]
+        while True:
+            nxt = ptr[ptr]
+            if np.array_equal(nxt, ptr):
+                break
+            ptr = nxt
+        ptr -= np.repeat(base[:, 0], m)   # a(t), a slot index
+        out[lo:lo + per] = np.where(same < 0, chunk.ravel(), ptr[same]).reshape(chunk.shape)
+    out.sort(axis=1)
+    return out
+
+
 def _permutation_batch(n: int, m: int, count: int, rng: np.random.Generator) -> np.ndarray:
     # Row t holds step t's swap targets, uniform on [t, n); one call draws
     # the same stream as one call per step.
     targets = rng.integers(np.arange(m)[:, None], n, size=(m, count))
-    if count == 1:
-        # One draw: swap Python ints, keeping only the slots that moved.
-        moved = {}
-        for t, j in enumerate(targets[:, 0].tolist()):
-            moved[t], moved[j] = moved.get(j, j), moved.get(t, t)
-        return np.array([sorted(moved[t] for t in range(m))], dtype=np.int64)
-    out = np.empty((count, m), dtype=np.int64)
-    step = max(1, _PERMUTATION_BLOCK_ENTRIES // n)   # draws whose n slots swap at once
-    for lo in range(0, count, step):
-        arr = np.tile(np.arange(n, dtype=np.int64), (min(step, count - lo), 1))
-        rows = np.arange(arr.shape[0])
-        for t, j in enumerate(targets[:, lo:lo + step]):
-            picked = arr[rows, j].copy()
-            arr[rows, j] = arr[:, t]
-            arr[:, t] = picked
-        out[lo:lo + step] = np.sort(arr[:, :m], axis=1)
-    return out
+    return _resolve_swaps(targets.T, n)
 
 
 def _hashset_batch(n: int, m: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -163,7 +197,7 @@ def reservoir_sample(stream: Iterable[int], m: int,
 
 
 _BATCH_CHUNK = 200_000   # most draws per kernel call in `srswor_batch`, to bound memory
-_PERMUTATION_BLOCK_ENTRIES = 2 ** 16   # most slots `_permutation_batch` swaps at once
+_RESOLVE_ENTRIES = 2 ** 14   # most slots `_resolve_swaps` resolves at once
 
 
 def srswor_batch(n: int, m: int, strategy: str, seed: Union[int, np.random.Generator],
@@ -197,6 +231,21 @@ def srswor(n: int, m: int, strategy: str = "permutation",
         return Subsample(indices=idx, n=n)
     rows = srswor_batch(n, m, strategy, seed, count=1)
     return Subsample(indices=rows[0], n=n)
+
+
+def srswor_each(n: int, m: int, seeds: Sequence[Union[int, np.random.Generator]]
+                ) -> List[Subsample]:
+    """``srswor(n, m, "permutation", seed)`` for every seed, in order.
+
+    Each draw takes its own generator and swap targets, as alone; one
+    `_resolve_swaps` call then resolves every draw's swaps.
+    """
+    _check_sizes(n, m)
+    steps = np.arange(m)[:, None]
+    targets = np.empty((len(seeds), m), dtype=np.int64)
+    for row, seed in zip(targets, seeds):
+        row[:] = _as_rng(seed, "permutation").integers(steps, n, size=(m, 1))[:, 0]
+    return [Subsample(indices=row, n=n) for row in _resolve_swaps(targets, n)]
 
 
 def membership_indicator(sub: Subsample, i: int) -> int:

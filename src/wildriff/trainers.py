@@ -118,14 +118,16 @@ def _predict_multi(handles, xs: np.ndarray) -> np.ndarray:
 
 
 def _tiled_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-    """``out = a @ b.T``, in blocks of at most `_PRODUCT_BUDGET`
-    multiply-adds (one row of ``a`` and one of ``b`` at the least)."""
-    rows = max(1, _PRODUCT_BUDGET // a.shape[1])
-    for r in range(0, a.shape[0], rows):
-        block = a[r:r + rows]
-        cols = max(1, _PRODUCT_BUDGET // block.size)
-        for c in range(0, b.shape[0], cols):
-            np.matmul(block, b[c:c + cols].T, out=out[r:r + rows, c:c + cols])
+    """``out = a @ b.T`` over the last two axes, in blocks of at most
+    `_PRODUCT_BUDGET` multiply-adds (one row of ``a`` and one of ``b`` at
+    the least).  Leading axes are a stack, each item multiplied as alone."""
+    rows = max(1, _PRODUCT_BUDGET // a.shape[-1])
+    for r in range(0, a.shape[-2], rows):
+        block = a[..., r:r + rows, :]
+        cols = max(1, _PRODUCT_BUDGET // (block.shape[-2] * block.shape[-1]))
+        for c in range(0, b.shape[-2], cols):
+            np.matmul(block, b[..., c:c + cols, :].swapaxes(-1, -2),
+                      out=out[..., r:r + rows, c:c + cols])
 
 
 # ---------------------------------------------------------------------------
@@ -307,85 +309,120 @@ def _dirichlet_kernel(psi_a: np.ndarray, psi_b: np.ndarray,
 
 
 def _fourier_fits(xs: np.ndarray, features: np.ndarray, Y: np.ndarray, spec: FourierRidgeSpec,
-                  whole: bool) -> List[PredictorHandle]:
-    """`fourier_ridge_fit` on every column of ``Y`` against one factorization,
-    from the ``features`` of the points ``xs``: their design, or on the
-    kernel path their (d, n, 2N+1) Dirichlet features, whose kernel is built
-    once and gives the fitted values kept for predictions on ``xs``.  One
-    handle per column; when ``whole``, the handles keep ``features`` alive."""
-    n, d = xs.shape
-    dual = features.ndim == 3
+                  keep: Optional[np.ndarray] = None) -> List[PredictorHandle]:
+    """`fourier_ridge_fit` on every column of the runs ``Y`` (R x m x c):
+    run r's columns on the points ``xs[r]``, from their ``features[r]``:
+    their design, or on the kernel path their (d, m, 2N+1) Dirichlet
+    features, whose kernel is built once per run and gives the fitted
+    values kept for predictions on ``xs[r]``.  Primal ridge runs are solved
+    as one stack: one normal-equation product, one `np.linalg.solve` and
+    one fitted-value product, each computing every run as it would alone.
+    Kernel and least-squares runs are solved one at a time.  One handle per
+    column, run by run.  Given ``keep``, the features of a lone run on all
+    of its points, the handles keep it alive and a primal fit its gram."""
+    R, m, d = xs.shape
+    dual = features.ndim == 4
+    gram = None
     try:
         if dual:
-            kernel = _dirichlet_kernel(features, features)
-            diagonal = kernel.diagonal().copy()
-            kernel[np.diag_indices(n)] += n * spec.lam
-            coef = np.linalg.solve(kernel, Y)
-            kernel[np.diag_indices(n)] = diagonal
+            coef, fitted = np.empty((R, m, Y.shape[2])), np.empty((R, Y.shape[2], m))
+            for psi, y, run_coef, run_fitted in zip(features, Y, coef, fitted):
+                kernel = _dirichlet_kernel(psi, psi)
+                diagonal = kernel.diagonal().copy()
+                kernel[np.diag_indices(m)] += m * spec.lam
+                run_coef[:] = np.linalg.solve(kernel, y)
+                kernel[np.diag_indices(m)] = diagonal
+                run_fitted[:] = (kernel @ run_coef).T
         elif spec.lam > 0:
-            gram = features.T @ features / n
-            coef = np.linalg.solve(gram + spec.lam * np.eye(features.shape[1]),
-                                   features.T @ Y / n)
+            design_t = features.swapaxes(1, 2)
+            gram = design_t @ features / m
+            coef = np.linalg.solve(gram + spec.lam * np.eye(features.shape[2]),
+                                   design_t @ Y / m)
         else:
-            gram = None
-            coef = np.linalg.lstsq(features, Y, rcond=None)[0]
+            coef = np.stack([np.linalg.lstsq(f, y, rcond=None)[0] for f, y in zip(features, Y)])
     except np.linalg.LinAlgError as exc:
         raise IllConditionedError(f"ridge system singular: {exc}") from exc
     if not np.all(np.isfinite(coef)):
         raise IllConditionedError("non-finite ridge coefficients")
     # One contiguous row per column, and its fitted values.
-    coefs = np.ascontiguousarray(coef.T)
+    coefs = np.ascontiguousarray(coef.swapaxes(1, 2))
     if dual:
-        fill = _KernelRows(xs, features, coefs, np.ascontiguousarray((kernel @ coef).T), spec.N)
-        items = range(len(coefs))
-        solutions = [{"dual_coefficients": row} for row in coefs]
+        fills = [_KernelRows(*run, spec.N) for run in zip(xs, features, coefs, fitted)]
+        items = [(fill, c) for fill in fills for c in range(len(fill.coefs))]
+        solutions = [{"dual_coefficients": row} for run in coefs for row in run]
     else:
-        fill = _PrimalRows(spec.N, d)
-        fitted = np.empty((len(coefs), n))
+        fitted = np.empty(coefs.shape[:2] + (m,))
         _tiled_product(coefs, features, fitted)
-        fit = _PrimalFit(xs, coefs, fitted, gram if whole else None)
-        items = [(fit, c) for c in range(len(coefs))]
+        fill = _PrimalRows(spec.N, d)
+        kept = [None] * R if keep is None or gram is None else gram
+        items = [(fill, (fit, c)) for fit in map(_PrimalFit, xs, coefs, fitted, kept)
+                 for c in range(len(fit.coefs))]
         freqs = _half_space_frequencies(spec.N, d)
-        solutions = [{"coefficients": row, "frequencies": freqs} for row in coefs]
+        solutions = [{"coefficients": row, "frequencies": freqs} for run in coefs for row in run]
     name = f"fourier_ridge(N={spec.N}, lam={spec.lam:g})"
     return [_BatchHandle(fill, item, name,
                          {"kind": "fourier_ridge", **solution, "lam": spec.lam, "N": spec.N},
-                         features if whole else None)
-            for item, solution in zip(items, solutions)]
+                         keep)
+            for (fill, item), solution in zip(items, solutions)]
+
+
+# Most feature entries `_fourier_multi` gathers into one stack of runs.
+_STACK_ENTRIES = 2 ** 14
 
 
 def _fourier_multi(xs: np.ndarray, Y: np.ndarray, rows: np.ndarray,
                    spec: FourierRidgeSpec) -> List[PredictorHandle]:
-    """`_fourier_fits` once per run of consecutive columns of ``Y`` that
-    share their rows of ``xs``, on those rows of the features of all of
-    ``xs`` (`_fit_features`), built on a miss only for a call with a run on
-    all of ``xs`` in order (the warm-up), which takes them whole; else each
-    run builds its own.  The kernel path is taken when lam > 0 and p > m."""
+    """`_fourier_fits` on the runs of consecutive columns of ``Y`` that
+    share their rows of ``xs``, stacked: consecutive runs of one width, up
+    to `_STACK_ENTRIES` feature entries (one run at the least), and a run
+    on all of ``xs`` in order alone.  A stack's features are its runs' rows
+    of the features of all of ``xs`` (`_fit_features`), built on a miss
+    only for a call with a run on all of ``xs`` in order (the warm-up),
+    which takes them whole; else each run builds its own.  The kernel path
+    is taken when lam > 0 and p > m."""
     n, d = xs.shape
+    m = rows.shape[1]
     p = spec.feature_count(d)
-    if spec.lam > 0 and p > rows.shape[1]:
+    if spec.lam > 0 and p > m:
         build, param, axis = _dirichlet_features, spec.N, 1
+        per_run = d * m * (2 * spec.N + 1)
     elif p > spec.max_features:
         raise TrainerError(f"feature count {p} exceeds cap {spec.max_features}")
     else:
         build, param, axis = _build_design, _half_space_frequencies(spec.N, d), 0
+        per_run = m * p
     cuts = [0, *(np.flatnonzero((rows[1:] != rows[:-1]).any(axis=1)) + 1), len(rows)]
-    wholes = [rows[lo].size == n and np.array_equal(rows[lo], np.arange(n)) for lo in cuts[:-1]]
+    at, widths = rows[cuts[:-1]], np.diff(cuts)   # each run's rows and column count
+    wholes = [m == n and np.array_equal(r, np.arange(n)) for r in at]
     full = _fit_features(build, param, xs, any(wholes))
+    stacks, lo = [], 0
+    for hi in range(1, len(at) + 1):
+        if (hi == len(at) or wholes[lo] or wholes[hi] or widths[hi] != widths[lo]
+                or (hi - lo + 1) * per_run > _STACK_ENTRIES):
+            stacks.append((lo, hi))
+            lo = hi
     fits = []
-    for lo, hi, whole in zip(cuts[:-1], cuts[1:], wholes):
-        at = rows[lo]
-        features = (full if whole else _built(build, param, xs[at]) if full is None
-                    else np.take(full, at, axis=axis))
-        fits += _fourier_fits(xs[at], features, np.ascontiguousarray(Y[:, lo:hi]), spec, whole)
+    for lo, hi in stacks:
+        runs = at[lo:hi]
+        if wholes[lo]:
+            features = full[None]
+        elif full is None:
+            features = np.stack([build(xs[r], param) for r in runs])
+        else:
+            features = np.take(full, runs, axis=axis)
+            if axis:
+                features = np.ascontiguousarray(np.moveaxis(features, axis, 0))
+        Y_runs = Y[:, cuts[lo]:cuts[hi]].reshape(m, hi - lo, widths[lo]).transpose(1, 0, 2)
+        fits += _fourier_fits(xs[runs], features, np.ascontiguousarray(Y_runs), spec,
+                              full if wholes[lo] else None)
     return fits
 
 
 class _PrimalFit(NamedTuple):
-    """One primal fit call's training points, coefficient rows (c x p) and
+    """One primal run's training points, coefficient rows (c x p) and
     fitted values (c x m), the product of those rows with the design rows
-    the call solved on.  A call on all of its points with lam > 0 also keeps
-    its design^T design / m."""
+    the run solved on.  A run on all of its call's points with lam > 0 also
+    keeps its design^T design / m."""
 
     xs: np.ndarray
     coefs: np.ndarray
@@ -396,7 +433,7 @@ class _PrimalFit(NamedTuple):
 @dataclass(frozen=True)
 class _PrimalRows:
     """Explicit-design handles on the (N, d) frequency table, from any
-    number of fit calls.  An item is (`_PrimalFit`, column).  Handles
+    number of runs and fit calls.  An item is (`_PrimalFit`, column).  Handles
     predicted on exactly their training points read their fitted values;
     one tiled product against the design of the points predicts all others."""
 
@@ -457,7 +494,7 @@ def _fourier_pair_moments(base: PredictorHandle, handles, xs: np.ndarray,
 
 
 class _KernelRows:
-    """The kernel-path handles of one fit call.  Item c predicts with
+    """The kernel-path handles of one run.  Item c predicts with
     column c's dual coefficients; one tiled K(x, X) pass predicts every
     column asked for, and covariates equal to the training points read the
     fitted values."""

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from wildriff.core import NonFiniteDataError
 from wildriff.metrics import (
     EmptyInputError,
     MetricsError,
+    OptimismPair,
     ShapeMismatchError,
     empirical_norm,
     ht_average,
@@ -43,6 +45,19 @@ class TestEmpiricalNorm:
     def test_homogeneity(self, c, data):
         v = data.draw(vec(data.draw(st.integers(1, 20)), st.floats(-100, 100)))
         assert empirical_norm(c * v) == pytest.approx(abs(c) * empirical_norm(v), abs=1e-9)
+
+
+class TestOptimismPair:
+    def test_total(self):
+        pair = OptimismPair(opt_tilde=0.25, opt_check=-0.5)
+        assert pair.total == -0.25
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["opt_tilde", "opt_check"])
+    def test_non_finite_field_rejected(self, field, bad):
+        values = {"opt_tilde": 0.1, "opt_check": 0.2, field: bad}
+        with pytest.raises(NonFiniteDataError):
+            OptimismPair(**values)
 
 
 class TestWildResponses:

@@ -16,6 +16,7 @@ from wildriff.sampling import (
     reservoir_sample,
     srswor,
     srswor_batch,
+    srswor_each,
 )
 
 
@@ -136,8 +137,8 @@ class TestPermutationKernel:
             want = per_step_permutation(n, m, count, np.random.default_rng(seed))
             np.testing.assert_array_equal(got, want)
 
-    # SHA-256 of the int64 rows that drawing all of a chunk's swaps at once
-    # gave; (5000, 7, 40) spans four blocks of swaps, (20000, 10, 100) 34.
+    # SHA-256 of the int64 rows that swapping a chunk's draws in blocks
+    # gave; (5000, 7, 40) spanned four blocks of swaps, (20000, 10, 100) 34.
     RECORDED = {
         (5000, 7, 40, 3): "cbc38e0e82e5b146890af3097ff951ebd6b7615a1c0e7cac772f47afa4955701",
         (20000, 10, 100, 0): "164e9869f77cfc049497f943f4d5c1d4abd97ab8166c4c9b38bf6189c36ff3cc",
@@ -146,21 +147,81 @@ class TestPermutationKernel:
 
     @pytest.mark.parametrize("n,m,count,seed", sorted(RECORDED))
     def test_blocked_swaps_match_recorded_rows(self, n, m, count, seed):
-        assert count > sampling._PERMUTATION_BLOCK_ENTRIES // n
         rows = srswor_batch(n, m, "permutation", seed, count)
         assert rows.dtype == np.int64 and rows.shape == (count, m)
         assert hashlib.sha256(rows.tobytes()).hexdigest() == self.RECORDED[(n, m, count, seed)]
 
     def test_blocked_swaps_bound_memory(self):
-        # Swapping all 100 draws' 20,000 slots at once peaked at 16.2 MB.
+        # 2,000 draws of 100 slots are 200,000 slots, about twelve chunks of
+        # `_RESOLVE_ENTRIES`; resolving them at once peaked at 20.0 MB.
+        # Beyond the drawn targets and the rows returned, only one chunk's
+        # temporaries, about 11 arrays of a chunk's size, may be live.
         srswor_batch(50, 7, "permutation", 0, 4)   # numpy's one-time set-up
+        count, m = 2000, 100
         tracemalloc.start()
         try:
-            srswor_batch(20_000, 10, "permutation", 0, 100)
+            srswor_batch(2000, m, "permutation", 0, count)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * 8 * sampling._PERMUTATION_BLOCK_ENTRIES
+        assert peak <= 2 * 8 * count * m + 12 * 8 * sampling._RESOLVE_ENTRIES
+
+
+def swap_loop(n, targets):
+    """The first m slots of each row's shuffle, swapped one Python int at a time."""
+    out = []
+    for row in targets.tolist():
+        arr = list(range(n))
+        for t, j in enumerate(row):
+            arr[t], arr[j] = arr[j], arr[t]
+        out.append(sorted(arr[:len(row)]))
+    return np.array(out, dtype=np.int64).reshape(targets.shape)
+
+
+class TestSwapResolver:
+    @given(n=st.integers(1, 60), count=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+           data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_swap_loops(self, n, count, seed, data):
+        m = data.draw(st.integers(1, n))
+        # Targets equal to their step (a slot swapped with itself), drawn
+        # on purpose: uniform draws rarely give many of them.
+        fixed = data.draw(st.lists(st.booleans(), min_size=m, max_size=m))
+        rng = np.random.default_rng(seed)
+        targets = rng.integers(np.arange(m)[:, None], n, size=(m, count)).T
+        targets = np.where(fixed, np.arange(m), targets)
+        want = swap_loop(n, targets)
+        np.testing.assert_array_equal(sampling._resolve_swaps(targets, n), want)
+        # Each seed's draw, alone and together: both resolve as the
+        # per-step reference and the swap loop do.
+        seeds = [seed + i for i in range(count)]
+        each = srswor_each(n, m, seeds)
+        for sub, s in zip(each, seeds):
+            rng = sampling._as_rng(s, "permutation")
+            row = srswor_batch(n, m, "permutation", s, 1)[0]
+            np.testing.assert_array_equal(sub.indices, row)
+            np.testing.assert_array_equal(
+                row, per_step_permutation(n, m, 1, sampling._as_rng(s, "permutation"))[0])
+            np.testing.assert_array_equal(
+                row, swap_loop(n, rng.integers(np.arange(m)[:, None], n, size=(m, 1)).T)[0])
+        batch = srswor_batch(n, m, "permutation", np.random.default_rng(seed), count)
+        np.testing.assert_array_equal(
+            batch, per_step_permutation(n, m, count, np.random.default_rng(seed)))
+        np.testing.assert_array_equal(batch, swap_loop(n, np.random.default_rng(seed).integers(
+            np.arange(m)[:, None], n, size=(m, count)).T))
+
+    def test_each_is_srswor_per_seed(self):
+        seeds = [3, np.random.default_rng(4), 5]
+        got = srswor_each(8000, 220, seeds)
+        want = [srswor(8000, 220, "permutation", s)
+                for s in [3, np.random.default_rng(4), 5]]
+        assert all(isinstance(sub, Subsample) and sub.n == 8000 for sub in got)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a.indices, b.indices)
+
+    def test_each_checks_sizes(self):
+        with pytest.raises(BadSizeError):
+            srswor_each(5, 6, [0])
 
 
 class TestReservoirStream:

@@ -1,5 +1,7 @@
+import argparse
 import importlib.util
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -112,3 +114,39 @@ def test_ab_reads_each_runs_machine():
     unset = dict(env, thread_env={"OMP_NUM_THREADS": None})
     assert ab_pairs.machine({"parent": [unset], "change": [unset]}) == (
         "cores 2 of 4; no thread variable set; median steal share parent 1.00%, change 1.00%")
+
+
+def test_ab_out_records_every_metric_and_the_machine(tmp_path):
+    # `--out` writes what the comparison prints, per workload and metric,
+    # from synthetic runs: no benchmark runs here.
+    ab_pairs = load_tool("ab_pairs")
+    metrics = {"eval_s_p50": {"name": "eval_s_p50", "better": "lower", "bound": 0.25},
+               "evals_per_s": {"name": "evals_per_s", "better": "higher", "bound": 0.25}}
+    faster = [v - 0.1 for v in PARENT]
+    runs = {"parent": [{"eval_s_p50": b, "evals_per_s": 1 / b} for b in PARENT],
+            "change": [{"eval_s_p50": a, "evals_per_s": 1 / a} for a in faster]}
+    env = {"cpu_count": 2, "cpu_affinity": 2, "steal_share": 0.01,
+           "thread_env": {"OMP_NUM_THREADS": None, "OPENBLAS_NUM_THREADS": "1"}}
+    envs = {"parent": [env] * 10, "change": [dict(env, steal_share=0.03)] * 10}
+    record = ab_pairs.summarize(runs, envs, metrics)
+    args = argparse.Namespace(seed=7, pairs=10, seconds=8.0)
+    path = tmp_path / "BENCH.json"
+    ab_pairs.write_record(path, args, {"ridge1d_bign": record})
+    written = json.loads(path.read_text())
+    assert {k: written[k] for k in ("seed", "pairs", "seconds")} == {
+        "seed": 7, "pairs": 10, "seconds": 8.0}
+    [[name, got]] = written["workloads"].items()
+    assert name == "ridge1d_bign"
+    assert got["machine"] == {"cores": ["2 of 2"], "thread_env": {"OPENBLAS_NUM_THREADS": "1"},
+                              "steal_share": {"parent": 0.01, "change": 0.03}}
+    p50 = got["metrics"]["eval_s_p50"]
+    assert p50["parent"] == PARENT and p50["change"] == faster
+    assert p50["parent_median"] == 1.045 and math.isclose(p50["change_median"], 0.945)
+    assert math.isclose(p50["parent_iqr"], 0.045)
+    assert p50["change_wins"] == 10 and p50["better"] == "lower" and p50["bound"] == 0.25
+    assert p50["verdict"].startswith("within bound") and p50["gain"].startswith("gain (10/10")
+    rate = got["metrics"]["evals_per_s"]
+    assert rate["change_wins"] == 10 and rate["gain"].startswith("gain")
+    # The printed machine line reads the same record.
+    assert ab_pairs.machine(envs) == ("cores 2 of 2; OPENBLAS_NUM_THREADS=1; "
+                                      "median steal share parent 1.00%, change 3.00%")

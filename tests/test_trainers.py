@@ -803,6 +803,47 @@ class TestFourierRidge:
     # from the coefficients' quadratic forms instead missed by up to 2.4e-4.
     PAIR_MOMENT_RTOL = 1e-13
 
+    @pytest.mark.parametrize("d,N,lam", [(1, 4, 1e-6), (2, 3, 1e-3), (1, 3, 0.0)],
+                             ids=["primal", "kernel", "lstsq"])
+    @pytest.mark.parametrize("K,cols,runs_per_stack", [(6, 2, 6), (5, 1, 5), (1, 3, 1), (7, 2, 3)],
+                             ids=["one-stack", "one-column-runs", "one-run", "three-stacks"])
+    def test_stacked_solve_matches_one_run_fits(self, monkeypatch, d, N, lam, K, cols,
+                                                runs_per_stack):
+        # Runs solved as one stack give every run's coefficients and fitted
+        # values bit for bit as a call with that run alone does, and a run's
+        # handles share one fill, so they predict in one product as alone.
+        rng = np.random.default_rng(d + N + K)
+        n, m = 60, 20
+        xs = rng.uniform(0, 1, size=(n, d))
+        subs = np.stack([rng.choice(n, size=m, replace=False) for _ in range(K)])
+        rows = np.repeat(subs, cols, axis=0)
+        Y = rng.normal(size=(m, K * cols))
+        trainer = fourier_ridge_trainer(FourierRidgeSpec(N=N, lam=lam))
+        per_run = d * m * (2 * N + 1) if lam > 0 and (2 * N + 1) ** d > m else m * (2 * N + 1) ** d
+        monkeypatch.setattr(trainers, "_STACK_ENTRIES", runs_per_stack * per_run)
+        stacks, fits = [], trainers._fourier_fits
+        monkeypatch.setattr(trainers, "_fourier_fits",
+                            lambda xs, features, *a: stacks.append(len(features))
+                            or fits(xs, features, *a))
+        together = trainer.fit_multi(xs, Y, [0] * (K * cols), rows)
+        assert stacks == [min(runs_per_stack, K - lo) for lo in range(0, K, runs_per_stack)]
+
+        def solved(handle):
+            if isinstance(handle.fill, trainers._KernelRows):
+                return handle.fill.coefs[handle.item], handle.fill.fitted[handle.item]
+            fit, c = handle.item
+            return fit.coefs[c], fit.fitted[c]
+
+        assert ("dual_coefficients" in together[0].meta) == (N == 3 and lam > 0)
+        for k in range(K):
+            own = slice(k * cols, (k + 1) * cols)
+            alone = trainer.fit_multi(xs, Y[:, own], [0] * cols, rows[own])
+            assert len({f.fill for f in together[own]}) == 1
+            for f, g in zip(together[own], alone):
+                for a, b in zip(solved(f), solved(g)):
+                    assert a.shape == b.shape
+                    np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
     @given(case=st.sampled_from([(1, 8, 1e-6), (3, 1, 1e-6), (1, 8, 0.0), (3, 1, 0.0)]),
            near=st.floats(-12.0, 0.0).map(lambda e: 10.0 ** e), w=st.integers(1, 2),
            seed=st.integers(0, 2 ** 16))

@@ -2,6 +2,7 @@
 
     python3 tools/ab_pairs.py PARENT CHANGE --pairs 10 --seconds 25
     python3 tools/ab_pairs.py PARENT CHANGE --workload ridge1d_bign --workload ridge5d
+    python3 tools/ab_pairs.py PARENT CHANGE --pairs 8 --seconds 8 --out BENCH.json
 
 Runs every workload given with ``--workload``, or every workload in the
 change's BENCHMARK.json when none is.  Pair i of a workload runs
@@ -21,7 +22,12 @@ not every change run beats every parent run), and "within bound" otherwise.
 Every metric also gets a gain verdict: "gain" when the change wins at least
 nine tenths of the pairs (a tie counts for neither side) and its median is
 better than the parent's by more than the parent's IQR, "no gain" otherwise.
-Exits 1 if a run fails or reports a failed operation.
+With ``--out FILE``, the same comparison is also written to FILE as JSON:
+the seed, pair count and run length, then per workload its machine (cores,
+thread variables set, each side's median steal share) and, per metric, both
+sides' per-pair values, both medians, the parent's IQR, the change's win
+count and both verdicts.  Exits 1 if a run fails or reports a failed
+operation.
 """
 
 import argparse
@@ -73,19 +79,32 @@ def parse_run(stdout: str, name: str):
     return {metric: m["value"] for metric, m in result["metrics"].items()}, env
 
 
-def machine(envs: dict) -> str:
-    """The cores, thread variables and median steal share of each side's
-    runs ({side: [env, ...]}), as `perfbench/run.py` records them."""
+def machine_record(envs: dict) -> dict:
+    """The cores, the thread variables set and each side's median steal
+    share (None when its runs record none) of each side's runs
+    ({side: [env, ...]}), as `perfbench/run.py` records them."""
     every = [env for runs in envs.values() for env in runs]
-    cores = ", ".join(sorted({f"{env['cpu_affinity']} of {env['cpu_count']}" for env in every}))
-    threads = ", ".join(sorted({f"{name}={value}" for env in every
-                                for name, value in env["thread_env"].items()
-                                if value is not None})) or "no thread variable set"
-    steal = []
+    steal = {}
     for side, runs in envs.items():
         shares = [env["steal_share"] for env in runs if "steal_share" in env]
-        steal.append(f"{side} {statistics.median(shares):.2%}" if shares else f"{side} n/a")
-    return f"cores {cores}; {threads}; median steal share {', '.join(steal)}"
+        steal[side] = statistics.median(shares) if shares else None
+    return {
+        "cores": sorted({f"{env['cpu_affinity']} of {env['cpu_count']}" for env in every}),
+        "thread_env": dict(sorted({(name, value) for env in every
+                                   for name, value in env["thread_env"].items()
+                                   if value is not None})),
+        "steal_share": steal,
+    }
+
+
+def machine(envs: dict) -> str:
+    """`machine_record` as one line."""
+    record = machine_record(envs)
+    threads = ", ".join(f"{name}={value}" for name, value in record["thread_env"].items())
+    steal = ", ".join(f"{side} {share:.2%}" if share is not None else f"{side} n/a"
+                      for side, share in record["steal_share"].items())
+    return (f"cores {', '.join(record['cores'])}; {threads or 'no thread variable set'}; "
+            f"median steal share {steal}")
 
 
 def quartiles(values):
@@ -121,7 +140,34 @@ def gain(before, after, wins: int, lower_is_better: bool) -> str:
             f"median better by {shift:.3g}, parent IQR {q3 - q1:.3g})")
 
 
-def compare(workload: str, roots: dict, metrics: dict, args) -> None:
+def summarize(runs: dict, envs: dict, metrics: dict) -> dict:
+    """One workload's record: its machine (`machine_record`) and, per
+    end-to-end metric, both sides' per-pair values, medians, the parent's
+    IQR, the change's win count and both verdicts."""
+    record = {"machine": machine_record(envs), "metrics": {}}
+    for name, metric in metrics.items():
+        lower_is_better = metric["better"] == "lower"
+        before = [r[name] for r in runs["parent"]]
+        after = [r[name] for r in runs["change"]]
+        wins = sum((a < b) if lower_is_better else (a > b) for b, a in zip(before, after))
+        q1, q3 = quartiles(before)
+        record["metrics"][name] = {
+            "better": metric["better"],
+            "bound": metric["bound"],
+            "parent": before,
+            "change": after,
+            "parent_median": statistics.median(before),
+            "change_median": statistics.median(after),
+            "parent_iqr": q3 - q1,
+            "change_wins": wins,
+            "verdict": verdict(before, after, lower_is_better, metric["bound"]),
+            "gain": gain(before, after, wins, lower_is_better),
+        }
+    return record
+
+
+def compare(workload: str, roots: dict, metrics: dict, args) -> dict:
+    """Run a workload's pairs, print its summary and return its `summarize` record."""
     runs = {"parent": [], "change": []}
     envs = {"parent": [], "change": []}
     for i in range(args.pairs):
@@ -134,22 +180,26 @@ def compare(workload: str, roots: dict, metrics: dict, args) -> None:
             f"{name} {runs['parent'][-1][name]:.4g} -> {runs['change'][-1][name]:.4g}"
             for name in metrics), flush=True)
 
+    record = summarize(runs, envs, metrics)
     print(f"\n{workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s runs")
     print(machine(envs))
-    for name, metric in metrics.items():
-        lower_is_better = metric["better"] == "lower"
-        before = [r[name] for r in runs["parent"]]
-        after = [r[name] for r in runs["change"]]
-        wins = sum((a < b) if lower_is_better else (a > b) for b, a in zip(before, after))
-        q1, q3 = quartiles(before)
-        med_b, med_a = statistics.median(before), statistics.median(after)
-        print(f"{name:16s} parent {' '.join(f'{v:.4g}' for v in before)}")
-        print(f"{'':16s} change {' '.join(f'{v:.4g}' for v in after)}")
+    for name, m in record["metrics"].items():
+        med_b, med_a = m["parent_median"], m["change_median"]
+        print(f"{name:16s} parent {' '.join(f'{v:.4g}' for v in m['parent'])}")
+        print(f"{'':16s} change {' '.join(f'{v:.4g}' for v in m['change'])}")
         print(f"{'':16s} median {med_b:.4g} -> {med_a:.4g} ({(med_a - med_b) / med_b:+.1%}), "
-              f"parent IQR {q3 - q1:.3g}, change better in {wins}/{len(before)}: "
-              f"{verdict(before, after, lower_is_better, metric['bound'])}")
-        print(f"{'':16s} {gain(before, after, wins, lower_is_better)}")
+              f"parent IQR {m['parent_iqr']:.3g}, change better in "
+              f"{m['change_wins']}/{len(m['parent'])}: {m['verdict']}")
+        print(f"{'':16s} {m['gain']}")
     print(flush=True)
+    return record
+
+
+def write_record(path: Path, args, records: dict) -> None:
+    """The comparison's settings and every workload's record, as JSON."""
+    path.write_text(json.dumps({"seed": args.seed, "pairs": args.pairs,
+                                "seconds": args.seconds, "workloads": records},
+                               indent=1) + "\n")
 
 
 def main() -> int:
@@ -161,6 +211,8 @@ def main() -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--out", type=Path,
+                        help="also write every workload's record to this JSON file")
     args = parser.parse_args()
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m for m in spec["end_to_end"]}
@@ -169,8 +221,9 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="ab-pairs-") as tmp:
         roots = {side: copy_checkout(getattr(args, side).resolve(), Path(tmp) / side)
                  for side in ("parent", "change")}
-        for workload in workloads:
-            compare(workload, roots, metrics, args)
+        records = {workload: compare(workload, roots, metrics, args) for workload in workloads}
+    if args.out:
+        write_record(args.out, args, records)
     return 0
 
 
