@@ -27,6 +27,7 @@ from .core import (
     BoundError,
     DecayRegimeError,
     EvaluationError,
+    NonFiniteDataError,
     TrainerFailedError,
     EvaluationConfig,
     PredictorHandle,
@@ -703,6 +704,9 @@ def _resolve_tau(config: EvaluationConfig, state: RefitState) -> float:
 
 def _assemble_report(label, state, dataset, config, rounds_for_bound, blocks,
                      r_value, rt_value, tau, t, fstar_vals) -> RiskBoundReport:
+    """The report of ``label``; a non-finite term, such as the radius of a
+    noise scale so large that the refits overflow, raises
+    `NonFiniteDataError` naming the first such term."""
     n, d = dataset.n, dataset.d
     k_used = len(rounds_for_bound)
     mean_opt_tilde = float(np.mean([rd.optimism.opt_tilde for rd in rounds_for_bound]))
@@ -722,6 +726,13 @@ def _assemble_report(label, state, dataset, config, rounds_for_bound, blocks,
     log_term = _log_term(n, d, config.v, config.delta, config.w_bar, config.w_under,
                          config.log_term_constant)
     random_design = 4.0 * ratio * (mean_opt_tilde + mean_opt_check + deviation + pilot) + log_term
+    terms = dict(mean_opt_tilde=mean_opt_tilde, mean_opt_check=mean_opt_check,
+                 wild_optimism_bound=mean_opt_tilde + mean_opt_check, deviation=deviation,
+                 pilot_proxy=pilot, r=r_value, r_tilde=rt_value, fixed_design_bound=fixed,
+                 random_design_bound=random_design, log_term=log_term, tau=tau, t=t)
+    bad = next((name for name, value in terms.items() if not math.isfinite(value)), None)
+    if bad is not None:
+        raise NonFiniteDataError(f"bound {label}: {bad} is {terms[bad]}")
 
     return RiskBoundReport(
         label=label,
@@ -729,18 +740,7 @@ def _assemble_report(label, state, dataset, config, rounds_for_bound, blocks,
         m=config.subsample_size(n),
         d=d,
         k_rounds_used=k_used,
-        mean_opt_tilde=mean_opt_tilde,
-        mean_opt_check=mean_opt_check,
-        wild_optimism_bound=mean_opt_tilde + mean_opt_check,
-        deviation=deviation,
-        pilot_proxy=pilot,
-        r=r_value,
-        r_tilde=rt_value,
-        fixed_design_bound=fixed,
-        random_design_bound=random_design,
-        log_term=log_term,
-        tau=tau,
-        t=t,
+        **terms,
         delta=config.delta,
         confidence_fixed=1.0 - 5.0 * config.delta,
         confidence_random=1.0 - 6.0 * config.delta,

@@ -15,7 +15,7 @@ import functools
 import itertools
 import warnings
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional
 
 import numpy as np
@@ -79,14 +79,12 @@ class _BatchHandle(PredictorHandle):
     """A built-in handle.  Handles whose ``fill`` compare equal predict
     together: ``fill(items, xs, out)`` writes the predictions on ``xs`` of
     the handles holding ``items`` into the rows of ``out``.  `predict` is its
-    one-handle case, so a handle has one prediction path, alone or batched.
-    ``keep`` is held only to keep it alive (`_fourier_fits`)."""
+    one-handle case, so a handle has one prediction path, alone or batched."""
 
-    def __init__(self, fill, item, name: str, meta: dict, keep=None):
+    def __init__(self, fill, item, name: str, meta: dict):
         super().__init__(functools.partial(_predict_alone, fill, item), name, meta)
         self.fill = fill
         self.item = item
-        self.keep = keep
 
 
 def _predict_alone(fill, item, xs: np.ndarray) -> np.ndarray:
@@ -184,65 +182,6 @@ def _half_space_frequencies(N: int, d: int) -> np.ndarray:
     return freqs
 
 
-# The feature memo: entries (builder, its parameter, copy of xs, features),
-# keyed by values.  Only `_fourier_multi` writes the fit entry, for a call
-# with a fit on all of its points, and fits gather their rows from it.  It
-# refers to its features weakly, as the handles of that fit keep them, and
-# goes with the last of those.  Predictions read it, or else their own entry.
-_fit_entry = None
-_predict_entry = None
-
-
-def _holds(entry, build, param, xs: np.ndarray) -> bool:
-    return (entry is not None and entry[0] is build and entry[1] is param
-            and np.array_equal(entry[2], xs))
-
-
-def _fit_hit(build, param, xs: np.ndarray) -> Optional[np.ndarray]:
-    """The fit entry's features if it holds ``build(xs, param)``, else None.
-    The entry is read once: a collection during the comparison may free
-    its last handle and clear it, and a dead reference is a miss."""
-    entry = _fit_entry
-    return entry[3]() if _holds(entry, build, param, xs) else None
-
-
-def _built(build, param, xs: np.ndarray) -> np.ndarray:
-    features = build(xs, param)
-    features.setflags(write=False)
-    return features
-
-
-def _release_fit_entry(ref) -> None:
-    global _fit_entry
-    _fit_entry = None if _fit_entry is not None and _fit_entry[3] is ref else _fit_entry
-
-
-def _fit_features(build, param, xs: np.ndarray, write: bool) -> Optional[np.ndarray]:
-    """The fit entry's ``build(xs, param)``: on a miss built into it if ``write``, else None."""
-    global _fit_entry
-    features = _fit_hit(build, param, xs)
-    if features is not None or not write:
-        return features
-    _fit_entry = None
-    features = _built(build, param, xs)
-    _fit_entry = (build, param, xs.copy(), weakref.ref(features, _release_fit_entry))
-    return features
-
-
-def _predict_features(build, param, xs: np.ndarray) -> np.ndarray:
-    """``build(xs, param)``, read-only: the fit entry's, else the prediction entry's."""
-    global _predict_entry
-    features = _fit_hit(build, param, xs)
-    if features is not None:
-        return features
-    # The entry is read once: another call may replace it after the check.
-    entry = _predict_entry
-    if not _holds(entry, build, param, xs):
-        entry = _predict_entry = None
-        entry = _predict_entry = (build, param, xs.copy(), _built(build, param, xs))
-    return entry[3]
-
-
 def _build_design(xs: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     """The (n, p) design: a constant column, then cos and then sin of the
     phases 2 pi xs freqs^T, written in place; the (n, len(freqs)) phase
@@ -308,20 +247,136 @@ def _dirichlet_kernel(psi_a: np.ndarray, psi_b: np.ndarray,
     return out
 
 
+@dataclass(frozen=True, eq=False)
+class _Run:
+    """One run of a `_fourier_fits` call: its fill, its training points
+    (m x d), its coefficient rows (c x p, or on the kernel path c x m dual
+    coefficients) and its fitted values (c x m), those rows times the
+    features the run solved on.  A kernel run keeps those features, its
+    (d, m, 2N+1) Dirichlet features; a primal run only as the whole run of
+    its call (on all of the call's points, in order), read-only, with its
+    design^T design / m if lam > 0.  A whole run also keeps the other
+    fill's features of its points once a prediction built them (`_features`)."""
+
+    fill: object
+    xs: np.ndarray
+    features: Optional[np.ndarray]
+    coefs: np.ndarray
+    fitted: np.ndarray
+    gram: Optional[np.ndarray]
+    other_features: list = field(default_factory=list)
+
+
+# The last whole run that built its features, referred to weakly: its
+# handles keep it alive.  Fits on rows of its points gather their features
+# from it (`_held`), and predictions on its points read them (`_features`).
+_whole = None
+
+
+def _whole_on(fill, xs: np.ndarray):
+    """The last whole run if it has ``fill``'s N and the points ``xs``, by
+    value; else None.  The run is taken into a strong reference first, so
+    a collection during the check cannot free it."""
+    run = _whole and _whole()
+    return run if run and run.fill.N == fill.N and np.array_equal(run.xs, xs) else None
+
+
+def _held(fill, xs: np.ndarray) -> Optional[np.ndarray]:
+    """The last whole run's features if it has ``fill`` and the points ``xs``."""
+    run = _whole_on(fill, xs)
+    return run.features if run is not None and run.fill == fill else None
+
+
+def _features(fill, xs: np.ndarray) -> np.ndarray:
+    """The features of ``xs`` for a prediction: the last whole run's when
+    it is on the points ``xs``, else built.  A fill other than the whole
+    run's builds them once, and the run keeps them: with a design warm-up
+    and kernel refits, every prediction of the refits on the full data
+    reads the Dirichlet features the first one built."""
+    run = _whole_on(fill, xs)
+    if run is None or run.fill == fill:
+        return fill.build(xs) if run is None else run.features
+    if not run.other_features:
+        run.other_features.append(fill.build(xs))
+    return run.other_features[0]
+
+
+@dataclass(frozen=True)
+class _PrimalRows:
+    """The explicit-design handles on the (N, d) frequency table, from any
+    number of runs and fit calls.  An item is (`_Run`, column).  Handles
+    predicted on exactly their training points read their fitted values;
+    one tiled product against the design of the points predicts all others."""
+
+    N: int
+    d: int
+
+    def build(self, xs: np.ndarray) -> np.ndarray:
+        return _build_design(xs, _half_space_frequencies(self.N, self.d))
+
+    def __call__(self, items, xs: np.ndarray, out: np.ndarray) -> None:
+        _check_dimension(xs, self.d)
+        rest = []
+        for i, (run, c) in enumerate(items):
+            if np.array_equal(run.xs, xs):
+                out[i] = run.fitted[c]
+            else:
+                rest.append(i)
+        if not rest:
+            return
+        design = _features(self, xs)
+        coefs = np.stack([run.coefs[c] for run, c in (items[i] for i in rest)])
+        if len(rest) == len(items):
+            _tiled_product(coefs, design, out)
+        else:
+            block = np.empty((len(rest), xs.shape[0]))
+            _tiled_product(coefs, design, block)
+            out[rest] = block
+
+
+@dataclass(frozen=True)
+class _KernelRows:
+    """The kernel-path handles of N and d, from any number of runs and fit
+    calls.  An item is (`_Run`, column of dual coefficients).  A run's
+    columns asked for are predicted together: on its training points from
+    its fitted values, elsewhere in one tiled K(x, X) pass, on features of
+    the covariates got at most once per call."""
+
+    N: int
+    d: int
+
+    def build(self, xs: np.ndarray) -> np.ndarray:
+        return _dirichlet_features(xs, self.N)
+
+    def __call__(self, items, pts: np.ndarray, out: np.ndarray) -> None:
+        _check_dimension(pts, self.d)
+        runs = {}
+        for i, (run, _) in enumerate(items):
+            runs.setdefault(run, []).append(i)
+        features = None
+        for run, rows in runs.items():
+            columns = [items[i][1] for i in rows]
+            if np.array_equal(pts, run.xs):
+                out[rows] = run.fitted[columns]
+            else:
+                features = _features(self, pts) if features is None else features
+                out[rows] = _dirichlet_kernel(features, run.features, run.coefs[columns].T).T
+
+
 def _fourier_fits(xs: np.ndarray, features: np.ndarray, Y: np.ndarray, spec: FourierRidgeSpec,
-                  keep: Optional[np.ndarray] = None) -> List[PredictorHandle]:
+                  fill, whole: bool) -> List[PredictorHandle]:
     """`fourier_ridge_fit` on every column of the runs ``Y`` (R x m x c):
     run r's columns on the points ``xs[r]``, from their ``features[r]``:
-    their design, or on the kernel path their (d, m, 2N+1) Dirichlet
+    their design, or for a `_KernelRows` fill their (d, m, 2N+1) Dirichlet
     features, whose kernel is built once per run and gives the fitted
     values kept for predictions on ``xs[r]``.  Primal ridge runs are solved
     as one stack: one normal-equation product, one `np.linalg.solve` and
     one fitted-value product, each computing every run as it would alone.
     Kernel and least-squares runs are solved one at a time.  One handle per
-    column, run by run.  Given ``keep``, the features of a lone run on all
-    of its points, the handles keep it alive and a primal fit its gram."""
+    column, run by run.  A ``whole`` call's one run is on all of its call's
+    points; it keeps its features, and its gram if primal."""
     R, m, d = xs.shape
-    dual = features.ndim == 4
+    dual = isinstance(fill, _KernelRows)
     gram = None
     try:
         if dual:
@@ -347,23 +402,20 @@ def _fourier_fits(xs: np.ndarray, features: np.ndarray, Y: np.ndarray, spec: Fou
     # One contiguous row per column, and its fitted values.
     coefs = np.ascontiguousarray(coef.swapaxes(1, 2))
     if dual:
-        fills = [_KernelRows(*run, spec.N) for run in zip(xs, features, coefs, fitted)]
-        items = [(fill, c) for fill in fills for c in range(len(fill.coefs))]
         solutions = [{"dual_coefficients": row} for run in coefs for row in run]
     else:
         fitted = np.empty(coefs.shape[:2] + (m,))
         _tiled_product(coefs, features, fitted)
-        fill = _PrimalRows(spec.N, d)
-        kept = [None] * R if keep is None or gram is None else gram
-        items = [(fill, (fit, c)) for fit in map(_PrimalFit, xs, coefs, fitted, kept)
-                 for c in range(len(fit.coefs))]
         freqs = _half_space_frequencies(spec.N, d)
         solutions = [{"coefficients": row, "frequencies": freqs} for run in coefs for row in run]
+    kept = features if dual or whole else [None] * R
+    grams = gram if whole and gram is not None else [None] * R
+    runs = [_Run(fill, *run) for run in zip(xs, kept, coefs, fitted, grams)]
+    items = [(run, c) for run in runs for c in range(len(run.coefs))]
     name = f"fourier_ridge(N={spec.N}, lam={spec.lam:g})"
     return [_BatchHandle(fill, item, name,
-                         {"kind": "fourier_ridge", **solution, "lam": spec.lam, "N": spec.N},
-                         keep)
-            for (fill, item), solution in zip(items, solutions)]
+                         {"kind": "fourier_ridge", **solution, "lam": spec.lam, "N": spec.N})
+            for item, solution in zip(items, solutions)]
 
 
 # Most feature entries `_fourier_multi` gathers into one stack of runs.
@@ -374,27 +426,31 @@ def _fourier_multi(xs: np.ndarray, Y: np.ndarray, rows: np.ndarray,
                    spec: FourierRidgeSpec) -> List[PredictorHandle]:
     """`_fourier_fits` on the runs of consecutive columns of ``Y`` that
     share their rows of ``xs``, stacked: consecutive runs of one width, up
-    to `_STACK_ENTRIES` feature entries (one run at the least), and a run
-    on all of ``xs`` in order alone.  A stack's features are its runs' rows
-    of the features of all of ``xs`` (`_fit_features`), built on a miss
-    only for a call with a run on all of ``xs`` in order (the warm-up),
-    which takes them whole; else each run builds its own.  The kernel path
-    is taken when lam > 0 and p > m."""
+    to `_STACK_ENTRIES` feature entries (one run at the least), and a whole
+    run (on all of ``xs``, in order) alone.  A stack's features are its
+    runs' rows of the last whole run's (`_held`), or else, if the call has
+    a whole run, of the features built for it, which becomes `_whole`;
+    else each run builds its own.  The kernel path is taken when lam > 0
+    and p > m."""
+    global _whole
     n, d = xs.shape
     m = rows.shape[1]
     p = spec.feature_count(d)
     if spec.lam > 0 and p > m:
-        build, param, axis = _dirichlet_features, spec.N, 1
+        fill, axis = _KernelRows(spec.N, d), 1
         per_run = d * m * (2 * spec.N + 1)
     elif p > spec.max_features:
         raise TrainerError(f"feature count {p} exceeds cap {spec.max_features}")
     else:
-        build, param, axis = _build_design, _half_space_frequencies(spec.N, d), 0
+        fill, axis = _PrimalRows(spec.N, d), 0
         per_run = m * p
     cuts = [0, *(np.flatnonzero((rows[1:] != rows[:-1]).any(axis=1)) + 1), len(rows)]
     at, widths = rows[cuts[:-1]], np.diff(cuts)   # each run's rows and column count
     wholes = [m == n and np.array_equal(r, np.arange(n)) for r in at]
-    full = _fit_features(build, param, xs, any(wholes))
+    full = _held(fill, xs)
+    built = full is None and any(wholes)
+    if built:
+        full = fill.build(xs)
     stacks, lo = [], 0
     for hi in range(1, len(at) + 1):
         if (hi == len(at) or wholes[lo] or wholes[hi] or widths[hi] != widths[lo]
@@ -406,58 +462,19 @@ def _fourier_multi(xs: np.ndarray, Y: np.ndarray, rows: np.ndarray,
         runs = at[lo:hi]
         if wholes[lo]:
             features = full[None]
+            features.setflags(write=False)
         elif full is None:
-            features = np.stack([build(xs[r], param) for r in runs])
+            features = np.stack([fill.build(xs[r]) for r in runs])
         else:
             features = np.take(full, runs, axis=axis)
             if axis:
                 features = np.ascontiguousarray(np.moveaxis(features, axis, 0))
         Y_runs = Y[:, cuts[lo]:cuts[hi]].reshape(m, hi - lo, widths[lo]).transpose(1, 0, 2)
-        fits += _fourier_fits(xs[runs], features, np.ascontiguousarray(Y_runs), spec,
-                              full if wholes[lo] else None)
+        fits += _fourier_fits(xs[runs], features, np.ascontiguousarray(Y_runs), spec, fill,
+                              wholes[lo])
+        if wholes[lo] and built:
+            _whole = weakref.ref(fits[-1].item[0])
     return fits
-
-
-class _PrimalFit(NamedTuple):
-    """One primal run's training points, coefficient rows (c x p) and
-    fitted values (c x m), the product of those rows with the design rows
-    the run solved on.  A run on all of its call's points with lam > 0 also
-    keeps its design^T design / m."""
-
-    xs: np.ndarray
-    coefs: np.ndarray
-    fitted: np.ndarray
-    gram: Optional[np.ndarray]
-
-
-@dataclass(frozen=True)
-class _PrimalRows:
-    """Explicit-design handles on the (N, d) frequency table, from any
-    number of runs and fit calls.  An item is (`_PrimalFit`, column).  Handles
-    predicted on exactly their training points read their fitted values;
-    one tiled product against the design of the points predicts all others."""
-
-    N: int
-    d: int
-
-    def __call__(self, items, xs: np.ndarray, out: np.ndarray) -> None:
-        _check_dimension(xs, self.d)
-        rest = []
-        for i, (fit, c) in enumerate(items):
-            if np.array_equal(fit.xs, xs):
-                out[i] = fit.fitted[c]
-            else:
-                rest.append(i)
-        if not rest:
-            return
-        design = _predict_features(_build_design, _half_space_frequencies(self.N, self.d), xs)
-        coefs = np.stack([fit.coefs[c] for fit, c in (items[i] for i in rest)])
-        if len(rest) == len(items):
-            _tiled_product(coefs, design, out)
-        else:
-            block = np.empty((len(rest), xs.shape[0]))
-            _tiled_product(coefs, design, block)
-            out[rest] = block
 
 
 def _fourier_pair_moments(base: PredictorHandle, handles, xs: np.ndarray,
@@ -470,10 +487,10 @@ def _fourier_pair_moments(base: PredictorHandle, handles, xs: np.ndarray,
     With A the rows theta_a - theta_base (differences taken before any
     quadratic form), B the rows theta_b, G = Phi^T Phi / n and W = weights
     Phi / n: wd = W A^T, wb = W B^T, and dd, db, bb are the diagonals of
-    A G A^T, A G B^T and B G B^T.  G is the warm-up's own when ``base`` was
-    fit with lam > 0 on exactly ``xs``; the design of ``xs`` comes from the
-    feature memo.  Each of G, W, A G and B G is one product: none forms a
-    prediction, so none is cut to `_PRODUCT_BUDGET`.
+    A G A^T, A G B^T and B G B^T.  G is the base run's own when it was fit
+    with lam > 0 on exactly ``xs``; the design of ``xs`` is the last whole
+    run's when it holds it (`_held`).  Each of G, W, A G and B G is one
+    product: none forms a prediction, so none is cut to `_PRODUCT_BUDGET`.
     """
     fill = base.fill if isinstance(base, _BatchHandle) else None
     if not isinstance(fill, _PrimalRows) or not all(
@@ -481,35 +498,16 @@ def _fourier_pair_moments(base: PredictorHandle, handles, xs: np.ndarray,
         return None
     _check_dimension(xs, fill.d)
     n = xs.shape[0]
-    base_fit, base_c = base.item
-    theta = np.stack([fit.coefs[c] for fit, c in (h.item for h in handles)])
-    diff, slope = theta[0::2] - base_fit.coefs[base_c], theta[1::2]
-    design = _predict_features(_build_design, _half_space_frequencies(fill.N, fill.d), xs)
-    gram = (base_fit.gram if base_fit.gram is not None and np.array_equal(base_fit.xs, xs)
+    base_run, base_c = base.item
+    theta = np.stack([run.coefs[c] for run, c in (h.item for h in handles)])
+    diff, slope = theta[0::2] - base_run.coefs[base_c], theta[1::2]
+    design = _features(fill, xs)
+    gram = (base_run.gram if base_run.gram is not None and np.array_equal(base_run.xs, xs)
             else design.T @ design / n)
     w = weights @ design / n
     diff_g, slope_g = diff @ gram, slope @ gram
     return (w @ diff.T, w @ slope.T, np.einsum("ij,ij->i", diff_g, diff),
             np.einsum("ij,ij->i", diff_g, slope), np.einsum("ij,ij->i", slope_g, slope))
-
-
-class _KernelRows:
-    """The kernel-path handles of one run.  Item c predicts with
-    column c's dual coefficients; one tiled K(x, X) pass predicts every
-    column asked for, and covariates equal to the training points read the
-    fitted values."""
-
-    def __init__(self, xs: np.ndarray, psi: np.ndarray, coefs: np.ndarray,
-                 fitted: np.ndarray, N: int):
-        self.xs, self.psi, self.coefs, self.fitted, self.N = xs, psi, coefs, fitted, N
-
-    def __call__(self, columns, pts: np.ndarray, out: np.ndarray) -> None:
-        _check_dimension(pts, self.xs.shape[1])
-        if np.array_equal(pts, self.xs):
-            out[:] = self.fitted[columns]
-        else:
-            features = _predict_features(_dirichlet_features, self.N, pts)
-            out[:] = _dirichlet_kernel(features, self.psi, self.coefs[columns].T).T
 
 
 def fourier_ridge_fit(dataset: RegressionDataset, spec: FourierRidgeSpec = FourierRidgeSpec(),

@@ -299,6 +299,17 @@ class TestCmdEvaluate:
         assert "evaluation error:" in err
         assert "Traceback" not in err
 
+    def test_non_finite_bound_exit_3(self, tmp_path, capsys):
+        # Refits at rho = 1e300 overflow their distances, so the radius and
+        # every term built on it are infinite: an evaluation error, raised
+        # before any file is written, not a summary.json of Infinity.
+        cfg = write_config(tmp_path, n=40, trainer={"name": "fourier_ridge", "params": {"N": 3}},
+                           evaluation={"K": 3, "rho_grid": [1e300]})
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert cmd_evaluate(cfg) == 3
+        assert "evaluation error: bound 1e+300: deviation is inf" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_dataset_file_source(self, tmp_path):
         rng = np.random.default_rng(0)
         xs = rng.uniform(0, 1, size=60)

@@ -150,3 +150,25 @@ def test_ab_out_records_every_metric_and_the_machine(tmp_path):
     # The printed machine line reads the same record.
     assert ab_pairs.machine(envs) == ("cores 2 of 2; OPENBLAS_NUM_THREADS=1; "
                                       "median steal share parent 1.00%, change 3.00%")
+
+
+def test_ab_exits_2_when_a_metric_reads_worse():
+    # Synthetic runs through `summarize`: a change 30% slower on one
+    # workload's eval_s_p50 makes the comparison exit 2; within its bound
+    # everywhere, or only unresolved, it exits 0.
+    ab_pairs = load_tool("ab_pairs")
+    env = {"cpu_count": 2, "cpu_affinity": 2, "thread_env": {}}
+    envs = {"parent": [env] * 10, "change": [env] * 10}
+
+    def record(scale, bound=0.25):
+        runs = {"parent": [{"eval_s_p50": b} for b in PARENT],
+                "change": [{"eval_s_p50": scale * b} for b in PARENT]}
+        return ab_pairs.summarize(runs, envs, {"eval_s_p50": {"better": "lower", "bound": bound}})
+
+    within, worse = record(1.1), record(1.3)
+    assert worse["metrics"]["eval_s_p50"]["verdict"].startswith("worse")
+    assert ab_pairs.exit_status({"ridge1d_bign": within, "ridge5d": within}) == 0
+    assert ab_pairs.exit_status({"ridge1d_bign": within, "ridge5d": worse}) == 2
+    unresolved = record(1.3, bound=0.02)
+    assert unresolved["metrics"]["eval_s_p50"]["verdict"].startswith("unresolved")
+    assert ab_pairs.exit_status({"tree_step": unresolved}) == 0

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from wildriff.trainers import (
     _dirichlet_features,
     _dirichlet_kernel,
     _half_space_frequencies,
-    _predict_features,
     fourier_ridge_fit,
     fourier_ridge_trainer,
     make_trainer,
@@ -54,9 +54,9 @@ SUBNORMAL_FLOOR = 4096 * np.finfo(float).smallest_subnormal
 
 
 def clear_memo(monkeypatch):
-    """Empty both entries of the fourier_ridge feature memo."""
-    monkeypatch.setattr(trainers, "_fit_entry", None)
-    monkeypatch.setattr(trainers, "_predict_entry", None)
+    """Forget fourier_ridge's last whole run, whose features fits and
+    predictions on its points read."""
+    monkeypatch.setattr(trainers, "_whole", None)
 
 
 def untiled_kernel(psi_a, psi_b):
@@ -316,14 +316,16 @@ class TestFourierRidge:
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    def test_kernel_prediction_memory(self):
+    def test_kernel_prediction_memory(self, monkeypatch):
         # A 10,000-point prediction holds one tile of its 10,000 x 400
         # kernel (32 MB) and the tile's per-coordinate factor at a time,
-        # once the probes' features sit in the memo.
+        # given the probes' features built before the call.
         ds, _ = generate(ExperimentSpec(id="exp3", n=400, seed=1))
         f = fourier_ridge_fit(ds, FourierRidgeSpec(N=3))
         probes = np.random.default_rng(2).uniform(0, 1, size=(10_000, 5))
         first = f.predict(probes)
+        psi = f.fill.build(probes)
+        monkeypatch.setattr(trainers._KernelRows, "build", lambda self, pts: psi)
         again, peak = traced_peak(f.predict, probes)
         np.testing.assert_array_equal(again, first)
         assert peak <= again.nbytes + 3 * 8 * trainers._KERNEL_TILE_ENTRIES
@@ -469,6 +471,32 @@ class TestFourierRidge:
         cfg = EvaluationConfig(K=4, K1=2, rho_mode="tuned", seed=12)
         assert count_builds(cfg)[:2] == ([ds.n], 1)
 
+    def test_design_whole_run_keeps_the_kernel_features_of_its_points(self, monkeypatch):
+        # The first kernel prediction on the points of a design whole run
+        # builds their Dirichlet features, the run keeps them for the next
+        # ones, and they go with the run's handles.
+        clear_memo(monkeypatch)
+        n, m, d = 300, 40, 5
+        rng = np.random.default_rng(3)
+        xs = rng.uniform(0, 1, size=(n, d))
+        builds, build = [], trainers._dirichlet_features
+        monkeypatch.setattr(trainers, "_dirichlet_features",
+                            lambda pts, N: builds.append(len(pts)) or build(pts, N))
+        trainer = fourier_ridge_trainer(FourierRidgeSpec(N=1, lam=1e-6))
+        owner = trainer.fit_multi(xs, rng.normal(size=(n, 1)), [0])
+        refits = trainer.fit_multi(xs, rng.normal(size=(m, 2)), [0, 1],
+                                   np.stack([rng.choice(n, size=m, replace=False)] * 2))
+        assert "coefficients" in owner[0].meta and "dual_coefficients" in refits[0].meta
+        first = trainer.predict_multi(refits[:1], xs)
+        second = trainer.predict_multi(refits[1:], np.array(xs))
+        assert builds == [m, n]
+        assert owner[0].item[0].other_features[0].shape == (d, n, 3)
+        run = weakref.ref(owner[0].item[0])
+        del owner
+        assert run() is None
+        np.testing.assert_array_equal(trainer.predict_multi(refits[:1], xs), first)
+        assert builds == [m, n, n]
+
     def test_kernel_path_evaluate_memory(self):
         # The warm-up's n x n kernel is the one full-size object: the solve
         # adds its factorization inside LAPACK, which tracemalloc does not
@@ -528,30 +556,27 @@ class TestFourierRidge:
         np.testing.assert_array_equal(again, fresh)
 
     def test_design_memo_keyed_by_values(self, monkeypatch):
-        # Both entries: a fit on all of xs fills the fit entry, which
-        # predictions on xs read; other points fill the prediction entry.
+        # A fit on all of xs keeps its design, read-only, and `_held` finds
+        # it by the fill and the values of the points: on distinct arrays
+        # with equal values, writeable or not, and on no other points.
         clear_memo(monkeypatch)
         xs = np.random.default_rng(3).uniform(0, 1, size=(50, 1))
         freqs = _half_space_frequencies(4, 1)
         owner = fourier_ridge_fit(RegressionDataset(xs, xs[:, 0]), FourierRidgeSpec(N=4))
-        for pts in (xs, xs[::-1].copy()):
-            design = _predict_features(_build_design, freqs, pts)
-            assert (design is owner.keep) == (pts is xs)
-            assert not design.flags.writeable
-            frozen = np.array(pts)
-            frozen.setflags(write=False)
-            # Distinct arrays with equal values, writeable or not, share the design.
-            assert _predict_features(_build_design, freqs, np.array(pts)) is design
-            assert _predict_features(_build_design, freqs, frozen) is design
-            np.testing.assert_array_equal(design, _build_design(pts, freqs))
-            changed = np.array(pts)
-            changed[7, 0] = 0.5
-            miss = _predict_features(_build_design, freqs, changed)
-            assert miss is not design
-            np.testing.assert_array_equal(miss, _build_design(changed, freqs))
-            assert _predict_features(_build_design, freqs, pts[:-1]) is not miss
-            # A prediction's miss replaces the prediction entry only.
-            assert (_predict_features(_build_design, freqs, pts) is design) == (pts is xs)
+        design = trainers._held(owner.fill, xs)
+        assert design is owner.item[0].features
+        assert not design.flags.writeable
+        np.testing.assert_array_equal(design, _build_design(xs, freqs))
+        frozen = np.array(xs)
+        frozen.setflags(write=False)
+        assert trainers._held(owner.fill, np.array(xs)) is design
+        assert trainers._held(owner.fill, frozen) is design
+        changed = np.array(xs)
+        changed[7, 0] = 0.5
+        for pts in (changed, xs[:-1], xs[::-1].copy()):
+            assert trainers._held(owner.fill, pts) is None
+        for fill in (trainers._PrimalRows(3, 1), trainers._KernelRows(4, 1)):
+            assert trainers._held(fill, xs) is None
 
     def test_design_memo_sees_rewritten_frozen_array(self):
         xs = np.random.default_rng(4).uniform(0, 1, size=(40, 1))
@@ -569,10 +594,11 @@ class TestFourierRidge:
     @pytest.mark.parametrize("d,N,name", [(1, 4, "_build_design"), (2, 4, "_dirichlet_features")],
                              ids=["primal", "kernel"])
     def test_full_data_features_built_once_in_any_order(self, monkeypatch, d, N, name):
-        # Fits write the memo and predictions only read it: a fit on all of
-        # xs, a prediction elsewhere, a prediction on xs and a fit on rows
-        # of xs build the features of all of xs once, while the first
-        # fit's handles live.
+        # The fit on all of xs keeps their features and becomes the whole
+        # run: it, a prediction elsewhere, a prediction on xs, a fit on rows
+        # of xs and a second fit on all of xs build the features of all of
+        # xs once, while the first fit's handles live.  The second fit
+        # shares them and leaves the first fit the whole run.
         clear_memo(monkeypatch)
         n, m = 40, 8
         rng = np.random.default_rng(d)
@@ -587,13 +613,18 @@ class TestFourierRidge:
         trainer.predict_multi(owner, xs[rows[0]])
         trainer.predict_multi(owner, np.array(xs))
         trainer.fit_multi(xs, rng.normal(size=(m, 3)), [0, 1, 2], rows)
+        assert trainers._whole() is owner[0].item[0]
+        again = trainer.fit_multi(np.array(xs), rng.normal(size=(n, 1)), [0])
         assert builds.count(n) == 1
+        assert trainers._whole() is owner[0].item[0]
+        assert np.shares_memory(again[0].item[0].features, owner[0].item[0].features)
 
     @pytest.mark.parametrize("d,N,n", [(1, 8, 4000), (2, 16, 400)], ids=["primal", "kernel"])
     def test_full_data_features_freed_with_their_handles(self, monkeypatch, d, N, n):
-        # The memo refers to the features of all of xs only through the
-        # handles fit on all of xs: deleting the last of them frees the
-        # features, whatever was fit or predicted on rows of xs meanwhile.
+        # `_whole` refers to the run fit on all of xs weakly: only that
+        # run's handles keep it and its features alive, so deleting the
+        # last of them frees the features, whatever was fit or predicted on
+        # rows of xs meanwhile.
         clear_memo(monkeypatch)
         m = 60
         rng = np.random.default_rng(d)
@@ -602,28 +633,49 @@ class TestFourierRidge:
         tracemalloc.start()
         try:
             owner = trainer.fit_multi(xs, rng.normal(size=(n, 1)), [0])
-            size = owner[0].keep.nbytes   # the design, or the Dirichlet features
+            size = owner[0].item[0].features.nbytes   # the design, or the Dirichlet features
             rows = np.stack([rng.choice(n, size=m, replace=False) for _ in range(2)])
             refits = trainer.fit_multi(xs, rng.normal(size=(m, 2)), [0, 1], rows)
             trainer.predict_multi(owner + refits, xs)
             trainer.predict_multi(refits, xs[rows[0]])
-            assert trainers._fit_entry[3]() is owner[0].keep
+            assert trainers._whole() is owner[0].item[0]
             held = tracemalloc.get_traced_memory()[0]
             del owner
             freed = held - tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
         assert ("dual_coefficients" in refits[0].meta) == (d == 2)
-        assert trainers._fit_entry is None
-        assert len(trainers._predict_entry[2]) == m
+        assert trainers._whole() is None
         assert size >= n * 17 * 8 and freed >= size
 
-    @pytest.mark.parametrize("d,N", [(1, 8), (2, 16)], ids=["primal", "kernel"])
-    def test_memo_lookup_survives_a_collection(self, monkeypatch, d, N):
-        # A cyclic collection while the memo compares its key can free the
-        # last handle fit on all of xs, and its weakref callback then clears
-        # the fit entry.  A prediction on xs that was looking the entry up
-        # takes that as a miss and builds its own features.
+    def test_whole_fit_holds_one_copy_of_its_points(self, monkeypatch):
+        # A fit on all of 200,000 1-d points holds their 17-column design,
+        # its fitted values and one copy of the points (1.6 MB each), and
+        # nothing once its handle goes.
+        clear_memo(monkeypatch)
+        n = 200_000
+        xs = np.random.default_rng(9).uniform(0, 1, size=(n, 1))
+        trainer = fourier_ridge_trainer(FourierRidgeSpec(N=8))
+        kept = (17 + 1 + 1) * n * 8
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            fits = trainer.fit_multi(xs, np.sin(6.0 * xs), [0])
+            held = tracemalloc.get_traced_memory()[0] - start
+            del fits
+            left = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert kept <= held < kept + xs.nbytes // 2
+        assert left < 64 * 1024
+
+    @pytest.mark.parametrize("d,N,name", [(1, 8, "_build_design"), (2, 16, "_dirichlet_features")],
+                             ids=["primal", "kernel"])
+    def test_memo_lookup_survives_a_collection(self, monkeypatch, d, N, name):
+        # A cyclic collection while `_held` compares the whole run's points
+        # can free the last handle fit on all of xs.  The lookup holds the
+        # run strongly, so it still reads the run's features: a prediction
+        # on xs builds none.  The run goes when the lookup is done.
         clear_memo(monkeypatch)
         n, m = 400, 60
         rng = np.random.default_rng(d)
@@ -636,14 +688,18 @@ class TestFourierRidge:
             refit = trainer.fit_multi(xs, rng.normal(size=(m, 1)), [1],
                                       rng.choice(n, size=(1, m), replace=False))
             want = trainer.predict_multi(refit, xs)
+            key = owner[0].item[0].xs
             owner[0].meta["cycle"] = owner   # only the cyclic collector frees it
             del owner
-            array_equal = np.array_equal
+            builds, build = [], getattr(trainers, name)
+            monkeypatch.setattr(trainers, name,
+                                lambda pts, param: builds.append(len(pts)) or build(pts, param))
+            array_equal, collected = np.array_equal, []
 
             def collecting(a, b):
-                # Collect while the fit entry's key is being compared.
-                if trainers._fit_entry is not None and a is trainers._fit_entry[2]:
-                    gc.collect()
+                # Collect while the whole run's points are being compared.
+                if a is key:
+                    collected.append(gc.collect())
                 return array_equal(a, b)
 
             monkeypatch.setattr(np, "array_equal", collecting)
@@ -652,38 +708,8 @@ class TestFourierRidge:
             if enabled:
                 gc.enable()
         assert ("dual_coefficients" in refit[0].meta) == (d == 2)
-        assert trainers._fit_entry is None
-        np.testing.assert_array_equal(got, want)
-
-    @pytest.mark.parametrize("d,N", [(1, 8), (2, 16)], ids=["primal", "kernel"])
-    def test_prediction_returns_the_entry_it_checked(self, monkeypatch, d, N):
-        # Another call may replace the prediction entry between this call's
-        # key check and its read, as a second thread predicting elsewhere
-        # would; the features returned are still those of the points asked.
-        clear_memo(monkeypatch)
-        n, m = 400, 60
-        rng = np.random.default_rng(d)
-        xs = rng.uniform(0, 1, size=(n, d))
-        pts, elsewhere = rng.uniform(0, 1, size=(2, 50, d))
-        trainer = fourier_ridge_trainer(FourierRidgeSpec(N=N))
-        refit = trainer.fit_multi(xs, rng.normal(size=(m, 1)), [0],
-                                  rng.choice(n, size=(1, m), replace=False))
-        trainer.predict_multi(refit, elsewhere)
-        other = trainers._predict_entry
-        want = trainer.predict_multi(refit, pts)
-        array_equal = np.array_equal
-
-        def replacing(a, b):
-            # Replace the entry once this call has found it holds ``pts``.
-            equal = array_equal(a, b)
-            if equal and trainers._predict_entry is not other and a is trainers._predict_entry[2]:
-                trainers._predict_entry = other
-            return equal
-
-        monkeypatch.setattr(np, "array_equal", replacing)
-        got = trainer.predict_multi(refit, pts)
-        assert trainers._predict_entry is other
-        assert ("dual_coefficients" in refit[0].meta) == (d == 2)
+        assert len(collected) == 1 and collected[0] > 0 and builds == []
+        assert trainers._whole() is None
         np.testing.assert_array_equal(got, want)
 
     def test_full_data_design_built_once_per_report(self, monkeypatch):
@@ -759,9 +785,9 @@ class TestFourierRidge:
         assert builds == []
         # Mixed with a handle fit elsewhere, the others take one product.
         vals = trainer.predict_multi([fits[0], *owner, fits[2]], pts)
+        assert builds == [m]
         np.testing.assert_array_equal(vals[[0, 2]], want[[0, 2]])
         np.testing.assert_array_equal(vals[1], owner[0].predict(np.array(pts)))
-        assert builds == [m]
 
     def test_warm_up_gram_is_one_product(self):
         # p = 441 > 362: a row tile of at most 2^18 multiply-adds would hold
@@ -829,10 +855,8 @@ class TestFourierRidge:
         assert stacks == [min(runs_per_stack, K - lo) for lo in range(0, K, runs_per_stack)]
 
         def solved(handle):
-            if isinstance(handle.fill, trainers._KernelRows):
-                return handle.fill.coefs[handle.item], handle.fill.fitted[handle.item]
-            fit, c = handle.item
-            return fit.coefs[c], fit.fitted[c]
+            run, c = handle.item
+            return run.coefs[c], run.fitted[c]
 
         assert ("dual_coefficients" in together[0].meta) == (N == 3 and lam > 0)
         for k in range(K):

@@ -27,7 +27,8 @@ the seed, pair count and run length, then per workload its machine (cores,
 thread variables set, each side's median steal share) and, per metric, both
 sides' per-pair values, both medians, the parent's IQR, the change's win
 count and both verdicts.  Exits 1 if a run fails or reports a failed
-operation.
+operation, else 2 if any end-to-end metric's verdict on any workload is
+"worse", else 0.
 """
 
 import argparse
@@ -166,6 +167,12 @@ def summarize(runs: dict, envs: dict, metrics: dict) -> dict:
     return record
 
 
+def exit_status(records: dict) -> int:
+    """2 if any metric of any workload's record (`summarize`) reads "worse", else 0."""
+    return 2 if any(m["verdict"].startswith("worse") for record in records.values()
+                    for m in record["metrics"].values()) else 0
+
+
 def compare(workload: str, roots: dict, metrics: dict, args) -> dict:
     """Run a workload's pairs, print its summary and return its `summarize` record."""
     runs = {"parent": [], "change": []}
@@ -224,7 +231,7 @@ def main() -> int:
         records = {workload: compare(workload, roots, metrics, args) for workload in workloads}
     if args.out:
         write_record(args.out, args, records)
-    return 0
+    return exit_status(records)
 
 
 if __name__ == "__main__":
